@@ -1,10 +1,20 @@
 """Risk certificates for weighted majority votes and the (gamma, K) search.
 
-Two layers per certificate: a ``*_from_loss`` formula that takes precomputed
-empirical terms (used by the synthetic comparison sweeps and the search), and
-a ``*_bound`` wrapper that evaluates the losses on a PredictionMatrix.  All
+Each certificate has a formula on precomputed empirical terms (the
+``*_from_loss`` functions, used by the comparison sweeps and the search;
+the margin-free baselines take the PredictionMatrix directly), and
+``certify`` searches it on a PredictionMatrix.  The table ``_BOUNDS`` is the
+one place a bound is defined: per bound id it holds how a result's value is
+rebuilt from its components (a kl factor, or bg's closed form), whether the
+delta/n_gamma union correction over the margin grid applies, whether the
+bound is searched over margins, and how ``certify`` evaluates it.
+``BOUND_IDS``, ``certify`` and ``reconstruct_value`` all read it.  All
 certified values are clipped to 1 and carry their additive components so a
 result can be reconstructed and audited.
+
+The Dirichlet bounds (dirichlet_margin, stochastic_margin, f2) optimise the
+concentration K by one golden-section search on ln K that runs every lane
+(grid margin) in lockstep; see ``_search_log_K``.
 
 Bound identifiers:
 
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -38,52 +49,19 @@ __all__ = [
     "InapplicableMarginError",
     "BOUND_IDS",
     "dirichlet_margin_from_loss",
-    "dirichlet_margin_bound",
     "stochastic_margin_from_loss",
-    "stochastic_margin_bound",
     "gz_from_loss",
-    "gz_bound",
     "bgplus_from_loss",
-    "bgplus_bound",
     "bg_original_from_loss",
-    "bg_original_bound",
     "bgplusplus_from_loss",
-    "bgplusplus_bound",
     "fo_bound",
     "so_bound",
     "bin_bound",
     "f2_from_loss",
-    "f2_bound",
     "dirichlet_margin_best_K",
     "certify",
     "reconstruct_value",
 ]
-
-BOUND_IDS = (
-    "dirichlet_margin",
-    "stochastic_margin",
-    "gz",
-    "bgplus",
-    "bg",
-    "bgplusplus",
-    "fo",
-    "so",
-    "bin",
-    "f2",
-)
-
-# Multiplier in front of the inverted small-kl, per bound family.
-_KL_FACTOR = {
-    "dirichlet_margin": 1.0,
-    "stochastic_margin": 1.0,
-    "gz": 1.0,
-    "bgplus": 1.0,
-    "bgplusplus": 1.0,
-    "fo": 2.0,
-    "so": 4.0,
-    "bin": 2.0,
-    "f2": 2.0,
-}
 
 _THETA_FLOOR = 1e-12
 
@@ -99,7 +77,6 @@ class BoundSpec:
     m: int
     delta: float
     prior_beta: np.ndarray | None = None
-    num_classes: int = 2
 
     def __post_init__(self):
         if int(self.m) < 1:
@@ -143,23 +120,6 @@ class BoundResult:
     def with_flags(self, extra) -> "BoundResult":
         merged = tuple(sorted(set(self.flags) | set(extra)))
         return replace(self, flags=merged)
-
-
-def reconstruct_value(bound_id: str, r: BoundResult) -> float:
-    """Recompute a certified value from its stored components."""
-    if bound_id == "bg":
-        raw = (
-            r.empirical_term
-            + math.sqrt(r.complexity_term * r.empirical_term)
-            + r.derandomisation_term
-        )
-        return min(1.0, raw)
-    factor = _KL_FACTOR[bound_id]
-    return min(
-        1.0,
-        factor * nk.kl_inv(r.empirical_term, r.complexity_term)
-        + r.derandomisation_term,
-    )
 
 
 def _floor_theta(theta) -> tuple[np.ndarray, tuple]:
@@ -211,13 +171,6 @@ def dirichlet_margin_from_loss(
     return BoundResult(value, gamma, K, None, u, comp, eps, flags)
 
 
-def dirichlet_margin_bound(
-    P: PredictionMatrix, wp: WeightPosterior, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    l_gamma = votes.empirical_margin_loss(P, wp, gamma)
-    return dirichlet_margin_from_loss(l_gamma, wp.theta, wp.K, gamma, spec)
-
-
 def stochastic_margin_from_loss(
     expected_loss: float, theta, K: float, gamma: float, spec: BoundSpec
 ) -> BoundResult:
@@ -233,14 +186,6 @@ def stochastic_margin_from_loss(
     comp = max(0.0, dkl + spec.log_confidence()) / spec.m
     value = min(1.0, nk.kl_inv(u, comp) + eps)
     return BoundResult(value, gamma, K, None, u, comp, eps, flags)
-
-
-def stochastic_margin_bound(
-    P: PredictionMatrix, wp: WeightPosterior, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    th, _ = _floor_theta(wp.theta)
-    expected = votes.expected_margin_loss_beta(P, wp.K * th, gamma)
-    return stochastic_margin_from_loss(expected, wp.theta, wp.K, gamma, spec)
 
 
 def gz_from_loss(
@@ -262,11 +207,6 @@ def gz_from_loss(
     u = float(l_gamma)
     value = min(1.0, nk.kl_inv(u, comp) + tail)
     return BoundResult(value, gamma, None, None, u, comp, tail)
-
-
-def gz_bound(P: PredictionMatrix, theta, gamma: float, spec: BoundSpec) -> BoundResult:
-    l_gamma = votes.empirical_margin_loss(P, theta, gamma)
-    return gz_from_loss(l_gamma, P.num_voters, gamma, spec)
 
 
 def _bgplus_T(gamma: float, m: int) -> int:
@@ -291,13 +231,6 @@ def bgplus_from_loss(
     return BoundResult(value, gamma, None, T, u, comp, 1.0 / m)
 
 
-def bgplus_bound(
-    P: PredictionMatrix, theta, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    l_gamma = votes.empirical_margin_loss(P, theta, gamma)
-    return bgplus_from_loss(l_gamma, P.num_voters, gamma, spec)
-
-
 def bg_original_from_loss(
     l_gamma: float, num_voters: int, gamma: float, spec: BoundSpec
 ) -> BoundResult:
@@ -313,13 +246,6 @@ def bg_original_from_loss(
     tail = (C + math.sqrt(C) + 2.0) / m
     value = min(1.0, u + math.sqrt(comp * u) + tail)
     return BoundResult(value, gamma, None, None, u, comp, tail)
-
-
-def bg_original_bound(
-    P: PredictionMatrix, theta, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    l_gamma = votes.empirical_margin_loss(P, theta, gamma)
-    return bg_original_from_loss(l_gamma, P.num_voters, gamma, spec)
 
 
 def _minimize_over_int(f, t_max: int, forced=()):
@@ -405,17 +331,6 @@ def bgplusplus_from_loss(
     return BoundResult(value, gamma, None, T_star, u, comp, eps)
 
 
-def bgplusplus_bound(
-    P: PredictionMatrix,
-    theta,
-    gamma: float,
-    spec: BoundSpec,
-    T_max: int | None = None,
-) -> BoundResult:
-    l_gamma = votes.empirical_margin_loss(P, theta, gamma)
-    return bgplusplus_from_loss(l_gamma, theta, gamma, spec, T_max)
-
-
 def fo_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
     """First-order Gibbs baseline: 2 * kl_inv(gibbs loss, complexity)."""
     th = np.asarray(theta, dtype=float)
@@ -459,12 +374,6 @@ def f2_from_loss(expected_loss: float, theta, K: float, spec: BoundSpec) -> Boun
     return BoundResult(value, None, K, None, u, comp, 0.0, flags)
 
 
-def f2_bound(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec) -> BoundResult:
-    th, _ = _floor_theta(wp.theta)
-    expected = votes.expected_zero_one_loss_beta(P, wp.K * th)
-    return f2_from_loss(expected, wp.theta, wp.K, spec)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Grid and line-search knobs for certify()."""
@@ -495,120 +404,51 @@ class SearchConfig:
         )
 
 
+# -- the K search -------------------------------------------------------------
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Bounds whose statements fix the margin and therefore take the delta/N
-# union correction when grid-searched.
-_UNION_BOUNDS = frozenset(
-    {"dirichlet_margin", "stochastic_margin", "bgplus", "bg", "bgplusplus"}
-)
+# Rows x margins per reg_inc_beta call in the Beta-CDF searches; caps the
+# kernel's working arrays at about 0.5 MB each.
+_BETA_LANES = 1 << 16
 
 
-def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int):
-    """Golden-section minimum of f on [lo, hi]; returns the best point seen."""
-    evals = [(lo, f(lo)), (hi, f(hi))]
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    evals.append((x1, f1))
-    evals.append((x2, f2))
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-            evals.append((x1, f1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-            evals.append((x2, f2))
-    return min(evals, key=lambda t: (t[1], t[0]))
+def _search_log_K(values_at, n: int, K_init: float, cfg: SearchConfig):
+    """Golden-section minimum over ln K in [ln K_init, ln(K_init * k_span)]
+    for n independent lanes, all run in lockstep.
 
-
-def _optimize_K(builder, K_init: float, cfg: SearchConfig) -> BoundResult:
-    """Minimise builder(K).value over K in [K_init, K_init * k_span] on ln K."""
-    if cfg.k_span == 1.0:
-        return builder(K_init)
-    lo, hi = math.log(K_init), math.log(K_init * cfg.k_span)
-    x_best, _ = _golden_min(
-        lambda x: builder(math.exp(x)).value, lo, hi, cfg.k_rel_tol, cfg.k_max_iter
-    )
-    return builder(math.exp(x_best))
-
-
-def _dirichlet_margin_values(
-    losses: np.ndarray,
-    gammas: np.ndarray,
-    K: np.ndarray,
-    theta: np.ndarray,
-    prior: np.ndarray,
-    log_B_prior: float,
-    spec: BoundSpec,
-) -> np.ndarray:
-    """Vectorised deterministic-margin bound over lanes of (loss, gamma, K)."""
-    A = K[:, None] * theta[None, :]
-    lnB_A = nk.log_gamma(A).sum(axis=1) - nk.log_gamma(K)
-    centered = nk.digamma(A) - nk.digamma(K)[:, None]
-    dkl = log_B_prior - lnB_A + ((A - prior[None, :]) * centered).sum(axis=1)
-    eps = np.exp(-(K + 1.0) * gammas * gammas)
-    u = np.minimum(1.0, losses + eps)
-    comp = np.maximum(0.0, dkl + spec.log_confidence()) / spec.m
-    return np.minimum(1.0, nk.kl_inv_vec(u, comp) + eps)
-
-
-def _certify_dirichlet_margin(
-    losses: np.ndarray,
-    gammas: np.ndarray,
-    theta: np.ndarray,
-    K_init: float,
-    spec: BoundSpec,
-    cfg: SearchConfig,
-) -> BoundResult:
-    """Golden-section over ln K run in lockstep across every grid margin.
-
-    All lanes share the same shrinking bracket length, so each golden step
-    costs one vectorised bound evaluation; the best (value, K) per lane is
-    tracked across every evaluation including the bracket endpoints.
+    ``values_at`` maps an (n,) array of ln K points, one per lane, to the
+    (n,) lane values, so each golden step costs one call.  A lane stops
+    once its bracket is no wider than ``cfg.k_rel_tol`` (or after
+    ``cfg.k_max_iter`` steps).  Returns the best ln K and value per lane
+    over every evaluation, the bracket ends included; ties keep the
+    earliest evaluation.
     """
-    prior = spec.prior(theta.size)
-    log_B_prior = nk.log_multivariate_beta(prior)
-
-    def values_at(x: np.ndarray) -> np.ndarray:
-        return _dirichlet_margin_values(
-            losses, gammas, np.exp(x), theta, prior, log_B_prior, spec
-        )
-
-    n = gammas.size
     lo = math.log(K_init)
     hi = math.log(K_init * cfg.k_span)
-    best_val = values_at(np.full(n, lo))
     best_x = np.full(n, lo)
+    best_val = values_at(best_x)
 
-    def consider(x: np.ndarray, fx: np.ndarray):
-        nonlocal best_val, best_x
-        better = fx < best_val
+    def consider(x, fx, live):
+        nonlocal best_x, best_val
+        better = live & (fx < best_val)
         best_val = np.where(better, fx, best_val)
         best_x = np.where(better, x, best_x)
 
     if cfg.k_span > 1.0:
-        x_hi = np.full(n, hi)
-        consider(x_hi, values_at(x_hi))
+        live = np.ones(n, dtype=bool)
         a = np.full(n, lo)
         b = np.full(n, hi)
+        consider(b, values_at(b), live)
         x1 = b - _INV_PHI * (b - a)
         x2 = a + _INV_PHI * (b - a)
         f1 = values_at(x1)
         f2 = values_at(x2)
-        consider(x1, f1)
-        consider(x2, f2)
+        consider(x1, f1, live)
+        consider(x2, f2, live)
         for _ in range(cfg.k_max_iter):
-            # Bracket lengths stay identical across lanes, so one width test
-            # and one fresh vectorised evaluation serve the whole grid.
-            if float(b[0] - a[0]) <= cfg.k_rel_tol:
+            live = (b - a) > cfg.k_rel_tol
+            if not live.any():
                 break
             take_low = f1 <= f2
             a = np.where(take_low, a, x1)
@@ -617,34 +457,221 @@ def _certify_dirichlet_margin(
             f_keep = np.where(take_low, f1, f2)
             x_new = np.where(take_low, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
             f_new = values_at(x_new)
-            consider(x_new, f_new)
+            consider(x_new, f_new, live)
             x1 = np.where(take_low, x_new, x_keep)
             f1 = np.where(take_low, f_new, f_keep)
             x2 = np.where(take_low, x_keep, x_new)
             f2 = np.where(take_low, f_keep, f_new)
+    return best_x, best_val
 
-    idx = int(np.lexsort((gammas, best_val))[0])
-    return dirichlet_margin_from_loss(
-        float(losses[idx]), theta, float(math.exp(best_x[idx])), float(gammas[idx]), spec
-    )
+
+def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
+    """Lane of the smallest value; ties keep the smallest margin."""
+    return int(np.lexsort((gammas, values))[0])
+
+
+def _dirichlet_complexity(theta: np.ndarray, spec: BoundSpec):
+    """Lanewise (D(K theta, prior) + ln(2 sqrt(m)/delta)) / m, clipped at 0."""
+    prior = spec.prior(theta.size)
+    log_B_prior = nk.log_multivariate_beta(prior)
+
+    def complexity(K: np.ndarray) -> np.ndarray:
+        A = K[:, None] * theta[None, :]
+        lnB_A = nk.log_gamma(A).sum(axis=1) - nk.log_gamma(K)
+        centered = nk.digamma(A) - nk.digamma(K)[:, None]
+        dkl = log_B_prior - lnB_A + ((A - prior[None, :]) * centered).sum(axis=1)
+        return np.maximum(0.0, dkl + spec.log_confidence()) / spec.m
+
+    return complexity
+
+
+def _margin_losses(P: PredictionMatrix, theta: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Empirical margin loss L_gamma at every grid margin."""
+    sorted_margins = np.sort(votes.margins(P, theta))
+    return np.searchsorted(sorted_margins, gammas, side="right") / P.num_examples
+
+
+def _margin_search(losses, gammas, theta, K_init, spec, cfg):
+    """Best ln K and search value per lane of the dirichlet_margin bound."""
+    complexity = _dirichlet_complexity(theta, spec)
+
+    def values_at(x: np.ndarray) -> np.ndarray:
+        K = np.exp(x)
+        eps = np.exp(-(K + 1.0) * gammas * gammas)
+        u = np.minimum(1.0, losses + eps)
+        return np.minimum(1.0, nk.kl_inv_vec(u, complexity(K)) + eps)
+
+    return _search_log_K(values_at, gammas.size, K_init, cfg)
 
 
 def dirichlet_margin_best_K(
-    l_gamma: float,
+    losses,
     theta,
-    gamma: float,
+    gammas,
     spec: BoundSpec,
     K_init: float = 1.0,
     search_cfg: SearchConfig | None = None,
-) -> BoundResult:
-    """Deterministic-margin bound at fixed gamma, K golden-sectioned over
-    [K_init, K_init * k_span].  Formula-level: takes the margin loss value."""
+) -> list[BoundResult]:
+    """Deterministic-margin bound per lane of (margin loss, gamma), with K
+    golden-sectioned over [K_init, K_init * k_span] for every lane at once.
+    ``losses`` and ``gammas`` broadcast together; one result per lane, each
+    equal to what a one-lane call returns.  Formula-level: takes the margin
+    loss values."""
     cfg = search_cfg or SearchConfig()
     th, flags = _floor_theta(theta)
-    best = _certify_dirichlet_margin(
-        np.array([float(l_gamma)]), np.array([float(gamma)]), th, K_init, spec, cfg
+    losses, gammas = (
+        np.ravel(arr).astype(float) for arr in np.broadcast_arrays(losses, gammas)
+    )
+    x, _ = _margin_search(losses, gammas, th, K_init, spec, cfg)
+    return [
+        _finalize(dirichlet_margin_from_loss(float(l), th, math.exp(xi), float(g), spec), flags)
+        for l, g, xi in zip(losses, gammas, x)
+    ]
+
+
+def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.ndarray):
+    """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w)."""
+    out = np.empty(K.size)
+    step = max(1, _BETA_LANES // a_c.size)
+    for s in range(0, K.size, step):
+        k = K[s:s + step, None]
+        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None])
+        out[s:s + step] = terms.mean(axis=1)
+    return out
+
+
+# -- certify: one evaluator per table entry -------------------------------------
+
+
+def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
+    th, flags = _floor_theta(wp.theta)
+    losses = _margin_losses(P, th, gammas)
+    x, values = _margin_search(losses, gammas, th, wp.K, spec, cfg)
+    i = _best_lane(values, gammas)
+    best = dirichlet_margin_from_loss(
+        float(losses[i]), th, math.exp(x[i]), float(gammas[i]), spec
     )
     return _finalize(best, flags)
+
+
+def _certify_stochastic_margin(P, wp, spec, cfg, gammas):
+    th, flags = _floor_theta(wp.theta)
+    a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
+    complexity = _dirichlet_complexity(th, spec)
+
+    def values_at(x: np.ndarray) -> np.ndarray:
+        K = np.exp(x)
+        u = np.minimum(1.0, _beta_losses(K, gammas, a_c, a_w))
+        eps = np.exp(-4.0 * (K + 1.0) * gammas * gammas)
+        return np.minimum(1.0, nk.kl_inv_vec(u, complexity(K)) + eps)
+
+    x, values = _search_log_K(values_at, gammas.size, wp.K, cfg)
+    i = _best_lane(values, gammas)
+    K, g = math.exp(x[i]), float(gammas[i])
+    loss = float(votes.beta_margin_loss_terms(K * a_c, K * a_w, g).mean())
+    return _finalize(stochastic_margin_from_loss(loss, th, K, g, spec), flags)
+
+
+def _certify_f2(P, wp, spec, cfg, gammas):
+    th, flags = _floor_theta(wp.theta)
+    a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
+
+    def at(K: float) -> BoundResult:
+        # gamma = 0: the expected 0-1 loss of the Dirichlet vote.
+        loss = float(votes.beta_margin_loss_terms(K * a_c, K * a_w, 0.0).mean())
+        return f2_from_loss(loss, th, K, spec)
+
+    # A single lane, whose value function is the scalar formula itself: at
+    # one lane the scalar kl inversion is cheaper than the vectorised one.
+    x, _ = _search_log_K(lambda x: np.array([at(math.exp(x[0])).value]), 1, wp.K, cfg)
+    return _finalize(at(math.exp(x[0])), flags)
+
+
+def _per_margin(formula):
+    """Evaluator that applies ``formula(loss, gamma, theta, spec)`` at every
+    grid margin and keeps the smallest value (the smallest gamma on ties);
+    margins where the formula does not apply are skipped."""
+
+    def evaluate(P, wp, spec, cfg, gammas):
+        th, flags = _floor_theta(wp.theta)
+        best = None
+        for loss, g in zip(_margin_losses(P, th, gammas), gammas):
+            try:
+                result = formula(float(loss), float(g), th, spec)
+            except InapplicableMarginError:
+                continue
+            if best is None or result.value < best.value:
+                best = result
+        if best is None:
+            best = _vacuous(None, None, 1.0, ("inapplicable_margin",))
+        return _finalize(best, flags)
+
+    return evaluate
+
+
+# -- the bound table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """How a bound's value is rebuilt from its components and how it is
+    searched.  ``evaluate(P, wp, spec, cfg, gammas)`` returns the result;
+    ``gammas`` is the margin grid, or None for bounds without a margin."""
+
+    rebuild: Callable[[BoundResult], float]  # unclipped value
+    union: bool  # fixed-margin statement: searched at delta / n_gamma
+    margin: bool  # searched over the margin grid
+    evaluate: Callable[..., BoundResult]
+
+
+def _kl(factor: float) -> Callable[[BoundResult], float]:
+    """factor * kl_inv(empirical, complexity) + derandomisation."""
+    return lambda r: (
+        factor * nk.kl_inv(r.empirical_term, r.complexity_term) + r.derandomisation_term
+    )
+
+
+def _bg_closed_form(r: BoundResult) -> float:
+    return (
+        r.empirical_term
+        + math.sqrt(r.complexity_term * r.empirical_term)
+        + r.derandomisation_term
+    )
+
+
+_BOUNDS = {
+    "dirichlet_margin": _Bound(_kl(1.0), True, True, _certify_dirichlet_margin),
+    "stochastic_margin": _Bound(_kl(1.0), True, True, _certify_stochastic_margin),
+    "gz": _Bound(_kl(1.0), False, True, _per_margin(
+        lambda loss, g, th, spec: gz_from_loss(loss, th.size, g, spec))),
+    "bgplus": _Bound(_kl(1.0), True, True, _per_margin(
+        lambda loss, g, th, spec: bgplus_from_loss(loss, th.size, g, spec))),
+    "bg": _Bound(_bg_closed_form, True, True, _per_margin(
+        lambda loss, g, th, spec: bg_original_from_loss(loss, th.size, g, spec))),
+    "bgplusplus": _Bound(_kl(1.0), True, True, _per_margin(
+        lambda loss, g, th, spec: bgplusplus_from_loss(loss, th, g, spec))),
+    "fo": _Bound(_kl(2.0), False, False,
+                 lambda P, wp, spec, cfg, gammas: fo_bound(P, wp.theta, spec)),
+    "so": _Bound(_kl(4.0), False, False,
+                 lambda P, wp, spec, cfg, gammas: so_bound(P, wp.theta, spec)),
+    "bin": _Bound(_kl(2.0), False, False,
+                  lambda P, wp, spec, cfg, gammas: bin_bound(P, wp.theta, spec, cfg.bin_voters)),
+    "f2": _Bound(_kl(2.0), False, False, _certify_f2),
+}
+
+BOUND_IDS = tuple(_BOUNDS)
+
+
+def _lookup(bound_id: str) -> _Bound:
+    try:
+        return _BOUNDS[bound_id]
+    except KeyError:
+        raise ValueError(f"unknown bound id: {bound_id!r}") from None
+
+
+def reconstruct_value(bound_id: str, r: BoundResult) -> float:
+    """Recompute a certified value from its stored components."""
+    return min(1.0, _lookup(bound_id).rebuild(r))
 
 
 def certify(
@@ -662,85 +689,12 @@ def certify(
     golden-section on ln K over [K_init, K_init * k_span].  Deterministic
     given (inputs, search_cfg); ties in the grid keep the smallest gamma.
     """
-    if bound_id not in BOUND_IDS:
-        raise ValueError(f"unknown bound id: {bound_id!r}")
+    bound = _lookup(bound_id)
     cfg = search_cfg or SearchConfig()
-    theta = wp_init.theta
-    th_floored, base_flags = _floor_theta(theta)
-
-    if bound_id == "fo":
-        return fo_bound(P, theta, spec)
-    if bound_id == "so":
-        return so_bound(P, theta, spec)
-    if bound_id == "bin":
-        return bin_bound(P, theta, spec, N=cfg.bin_voters)
-
-    a_correct = P.correct_mass(th_floored)
-    a_wrong = P.wrong_mass(th_floored)
-
-    if bound_id == "f2":
-
-        def f2_at(K: float) -> BoundResult:
-            loss = float(
-                votes.beta_margin_loss_terms(K * a_correct, K * a_wrong, 0.0).mean()
-            )
-            return f2_from_loss(loss, th_floored, K, spec)
-
-        best = _optimize_K(f2_at, wp_init.K, cfg)
-        return _finalize(best, base_flags)
-
-    sorted_margins = np.sort(votes.margins(P, th_floored))
-    m = P.num_examples
-
-    def loss_at(g: float) -> float:
-        return float(np.searchsorted(sorted_margins, g, side="right")) / m
-
-    delta_eff = spec.delta / cfg.n_gamma if bound_id in _UNION_BOUNDS else spec.delta
-    spec_eff = replace(spec, delta=delta_eff)
-
-    grid = cfg.gamma_grid()
-    if bound_id == "dirichlet_margin":
-        losses = np.array([loss_at(float(g)) for g in grid])
-        best = _certify_dirichlet_margin(
-            losses, grid, th_floored, wp_init.K, spec_eff, cfg
-        )
-        return _finalize(best, base_flags)
-
-    gz_floor = math.sqrt(2.0 / P.num_voters) if bound_id == "gz" else None
-    best: BoundResult | None = None
-    for g in grid:
-        g = float(g)
-        if bound_id == "gz":
-            if P.num_voters < 3 or g <= gz_floor:
-                continue
-            result = gz_from_loss(loss_at(g), P.num_voters, g, spec_eff)
-        elif bound_id == "bgplus":
-            result = bgplus_from_loss(loss_at(g), P.num_voters, g, spec_eff)
-        elif bound_id == "bg":
-            result = bg_original_from_loss(loss_at(g), P.num_voters, g, spec_eff)
-        elif bound_id == "bgplusplus":
-            result = bgplusplus_from_loss(loss_at(g), th_floored, g, spec_eff)
-        else:  # stochastic_margin
-            result = _optimize_K(
-                lambda K, _g=g: stochastic_margin_from_loss(
-                    float(
-                        votes.beta_margin_loss_terms(
-                            K * a_correct, K * a_wrong, _g
-                        ).mean()
-                    ),
-                    th_floored,
-                    K,
-                    _g,
-                    spec_eff,
-                ),
-                wp_init.K,
-                cfg,
-            )
-        if best is None or result.value < best.value:
-            best = result
-    if best is None:
-        best = _vacuous(None, None, 1.0, ("inapplicable_margin",))
-    return _finalize(best, base_flags)
+    if bound.union:
+        spec = replace(spec, delta=spec.delta / cfg.n_gamma)
+    gammas = cfg.gamma_grid() if bound.margin else None
+    return bound.evaluate(P, wp_init, spec, cfg, gammas)
 
 
 def _finalize(result: BoundResult, base_flags: tuple) -> BoundResult:

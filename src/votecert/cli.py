@@ -94,14 +94,23 @@ def _search_cfg(args) -> SearchConfig:
     return SearchConfig(n_gamma=args.n_gamma)
 
 
-def _load_theta(path) -> np.ndarray:
+def _load_theta(path, num_voters: int) -> np.ndarray:
+    """Voting weights, one value per line; malformed files are data errors."""
     values = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                values.append(float(line))
-    return np.asarray(values)
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise data.DataError(f"{path}:{lineno}: not a number: {line!r}") from None
+    theta = np.asarray(values)
+    if theta.size != num_voters:
+        raise data.DataError(f"{path}: {theta.size} weights for {num_voters} voters")
+    if not np.all(np.isfinite(theta)) or np.any(theta < 0.0) or theta.sum() <= 0.0:
+        raise data.DataError(f"{path}: weights must be finite, non-negative, not all zero")
+    return theta
 
 
 def _result_row(dataset, seed, posterior_name, bound_id, result, test_error, m_bound):
@@ -135,10 +144,11 @@ def cmd_certify(args) -> int:
     out = _out_dir(args)
     P = voters.ingest_predictions(args.predictions)
     theta = (
-        _load_theta(args.theta) if args.theta else np.full(P.num_voters, 1.0 / P.num_voters)
+        _load_theta(args.theta, P.num_voters) if args.theta
+        else np.full(P.num_voters, 1.0 / P.num_voters)
     )
     wp = WeightPosterior(theta, args.k)
-    spec = BoundSpec(m=P.num_examples, delta=args.delta, num_classes=P.num_classes)
+    spec = BoundSpec(m=P.num_examples, delta=args.delta)
     bound_ids = args.bounds.split(",") if args.bounds else list(DEFAULT_BOUNDS)
     cfg = _search_cfg(args)
     name = os.path.basename(args.predictions)
@@ -224,7 +234,7 @@ def cmd_train(args) -> int:
         return rc
     out = _out_dir(args)
     P = voters.ingest_predictions(args.predictions)
-    spec = BoundSpec(m=P.num_examples, delta=args.delta, num_classes=P.num_classes)
+    spec = BoundSpec(m=P.num_examples, delta=args.delta)
     seeds = [int(s) for s in str(args.seeds).split(",")]
     cfg_search = _search_cfg(args)
     name = os.path.basename(args.predictions)
@@ -300,8 +310,7 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
         P_test = voters.predict_matrix(
             ensemble, ds_std.features[plan.test_idx], ds_std.labels[plan.test_idx]
         )
-    spec = BoundSpec(m=P_bound.num_examples, delta=args.delta,
-                     num_classes=P_bound.num_classes)
+    spec = BoundSpec(m=P_bound.num_examples, delta=args.delta)
 
     posteriors = {"uniform": WeightPosterior.uniform(P_bound.num_voters, 1.0)}
     trained_certs = {}
@@ -446,9 +455,15 @@ def cmd_compare(args) -> int:
     gz_floor = math.sqrt(2.0 / _COMPARE_D)
     files = []
     for m, loss in _COMPARE_PANELS:
-        spec = BoundSpec(m=m, delta=_COMPARE_DELTA, num_classes=2)
+        spec = BoundSpec(m=m, delta=_COMPARE_DELTA)
+        # the weight-dependent bounds share the same three simplex draws;
+        # the Dirichlet margin bound searches K for every margin at once
+        ours = [
+            [r.value for r in bounds.dirichlet_margin_best_K(loss, theta, gammas, spec, 1.0, cfg)]
+            for theta in thetas
+        ]
         rows = []
-        for g in gammas:
+        for i, g in enumerate(gammas):
             g = float(g)
             bg = bounds.bg_original_from_loss(loss, _COMPARE_D, g, spec).value
             bgp = bounds.bgplus_from_loss(loss, _COMPARE_D, g, spec).value
@@ -457,16 +472,11 @@ def cmd_compare(args) -> int:
                 if g > gz_floor
                 else None
             )
-            # the weight-dependent bounds share the same three simplex draws
             bgpp = [
                 bounds.bgplusplus_from_loss(loss, theta, g, spec).value
                 for theta in thetas
             ]
-            ours = [
-                bounds.dirichlet_margin_best_K(loss, theta, g, spec, 1.0, cfg).value
-                for theta in thetas
-            ]
-            rows.append((g, loss, bg, bgp, gz, *bgpp, *ours))
+            rows.append((g, loss, bg, bgp, gz, *bgpp, *(draw[i] for draw in ours)))
         fname = f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"
         _write_csv(
             os.path.join(out, fname),
@@ -489,10 +499,35 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: convert the flag's text and require ok(value), so a
+    bad value is a usage error (exit 2) rather than a traceback."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_bound_ids = _checked(
+    str, lambda v: set(v.split(",")) <= set(bounds.BOUND_IDS),
+    "a comma-separated list of " + ", ".join(bounds.BOUND_IDS),
+)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (or $VOTECERT_OUTDIR)")
-    p.add_argument("--delta", type=float, default=0.05, help="confidence parameter")
-    p.add_argument("--n-gamma", type=int, default=1000, dest="n_gamma",
+    p.add_argument("--delta", type=_confidence, default=0.05, help="confidence parameter")
+    p.add_argument("--n-gamma", type=_count, default=1000, dest="n_gamma",
                    help="margin grid size for the certificate search")
 
 
@@ -516,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--predictions", default=None)
     p.add_argument("--theta", default=None, help="weights file, one value per line")
-    p.add_argument("--k", type=float, default=1.0, help="initial concentration")
-    p.add_argument("--bounds", default=None, help="comma-separated bound ids")
+    p.add_argument("--k", type=_positive, default=1.0, help="initial concentration")
+    p.add_argument("--bounds", type=_bound_ids, default=None, help="comma-separated bound ids")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("train", help="optimise weights on a prediction matrix")
@@ -545,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--battery", default="all",
                    choices=("all", "aggregation", "marchal_arbel",
                             "derandomisation", "sharpness"))
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--sharpness-samples", type=int, default=1_000_000,
+    p.add_argument("--samples", type=_count, default=100_000)
+    p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
                    dest="sharpness_samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--claim-scale", type=float, default=1.0, dest="claim_scale",
@@ -587,9 +622,11 @@ def _apply_manifest(parser, argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = _apply_manifest(parser, argv)
     try:
+        args = _apply_manifest(parser, argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has reported a usage error (or --help)
+        return exc.code
     except (data.DataError, voters.PredictionFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,14 +17,11 @@ __all__ = [
     "trigamma",
     "log_multivariate_beta",
     "reg_inc_beta",
-    "reg_inc_beta_grad",
     "reg_inc_beta_with_grad",
     "small_kl",
     "kl_inv",
     "kl_inv_vec",
     "kl_inv_grad",
-    "catoni_phi",
-    "catoni_phi_inv",
     "dirichlet_kl",
     "categorical_entropy",
     "categorical_kl_uniform",
@@ -309,12 +306,6 @@ def reg_inc_beta_with_grad(z, a, b):
     return value.reshape(shape), d_a.reshape(shape), d_b.reshape(shape)
 
 
-def reg_inc_beta_grad(z, a, b):
-    """(dI_z/da, dI_z/db); see reg_inc_beta_with_grad for the method."""
-    _, d_a, d_b = reg_inc_beta_with_grad(z, a, b)
-    return d_a, d_b
-
-
 def small_kl(q, p) -> float:
     """kl(q, p) between Bernoulli(q) and Bernoulli(p), with 0 ln 0 := 0.
 
@@ -461,22 +452,6 @@ def kl_inv_grad(u, c):
     dv_dc = scale
     dv_du = -(math.log(u / v) - math.log((1.0 - u) / (1.0 - v))) * scale
     return dv_du, dv_dc
-
-
-def catoni_phi(C, p):
-    """Phi_C(p) = -(1/C) ln(1 - p + p e^{-C}).  Array-capable."""
-    C_arr = _positive_array(C, "C")
-    p_arr = _unit_array(p, "p")
-    out = -np.log1p(p_arr * np.expm1(-C_arr)) / C_arr
-    return float(out) if out.ndim == 0 else out
-
-
-def catoni_phi_inv(C, q):
-    """Inverse of catoni_phi: (1 - e^{-Cq}) / (1 - e^{-C}).  Array-capable."""
-    C_arr = _positive_array(C, "C")
-    q_arr = _unit_array(q, "q")
-    out = np.expm1(-C_arr * q_arr) / np.expm1(-C_arr)
-    return float(out) if out.ndim == 0 else out
 
 
 def dirichlet_kl(alpha, beta) -> float:

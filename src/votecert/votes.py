@@ -24,7 +24,6 @@ __all__ = [
     "tandem_loss",
     "binomial_loss",
     "expected_margin_loss_beta",
-    "expected_zero_one_loss_beta",
     "majority_predict",
     "majority_vote_error",
 ]
@@ -219,14 +218,17 @@ def binomial_loss(P: PredictionMatrix, theta, N: int) -> float:
     return float(np.mean(nk.binomial_tail(N, p_err, k0)))
 
 
-def beta_margin_loss_terms(a_correct, a_wrong, gamma: float) -> np.ndarray:
+def beta_margin_loss_terms(a_correct, a_wrong, gamma) -> np.ndarray:
     """Per-row Beta-CDF margin-loss terms I_{1/2+gamma}(a_correct, a_wrong).
 
+    ``gamma`` is a scalar or an array broadcast to the shape of the masses
+    (for example one margin per row of an (n, m) stack of mass lanes).
     Degenerate rows: no mass on correct voters gives the term 1 and no mass
     on erring voters gives 0 (for gamma < 1/2).
     """
     a_c = np.asarray(a_correct, dtype=float)
     a_w = np.asarray(a_wrong, dtype=float)
+    z = np.broadcast_to(0.5 + np.asarray(gamma, dtype=float), a_c.shape)
     out = np.empty_like(a_c)
     none_right = a_c <= 0.0
     none_wrong = (a_w <= 0.0) & ~none_right
@@ -234,7 +236,7 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma: float) -> np.ndarray:
     out[none_right] = 1.0
     out[none_wrong] = 0.0
     if regular.any():
-        out[regular] = nk.reg_inc_beta(0.5 + gamma, a_c[regular], a_w[regular])
+        out[regular] = nk.reg_inc_beta(z[regular], a_c[regular], a_w[regular])
     return out
 
 
@@ -253,11 +255,6 @@ def expected_margin_loss_beta(P: PredictionMatrix, alpha, gamma: float) -> float
         raise ValueError("alpha must be non-negative and finite")
     terms = beta_margin_loss_terms(P.correct_mass(a), P.wrong_mass(a), gamma)
     return float(terms.mean())
-
-
-def expected_zero_one_loss_beta(P: PredictionMatrix, alpha) -> float:
-    """expected_margin_loss_beta at gamma = 0; the factor-two bound's loss."""
-    return expected_margin_loss_beta(P, alpha, 0.0)
 
 
 def majority_predict(P: PredictionMatrix, theta) -> np.ndarray:

@@ -169,7 +169,7 @@ def test_criterion_04_gradient_suite():
         z = float(rng.uniform(0.15, 0.85))
         a = float(rng.uniform(0.5, 50.0))
         b = float(rng.uniform(0.5, 50.0))
-        d_a, d_b = nk.reg_inc_beta_grad(z, a, b)
+        _, d_a, d_b = nk.reg_inc_beta_with_grad(z, a, b)
         ha, hb = 1e-6 * max(1.0, a), 1e-6 * max(1.0, b)
         fd_a = (nk.reg_inc_beta(z, a + ha, b) - nk.reg_inc_beta(z, a - ha, b)) / (2 * ha)
         fd_b = (nk.reg_inc_beta(z, a, b + hb) - nk.reg_inc_beta(z, a, b - hb)) / (2 * hb)

@@ -1,9 +1,12 @@
 """Certificate formula tests: closed forms, orderings, and the search."""
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
@@ -78,7 +81,8 @@ class TestStochasticMargin:
         P = PredictionMatrix(np.full((40, 6), 1), np.full(40, 1), 2)
         wp = WeightPosterior(uniform_theta(6), 50000.0)
         spec = BoundSpec(m=40, delta=0.05)
-        r = bounds.stochastic_margin_bound(P, wp, 0.1, spec)
+        loss = votes.expected_margin_loss_beta(P, wp.alpha, 0.1)
+        r = bounds.stochastic_margin_from_loss(loss, wp.theta, wp.K, 0.1, spec)
         eps = math.exp(-4 * 50001 * 0.01)
         want = nk.kl_inv(0.0, r.complexity_term) + eps
         assert r.value == pytest.approx(want, abs=1e-10)
@@ -92,7 +96,8 @@ class TestStochasticMargin:
         theta = np.random.default_rng(0).dirichlet(np.ones(8))
         K, gamma = 20.0, 0.05
         spec = BoundSpec(m=30, delta=0.05)
-        r = bounds.stochastic_margin_bound(P, WeightPosterior(theta, K), gamma, spec)
+        loss = votes.expected_margin_loss_beta(P, K * theta, gamma)
+        r = bounds.stochastic_margin_from_loss(loss, theta, K, gamma, spec)
         rep = oracle.verify_beta_sharpness(P, K * theta, gamma, 200_000, seed=11)
         assert r.empirical_term >= rep.estimate - 3 * rep.stderr
 
@@ -263,7 +268,9 @@ class TestBaselines:
         P = random_matrix(seed=26, m=60, d=7, accuracy=0.8)
         wp = WeightPosterior(uniform_theta(7), 30.0)
         spec = BoundSpec(m=60, delta=0.05)
-        r = bounds.f2_bound(P, wp, spec)
+        r = bounds.f2_from_loss(
+            votes.expected_margin_loss_beta(P, wp.alpha, 0.0), wp.theta, wp.K, spec
+        )
         assert r.value >= min(1.0, 2 * r.empirical_term) - 1e-12
 
     def test_f2_full_loss_clips(self):
@@ -325,13 +332,15 @@ class TestCertify:
         wp = WeightPosterior(uniform_theta(toy_matrix.num_voters), 12.0)
         spec = BoundSpec(m=toy_matrix.num_examples, delta=0.05)
         cfg = SearchConfig(n_gamma=1, gamma_min=0.1, gamma_max=0.1, k_span=1.0)
+        l_g = votes.empirical_margin_loss(toy_matrix, wp, 0.1)
+        expected = votes.expected_margin_loss_beta(toy_matrix, wp.alpha, 0.1)
         for bid, direct in (
             ("dirichlet_margin",
-             lambda: bounds.dirichlet_margin_bound(toy_matrix, wp, 0.1, spec)),
+             lambda: bounds.dirichlet_margin_from_loss(l_g, wp.theta, wp.K, 0.1, spec)),
             ("stochastic_margin",
-             lambda: bounds.stochastic_margin_bound(toy_matrix, wp, 0.1, spec)),
+             lambda: bounds.stochastic_margin_from_loss(expected, wp.theta, wp.K, 0.1, spec)),
             ("bgplus",
-             lambda: bounds.bgplus_bound(toy_matrix, wp.theta, 0.1, spec)),
+             lambda: bounds.bgplus_from_loss(l_g, toy_matrix.num_voters, 0.1, spec)),
         ):
             got = bounds.certify(toy_matrix, wp, spec, bid, cfg)
             assert got.value == pytest.approx(direct().value, abs=1e-12)
@@ -344,7 +353,9 @@ class TestCertify:
         got = bounds.certify(toy_matrix, wp, spec, "bgplus", cfg)
         spec_half = replace(spec, delta=0.025)
         manual = min(
-            (bounds.bgplus_bound(toy_matrix, wp.theta, float(g), spec_half)
+            (bounds.bgplus_from_loss(
+                votes.empirical_margin_loss(toy_matrix, wp, float(g)),
+                toy_matrix.num_voters, float(g), spec_half)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -358,7 +369,8 @@ class TestCertify:
         cfg = SearchConfig(n_gamma=2, gamma_min=0.3, gamma_max=0.4)
         got = bounds.certify(P, wp, spec, "gz", cfg)
         manual = min(
-            (bounds.gz_bound(P, wp.theta, float(g), spec)
+            (bounds.gz_from_loss(
+                votes.empirical_margin_loss(P, wp, float(g)), P.num_voters, float(g), spec)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -423,3 +435,125 @@ class TestSoundnessSmoke:
                     wins[bid] += 1
         for bid, count in wins.items():
             assert count >= trials - 1, f"{bid} failed soundness smoke test"
+
+
+def scalar_golden(f, K_init, cfg):
+    """Reference golden-section search over ln K for one lane: the best
+    (x, f(x)) over every evaluation, bracket ends included, keeping the
+    earliest evaluation on ties; stops once the bracket is no wider than
+    cfg.k_rel_tol or after cfg.k_max_iter steps."""
+    lo, hi = math.log(K_init), math.log(K_init * cfg.k_span)
+    best = [lo, f(lo)]
+
+    def see(x):
+        fx = f(x)
+        if fx < best[1]:
+            best[:] = [x, fx]
+        return fx
+
+    if cfg.k_span > 1.0:
+        see(hi)
+        a, b = lo, hi
+        x1 = b - bounds._INV_PHI * (b - a)
+        x2 = a + bounds._INV_PHI * (b - a)
+        f1, f2 = see(x1), see(x2)
+        for _ in range(cfg.k_max_iter):
+            if b - a <= cfg.k_rel_tol:
+                break
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - bounds._INV_PHI * (b - a)
+                f1 = see(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + bounds._INV_PHI * (b - a)
+                f2 = see(x2)
+    return best
+
+
+def lane_profile(x, a, b, c, e, cap):
+    """A lane's value: a parabola plus a kink, clipped at cap (so flat
+    stretches and ties occur).  Only exactly rounded operations, so a lane
+    evaluates to the same bits on numpy arrays and on Python floats."""
+    d = x - c
+    return np.minimum(cap, a * d * d + b * abs(x - e))
+
+
+lane_params = st.tuples(
+    st.floats(0.0, 10.0), st.floats(-1.0, 1.0), st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0), st.floats(0.0, 50.0),
+)
+
+
+class TestLockstepSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lanes=st.lists(lane_params, min_size=1, max_size=8),
+        K_init=st.floats(1e-3, 1e3),
+        k_span=st.floats(1.0, 2.0**20),
+        k_rel_tol=st.floats(1e-6, 2.0),
+        k_max_iter=st.integers(0, 60),
+    )
+    def test_every_lane_matches_scalar_search(self, lanes, K_init, k_span, k_rel_tol, k_max_iter):
+        cfg = SearchConfig(k_span=k_span, k_rel_tol=k_rel_tol, k_max_iter=k_max_iter)
+        params = [np.array(column) for column in zip(*lanes)]
+        x, values = bounds._search_log_K(
+            lambda pts: lane_profile(pts, *params), len(lanes), K_init, cfg
+        )
+        for i, lane in enumerate(lanes):
+            want_x, want_value = scalar_golden(
+                lambda pt: float(lane_profile(pt, *lane)), K_init, cfg
+            )
+            assert (x[i], values[i]) == (want_x, want_value)
+
+    def test_best_K_lanes_equal_one_lane_calls(self):
+        rng = np.random.default_rng(5)
+        theta = rng.dirichlet(np.ones(30))
+        spec = BoundSpec(m=500, delta=0.1)
+        gammas = np.linspace(0.01, 0.49, 17)
+        losses = rng.uniform(0.0, 0.3, gammas.size)
+        cfg = SearchConfig()
+        lanes = bounds.dirichlet_margin_best_K(losses, theta, gammas, spec, 2.0, cfg)
+        singles = [
+            bounds.dirichlet_margin_best_K(loss, theta, g, spec, 2.0, cfg)[0]
+            for loss, g in zip(losses, gammas)
+        ]
+        assert lanes == singles
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_reference.json")
+
+
+class TestCertifyReference:
+    """certify for every bound id against outputs recorded from the earlier
+    search (a scalar golden-section over K per margin for stochastic_margin
+    and f2, and a Python loop for the grid losses): binary and 3-class
+    matrices, uniform and Dirichlet-drawn weights, n_gamma in {1, 10, 50}."""
+
+    def test_matches_recorded_outputs(self):
+        with open(REFERENCE) as fh:
+            recorded = json.load(fh)
+        cases = {}
+        for name, spec_in in recorded["inputs"].items():
+            table = np.array([[int(ch) for ch in row] for row in spec_in["rows"]])
+            P = PredictionMatrix(table[:, :-1], table[:, -1], spec_in["classes"])
+            for weights, theta in spec_in["weights"].items():
+                cases[name, weights] = (P, WeightPosterior(np.array(theta), 1.0))
+        fields = ("value", "gamma_star", "K_star", "T_star", "empirical_term",
+                  "complexity_term", "derandomisation_term")
+        mismatches = []
+        for want in recorded["results"]:
+            P, wp = cases[want["matrix"], want["weights"]]
+            spec = BoundSpec(m=P.num_examples, delta=0.05)
+            got = bounds.certify(P, wp, spec, want["bound"], SearchConfig(n_gamma=want["n_gamma"]))
+            case = (want["matrix"], want["weights"], want["n_gamma"], want["bound"])
+            for field in fields:
+                if getattr(got, field) != want[field]:
+                    mismatches.append((case, field, getattr(got, field), want[field]))
+            if list(got.flags) != want["flags"]:
+                mismatches.append((case, "flags", got.flags, want["flags"]))
+            rebuilt = bounds.reconstruct_value(want["bound"], got)
+            if not abs(rebuilt - got.value) <= 1e-9:
+                mismatches.append((case, "reconstruct", rebuilt, got.value))
+        assert mismatches == []
+        assert len(recorded["results"]) == 2 * 2 * 3 * len(bounds.BOUND_IDS)

@@ -72,6 +72,29 @@ class TestCertifyCommand:
         assert [r["bound"] for r in rows] == ["fo", "f2"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "--bounds", "fo,foo"], 2),
+    (["certify", "--k", "-1"], 2),
+    (["certify", "--delta", "2"], 2),
+    (["certify", "--n-gamma", "0"], 2),
+    (["certify", "--theta", "{bad_theta}"], 3),
+    (["verify", "--samples", "0"], 2),
+])
+def test_bad_input_exit_code(tmp_path, capsys, argv, code):
+    """Bad flag values are usage errors (2) and a malformed weights file is
+    a data error (3): each reported in one line, without a traceback."""
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds)
+    bad_theta = tmp_path / "theta.txt"
+    bad_theta.write_text("0.5\nnot-a-weight\n")
+    argv = [arg.format(bad_theta=bad_theta) for arg in argv]
+    if argv[0] == "certify":
+        argv += ["--predictions", str(preds)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 class TestTrainCommand:
     def test_zero_epochs_certifies_uniform(self, tmp_path):
         preds = tmp_path / "preds.csv"

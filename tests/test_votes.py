@@ -217,12 +217,23 @@ class TestExpectedBetaLoss:
             pytest.approx(0.5)  # (1 + 0) / 2
         )
 
-    def test_zero_one_alias(self):
-        P = random_matrix(seed=13, m=30, d=5)
-        alpha = np.random.default_rng(0).uniform(0.5, 3.0, 5)
-        assert votes.expected_zero_one_loss_beta(P, alpha) == (
-            votes.expected_margin_loss_beta(P, alpha, 0.0)
-        )
+    def test_per_lane_gamma_with_degenerate_rows(self):
+        """A (lanes, rows) stack of masses with one margin per lane: every
+        lane equals a scalar-gamma call, and the degenerate rows (no correct
+        mass, no erring mass) keep their fixed terms."""
+        a_correct = np.array([0.0, 0.3, 0.5, 1.0, 0.7])
+        a_wrong = np.array([1.0, 0.7, 0.5, 0.0, 0.3])
+        K = np.array([[0.5], [3.0], [40.0]])
+        gammas = np.array([[0.0], [0.05], [0.3]])
+        got = votes.beta_margin_loss_terms(K * a_correct, K * a_wrong, gammas)
+        assert got.shape == (3, 5)
+        for i in range(3):
+            want = votes.beta_margin_loss_terms(
+                K[i, 0] * a_correct, K[i, 0] * a_wrong, float(gammas[i, 0])
+            )
+            assert np.array_equal(got[i], want)
+        assert np.all(got[:, 0] == 1.0) and np.all(got[:, 3] == 0.0)
+        assert len(set(got[:, 2])) == 3  # each lane used its own margin
 
     def test_monotone_in_gamma(self):
         P = random_matrix(seed=14, m=60, d=8, accuracy=0.6)
