@@ -688,13 +688,14 @@ def certify(
     do the margin-free baselines.  K is optimised per grid point by
     golden-section on ln K over [K_init, K_init * k_span].  Deterministic
     given (inputs, search_cfg); ties in the grid keep the smallest gamma.
+    Every result of value 1 carries the ``vacuous`` flag.
     """
     bound = _lookup(bound_id)
     cfg = search_cfg or SearchConfig()
     if bound.union:
         spec = replace(spec, delta=spec.delta / cfg.n_gamma)
     gammas = cfg.gamma_grid() if bound.margin else None
-    return bound.evaluate(P, wp_init, spec, cfg, gammas)
+    return _finalize(bound.evaluate(P, wp_init, spec, cfg, gammas), ())
 
 
 def _finalize(result: BoundResult, base_flags: tuple) -> BoundResult:

@@ -228,6 +228,25 @@ _SUMMARY_COLUMNS = (
 )
 
 
+def _certify_defaults(P, wp, spec, cfg_search, trained_cert=None) -> dict:
+    """Every default bound of wp.  A trained posterior passes the
+    dirichlet_margin certificate train_posterior selected it by: that search
+    already paid the delta/(#candidates) union, so it is reused."""
+    return {
+        bid: trained_cert if bid == "dirichlet_margin" and trained_cert is not None
+        else bounds.certify(P, wp, spec, bid, cfg_search)
+        for bid in DEFAULT_BOUNDS
+    }
+
+
+def _write_run_csvs(out, result_rows, log_rows, posterior_rows) -> None:
+    """The four result files of train and experiment."""
+    _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, result_rows)
+    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_COLUMNS, _summary_rows(result_rows))
+    _write_csv(os.path.join(out, "training_log.csv"), _LOG_COLUMNS, log_rows)
+    _write_csv(os.path.join(out, "posteriors.csv"), _POSTERIOR_COLUMNS, posterior_rows)
+
+
 def cmd_train(args) -> int:
     rc = _require(args, "predictions")
     if rc:
@@ -247,20 +266,12 @@ def cmd_train(args) -> int:
         )
         log_rows.extend(_log_rows(seed, args.objective, tr))
         posterior_rows.extend(_posterior_rows(seed, args.objective, tr.posterior))
-        certs = {
-            bid: bounds.certify(P, tr.posterior, spec, bid, cfg_search)
-            for bid in DEFAULT_BOUNDS
-            if bid != "dirichlet_margin"
-        }
-        certs["dirichlet_margin"] = tr.certificate
-        for bid in DEFAULT_BOUNDS:
-            result_rows.append(
-                _result_row(name, seed, args.objective, bid, certs[bid], None, spec.m)
-            )
-    _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, result_rows)
-    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_COLUMNS, _summary_rows(result_rows))
-    _write_csv(os.path.join(out, "training_log.csv"), _LOG_COLUMNS, log_rows)
-    _write_csv(os.path.join(out, "posteriors.csv"), _POSTERIOR_COLUMNS, posterior_rows)
+        certs = _certify_defaults(P, tr.posterior, spec, cfg_search, tr.certificate)
+        result_rows.extend(
+            _result_row(name, seed, args.objective, bid, r, None, spec.m)
+            for bid, r in certs.items()
+        )
+    _write_run_csvs(out, result_rows, log_rows, posterior_rows)
     _write_json(
         os.path.join(out, "manifest.json"),
         _manifest(args, "train", {
@@ -318,8 +329,6 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
     for kind in args.objectives.split(","):
         tr = train.train_posterior(P_bound, _train_config(args, seed), spec, kind, cfg_search)
         posteriors[kind] = tr.posterior
-        # Selection over the margin candidates already paid the
-        # delta/(#candidates) union inside train_posterior; reuse it.
         trained_certs[kind] = tr.certificate
         log_rows.extend(_log_rows(seed, kind, tr))
 
@@ -328,13 +337,11 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
     for pname, wp in posteriors.items():
         test_error = votes.majority_vote_error(P_test, wp.theta)
         posterior_rows.extend(_posterior_rows(seed, pname, wp))
-        for bid in DEFAULT_BOUNDS:
-            if bid == "dirichlet_margin" and pname in trained_certs:
-                r = trained_certs[pname]
-            else:
-                r = bounds.certify(P_bound, wp, spec, bid, cfg_search)
-            rows.append(_result_row(dataset_name, seed, pname, bid, r,
-                                    test_error, spec.m))
+        certs = _certify_defaults(P_bound, wp, spec, cfg_search, trained_certs.get(pname))
+        rows.extend(
+            _result_row(dataset_name, seed, pname, bid, r, test_error, spec.m)
+            for bid, r in certs.items()
+        )
     return rows, log_rows, posterior_rows
 
 
@@ -359,10 +366,7 @@ def cmd_experiment(args) -> int:
         result_rows.extend(rows)
         log_rows.extend(logs)
         posterior_rows.extend(posts)
-    _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, result_rows)
-    _write_csv(os.path.join(out, "summary.csv"), _SUMMARY_COLUMNS, _summary_rows(result_rows))
-    _write_csv(os.path.join(out, "training_log.csv"), _LOG_COLUMNS, log_rows)
-    _write_csv(os.path.join(out, "posteriors.csv"), _POSTERIOR_COLUMNS, posterior_rows)
+    _write_run_csvs(out, result_rows, log_rows, posterior_rows)
     _write_json(
         os.path.join(out, "manifest.json"),
         _manifest(args, "experiment", {
@@ -381,26 +385,22 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+# The oracle batteries that verify runs, in the order "all" runs them.
+_BATTERIES = {
+    "aggregation": lambda args: oracle.aggregation_battery(args.seed, args.samples),
+    "marchal_arbel": lambda args: oracle.marchal_arbel_battery(args.seed, args.samples),
+    "derandomisation": lambda args: oracle.derandomisation_battery(args.seed, args.samples),
+    "sharpness": lambda args: oracle.sharpness_battery(args.seed, args.sharpness_samples),
+}
+
+
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
-    batteries = {
-        "aggregation": lambda: oracle.aggregation_battery(args.seed, args.samples),
-        "marchal_arbel": lambda: oracle.marchal_arbel_battery(args.seed, args.samples),
-        "derandomisation": lambda: oracle.derandomisation_battery(args.seed, args.samples),
-        "sharpness": lambda: oracle.sharpness_battery(args.seed, args.sharpness_samples),
-    }
-    if args.battery == "all":
-        selected = list(batteries)
-    elif args.battery in batteries:
-        selected = [args.battery]
-    else:
-        print(f"unknown battery {args.battery!r}", file=sys.stderr)
-        return 2
-
+    selected = list(_BATTERIES) if args.battery == "all" else [args.battery]
     reports = []
     for name in selected:
-        reports.extend(batteries[name]())
+        reports.extend(_BATTERIES[name](args))
     if args.claim_scale != 1.0:
         # Failure-injection hook for testing the exit-status contract.
         reports = [
@@ -515,13 +515,23 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
+def _id_list(ids):
+    """argparse type: a comma-separated list drawn from ids (kept as text)."""
+    return _checked(str, lambda v: set(v.split(",")) <= set(ids),
+                    "a comma-separated list of " + ", ".join(ids))
+
+
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_bound_ids = _checked(
-    str, lambda v: set(v.split(",")) <= set(bounds.BOUND_IDS),
-    "a comma-separated list of " + ", ".join(bounds.BOUND_IDS),
-)
+_bound_ids = _id_list(bounds.BOUND_IDS)
+_objectives = _id_list(train.OBJECTIVES)
+_epochs = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# Comma-separated lists kept as text: the manifest records them as given.
+_gammas = _checked(str, lambda v: all(0.0 < float(g) < 0.5 for g in v.split(",")),
+                   "a comma-separated list of margins in (0, 1/2)")
+_seeds = _checked(str, lambda v: all(int(s) >= 0 for s in v.split(",")),
+                  "a comma-separated list of integers >= 0")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -532,10 +542,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-candidates", default="0.005,0.01,0.025,0.05,0.1",
+    p.add_argument("--gamma-candidates", type=_gammas, default="0.005,0.01,0.025,0.05,0.1",
                    dest="gamma_candidates")
-    p.add_argument("--max-epochs", type=int, default=100, dest="max_epochs")
-    p.add_argument("--batch-size", type=int, default=100, dest="batch_size")
+    p.add_argument("--max-epochs", type=_epochs, default=100, dest="max_epochs")
+    p.add_argument("--batch-size", type=_count, default=100, dest="batch_size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training(p)
     p.add_argument("--predictions", default=None)
     p.add_argument("--objective", default="stochastic_margin", choices=train.OBJECTIVES)
-    p.add_argument("--seeds", default="0")
+    p.add_argument("--seeds", type=_seeds, default="0")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("experiment", help="full pipeline: split, voters, train, certify")
@@ -571,15 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="label", dest="label_column")
     p.add_argument("--voter-mode", default="stumps", choices=("stumps", "rf", "ingest"),
                    dest="voter_mode")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--objectives", default="stochastic_margin")
+    p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4")
+    p.add_argument("--objectives", type=_objectives, default="stochastic_margin")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="run the Monte Carlo oracle battery")
     _add_common(p)
-    p.add_argument("--battery", default="all",
-                   choices=("all", "aggregation", "marchal_arbel",
-                            "derandomisation", "sharpness"))
+    p.add_argument("--battery", default="all", choices=("all", *_BATTERIES))
     p.add_argument("--samples", type=_count, default=100_000)
     p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
                    dest="sharpness_samples")
@@ -598,25 +606,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_manifest(parser, argv):
-    """Parse once to find --manifest, then re-parse with its values as
-    defaults so explicit flags win."""
-    if "--manifest" not in argv:
-        return parser.parse_args(argv)
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--manifest")
-    known, _ = probe.parse_known_args(argv)
-    with open(known.manifest) as fh:
-        stored = json.load(fh)
+    """Parse once to find --manifest, then re-parse with the manifest's
+    values added as flags, so they pass the same argparse checks.  Flags
+    given explicitly win: their values are not taken from the manifest, and
+    the manifest's flags go right after the command name, before any
+    explicit (possibly abbreviated) flag that argparse parses later."""
     args = parser.parse_args(argv)
+    if args.manifest is None:
+        return args
+    with open(args.manifest) as fh:
+        stored = json.load(fh)
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv
                 if a.startswith("--")}
+    flags = []
     for key, value in stored.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit and attr != "command":
+        if hasattr(args, key) and key not in explicit | {"command"} and value is not None:
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
-            setattr(args, attr, value)
-    return args
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    start = argv.index("--manifest") + 2 if "--manifest" in argv else 0
+    at = argv.index(args.command, start) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:

@@ -20,11 +20,9 @@ __all__ = [
     "DataError",
     "parse_libsvm",
     "parse_csv",
-    "export_csv",
     "standardize",
     "make_split",
     "split_indices",
-    "export_split",
 ]
 
 
@@ -182,15 +180,6 @@ def parse_csv(path, label_column) -> Dataset:
     return Dataset(X, labels, num_classes)
 
 
-def export_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV; numeric round trips are bit-exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"x{j+1}" for j in range(ds.num_features)])
-        for y, row in zip(ds.labels, ds.features):
-            writer.writerow([int(y)] + [repr(float(v)) for v in row])
-
-
 def standardize(ds: Dataset, plan: SplitPlan) -> Dataset:
     """Per-feature (x - mean) / std using train-row statistics only; the
     std is floored at 1e-12 so constant features map to zeros."""
@@ -225,18 +214,3 @@ def split_indices(m: int, seed: int, strong_voters: bool) -> SplitPlan:
 
 def make_split(ds: Dataset, seed: int, strong_voters: bool = False) -> SplitPlan:
     return split_indices(ds.num_examples, seed, strong_voters)
-
-
-def export_split(plan: SplitPlan, path) -> None:
-    """Audit export: one (role, index) row per example."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["role", "index"])
-        for role, idx in (
-            ("train", plan.train_idx),
-            ("test", plan.test_idx),
-            ("voter_half", plan.voter_half_idx),
-            ("bound_half", plan.bound_half_idx),
-        ):
-            for i in idx:
-                writer.writerow([role, int(i)])

@@ -12,7 +12,7 @@ for equality claims; each McReport records which direction applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "marchal_arbel_battery",
     "sharpness_battery",
     "aggregation_battery",
-    "default_battery",
 ]
 
 # 1% critical coefficient for the one-sample Kolmogorov-Smirnov statistic.
@@ -248,10 +247,7 @@ def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30
         theta = rng.dirichlet(np.ones(d))
         lower, upper = verify_derandomisation(P, theta, K, gamma, n, seed, stream=k)
         tag = f"[d={d},c={c},K={K:g},g={gamma:g}]"
-        reports.append(McReport.build(lower.label + tag, lower.estimate, lower.stderr,
-                                      lower.n_samples, lower.claim_bound, lower.direction))
-        reports.append(McReport.build(upper.label + tag, upper.estimate, upper.stderr,
-                                      upper.n_samples, upper.claim_bound, upper.direction))
+        reports.extend(replace(r, label=r.label + tag) for r in (lower, upper))
     return reports
 
 
@@ -266,9 +262,7 @@ def marchal_arbel_battery(seed: int = 0, n: int = 100_000, n_configs: int = 50) 
         u /= math.sqrt(float(u @ u))
         t = float(rng.uniform(0.05, 0.4))
         rep = verify_marchal_arbel(alpha, u, t, n, seed, stream=1000 + k)
-        reports.append(McReport.build(rep.label + f"[d={d},t={t:.3f}]", rep.estimate,
-                                      rep.stderr, rep.n_samples, rep.claim_bound,
-                                      rep.direction))
+        reports.append(replace(rep, label=rep.label + f"[d={d},t={t:.3f}]"))
     return reports
 
 
@@ -283,9 +277,7 @@ def sharpness_battery(seed: int = 0, n: int = 1_000_000, n_configs: int = 10,
         alpha = rng.uniform(0.5, 8.0, size=d)
         gamma = float(rng.uniform(0.0, 0.2))
         rep = verify_beta_sharpness(P, alpha, gamma, n, seed, stream=2000 + k)
-        reports.append(McReport.build(rep.label + f"[d={d},g={gamma:.3f}]", rep.estimate,
-                                      rep.stderr, rep.n_samples, rep.claim_bound,
-                                      rep.direction))
+        reports.append(replace(rep, label=rep.label + f"[d={d},g={gamma:.3f}]"))
     return reports
 
 
@@ -301,13 +293,3 @@ def aggregation_battery(seed: int = 0, n: int = 100_000) -> list:
         verify_aggregation(alpha, part, n, seed, stream=3000 + i)
         for i, (alpha, part) in enumerate(configs)
     ]
-
-
-def default_battery(seed: int = 0, n: int = 100_000, n_sharpness: int = 1_000_000) -> list:
-    """The full oracle battery run by the CLI verify command."""
-    reports = []
-    reports.extend(aggregation_battery(seed, n))
-    reports.extend(marchal_arbel_battery(seed, n))
-    reports.extend(derandomisation_battery(seed, n))
-    reports.extend(sharpness_battery(seed, n_sharpness))
-    return reports

@@ -7,13 +7,17 @@ softplus reparameterisation; gradients are assembled by the chain rule
 through the incomplete-beta partials, the digamma/trigamma terms of the
 Dirichlet KL, and implicit differentiation of the kl inverse.
 
-The first-order (fo) and factor-two (f2) baseline objectives share the same
-optimiser so certificates can be compared across training criteria.
+One Dirichlet objective serves the stochastic-margin certificate and, with
+no margin, the factor-two (f2) baseline; the first-order (fo) baseline keeps
+softmax weights.  The table ``_OBJECTIVES`` says per kind how a run starts,
+which margins it tries and which posterior its parameters stand for, so all
+kinds share one optimiser and their certificates compare directly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +29,10 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "adam_step",
+    "alpha_from",
+    "uniform_omega",
     "objective",
     "fo_objective",
-    "f2_objective",
     "EpochRecord",
     "RunResult",
     "TrainResult",
@@ -35,8 +40,6 @@ __all__ = [
     "train_posterior",
     "OBJECTIVES",
 ]
-
-OBJECTIVES = ("stochastic_margin", "fo", "f2")
 
 _ALPHA_SHIFT = 1e-6
 
@@ -180,60 +183,46 @@ def _beta_loss_and_grad(corr, wrong, a_y, a_n, gamma: float, num_voters: int):
     return float(terms.mean()), grad
 
 
+def _batch_correct(P: PredictionMatrix, batch_rows) -> np.ndarray:
+    """Correctness mask of the batch rows (every row for None)."""
+    rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
+    if rows.size == 0:
+        raise ValueError("batch must be non-empty")
+    return P.correct_mask[rows]
+
+
 def objective(
     P: PredictionMatrix,
     omega: np.ndarray,
     batch_rows,
-    gamma: float,
+    gamma: float | None,
     spec: BoundSpec,
 ):
-    """Stochastic-margin training objective and its gradient in omega.
+    """Dirichlet training objective and its gradient in omega.
 
-    The empirical term is the batch mean of I_{1/2+gamma}(a_y, a_wrong); the
-    complexity term always uses the full-sample m.  Matches central finite
-    differences to ~1e-4 relative away from the kl-inverse singularity.
+    At a margin gamma this is the stochastic-margin certificate
+    kl_inv(u, c) + exp(-4 (alpha_0 + 1) gamma^2), with u the batch mean of
+    I_{1/2+gamma}(a_y, a_wrong).  gamma=None selects the factor-two (f2)
+    objective 2 kl_inv(u, c), with u the expected 0-1 loss (the margin
+    loss at gamma = 0) and no de-randomisation penalty.  The complexity c
+    always uses the full-sample m.  Matches central finite differences to
+    ~1e-4 relative away from the kl-inverse singularity.
     """
     omega = np.asarray(omega, dtype=float)
     alpha = alpha_from(omega)
-    prior = spec.prior(alpha.size)
-    rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
-    if rows.size == 0:
-        raise ValueError("batch must be non-empty")
-    corr = P.correct_mask[rows]
+    corr = _batch_correct(P, batch_rows)
     wrong = ~corr
-    a_y = corr @ alpha
-    a_n = wrong @ alpha
-    u, dE = _beta_loss_and_grad(corr, wrong, a_y, a_n, gamma, alpha.size)
-
-    c, dc = _dirichlet_complexity(alpha, prior, spec)
+    margin = 0.0 if gamma is None else gamma
+    u, dE = _beta_loss_and_grad(corr, wrong, corr @ alpha, wrong @ alpha, margin, alpha.size)
+    c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.size), spec)
     v, dv_du, dv_dc = _kl_inv_with_grad(u, c)
+    if gamma is None:
+        return 2.0 * v, 2.0 * (dv_du * dE + dv_dc * dc) * _sigmoid(omega)
 
-    a0 = float(alpha.sum())
-    eps = math.exp(-4.0 * (a0 + 1.0) * gamma * gamma)
+    eps = math.exp(-4.0 * (float(alpha.sum()) + 1.0) * gamma * gamma)
     d_eps = -4.0 * gamma * gamma * eps
-
     grad_alpha = dv_du * dE + dv_dc * dc + d_eps
     return v + eps, grad_alpha * _sigmoid(omega)
-
-
-def f2_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: BoundSpec):
-    """Factor-two objective: 2 * kl_inv(expected 0-1 Beta loss, complexity)."""
-    omega = np.asarray(omega, dtype=float)
-    alpha = alpha_from(omega)
-    prior = spec.prior(alpha.size)
-    rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
-    if rows.size == 0:
-        raise ValueError("batch must be non-empty")
-    corr = P.correct_mask[rows]
-    wrong = ~corr
-    a_y = corr @ alpha
-    a_n = wrong @ alpha
-    u, dE = _beta_loss_and_grad(corr, wrong, a_y, a_n, 0.0, alpha.size)
-
-    c, dc = _dirichlet_complexity(alpha, prior, spec)
-    v, dv_du, dv_dc = _kl_inv_with_grad(u, c)
-    grad_alpha = 2.0 * (dv_du * dE + dv_dc * dc)
-    return 2.0 * v, grad_alpha * _sigmoid(omega)
 
 
 def _softmax(omega: np.ndarray) -> np.ndarray:
@@ -249,10 +238,7 @@ def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: Bound
     """
     omega = np.asarray(omega, dtype=float)
     theta = _softmax(omega)
-    rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
-    if rows.size == 0:
-        raise ValueError("batch must be non-empty")
-    err_rates = (~P.correct_mask[rows]).mean(axis=0)
+    err_rates = (~_batch_correct(P, batch_rows)).mean(axis=0)
     u = float(err_rates @ theta)
 
     d = theta.size
@@ -262,6 +248,52 @@ def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: Bound
     grad_theta = 2.0 * (dv_du * err_rates + dv_dc * dc_dtheta)
     grad_omega = theta * (grad_theta - float(theta @ grad_theta))
     return 2.0 * v, grad_omega
+
+
+def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
+    alpha = alpha_from(omega)
+    return WeightPosterior(alpha / alpha.sum(), float(alpha.sum()))
+
+
+@dataclass(frozen=True)
+class _Objective:
+    """How one objective kind is trained: ``init(num_voters, cfg)`` gives
+    the starting parameters, ``gammas(cfg)`` the margin candidates (one run
+    each; None for the margin-free kinds), ``value_and_grad(P, omega, rows,
+    gamma, spec)`` the objective (rows=None: the full sample) and
+    ``posterior(omega)`` the weights the parameters stand for."""
+
+    init: Callable[[int, TrainConfig], np.ndarray]
+    gammas: Callable[[TrainConfig], tuple]
+    value_and_grad: Callable[..., tuple]
+    posterior: Callable[[np.ndarray], WeightPosterior]
+
+
+# The callables look objective/fo_objective up when called, not when the
+# table is built, so a wrapper installed on the module sees every call.
+def _dirichlet(gammas) -> _Objective:
+    """A kind trained through ``objective``: Dirichlet weights from uniform
+    theta at K_init; the kinds differ only in their margin candidates."""
+    return _Objective(
+        lambda d, cfg: uniform_omega(d, cfg.K_init),
+        gammas,
+        lambda P, omega, rows, gamma, spec: objective(P, omega, rows, gamma, spec),
+        _dirichlet_posterior,
+    )
+
+
+_OBJECTIVES = {
+    "stochastic_margin": _dirichlet(lambda cfg: cfg.gamma_candidates),
+    "fo": _Objective(
+        lambda d, cfg: np.zeros(d),
+        lambda cfg: (None,),
+        lambda P, omega, rows, gamma, spec: fo_objective(P, omega, rows, spec),
+        lambda omega: WeightPosterior(_softmax(omega), 1.0),
+    ),
+    "f2": _dirichlet(lambda cfg: (None,)),
+}
+
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 @dataclass(frozen=True)
@@ -295,52 +327,26 @@ class TrainResult:
         return tuple(rec for run in self.runs for rec in run.history)
 
 
-def _posterior_from(omega: np.ndarray, kind: str) -> WeightPosterior:
-    if kind == "fo":
-        return WeightPosterior(_softmax(omega), 1.0)
-    alpha = alpha_from(omega)
-    return WeightPosterior(alpha / alpha.sum(), float(alpha.sum()))
-
-
-def _full_bound_value(P, omega, gamma, spec, kind) -> float:
-    if kind == "fo":
-        return fo_objective(P, omega, None, spec)[0]
-    if kind == "f2":
-        return f2_objective(P, omega, None, spec)[0]
-    return objective(P, omega, None, gamma, spec)[0]
-
-
 def _run_single(
     P: PredictionMatrix,
     cfg: TrainConfig,
     spec: BoundSpec,
-    kind: str,
+    obj: _Objective,
     gamma: float | None,
     run_index: int,
 ) -> RunResult:
     m = P.num_examples
-    if kind == "fo":
-        omega = np.zeros(P.num_voters)
-    else:
-        omega = uniform_omega(P.num_voters, cfg.K_init)
-    state = AdamState.init(omega)
+    state = AdamState.init(obj.init(P.num_voters, cfg))
     rng = np.random.default_rng((cfg.seed, run_index))
 
-    def batch_step(params, rows):
-        if kind == "fo":
-            return fo_objective(P, params, rows, spec)
-        if kind == "f2":
-            return f2_objective(P, params, rows, spec)
-        return objective(P, params, rows, gamma, spec)
-
-    def current_K(params) -> float:
-        return 1.0 if kind == "fo" else float(alpha_from(params).sum())
+    def value_and_grad(params, rows):
+        return obj.value_and_grad(P, params, rows, gamma, spec)
 
     lr = cfg.learning_rate
-    bound0 = _full_bound_value(P, state.params, gamma, spec, kind)
+    bound0 = value_and_grad(state.params, None)[0]
     if not math.isfinite(bound0):
         return RunResult(gamma, None, (), math.inf, failed=True)
-    history = [EpochRecord(gamma, 0, bound0, bound0, current_K(state.params), lr)]
+    history = [EpochRecord(gamma, 0, bound0, bound0, obj.posterior(state.params).K, lr)]
     best_bound = bound0
     best_params = state.params.copy()
     stall_stop = 0
@@ -351,7 +357,7 @@ def _run_single(
         diverged = False
         for start in range(0, m, cfg.batch_size):
             rows = perm[start : start + cfg.batch_size]
-            val, grad = batch_step(state.params, rows)
+            val, grad = value_and_grad(state.params, rows)
             if not math.isfinite(val) or not np.all(np.isfinite(grad)):
                 diverged = True
                 break
@@ -361,13 +367,13 @@ def _run_single(
             )
         if diverged:
             return RunResult(gamma, None, tuple(history), best_bound, failed=True)
-        bound = _full_bound_value(P, state.params, gamma, spec, kind)
+        bound = value_and_grad(state.params, None)[0]
         if not math.isfinite(bound):
             return RunResult(gamma, None, tuple(history), best_bound, failed=True)
         history.append(
             EpochRecord(
                 gamma, epoch, float(np.mean(epoch_vals)), bound,
-                current_K(state.params), lr,
+                obj.posterior(state.params).K, lr,
             )
         )
         if bound < best_bound:
@@ -385,7 +391,7 @@ def _run_single(
                 break
         if stall_stop >= cfg.early_stop_patience:
             break
-    return RunResult(gamma, _posterior_from(best_params, kind), tuple(history), best_bound)
+    return RunResult(gamma, obj.posterior(best_params), tuple(history), best_bound)
 
 
 def train_posterior(
@@ -403,17 +409,12 @@ def train_posterior(
     delta / (#candidates), so the candidate union is accounted for; the
     certificate returned is never the minibatch surrogate.
     """
-    if objective_kind not in OBJECTIVES:
-        raise ValueError(f"unknown objective: {objective_kind!r}")
-    gammas = (
-        list(cfg.gamma_candidates)
-        if objective_kind == "stochastic_margin"
-        else [None]
-    )
-    runs = [
-        _run_single(P, cfg, spec, objective_kind, g, idx)
-        for idx, g in enumerate(gammas)
-    ]
+    try:
+        obj = _OBJECTIVES[objective_kind]
+    except KeyError:
+        raise ValueError(f"unknown objective: {objective_kind!r}") from None
+    gammas = obj.gammas(cfg)
+    runs = [_run_single(P, cfg, spec, obj, g, idx) for idx, g in enumerate(gammas)]
     survivors = [r for r in runs if not r.failed]
     if not survivors:
         raise TrainingError("all candidate runs produced non-finite objectives")

@@ -17,12 +17,12 @@ from . import numkern as nk
 __all__ = [
     "PredictionMatrix",
     "WeightPosterior",
-    "margin",
     "margins",
     "empirical_margin_loss",
     "gibbs_loss",
     "tandem_loss",
     "binomial_loss",
+    "beta_margin_loss_terms",
     "expected_margin_loss_beta",
     "majority_predict",
     "majority_vote_error",
@@ -166,16 +166,6 @@ def margins(P: PredictionMatrix, theta) -> np.ndarray:
     rivals = table.copy()
     rivals[rows, P.labels - 1] = -np.inf
     return np.clip(0.5 * (true_w - rivals.max(axis=1)), -0.5, 0.5)
-
-
-def margin(wp: WeightPosterior, row: int, P: PredictionMatrix) -> float:
-    """Margin of the weighted vote on a single row; lies in [-1/2, 1/2]."""
-    preds_row = P.preds[row]
-    sums = np.bincount(preds_row, weights=wp.theta, minlength=P.num_classes + 1)[1:]
-    y = P.labels[row]
-    true_w = sums[y - 1]
-    sums[y - 1] = -np.inf
-    return float(np.clip(0.5 * (true_w - sums.max()), -0.5, 0.5))
 
 
 def _theta_of(wp) -> np.ndarray:

@@ -310,6 +310,15 @@ class TestCertify:
         assert "vacuous" in r.flags
         assert r.gamma_star == pytest.approx(float(cfg.gamma_grid()[0]))
 
+    @pytest.mark.parametrize("bound_id", bounds.BOUND_IDS)
+    def test_all_wrong_matrix_is_flagged_vacuous(self, bound_id):
+        P = PredictionMatrix(np.full((20, 4), 2), np.full(20, 1), 2)
+        spec = BoundSpec(m=20, delta=0.05)
+        r = bounds.certify(P, WeightPosterior.uniform(4), spec, bound_id,
+                           SearchConfig(n_gamma=10))
+        assert r.value == 1.0
+        assert "vacuous" in r.flags
+
     def test_beats_coarse_exhaustive_grid(self, toy_matrix):
         wp = WeightPosterior.uniform(toy_matrix.num_voters)
         spec = BoundSpec(m=toy_matrix.num_examples, delta=0.05)

@@ -79,17 +79,33 @@ class TestCertifyCommand:
     (["certify", "--n-gamma", "0"], 2),
     (["certify", "--theta", "{bad_theta}"], 3),
     (["verify", "--samples", "0"], 2),
+    (["--manifest", "{bad_manifest}", "certify"], 2),
+    (["train", "--gamma-candidates", "abc"], 2),
+    (["train", "--gamma-candidates", "0.7"], 2),
+    (["train", "--max-epochs", "-1"], 2),
+    (["train", "--batch-size", "0"], 2),
+    (["train", "--seeds", "x"], 2),
+    (["experiment", "--objectives", "foo"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
-    """Bad flag values are usage errors (2) and a malformed weights file is
-    a data error (3): each reported in one line, without a traceback."""
+    """Bad flag or manifest values are usage errors (2) and a malformed
+    weights file is a data error (3): each reported in one line, without a
+    traceback.  Each command otherwise gets the inputs it needs to run."""
     preds = tmp_path / "preds.csv"
     write_predictions(preds)
     bad_theta = tmp_path / "theta.txt"
     bad_theta.write_text("0.5\nnot-a-weight\n")
-    argv = [arg.format(bad_theta=bad_theta) for arg in argv]
-    if argv[0] == "certify":
-        argv += ["--predictions", str(preds)]
+    bad_manifest = tmp_path / "manifest.json"
+    bad_manifest.write_text(json.dumps({"delta": 2}))
+    argv = [arg.format(bad_theta=bad_theta, bad_manifest=bad_manifest) for arg in argv]
+    inputs = {
+        "certify": ["--predictions", str(preds)],
+        "train": ["--predictions", str(preds)],
+        "experiment": ["--dataset", str(preds), "--voter-mode", "ingest"],
+    }
+    for command, flags in inputs.items():
+        if command in argv:
+            argv += flags
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
@@ -200,6 +216,26 @@ class TestExperimentCommand:
         for name in ("results.csv", "summary.csv", "training_log.csv",
                      "posteriors.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_explicit_flag_overrides_manifest_value(self, tmp_path):
+        """A manifest value passes the flag's checks only when no explicit
+        flag replaces it: here the explicit --delta wins over a bad one, and
+        an abbreviated explicit flag wins too."""
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "certify", "predictions": str(preds), "delta": 2,
+            "bounds": ["fo", "f2"], "n_gamma": 20,
+        }))
+        out = tmp_path / "out"
+        rc = cli.main(["--manifest", str(manifest), "certify", "--delta", "0.1",
+                       "--n-gam", "15", "--out", str(out)])
+        assert rc == 0
+        assert [r["bound"] for r in read_results(out)] == ["fo", "f2"]
+        with open(out / "manifest.json") as fh:
+            rerun = json.load(fh)
+        assert (rerun["delta"], rerun["n_gamma"]) == (0.1, 15)
 
 
 class TestVerifyCommand:

@@ -93,7 +93,10 @@ class TestParseCsv:
         rng = np.random.default_rng(0)
         ds = data.Dataset(rng.normal(size=(15, 3)), rng.integers(1, 3, 15), 2)
         path = tmp_path / "round.csv"
-        data.export_csv(ds, path)
+        lines = ["label," + ",".join(f"x{j + 1}" for j in range(3))]
+        lines += [f"{y}," + ",".join(repr(float(v)) for v in row)
+                  for y, row in zip(ds.labels, ds.features)]
+        path.write_text("\n".join(lines) + "\n")
         back = data.parse_csv(path, "label")
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
@@ -177,12 +180,3 @@ class TestMakeSplit:
     def test_too_small_rejected(self):
         with pytest.raises(DataError):
             data.split_indices(9, seed=0, strong_voters=False)
-
-    def test_export(self, tmp_path):
-        plan = data.split_indices(20, seed=2, strong_voters=True)
-        path = tmp_path / "split.csv"
-        data.export_split(plan, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "role,index"
-        # 16 train + 4 test + 8 voter-half + 8 bound-half rows
-        assert len(lines) == 1 + 16 + 4 + 8 + 8

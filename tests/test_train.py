@@ -1,5 +1,7 @@
 """Optimiser mechanics, objective gradients, and the training protocol."""
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from votecert.votes import PredictionMatrix, WeightPosterior
 from conftest import random_matrix
 
 FAST_SEARCH = SearchConfig(n_gamma=60)
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "train_reference.json")
 
 
 def reference_adam(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -146,7 +149,7 @@ class TestObjectiveGradients:
         for _ in range(3):
             omega = rng.normal(-2.0, 0.5, 8)
             checked += self._fd_check(
-                lambda w: train.f2_objective(P, w, None, spec), omega
+                lambda w: train.objective(P, w, None, None, spec), omega
             )
         assert checked >= 20
 
@@ -269,3 +272,44 @@ class TestUnconstrainedParams:
         # theta and K recoverable
         theta = alpha / alpha.sum()
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTrainReference:
+    """train_posterior for every objective kind against trajectories
+    recorded from the earlier code (separate f2 objective, per-kind
+    dispatch): binary and 3-class matrices, two margin candidates, a
+    learning rate high enough to trip the plateau schedule.  Every epoch
+    record and the chosen posterior must match exactly."""
+
+    def test_matches_recorded_trajectories(self):
+        with open(REFERENCE) as fh:
+            recorded = json.load(fh)
+        conf = recorded["config"]
+        cfg = TrainConfig(
+            seed=conf["seed"], gamma_candidates=tuple(conf["gamma_candidates"]),
+            max_epochs=conf["max_epochs"], batch_size=conf["batch_size"],
+            learning_rate=conf["learning_rate"],
+        )
+        search = SearchConfig(n_gamma=recorded["n_gamma"])
+        for want in recorded["results"]:
+            P = random_matrix(**recorded["matrices"][want["matrix"]])
+            spec = BoundSpec(m=P.num_examples, delta=recorded["delta"])
+            got = train.train_posterior(P, cfg, spec, want["objective"], search)
+            runs = [
+                {
+                    "gamma": run.gamma,
+                    "failed": run.failed,
+                    "best_bound": run.best_bound,
+                    "history": [
+                        [rec.gamma, rec.epoch, rec.objective, rec.bound, rec.K, rec.lr]
+                        for rec in run.history
+                    ],
+                }
+                for run in got.runs
+            ]
+            case = (want["matrix"], want["objective"])
+            assert runs == want["runs"], case
+            assert list(got.posterior.theta) == want["theta"], case
+            assert got.posterior.K == want["K"], case
+            assert got.certificate.value == want["certificate"], case
+        assert {w["objective"] for w in recorded["results"]} == set(train.OBJECTIVES)

@@ -49,8 +49,7 @@ class TestMargin:
     def test_unanimous_correct(self):
         P = PredictionMatrix(np.full((3, 4), 2), np.full(3, 2), 2)
         wp = WeightPosterior.uniform(4)
-        for row in range(3):
-            assert votes.margin(wp, row, P) == pytest.approx(0.5)
+        np.testing.assert_allclose(votes.margins(P, wp.theta), np.full(3, 0.5))
 
     def test_binary_mass_formula(self):
         """For binary labels the margin is (correct mass) - 1/2 exactly."""
@@ -59,13 +58,12 @@ class TestMargin:
         theta = rng.dirichlet(np.ones(8))
         wp = WeightPosterior(theta, 1.0)
         w = P.correct_mass(wp.theta)
-        for row in range(P.num_examples):
-            assert votes.margin(wp, row, P) == pytest.approx(w[row] - 0.5, abs=1e-12)
+        np.testing.assert_allclose(votes.margins(P, wp.theta), w - 0.5, rtol=0, atol=1e-12)
 
     def test_three_class_distinct_predictions(self):
         P = PredictionMatrix(np.array([[1, 2, 3]]), np.array([1]), 3)
         wp = WeightPosterior(np.array([0.5, 0.3, 0.2]), 1.0)
-        assert votes.margin(wp, 0, P) == pytest.approx(0.1, abs=1e-12)
+        assert votes.margins(P, wp.theta)[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_matches_brute_force(self):
         P = random_matrix(seed=5, m=40, d=6, c=3, accuracy=0.5)
@@ -75,7 +73,6 @@ class TestMargin:
         vec = votes.margins(P, wp.theta)
         for row in range(P.num_examples):
             want = brute_force_margin(P.preds[row], P.labels[row], 3, wp.theta)
-            assert votes.margin(wp, row, P) == pytest.approx(want, abs=1e-12)
             assert vec[row] == pytest.approx(want, abs=1e-12)
 
     def test_range_invariant(self):
