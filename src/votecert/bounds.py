@@ -12,9 +12,15 @@ bound is searched over margins, and how ``certify`` evaluates it.
 certified values are clipped to 1 and carry their additive components so a
 result can be reconstructed and audited.
 
-The Dirichlet bounds (dirichlet_margin, stochastic_margin, f2) optimise the
-concentration K by one golden-section search on ln K that runs every lane
-(grid margin) in lockstep; see ``_search_log_K``.
+The gz, bgplus, bg and bgplusplus formulas take (loss, gamma) lane arrays
+and return one result with a value per lane, so one grid evaluator
+(``_on_grid``) makes a single formula call over every applicable grid
+margin and picks the winner with ``_best_lane``; bgplusplus minimises over
+T with one integer search run in lockstep across margins
+(``_minimize_over_int``).  The Dirichlet bounds (dirichlet_margin,
+stochastic_margin, f2 at the single margin 0) optimise the concentration K
+by one golden-section search on ln K that runs every lane in lockstep; see
+``_search_log_K``.
 
 Bound identifiers:
 
@@ -188,14 +194,43 @@ def stochastic_margin_from_loss(
     return BoundResult(value, gamma, K, None, u, comp, eps, flags)
 
 
-def gz_from_loss(
-    l_gamma: float, num_voters: int, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    """Margin bound holding simultaneously for all gamma > sqrt(2/d), d >= 3."""
+def _lanes(*values) -> list[np.ndarray]:
+    """Float lane arrays of the arguments, broadcast together."""
+    return [arr.astype(float) for arr in np.broadcast_arrays(*values)]
+
+
+def _result(value, gamma, T, u, comp, eps) -> BoundResult:
+    """A margin formula's BoundResult: floats (an int T) from 0-d lanes,
+    arrays with one entry per lane otherwise."""
+
+    def out(x, kind=float):
+        arr = np.asarray(x)
+        return arr if arr.ndim else kind(arr)
+
+    return BoundResult(out(value), out(gamma), None, None if T is None else out(T, int),
+                       out(u), out(comp), out(eps))
+
+
+def _lane(r: BoundResult, i: int) -> BoundResult:
+    """Lane i of a margin formula's lanewise BoundResult."""
+    return _result(*(x[i] if isinstance(x, np.ndarray) else x for x in (
+        r.value, r.gamma_star, r.T_star, r.empirical_term, r.complexity_term,
+        r.derandomisation_term)))
+
+
+def _gz_applies(gammas, num_voters: int):
+    """Margins where the gz bound holds: d >= 3 and gamma > sqrt(2/d)."""
+    return (num_voters >= 3) & (np.asarray(gammas) > math.sqrt(2.0 / num_voters))
+
+
+def gz_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
+    """Margin bound holding simultaneously for all gamma > sqrt(2/d), d >= 3.
+    Lanewise over (l_gamma, gamma)."""
     d = int(num_voters)
+    u, gamma = _lanes(l_gamma, gamma)
     if d < 3:
         raise InapplicableMarginError("needs at least 3 voters")
-    if gamma <= math.sqrt(2.0 / d):
+    if not _gz_applies(gamma, d).all():
         raise InapplicableMarginError("gamma must exceed sqrt(2/d)")
     m = spec.m
     log_d = math.log(d)
@@ -204,131 +239,141 @@ def gz_from_loss(
         + math.log(d * m / spec.delta)
     ) / m
     tail = log_d / m
-    u = float(l_gamma)
-    value = min(1.0, nk.kl_inv(u, comp) + tail)
-    return BoundResult(value, gamma, None, None, u, comp, tail)
+    value = np.minimum(1.0, nk.kl_inv(u, comp) + tail)
+    return _result(value, gamma, None, u, comp, tail)
 
 
-def _bgplus_T(gamma: float, m: int) -> int:
-    return max(1, math.ceil(2.0 * math.log(m) / (gamma * gamma)))
+def _bgplus_T(gamma, m: int):
+    return np.maximum(1, np.ceil(2.0 * math.log(m) / (gamma * gamma))).astype(np.int64)
 
 
-def bgplus_from_loss(
-    l_gamma: float, num_voters: int, gamma: float, spec: BoundSpec
-) -> BoundResult:
+def bgplus_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
     """Sharpened fixed-margin bound; T = ceil(2 ln(m) / gamma^2) replications.
+    Lanewise over (l_gamma, gamma).
 
     The sampling penalty exp(-T gamma^2 / 2) <= 1/m by construction, so both
     additive corrections appear as 1/m.
     """
-    if gamma <= 0.0:
+    l_gamma, gamma = _lanes(l_gamma, gamma)
+    if np.any(gamma <= 0.0):
         raise ValueError("gamma must be positive")
     m = spec.m
     T = _bgplus_T(gamma, m)
-    u = min(1.0, float(l_gamma) + 1.0 / m)
+    u = np.minimum(1.0, l_gamma + 1.0 / m)
     comp = (T * math.log(num_voters) + spec.log_confidence()) / m
-    value = min(1.0, nk.kl_inv(u, comp) + 1.0 / m)
-    return BoundResult(value, gamma, None, T, u, comp, 1.0 / m)
+    value = np.minimum(1.0, nk.kl_inv(u, comp) + 1.0 / m)
+    return _result(value, gamma, T, u, comp, 1.0 / m)
 
 
-def bg_original_from_loss(
-    l_gamma: float, num_voters: int, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    """Original closed-form relaxation; strictly looser than bgplus."""
-    if gamma <= 0.0:
+def bg_original_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
+    """Original closed-form relaxation; strictly looser than bgplus.
+    Lanewise over (l_gamma, gamma)."""
+    u, gamma = _lanes(l_gamma, gamma)
+    if np.any(gamma <= 0.0):
         raise ValueError("gamma must be positive")
     m = spec.m
     C = 2.0 * math.log(2.0 / spec.delta) + 4.75 * math.log(num_voters) * math.log(
         m
     ) / (gamma * gamma)
-    u = float(l_gamma)
     comp = C / m
-    tail = (C + math.sqrt(C) + 2.0) / m
-    value = min(1.0, u + math.sqrt(comp * u) + tail)
-    return BoundResult(value, gamma, None, None, u, comp, tail)
+    tail = (C + np.sqrt(C) + 2.0) / m
+    value = np.minimum(1.0, u + np.sqrt(comp * u) + tail)
+    return _result(value, gamma, None, u, comp, tail)
 
 
-def _minimize_over_int(f, t_max: int, forced=()):
-    """Deterministic near-exhaustive minimisation of f over {1..t_max}.
+# Lanes whose whole range {1..t_max} is this short are scanned exhaustively.
+_EXHAUSTIVE_T = 512
 
-    Evaluates a geometric ladder plus any forced candidates, then refines
-    between the neighbours of the best ladder point by integer trisection.
-    Exact for the unimodal profiles these bounds produce; small ranges are
-    scanned exhaustively.
+
+def _minimize_over_int(f, t_max, forced):
+    """Deterministic near-exhaustive minimisation over {1..t_max[i]} for
+    every lane i in lockstep; ``f(lanes, T)`` maps int arrays of lane
+    indices and counts to values, one call per stage.  A range of at most
+    512 is scanned exhaustively; otherwise a geometric ladder (1, 2, 4, ...,
+    t_max) plus the forced count is evaluated, the bracket between the best
+    ladder point's neighbours is narrowed by integer trisection, and what is
+    left is scanned.  Exact for the unimodal profiles these bounds produce.
+    Returns per lane the best T and value over every evaluation: the
+    smallest value, then the smallest T.
     """
-    cache: dict[int, float] = {}
+    best_t = np.zeros(t_max.size, dtype=np.int64)
+    best_val = np.full(t_max.size, np.inf)
 
-    def val(t: int) -> float:
-        if t not in cache:
-            cache[t] = f(t)
-        return cache[t]
+    def evaluate(rows, T, valid):
+        """Values over a (lanes, counts) block, inf where not valid; folds
+        each row into its lane's best and returns the values and the row's
+        best count."""
+        vals = np.full(T.shape, np.inf)
+        vals[valid] = f(np.broadcast_to(rows[:, None], T.shape)[valid], T[valid])
+        row_val = vals.min(axis=1)
+        row_t = np.where(vals == row_val[:, None], T, np.iinfo(np.int64).max).min(axis=1)
+        old_val, old_t = best_val[rows], best_t[rows]
+        better = (row_val < old_val) | ((row_val == old_val) & (row_t < old_t))
+        best_val[rows[better]], best_t[rows[better]] = row_val[better], row_t[better]
+        return vals, row_t
 
-    if t_max <= 512:
-        best_t = min(range(1, t_max + 1), key=val)
-        return best_t, cache[best_t]
+    rows = np.flatnonzero(t_max <= _EXHAUSTIVE_T)
+    if rows.size:
+        T = np.broadcast_to(np.arange(1, _EXHAUSTIVE_T + 1), (rows.size, _EXHAUSTIVE_T))
+        evaluate(rows, T, T <= t_max[rows, None])
 
-    ladder = [1]
-    t = 2
-    while t < t_max:
-        ladder.append(t)
-        t *= 2
-    ladder.append(t_max)
-    for t in forced:
-        if 1 <= t <= t_max:
-            ladder.append(int(t))
-    ladder = sorted(set(ladder))
-    best_idx = min(range(len(ladder)), key=lambda i: val(ladder[i]))
-    lo = ladder[best_idx - 1] if best_idx > 0 else 1
-    hi = ladder[best_idx + 1] if best_idx + 1 < len(ladder) else t_max
-    while hi - lo > 3:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if val(m1) <= val(m2):
-            hi = m2
-        else:
-            lo = m1
-    for t in range(lo, hi + 1):
-        val(t)
-    best_t = min(cache, key=lambda t: (cache[t], t))
-    return best_t, cache[best_t]
+    rows = np.flatnonzero(t_max > _EXHAUSTIVE_T)
+    if rows.size:
+        top, extra = t_max[rows, None], forced[rows, None]
+        powers = 1 << np.arange(int(top.max()).bit_length(), dtype=np.int64)
+        ladder = np.concatenate([np.broadcast_to(powers, (rows.size, powers.size)), top, extra], 1)
+        valid = np.concatenate(
+            [powers < top, np.full(top.shape, True), (extra >= 1) & (extra <= top)], 1
+        )
+        _, t = evaluate(rows, ladder, valid)
+        lo = np.where(valid & (ladder < t[:, None]), ladder, 1).max(axis=1)
+        hi = np.where(valid & (ladder > t[:, None]), ladder, top).min(axis=1)
+        while (live := np.flatnonzero(hi - lo > 3)).size:
+            third = (hi[live] - lo[live]) // 3
+            pair = np.stack([lo[live] + third, hi[live] - third], axis=1)
+            vals, _ = evaluate(rows[live], pair, np.ones(pair.shape, dtype=bool))
+            low = vals[:, 0] <= vals[:, 1]
+            hi[live] = np.where(low, pair[:, 1], hi[live])
+            lo[live] = np.where(low, lo[live], pair[:, 0])
+        scan = lo[:, None] + np.arange(4)
+        evaluate(rows, scan, scan <= hi[:, None])
+    return best_t, best_val
 
 
 def bgplusplus_from_loss(
-    l_gamma: float,
+    l_gamma,
     theta,
-    gamma: float,
+    gamma,
     spec: BoundSpec,
     T_max: int | None = None,
 ) -> BoundResult:
     """Variant minimised over the replication count T in {1..T_max}.
+    Lanewise over (l_gamma, gamma), every lane's T search in lockstep.
 
     T_max defaults to 4x the bgplus heuristic so that choice is always in
     the search range.  The complexity charges T * (ln d - H(theta)), which
     vanishes for uniform weights.
     """
-    if gamma <= 0.0:
+    u0, gamma = _lanes(l_gamma, gamma)
+    if np.any(gamma <= 0.0):
         raise ValueError("gamma must be positive")
-    th = np.asarray(theta, dtype=float)
     m = spec.m
-    t_plus = _bgplus_T(gamma, m)
-    if T_max is None:
-        T_max = 4 * t_plus
-    T_max = max(1, int(T_max))
-    kl_unif = nk.categorical_kl_uniform(th)
+    t_plus = _bgplus_T(gamma, m).ravel()
+    t_max = 4 * t_plus if T_max is None else np.full(t_plus.size, max(1, int(T_max)))
+    kl_unif = nk.categorical_kl_uniform(np.asarray(theta, dtype=float))
     log_term = math.log(m / spec.delta)
-    u0 = float(l_gamma)
 
-    def candidate(T: int) -> tuple[float, float, float, float]:
-        eps = math.exp(-0.5 * T * gamma * gamma)
-        u = min(1.0, u0 + eps)
+    def candidate(lanes, T):
+        g = gamma.flat[lanes]
+        eps = np.exp(-0.5 * T * g * g)
+        u = np.minimum(1.0, u0.flat[lanes] + eps)
         comp = (T * kl_unif + log_term) / m
-        return min(1.0, nk.kl_inv(u, comp) + eps), u, comp, eps
+        return np.minimum(1.0, nk.kl_inv(u, comp) + eps), u, comp, eps
 
-    T_star, _ = _minimize_over_int(
-        lambda t: candidate(t)[0], T_max, forced=(t_plus,)
-    )
-    value, u, comp, eps = candidate(T_star)
-    return BoundResult(value, gamma, None, T_star, u, comp, eps)
+    T_star, _ = _minimize_over_int(lambda lanes, T: candidate(lanes, T)[0], t_max, t_plus)
+    T_star = T_star.reshape(gamma.shape)
+    value, u, comp, eps = candidate(np.arange(gamma.size).reshape(gamma.shape), T_star)
+    return _result(value, gamma, T_star, u, comp, eps)
 
 
 def fo_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
@@ -499,7 +544,7 @@ def _margin_search(losses, gammas, theta, K_init, spec, cfg):
         K = np.exp(x)
         eps = np.exp(-(K + 1.0) * gammas * gammas)
         u = np.minimum(1.0, losses + eps)
-        return np.minimum(1.0, nk.kl_inv_vec(u, complexity(K)) + eps)
+        return np.minimum(1.0, nk.kl_inv(u, complexity(K)) + eps)
 
     return _search_log_K(values_at, gammas.size, K_init, cfg)
 
@@ -554,57 +599,43 @@ def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
     return _finalize(best, flags)
 
 
-def _certify_stochastic_margin(P, wp, spec, cfg, gammas):
+def _certify_beta(P, wp, spec, cfg, gammas):
+    """stochastic_margin over the grid margins; with gammas None, the f2
+    baseline: margin 0, factor 2 and no de-randomisation penalty."""
     th, flags = _floor_theta(wp.theta)
     a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
     complexity = _dirichlet_complexity(th, spec)
+    margins = np.zeros(1) if gammas is None else gammas
 
     def values_at(x: np.ndarray) -> np.ndarray:
         K = np.exp(x)
-        u = np.minimum(1.0, _beta_losses(K, gammas, a_c, a_w))
-        eps = np.exp(-4.0 * (K + 1.0) * gammas * gammas)
-        return np.minimum(1.0, nk.kl_inv_vec(u, complexity(K)) + eps)
+        u = np.minimum(1.0, _beta_losses(K, margins, a_c, a_w))
+        v = nk.kl_inv(u, complexity(K))
+        if gammas is None:
+            return np.minimum(1.0, 2.0 * v)
+        return np.minimum(1.0, v + np.exp(-4.0 * (K + 1.0) * gammas * gammas))
 
-    x, values = _search_log_K(values_at, gammas.size, wp.K, cfg)
-    i = _best_lane(values, gammas)
-    K, g = math.exp(x[i]), float(gammas[i])
+    x, values = _search_log_K(values_at, margins.size, wp.K, cfg)
+    i = _best_lane(values, margins)
+    K, g = math.exp(x[i]), float(margins[i])
     loss = float(votes.beta_margin_loss_terms(K * a_c, K * a_w, g).mean())
+    if gammas is None:
+        return _finalize(f2_from_loss(loss, th, K, spec), flags)
     return _finalize(stochastic_margin_from_loss(loss, th, K, g, spec), flags)
 
 
-def _certify_f2(P, wp, spec, cfg, gammas):
-    th, flags = _floor_theta(wp.theta)
-    a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
-
-    def at(K: float) -> BoundResult:
-        # gamma = 0: the expected 0-1 loss of the Dirichlet vote.
-        loss = float(votes.beta_margin_loss_terms(K * a_c, K * a_w, 0.0).mean())
-        return f2_from_loss(loss, th, K, spec)
-
-    # A single lane, whose value function is the scalar formula itself: at
-    # one lane the scalar kl inversion is cheaper than the vectorised one.
-    x, _ = _search_log_K(lambda x: np.array([at(math.exp(x[0])).value]), 1, wp.K, cfg)
-    return _finalize(at(math.exp(x[0])), flags)
-
-
-def _per_margin(formula):
-    """Evaluator that applies ``formula(loss, gamma, theta, spec)`` at every
-    grid margin and keeps the smallest value (the smallest gamma on ties);
-    margins where the formula does not apply are skipped."""
+def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool)):
+    """Evaluator that calls ``formula(losses, gammas, theta, spec)`` once
+    over every grid margin where ``applies(gammas, d)`` holds and keeps the
+    smallest value (the smallest gamma on ties)."""
 
     def evaluate(P, wp, spec, cfg, gammas):
         th, flags = _floor_theta(wp.theta)
-        best = None
-        for loss, g in zip(_margin_losses(P, th, gammas), gammas):
-            try:
-                result = formula(float(loss), float(g), th, spec)
-            except InapplicableMarginError:
-                continue
-            if best is None or result.value < best.value:
-                best = result
-        if best is None:
-            best = _vacuous(None, None, 1.0, ("inapplicable_margin",))
-        return _finalize(best, flags)
+        gammas = gammas[applies(gammas, th.size)]
+        if not gammas.size:
+            return _finalize(_vacuous(None, None, 1.0, ("inapplicable_margin",)), flags)
+        lanes = formula(_margin_losses(P, th, gammas), gammas, th, spec)
+        return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
 
     return evaluate
 
@@ -641,22 +672,22 @@ def _bg_closed_form(r: BoundResult) -> float:
 
 _BOUNDS = {
     "dirichlet_margin": _Bound(_kl(1.0), True, True, _certify_dirichlet_margin),
-    "stochastic_margin": _Bound(_kl(1.0), True, True, _certify_stochastic_margin),
-    "gz": _Bound(_kl(1.0), False, True, _per_margin(
-        lambda loss, g, th, spec: gz_from_loss(loss, th.size, g, spec))),
-    "bgplus": _Bound(_kl(1.0), True, True, _per_margin(
-        lambda loss, g, th, spec: bgplus_from_loss(loss, th.size, g, spec))),
-    "bg": _Bound(_bg_closed_form, True, True, _per_margin(
-        lambda loss, g, th, spec: bg_original_from_loss(loss, th.size, g, spec))),
-    "bgplusplus": _Bound(_kl(1.0), True, True, _per_margin(
-        lambda loss, g, th, spec: bgplusplus_from_loss(loss, th, g, spec))),
+    "stochastic_margin": _Bound(_kl(1.0), True, True, _certify_beta),
+    "gz": _Bound(_kl(1.0), False, True, _on_grid(
+        lambda losses, g, th, spec: gz_from_loss(losses, th.size, g, spec), _gz_applies)),
+    "bgplus": _Bound(_kl(1.0), True, True, _on_grid(
+        lambda losses, g, th, spec: bgplus_from_loss(losses, th.size, g, spec))),
+    "bg": _Bound(_bg_closed_form, True, True, _on_grid(
+        lambda losses, g, th, spec: bg_original_from_loss(losses, th.size, g, spec))),
+    "bgplusplus": _Bound(_kl(1.0), True, True, _on_grid(
+        lambda losses, g, th, spec: bgplusplus_from_loss(losses, th, g, spec))),
     "fo": _Bound(_kl(2.0), False, False,
                  lambda P, wp, spec, cfg, gammas: fo_bound(P, wp.theta, spec)),
     "so": _Bound(_kl(4.0), False, False,
                  lambda P, wp, spec, cfg, gammas: so_bound(P, wp.theta, spec)),
     "bin": _Bound(_kl(2.0), False, False,
                   lambda P, wp, spec, cfg, gammas: bin_bound(P, wp.theta, spec, cfg.bin_voters)),
-    "f2": _Bound(_kl(2.0), False, False, _certify_f2),
+    "f2": _Bound(_kl(2.0), False, False, _certify_beta),
 }
 
 BOUND_IDS = tuple(_BOUNDS)

@@ -452,31 +452,27 @@ def cmd_compare(args) -> int:
         for i in range(3)
     ]
     cfg = SearchConfig()
-    gz_floor = math.sqrt(2.0 / _COMPARE_D)
+    gz_ok = gammas > math.sqrt(2.0 / _COMPARE_D)
     files = []
     for m, loss in _COMPARE_PANELS:
         spec = BoundSpec(m=m, delta=_COMPARE_DELTA)
-        # the weight-dependent bounds share the same three simplex draws;
-        # the Dirichlet margin bound searches K for every margin at once
+        # one call per formula covers every margin; the weight-dependent
+        # bounds share the same three simplex draws
+        bg = bounds.bg_original_from_loss(loss, _COMPARE_D, gammas, spec).value
+        bgp = bounds.bgplus_from_loss(loss, _COMPARE_D, gammas, spec).value
+        gz = np.full(gammas.size, math.nan)
+        gz[gz_ok] = bounds.gz_from_loss(loss, _COMPARE_D, gammas[gz_ok], spec).value
+        bgpp = [bounds.bgplusplus_from_loss(loss, theta, gammas, spec).value for theta in thetas]
         ours = [
             [r.value for r in bounds.dirichlet_margin_best_K(loss, theta, gammas, spec, 1.0, cfg)]
             for theta in thetas
         ]
-        rows = []
-        for i, g in enumerate(gammas):
-            g = float(g)
-            bg = bounds.bg_original_from_loss(loss, _COMPARE_D, g, spec).value
-            bgp = bounds.bgplus_from_loss(loss, _COMPARE_D, g, spec).value
-            gz = (
-                bounds.gz_from_loss(loss, _COMPARE_D, g, spec).value
-                if g > gz_floor
-                else None
-            )
-            bgpp = [
-                bounds.bgplusplus_from_loss(loss, theta, g, spec).value
-                for theta in thetas
-            ]
-            rows.append((g, loss, bg, bgp, gz, *bgpp, *(draw[i] for draw in ours)))
+        rows = [
+            (float(g), loss, float(bg[i]), float(bgp[i]),
+             float(gz[i]) if gz_ok[i] else None,
+             *(float(draw[i]) for draw in bgpp), *(draw[i] for draw in ours))
+            for i, g in enumerate(gammas)
+        ]
         fname = f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"
         _write_csv(
             os.path.join(out, fname),
@@ -526,7 +522,7 @@ _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite num
 _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _bound_ids = _id_list(bounds.BOUND_IDS)
 _objectives = _id_list(train.OBJECTIVES)
-_epochs = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
 # Comma-separated lists kept as text: the manifest records them as given.
 _gammas = _checked(str, lambda v: all(0.0 < float(g) < 0.5 for g in v.split(",")),
                    "a comma-separated list of margins in (0, 1/2)")
@@ -544,7 +540,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-candidates", type=_gammas, default="0.005,0.01,0.025,0.05,0.1",
                    dest="gamma_candidates")
-    p.add_argument("--max-epochs", type=_epochs, default=100, dest="max_epochs")
+    p.add_argument("--max-epochs", type=_natural, default=100, dest="max_epochs")
     p.add_argument("--batch-size", type=_count, default=100, dest="batch_size")
 
 
@@ -591,15 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=100_000)
     p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
                    dest="sharpness_samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--claim-scale", type=float, default=1.0, dest="claim_scale",
                    help="scale claim bounds (failure-injection for testing)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="emit bound-vs-margin comparison curves")
     _add_common(p)
-    p.add_argument("--points", type=int, default=99)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_count, default=99)
+    p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -615,7 +611,12 @@ def _apply_manifest(parser, argv):
     if args.manifest is None:
         return args
     with open(args.manifest) as fh:
-        stored = json.load(fh)
+        try:
+            stored = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise data.DataError(f"{args.manifest}: not a JSON manifest: {exc}") from None
+    if not isinstance(stored, dict):
+        raise data.DataError(f"{args.manifest}: a manifest is a JSON object")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv
                 if a.startswith("--")}
     flags = []

@@ -20,7 +20,6 @@ __all__ = [
     "reg_inc_beta_with_grad",
     "small_kl",
     "kl_inv",
-    "kl_inv_vec",
     "kl_inv_grad",
     "dirichlet_kl",
     "categorical_entropy",
@@ -62,7 +61,7 @@ def _positive_array(x, name: str) -> np.ndarray:
 
 def _unit_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both
         raise ValueError(f"{name} must lie in [0, 1]")
     return arr
 
@@ -306,128 +305,94 @@ def reg_inc_beta_with_grad(z, a, b):
     return value.reshape(shape), d_a.reshape(shape), d_b.reshape(shape)
 
 
-def small_kl(q, p) -> float:
+_TINY = 5e-324  # the smallest positive float64
+
+
+def _kl(q, p):
+    """Bernoulli kl(q, p) on validated lanes (or numpy scalars), for q != p
+    on the boundary; callers silence numpy's divide warnings.
+
+    Adding the smallest float to a ratio turns 0 ln 0 into 0 ln(tiny) = 0
+    and leaves every normal ratio unchanged.
+    """
+    rest = 1.0 - q
+    return q * np.log(q / p + _TINY) + rest * np.log(rest / (1.0 - p) + _TINY)
+
+
+def small_kl(q, p):
     """kl(q, p) between Bernoulli(q) and Bernoulli(p), with 0 ln 0 := 0.
 
     Saturates to +inf when p is on the boundary and q differs; callers clip
-    bound values at 1 instead of treating that as an error.
+    bound values at 1 instead of treating that as an error.  Array-capable.
     """
-    q = float(q)
-    p = float(p)
-    if math.isnan(q) or not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if q > 0.0:
-        if p == 0.0:
-            return math.inf
-        first = q * math.log(q / p)
-    else:
-        first = 0.0
-    if q < 1.0:
-        if p == 1.0:
-            return math.inf
-        second = (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-    else:
-        second = 0.0
-    return first + second
+    q_arr = _unit_array(q, "q")
+    p_arr = _unit_array(p, "p")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(q_arr == p_arr, 0.0, _kl(q_arr, p_arr))
+    return float(out) if out.ndim == 0 else out
 
 
-def kl_inv(u, c) -> float:
-    """sup{v in [u, 1] : kl(u, v) <= c}, by bisection.
+_KL_TOP = math.nextafter(1.0, 0.0)
+_KL_TOL = 1e-9
+_KL_MAX_STEPS = 60
+# Bound on the rounding error of one kl evaluation, per unit of (1 + c).
+_KL_NOISE = 4.0 * 2.0**-52
+
+
+def kl_inv(u, c):
+    """sup{v in [u, 1] : kl(u, v) <= c}.  Array-capable, lane by lane.
+
+    A safeguarded Newton iteration on t = -ln(1 - v), where kl(u, .) is
+    convex and increasing, started above the root from Pinsker-type bounds:
+    the iterates fall monotonically and never undercut the root, so the
+    value stays an upper bound.  Each lane stops on its own, so an array call
+    equals its one-lane calls bit for bit.
 
     The returned v either satisfies |kl(u, v) - c| <= 1e-9 or is the
     saturating value 1.0 (used whenever the true inverse is closer to 1 than
     float64 can certify; 1.0 is always a valid upper value).
     """
-    u = float(u)
-    c = float(c)
-    if math.isnan(u) or not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    if math.isnan(c) or c < 0.0:
-        raise ValueError("c must be non-negative")
-    if u >= 1.0:
-        return 1.0
-    if c == 0.0:
-        return u
-    if math.isinf(c):
-        return 1.0
-
-    log = math.log
-    rest = 1.0 - u
-
-    def kl_at(v: float) -> float:
-        second = rest * log(rest / (1.0 - v))
-        if u == 0.0:
-            return second
-        return u * log(u / v) + second
-
-    top = math.nextafter(1.0, 0.0)
-    if kl_at(top) <= c:
-        return 1.0
-    lo, hi = u, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if kl_at(mid) <= c:
-            lo = mid
-        else:
-            hi = mid
-    if lo < 1.0 and c - kl_at(max(lo, 1e-300)) > 1e-9:
-        # v is pinned against float resolution near 1; saturate.
-        return 1.0
-    return lo
-
-
-def kl_inv_vec(u, c) -> np.ndarray:
-    """Vectorised kl_inv for the certificate search; same contract lanewise."""
     u_arr = _unit_array(u, "u")
     c_arr = np.asarray(c, dtype=float)
-    if np.any(np.isnan(c_arr)) or np.any(c_arr < 0.0):
+    if not (c_arr >= 0.0).all():
         raise ValueError("c must be non-negative")
-    ub, cb = np.broadcast_arrays(u_arr, c_arr)
-    uf = np.atleast_1d(ub).astype(float).ravel()
-    cf = np.atleast_1d(cb).astype(float).ravel()
-    out = np.empty_like(uf)
+    if u_arr.shape != c_arr.shape:
+        u_arr, c_arr = np.broadcast_arrays(u_arr, c_arr)
+    # One lane runs on numpy scalars, whose arithmetic skips the array
+    # machinery and rounds exactly as an array lane does.
+    lanes = (u_arr.reshape(())[()], c_arr.reshape(())[()]) if u_arr.size == 1 else (u_arr, c_arr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = _kl_inv_lanes(*lanes)
+    return float(v) if u_arr.ndim == 0 else np.reshape(v, u_arr.shape)
 
-    rest = 1.0 - uf
 
-    def kl_at(v: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first = np.where(uf > 0.0, uf * np.log(uf / np.maximum(v, _FPMIN)), 0.0)
-            second = np.where(rest > 0.0, rest * np.log(rest / (1.0 - v)), 0.0)
-        return first + second
-
-    top = math.nextafter(1.0, 0.0)
-    saturated = (uf >= 1.0) | np.isinf(cf) | (kl_at(np.full_like(uf, top)) <= cf)
-    trivial = cf == 0.0
-    out[saturated] = 1.0
-    out[trivial & ~saturated] = uf[trivial & ~saturated]
-    active = ~(saturated | trivial)
-    if active.any():
-        ua, ca = uf[active], cf[active]
-        ra = rest[active]
-        lo = ua.copy()
-        hi = np.ones_like(ua)
-
-        def kl_active(v):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                first = np.where(ua > 0.0, ua * np.log(ua / np.maximum(v, _FPMIN)), 0.0)
-            return first + ra * np.log(ra / (1.0 - v))
-
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            movable = (mid > lo) & (mid < hi)
-            if not movable.any():
-                break
-            le = kl_active(mid) <= ca
-            lo = np.where(movable & le, mid, lo)
-            hi = np.where(movable & ~le, mid, hi)
-        res = lo.copy()
-        res[(lo < 1.0) & (ca - kl_active(lo) > 1e-9)] = 1.0
-        out[active] = res
-    return out.reshape(ub.shape) if ub.ndim else float(out[0])
+def _kl_inv_lanes(u, c):
+    # kl(u, v) >= (v - u)^2 / (2 max x(1 - x) over [u, v]) puts the root
+    # below Pinsker's u + sqrt(c/2), or u + sqrt(2 c u (1 - u)) for u >= 1/2;
+    # with x(1 - x) <= v, below u + c + sqrt(c (c + 2u)), which is tighter
+    # for small u and keeps tiny budgets (where kl rounds to 0) above u.
+    half = np.maximum(u, 0.5)
+    gap = np.minimum(np.sqrt(2.0 * c * half * (1.0 - half)), c + np.sqrt(c * (c + 2.0 * u)))
+    v = np.minimum(u + gap, _KL_TOP)
+    # kl is a staircase at the scale of its own rounding: a lane whose
+    # excess is that small has converged, and smaller steps would stall.
+    noise = _KL_NOISE * (1.0 + c)
+    excess = _kl(u, v) - c
+    for _ in range(_KL_MAX_STEPS):
+        # Newton step in t: dkl/dt = 1 - u/v, and 1 - v scales by exp(step).
+        # A converged lane gets the step 0, or NaN at v = u, and fmin keeps
+        # it where it is.
+        step = excess * v / (v - u) * (excess > noise)
+        lower = np.maximum(u, np.fmin(v, v - (1.0 - v) * np.expm1(step)))
+        if not np.count_nonzero(lower < v):
+            break
+        v = lower
+        excess = _kl(u, v) - c
+    # Step to the largest float with kl <= c: near 1, where one ulp of v
+    # moves kl by more than 1e-9, saturation then falls as from below.
+    v = v - (v - np.nextafter(v, 0.0)) * (excess > 0.0)
+    saturated = (u >= 1.0) | (_kl(u, _KL_TOP) <= c) | (np.abs(_kl(u, v) - c) > _KL_TOL)
+    return np.where(c == 0.0, u, np.where(saturated, 1.0, v))
 
 
 def kl_inv_grad(u, c):

@@ -86,18 +86,31 @@ class TestCertifyCommand:
     (["train", "--batch-size", "0"], 2),
     (["train", "--seeds", "x"], 2),
     (["experiment", "--objectives", "foo"], 2),
+    (["--manifest", "{broken_manifest}", "compare"], 3),
+    (["--manifest", "{list_manifest}", "compare"], 3),
+    (["compare", "--points", "-2"], 2),
+    (["compare", "--points", "0"], 2),
+    (["verify", "--seed", "-1"], 2),
+    (["compare", "--seed", "-1"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     """Bad flag or manifest values are usage errors (2) and a malformed
-    weights file is a data error (3): each reported in one line, without a
-    traceback.  Each command otherwise gets the inputs it needs to run."""
+    weights or manifest file is a data error (3): each reported in one line,
+    without a traceback.  Each command otherwise gets the inputs it needs to
+    run."""
     preds = tmp_path / "preds.csv"
     write_predictions(preds)
     bad_theta = tmp_path / "theta.txt"
     bad_theta.write_text("0.5\nnot-a-weight\n")
     bad_manifest = tmp_path / "manifest.json"
     bad_manifest.write_text(json.dumps({"delta": 2}))
-    argv = [arg.format(bad_theta=bad_theta, bad_manifest=bad_manifest) for arg in argv]
+    broken_manifest = tmp_path / "broken.json"
+    broken_manifest.write_text("{bad")
+    list_manifest = tmp_path / "list.json"
+    list_manifest.write_text("[1, 2]")
+    argv = [arg.format(bad_theta=bad_theta, bad_manifest=bad_manifest,
+                       broken_manifest=broken_manifest, list_manifest=list_manifest)
+            for arg in argv]
     inputs = {
         "certify": ["--predictions", str(preds)],
         "train": ["--predictions", str(preds)],

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from votecert import numkern as nk
@@ -251,12 +252,39 @@ class TestKlInv:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_vectorised_variant_agrees(self):
+        """An array call equals its one-lane calls bit for bit."""
         rng = np.random.default_rng(3)
         us = rng.uniform(0.0, 0.99, 400)
         cs = rng.uniform(0.0, 4.0, 400)
-        vec = nk.kl_inv_vec(us, cs)
+        vec = nk.kl_inv(us, cs)
         for u, c, v in zip(us, cs, vec):
             assert v == nk.kl_inv(float(u), float(c))
+
+
+# Budgets from the degenerate ends to saturation, spaced widely enough that
+# their inverses are ordered well beyond the rounding of kl itself.
+KL_BUDGETS = (0.0, 1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5,
+              1.0, 5.0, 50.0, math.inf)
+
+
+class TestKlInvContract:
+    @settings(max_examples=300, deadline=None)
+    @given(us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_contract_over_lanes(self, us):
+        """|kl(u, v) - c| <= 1e-9 or v = 1; v >= u; v is monotone in c; and
+        the array call equals its one-lane calls bit for bit."""
+        u = np.array(us)[:, None]
+        c = np.array(KL_BUDGETS)[None, :]
+        v = nk.kl_inv(u, c)
+        assert v.shape == (len(us), len(KL_BUDGETS))
+        with np.errstate(invalid="ignore"):  # inf - inf where c = inf, and v = 1
+            gap = np.abs(nk.small_kl(np.broadcast_to(u, v.shape), v) - c)
+        assert np.all((v == 1.0) | (gap <= 1e-9))
+        assert np.all(v >= u)
+        assert np.all(np.diff(v, axis=1) >= 0.0)
+        for i, ui in enumerate(us):
+            for j, cj in enumerate(KL_BUDGETS):
+                assert nk.kl_inv(ui, cj) == v[i, j]
 
 
 class TestKlInvGrad:

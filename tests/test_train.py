@@ -1,4 +1,5 @@
 """Optimiser mechanics, objective gradients, and the training protocol."""
+import functools
 import json
 import math
 import os
@@ -277,9 +278,12 @@ class TestUnconstrainedParams:
 class TestTrainReference:
     """train_posterior for every objective kind against trajectories
     recorded from the earlier code (separate f2 objective, per-kind
-    dispatch): binary and 3-class matrices, two margin candidates, a
-    learning rate high enough to trip the plateau schedule.  Every epoch
-    record and the chosen posterior must match exactly."""
+    dispatch, a bisection kl inverse): binary and 3-class matrices, two
+    margin candidates, a learning rate high enough to trip the plateau
+    schedule.  The structure of every run matches exactly (epochs, learning
+    rates, gammas, failed flags, history lengths) and every other float to
+    1e-9 relative, which covers the last-bit rounding of the kl inverse
+    carried through twelve epochs of Adam."""
 
     def test_matches_recorded_trajectories(self):
         with open(REFERENCE) as fh:
@@ -291,25 +295,22 @@ class TestTrainReference:
             learning_rate=conf["learning_rate"],
         )
         search = SearchConfig(n_gamma=recorded["n_gamma"])
+        close = functools.partial(pytest.approx, rel=1e-9, abs=0.0)
         for want in recorded["results"]:
             P = random_matrix(**recorded["matrices"][want["matrix"]])
             spec = BoundSpec(m=P.num_examples, delta=recorded["delta"])
             got = train.train_posterior(P, cfg, spec, want["objective"], search)
-            runs = [
-                {
-                    "gamma": run.gamma,
-                    "failed": run.failed,
-                    "best_bound": run.best_bound,
-                    "history": [
-                        [rec.gamma, rec.epoch, rec.objective, rec.bound, rec.K, rec.lr]
-                        for rec in run.history
-                    ],
-                }
-                for run in got.runs
-            ]
             case = (want["matrix"], want["objective"])
-            assert runs == want["runs"], case
-            assert list(got.posterior.theta) == want["theta"], case
-            assert got.posterior.K == want["K"], case
-            assert got.certificate.value == want["certificate"], case
+            assert len(got.runs) == len(want["runs"]), case
+            for run, want_run in zip(got.runs, want["runs"]):
+                assert (run.gamma, run.failed, len(run.history)) == (
+                    want_run["gamma"], want_run["failed"], len(want_run["history"])), case
+                assert run.best_bound == close(want_run["best_bound"]), case
+                for rec, (gamma, epoch, objective, bound, K, lr) in zip(
+                        run.history, want_run["history"]):
+                    assert (rec.gamma, rec.epoch, rec.lr) == (gamma, epoch, lr), case
+                    assert (rec.objective, rec.bound, rec.K) == close((objective, bound, K)), case
+            assert list(got.posterior.theta) == close(want["theta"]), case
+            assert got.posterior.K == close(want["K"]), case
+            assert got.certificate.value == close(want["certificate"]), case
         assert {w["objective"] for w in recorded["results"]} == set(train.OBJECTIVES)
