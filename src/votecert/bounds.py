@@ -12,15 +12,16 @@ bound is searched over margins, and how ``certify`` evaluates it.
 certified values are clipped to 1 and carry their additive components so a
 result can be reconstructed and audited.
 
-The gz, bgplus, bg and bgplusplus formulas take (loss, gamma) lane arrays
-and return one result with a value per lane, so one grid evaluator
-(``_on_grid``) makes a single formula call over every applicable grid
-margin and picks the winner with ``_best_lane``; bgplusplus minimises over
-T with one integer search run in lockstep across margins
-(``_minimize_over_int``).  The Dirichlet bounds (dirichlet_margin,
-stochastic_margin, f2 at the single margin 0) optimise the concentration K
-by one golden-section search on ln K that runs every lane in lockstep; see
-``_search_log_K``.
+Every margin and Dirichlet formula is lanewise: gz, bgplus, bg and
+bgplusplus over (loss, gamma), dirichlet_margin, stochastic_margin and f2
+over (loss, K, gamma), each returning one result with a value per lane.
+One grid evaluator (``_on_grid``) makes a single formula call over every
+applicable grid margin and picks the winner with ``_best_lane``;
+bgplusplus minimises over T with one integer search run in lockstep across
+margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
+margin 0) optimise K by one golden-section search on ln K over every lane
+in lockstep (``_search_log_K``) whose value function is the formula itself,
+so the searched and the reported certificate come from the same code.
 
 Bound identifiers:
 
@@ -143,79 +144,97 @@ def _floor_theta(theta) -> tuple[np.ndarray, tuple]:
     return th, ()
 
 
-def _vacuous(gamma, K, empirical, flags) -> BoundResult:
-    return BoundResult(
-        value=1.0,
-        gamma_star=gamma,
-        K_star=K,
-        T_star=None,
-        empirical_term=empirical,
-        complexity_term=math.inf,
-        derandomisation_term=0.0,
-        flags=tuple(sorted(set(flags) | {"infinite_complexity", "vacuous"})),
-    )
-
-
-def dirichlet_margin_from_loss(
-    l_gamma: float, theta, K: float, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    """Deterministic-vote margin certificate at a fixed margin gamma.
-
-    value = min(1, kl_inv(min(1, L_gamma + eps), (D(K theta, beta) + ln(2 sqrt(m)/delta))/m) + eps)
-    with the de-randomisation penalty eps = exp(-(K + 1) gamma^2).
-    """
-    if gamma <= 0.0 or K <= 0.0:
-        raise ValueError("gamma and K must be positive")
-    th, flags = _floor_theta(theta)
-    eps = math.exp(-(K + 1.0) * gamma * gamma)
-    u = min(1.0, float(l_gamma) + eps)
-    dkl = nk.dirichlet_kl(K * th, spec.prior(th.size))
-    if not math.isfinite(dkl):
-        return _vacuous(gamma, K, u, flags)
-    comp = max(0.0, dkl + spec.log_confidence()) / spec.m
-    value = min(1.0, nk.kl_inv(u, comp) + eps)
-    return BoundResult(value, gamma, K, None, u, comp, eps, flags)
-
-
-def stochastic_margin_from_loss(
-    expected_loss: float, theta, K: float, gamma: float, spec: BoundSpec
-) -> BoundResult:
-    """Differentiable variant; empirical term is the Beta-CDF expected loss."""
-    if gamma <= 0.0 or K <= 0.0:
-        raise ValueError("gamma and K must be positive")
-    th, flags = _floor_theta(theta)
-    eps = math.exp(-4.0 * (K + 1.0) * gamma * gamma)
-    u = min(1.0, float(expected_loss))
-    dkl = nk.dirichlet_kl(K * th, spec.prior(th.size))
-    if not math.isfinite(dkl):
-        return _vacuous(gamma, K, u, flags)
-    comp = max(0.0, dkl + spec.log_confidence()) / spec.m
-    value = min(1.0, nk.kl_inv(u, comp) + eps)
-    return BoundResult(value, gamma, K, None, u, comp, eps, flags)
-
-
 def _lanes(*values) -> list[np.ndarray]:
     """Float lane arrays of the arguments, broadcast together."""
     return [arr.astype(float) for arr in np.broadcast_arrays(*values)]
 
 
-def _result(value, gamma, T, u, comp, eps) -> BoundResult:
-    """A margin formula's BoundResult: floats (an int T) from 0-d lanes,
-    arrays with one entry per lane otherwise."""
+def _result(value, gamma, K, T, u, comp, eps, flags=()) -> BoundResult:
+    """A formula's BoundResult: floats (an int T) from 0-d lanes, arrays with
+    one entry per lane otherwise; a lane of infinite complexity is vacuous."""
 
     def out(x, kind=float):
+        if x is None:
+            return None
         arr = np.asarray(x)
         return arr if arr.ndim else kind(arr)
 
-    return BoundResult(out(value), out(gamma), None, None if T is None else out(T, int),
-                       out(u), out(comp), out(eps))
+    comp = out(comp)
+    if isinstance(comp, float) and comp == math.inf:
+        flags = tuple(sorted(set(flags) | {"infinite_complexity", "vacuous"}))
+    return BoundResult(out(value), out(gamma), out(K), out(T, int), out(u), comp, out(eps), flags)
 
 
 def _lane(r: BoundResult, i: int) -> BoundResult:
     """Lane i of a margin formula's lanewise BoundResult."""
     return _result(*(x[i] if isinstance(x, np.ndarray) else x for x in (
-        r.value, r.gamma_star, r.T_star, r.empirical_term, r.complexity_term,
-        r.derandomisation_term)))
+        r.value, r.gamma_star, r.K_star, r.T_star, r.empirical_term, r.complexity_term,
+        r.derandomisation_term)), r.flags)
+
+
+def _dirichlet_kl_of(theta: np.ndarray, spec: BoundSpec):
+    """Lanewise K -> KL(Dir(K theta) || Dir(prior)), prior terms computed once."""
+    kl = nk.dirichlet_kl_to(spec.prior(theta.size))
+    return lambda K: kl(K[..., None] * theta)
+
+
+def _dirichlet(u, K, gamma, eps, factor: float, kl_of, spec: BoundSpec) -> BoundResult:
+    """The Dirichlet certificates' core, lanewise: min(1, factor kl_inv(u, c)
+    + eps) with c = max(0, D(K theta, beta) + ln(2 sqrt(m)/delta)) / m, and
+    c = inf (so the value is 1) on lanes whose KL is not finite."""
+    kl = kl_of(K)
+    comp = np.where(np.isfinite(kl), np.maximum(0.0, kl + spec.log_confidence()) / spec.m,
+                    np.inf)
+    value = np.minimum(1.0, factor * nk.kl_inv(u, comp) + eps)
+    return _result(value, gamma, K, None, u, comp, eps)
+
+
+# The three Dirichlet formulas on (loss, K, gamma) lanes, given the KL in K.
+def _margin_formula(l_gamma, K, gamma, kl_of, spec):
+    eps = np.exp(-(K + 1.0) * gamma * gamma)
+    return _dirichlet(np.minimum(1.0, l_gamma + eps), K, gamma, eps, 1.0, kl_of, spec)
+
+
+def _stochastic_formula(expected_loss, K, gamma, kl_of, spec):
+    eps = np.exp(-4.0 * (K + 1.0) * gamma * gamma)
+    return _dirichlet(np.minimum(1.0, expected_loss), K, gamma, eps, 1.0, kl_of, spec)
+
+
+def _f2_formula(expected_loss, K, gamma, kl_of, spec):
+    return _dirichlet(np.minimum(1.0, expected_loss), K, None, 0.0, 2.0, kl_of, spec)
+
+
+def _from_loss(formula, loss, theta, K, gamma, spec: BoundSpec) -> BoundResult:
+    """``formula`` on the caller's lanes: K and gamma checked, theta floored."""
+    loss, K, gamma = _lanes(loss, K, gamma)
+    if np.any(K <= 0.0) or np.any(gamma <= 0.0):
+        raise ValueError("gamma and K must be positive")
+    th, flags = _floor_theta(theta)
+    return formula(loss, K, gamma, _dirichlet_kl_of(th, spec), spec).with_flags(flags)
+
+
+def dirichlet_margin_from_loss(l_gamma, theta, K, gamma, spec: BoundSpec) -> BoundResult:
+    """Deterministic-vote margin certificate at margin gamma and
+    concentration K.  Lanewise over (l_gamma, K, gamma).
+
+    value = min(1, kl_inv(min(1, L_gamma + eps), (D(K theta, beta) + ln(2 sqrt(m)/delta))/m) + eps)
+    with the de-randomisation penalty eps = exp(-(K + 1) gamma^2).
+    """
+    return _from_loss(_margin_formula, l_gamma, theta, K, gamma, spec)
+
+
+def stochastic_margin_from_loss(expected_loss, theta, K, gamma, spec: BoundSpec) -> BoundResult:
+    """Differentiable variant: the empirical term is the Beta-CDF expected
+    loss, the penalty exp(-4 (K + 1) gamma^2).  Lanewise over
+    (expected_loss, K, gamma)."""
+    return _from_loss(_stochastic_formula, expected_loss, theta, K, gamma, spec)
+
+
+def f2_from_loss(expected_loss, theta, K, spec: BoundSpec) -> BoundResult:
+    """Dirichlet factor-two baseline 2 kl_inv(expected 0-1 loss, complexity)
+    at concentration K.  Lanewise over (expected_loss, K); f2 has no margin,
+    so the gamma lane is a placeholder."""
+    return _from_loss(_f2_formula, expected_loss, theta, K, 1.0, spec)
 
 
 def _gz_applies(gammas, num_voters: int):
@@ -240,7 +259,7 @@ def gz_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResul
     ) / m
     tail = log_d / m
     value = np.minimum(1.0, nk.kl_inv(u, comp) + tail)
-    return _result(value, gamma, None, u, comp, tail)
+    return _result(value, gamma, None, None, u, comp, tail)
 
 
 def _bgplus_T(gamma, m: int):
@@ -262,7 +281,7 @@ def bgplus_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundR
     u = np.minimum(1.0, l_gamma + 1.0 / m)
     comp = (T * math.log(num_voters) + spec.log_confidence()) / m
     value = np.minimum(1.0, nk.kl_inv(u, comp) + 1.0 / m)
-    return _result(value, gamma, T, u, comp, 1.0 / m)
+    return _result(value, gamma, None, T, u, comp, 1.0 / m)
 
 
 def bg_original_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
@@ -278,7 +297,7 @@ def bg_original_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> B
     comp = C / m
     tail = (C + np.sqrt(C) + 2.0) / m
     value = np.minimum(1.0, u + np.sqrt(comp * u) + tail)
-    return _result(value, gamma, None, u, comp, tail)
+    return _result(value, gamma, None, None, u, comp, tail)
 
 
 # Lanes whose whole range {1..t_max} is this short are scanned exhaustively.
@@ -373,7 +392,7 @@ def bgplusplus_from_loss(
     T_star, _ = _minimize_over_int(lambda lanes, T: candidate(lanes, T)[0], t_max, t_plus)
     T_star = T_star.reshape(gamma.shape)
     value, u, comp, eps = candidate(np.arange(gamma.size).reshape(gamma.shape), T_star)
-    return _result(value, gamma, T_star, u, comp, eps)
+    return _result(value, gamma, None, T_star, u, comp, eps)
 
 
 def fo_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
@@ -403,20 +422,6 @@ def bin_bound(
     comp = (N * nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
     value = min(1.0, 2.0 * nk.kl_inv(u, comp))
     return BoundResult(value, None, None, None, u, comp, 0.0)
-
-
-def f2_from_loss(expected_loss: float, theta, K: float, spec: BoundSpec) -> BoundResult:
-    """Dirichlet factor-two baseline at a given concentration K."""
-    if K <= 0.0:
-        raise ValueError("K must be positive")
-    th, flags = _floor_theta(theta)
-    u = min(1.0, float(expected_loss))
-    dkl = nk.dirichlet_kl(K * th, spec.prior(th.size))
-    if not math.isfinite(dkl):
-        return _vacuous(None, K, u, flags)
-    comp = max(0.0, dkl + spec.log_confidence()) / spec.m
-    value = min(1.0, 2.0 * nk.kl_inv(u, comp))
-    return BoundResult(value, None, K, None, u, comp, 0.0, flags)
 
 
 @dataclass(frozen=True)
@@ -515,38 +520,10 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
     return int(np.lexsort((gammas, values))[0])
 
 
-def _dirichlet_complexity(theta: np.ndarray, spec: BoundSpec):
-    """Lanewise (D(K theta, prior) + ln(2 sqrt(m)/delta)) / m, clipped at 0."""
-    prior = spec.prior(theta.size)
-    log_B_prior = nk.log_multivariate_beta(prior)
-
-    def complexity(K: np.ndarray) -> np.ndarray:
-        A = K[:, None] * theta[None, :]
-        lnB_A = nk.log_gamma(A).sum(axis=1) - nk.log_gamma(K)
-        centered = nk.digamma(A) - nk.digamma(K)[:, None]
-        dkl = log_B_prior - lnB_A + ((A - prior[None, :]) * centered).sum(axis=1)
-        return np.maximum(0.0, dkl + spec.log_confidence()) / spec.m
-
-    return complexity
-
-
 def _margin_losses(P: PredictionMatrix, theta: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Empirical margin loss L_gamma at every grid margin."""
     sorted_margins = np.sort(votes.margins(P, theta))
     return np.searchsorted(sorted_margins, gammas, side="right") / P.num_examples
-
-
-def _margin_search(losses, gammas, theta, K_init, spec, cfg):
-    """Best ln K and search value per lane of the dirichlet_margin bound."""
-    complexity = _dirichlet_complexity(theta, spec)
-
-    def values_at(x: np.ndarray) -> np.ndarray:
-        K = np.exp(x)
-        eps = np.exp(-(K + 1.0) * gammas * gammas)
-        u = np.minimum(1.0, losses + eps)
-        return np.minimum(1.0, nk.kl_inv(u, complexity(K)) + eps)
-
-    return _search_log_K(values_at, gammas.size, K_init, cfg)
 
 
 def dirichlet_margin_best_K(
@@ -563,15 +540,14 @@ def dirichlet_margin_best_K(
     equal to what a one-lane call returns.  Formula-level: takes the margin
     loss values."""
     cfg = search_cfg or SearchConfig()
-    th, flags = _floor_theta(theta)
-    losses, gammas = (
-        np.ravel(arr).astype(float) for arr in np.broadcast_arrays(losses, gammas)
-    )
-    x, _ = _margin_search(losses, gammas, th, K_init, spec, cfg)
-    return [
-        _finalize(dirichlet_margin_from_loss(float(l), th, math.exp(xi), float(g), spec), flags)
-        for l, g, xi in zip(losses, gammas, x)
-    ]
+    th, _ = _floor_theta(theta)
+    losses, gammas = (arr.ravel() for arr in _lanes(losses, gammas))
+    kl_of = _dirichlet_kl_of(th, spec)
+    x, _ = _search_log_K(lambda x: _margin_formula(losses, np.exp(x), gammas, kl_of, spec).value,
+                         gammas.size, K_init, cfg)
+    K = np.array([math.exp(xi) for xi in x])
+    lanes = dirichlet_margin_from_loss(losses, theta, K, gammas, spec)
+    return [_finalize(_lane(lanes, i), ()) for i in range(gammas.size)]
 
 
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.ndarray):
@@ -589,39 +565,26 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.nda
 
 
 def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
-    th, flags = _floor_theta(wp.theta)
-    losses = _margin_losses(P, th, gammas)
-    x, values = _margin_search(losses, gammas, th, wp.K, spec, cfg)
-    i = _best_lane(values, gammas)
-    best = dirichlet_margin_from_loss(
-        float(losses[i]), th, math.exp(x[i]), float(gammas[i]), spec
-    )
-    return _finalize(best, flags)
+    losses = _margin_losses(P, _floor_theta(wp.theta)[0], gammas)
+    lanes = dirichlet_margin_best_K(losses, wp.theta, gammas, spec, wp.K, cfg)
+    return lanes[_best_lane(np.array([r.value for r in lanes]), gammas)]
 
 
 def _certify_beta(P, wp, spec, cfg, gammas):
     """stochastic_margin over the grid margins; with gammas None, the f2
-    baseline: margin 0, factor 2 and no de-randomisation penalty."""
+    baseline at the single margin 0."""
     th, flags = _floor_theta(wp.theta)
     a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
-    complexity = _dirichlet_complexity(th, spec)
-    margins = np.zeros(1) if gammas is None else gammas
+    kl_of = _dirichlet_kl_of(th, spec)
+    formula, margins = ((_f2_formula, np.zeros(1)) if gammas is None
+                        else (_stochastic_formula, gammas))
 
-    def values_at(x: np.ndarray) -> np.ndarray:
-        K = np.exp(x)
-        u = np.minimum(1.0, _beta_losses(K, margins, a_c, a_w))
-        v = nk.kl_inv(u, complexity(K))
-        if gammas is None:
-            return np.minimum(1.0, 2.0 * v)
-        return np.minimum(1.0, v + np.exp(-4.0 * (K + 1.0) * gammas * gammas))
+    def at(K, g):
+        return formula(_beta_losses(K, g, a_c, a_w), K, g, kl_of, spec)
 
-    x, values = _search_log_K(values_at, margins.size, wp.K, cfg)
+    x, values = _search_log_K(lambda x: at(np.exp(x), margins).value, margins.size, wp.K, cfg)
     i = _best_lane(values, margins)
-    K, g = math.exp(x[i]), float(margins[i])
-    loss = float(votes.beta_margin_loss_terms(K * a_c, K * a_w, g).mean())
-    if gammas is None:
-        return _finalize(f2_from_loss(loss, th, K, spec), flags)
-    return _finalize(stochastic_margin_from_loss(loss, th, K, g, spec), flags)
+    return _finalize(_lane(at(np.array([math.exp(x[i])]), margins[i:i + 1]), 0), flags)
 
 
 def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool)):
@@ -633,7 +596,8 @@ def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool
         th, flags = _floor_theta(wp.theta)
         gammas = gammas[applies(gammas, th.size)]
         if not gammas.size:
-            return _finalize(_vacuous(None, None, 1.0, ("inapplicable_margin",)), flags)
+            vacuous = _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
+            return _finalize(vacuous, flags)
         lanes = formula(_margin_losses(P, th, gammas), gammas, th, spec)
         return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
 

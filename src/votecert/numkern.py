@@ -15,13 +15,13 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
-    "log_multivariate_beta",
     "reg_inc_beta",
     "reg_inc_beta_with_grad",
     "small_kl",
     "kl_inv",
-    "kl_inv_grad",
+    "kl_inv_with_grad",
     "dirichlet_kl",
+    "dirichlet_kl_to",
     "categorical_entropy",
     "categorical_kl_uniform",
     "binomial_tail",
@@ -66,13 +66,6 @@ def _unit_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _concentration_vector(x, name: str) -> np.ndarray:
-    arr = _positive_array(x, name)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-d vector of length >= 2")
-    return arr
-
-
 def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
     # Valid for x >= 0.5.
     series = np.full_like(x, _LANCZOS[0])
@@ -112,35 +105,35 @@ def _lifted_series(x: np.ndarray, shift_term, series):
     return shift + series(z)
 
 
+def _psi_series(z: np.ndarray) -> np.ndarray:
+    """Asymptotic psi(z) with Bernoulli terms through z^-14, for z >= 6."""
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = inv2 * (
+        1.0 / 12.0
+        - inv2 * (
+            1.0 / 120.0
+            - inv2 * (
+                1.0 / 252.0
+                - inv2 * (
+                    1.0 / 240.0
+                    - inv2 * (
+                        1.0 / 132.0
+                        - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0))
+                    )
+                )
+            )
+        )
+    )
+    return np.log(z) - 0.5 * inv - tail
+
+
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0.  Array-capable."""
     arr = _positive_array(x, "x")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float, copy=True)
-
-    def series(z):
-        inv = 1.0 / z
-        inv2 = inv * inv
-        # Asymptotic expansion, Bernoulli terms through z^-14.
-        tail = inv2 * (
-            1.0 / 12.0
-            - inv2 * (
-                1.0 / 120.0
-                - inv2 * (
-                    1.0 / 252.0
-                    - inv2 * (
-                        1.0 / 240.0
-                        - inv2 * (
-                            1.0 / 132.0
-                            - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0))
-                        )
-                    )
-                )
-            )
-        )
-        return np.log(z) - 0.5 * inv - tail
-
-    out = _lifted_series(arr, lambda z: -1.0 / z, series)
+    out = _lifted_series(arr, lambda z: -1.0 / z, _psi_series)
     return float(out[0]) if scalar else out
 
 
@@ -173,12 +166,6 @@ def trigamma(x):
 
     out = _lifted_series(arr, lambda z: 1.0 / (z * z), series)
     return float(out[0]) if scalar else out
-
-
-def log_multivariate_beta(alpha) -> float:
-    """ln B(alpha) = sum_i ln Gamma(alpha_i) - ln Gamma(sum_i alpha_i)."""
-    arr = _concentration_vector(alpha, "alpha")
-    return float(np.sum(log_gamma(arr)) - log_gamma(float(arr.sum())))
 
 
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -361,7 +348,8 @@ def kl_inv(u, c):
     # One lane runs on numpy scalars, whose arithmetic skips the array
     # machinery and rounds exactly as an array lane does.
     lanes = (u_arr.reshape(())[()], c_arr.reshape(())[()]) if u_arr.size == 1 else (u_arr, c_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A budget near the float maximum overflows the start to inf: saturated.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = _kl_inv_lanes(*lanes)
     return float(v) if u_arr.ndim == 0 else np.reshape(v, u_arr.shape)
 
@@ -395,45 +383,96 @@ def _kl_inv_lanes(u, c):
     return np.where(c == 0.0, u, np.where(saturated, 1.0, v))
 
 
-def kl_inv_grad(u, c):
-    """(dv/du, dv/dc) for v = kl_inv(u, c), by implicit differentiation.
+def kl_inv_with_grad(u, c):
+    """(v, dv/du, dv/dc) for v = kl_inv(u, c), the partials by implicit
+    differentiation at that v.
 
     Requires 0 < u < 1 and c > 0.  When the inverse saturates at 1 the bound
     is locally constant and both partials are zero.
     """
-    u = float(u)
-    c = float(c)
+    u, c = float(u), float(c)
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly inside (0, 1)")
     if not c > 0.0:
-        raise ValueError("kl_inv_grad is singular at c = 0 (v = u)")
+        raise ValueError("kl_inv_with_grad is singular at c = 0 (v = u)")
     v = kl_inv(u, c)
     if v >= 1.0:
-        return 0.0, 0.0
+        return v, 0.0, 0.0
     gap = v - u
     if gap <= 1e-15:
-        raise ValueError("kl_inv_grad is singular: v coincides with u")
-    scale = v * (1.0 - v) / gap
-    dv_dc = scale
-    dv_du = -(math.log(u / v) - math.log((1.0 - u) / (1.0 - v))) * scale
-    return dv_du, dv_dc
+        raise ValueError("kl_inv_with_grad is singular: v coincides with u")
+    dv_dc = v * (1.0 - v) / gap
+    dv_du = -(math.log(u / v) - math.log((1.0 - u) / (1.0 - v))) * dv_dc
+    return v, dv_du, dv_dc
 
 
-def dirichlet_kl(alpha, beta) -> float:
-    """KL divergence between Dirichlet(alpha) and Dirichlet(beta).
+# h(x) = x psi(x) - ln Gamma(x) - x grows only like ln(x) / 2.  Its
+# asymptotic series, ln(x)/2 - 1/2 - ln(2 pi)/2 plus these coefficients of
+# x^-1, x^-3, ..., x^-15 (-B_2k / (2k - 1)), is within 2e-15 of it from x = 8 on.
+_H_SERIES_FROM = 8.0
+_H_SERIES = (-1 / 6, 1 / 90, -1 / 210, 1 / 210, -5 / 594, 691 / 30030, -7 / 78, 3617 / 7650)
 
-    ln(B(beta)/B(alpha)) + sum_i (alpha_i - beta_i)(psi(alpha_i) - psi(alpha_0))
-    with alpha_0 = sum_i alpha_i.  Non-negative up to ~1e-10 rounding.
+
+def _h_psi(x: np.ndarray):
+    """(h(x), psi(x)) lanewise from the series at z = x + 8 where x < 8,
+    brought back by psi(x) = psi(z) - sum_j 1/(x + j) and
+    ln Gamma(x) = z psi(z) - z - h(z) - ln prod_j (x + j), j = 0..7."""
+    shape, x = x.shape, x.ravel()
+    lift = np.flatnonzero(x < _H_SERIES_FROM)
+    s = x[lift]
+    z = x.copy()
+    z[lift] += _H_SERIES_FROM
+    psi = _psi_series(z)
+    inv2 = 1.0 / (z * z)
+    tail = _H_SERIES[-1]
+    for coef in _H_SERIES[-2::-1]:
+        tail = tail * inv2 + coef
+    h = 0.5 * np.log(z) - 0.5 - _HALF_LOG_2PI + tail / z
+    steps = s + np.arange(_H_SERIES_FROM)[:, None]
+    zs, psi_z = z[lift], psi[lift]
+    psi[lift] = psi_s = psi_z - (1.0 / steps).sum(axis=0)
+    h[lift] = s * psi_s - (zs * psi_z - zs - h[lift] - np.log(steps.prod(axis=0))) - s
+    return h.reshape(shape), psi.reshape(shape)
+
+
+def dirichlet_kl_to(beta):
+    """``dirichlet_kl`` against a fixed beta as a function of a float array
+    alpha, beta's terms computed once.  alpha is not checked: a row with an
+    entry that is not positive and finite, or whose KL overflows, is inf or NaN."""
+    b = _positive_array(beta, "beta")
+    if b.ndim != 1 or b.size < 2:
+        raise ValueError("beta must be a 1-d vector of length >= 2")
+    h_b, psi_b = _h_psi(np.append(b, b.sum()))
+
+    def kl(a):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # alpha_0 rides along as the last column.
+            h, psi = _h_psi(np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1))
+            dh, dpsi = h - h_b, psi - psi_b
+            return (dh[..., :-1].sum(axis=-1) - dh[..., -1]
+                    - (b * (dpsi[..., :-1] - dpsi[..., -1:])).sum(axis=-1))
+
+    return kl
+
+
+def dirichlet_kl(alpha, beta):
+    """KL(Dirichlet(alpha) || Dirichlet(beta)), lanewise over the rows of
+    alpha: a float for a (d,) alpha, one value per row of an (n, d) one.
+
+    With h(x) = x psi(x) - ln Gamma(x) - x and alpha_0 = sum_i alpha_i,
+    KL = sum_i [h(alpha_i) - h(beta_i)] - [h(alpha_0) - h(beta_0)]
+         - sum_i beta_i [(psi(alpha_i) - psi(beta_i)) - (psi(alpha_0) - psi(beta_0))],
+    whose terms grow like ln alpha, where the textbook form's terms grow like
+    alpha_0 ln alpha_0 and cancel.  Within 1.1e-14 (1 + |KL|) of 60-digit
+    mpmath for alpha = K theta, K in [1e-3, 1e14], d in {2, 6, 108}, ones and
+    non-uniform beta.  KL(alpha, alpha) is exactly 0.
     """
-    a = _concentration_vector(alpha, "alpha")
-    b = _concentration_vector(beta, "beta")
-    if a.shape != b.shape:
-        raise ValueError("alpha and beta must have the same length")
-    a0 = float(a.sum())
-    centered = digamma(a) - digamma(a0)
-    return float(
-        log_multivariate_beta(b) - log_multivariate_beta(a) + np.dot(a - b, centered)
-    )
+    kl = dirichlet_kl_to(beta)
+    a = _positive_array(alpha, "alpha")
+    if a.ndim not in (1, 2) or a.shape[-1] != np.size(beta):
+        raise ValueError("alpha rows and beta must have the same length")
+    out = kl(a)
+    return float(out) if a.ndim == 1 else out
 
 
 def _simplex_array(theta, name: str, tol: float = 1e-9) -> np.ndarray:

@@ -156,13 +156,9 @@ def _dirichlet_complexity(alpha: np.ndarray, prior: np.ndarray, spec: BoundSpec)
 
 
 def _kl_inv_with_grad(u: float, c: float):
-    """kl_inv value plus guarded implicit-gradient pair."""
-    u_c = min(max(u, 1e-12), 1.0 - 1e-12)
-    v = nk.kl_inv(u_c, c)
-    if v >= 1.0 or v - u_c <= 1e-15:
-        return v, 0.0, 0.0
-    dv_du, dv_dc = nk.kl_inv_grad(u_c, c + 1e-12)
-    return v, dv_du, dv_dc
+    """kl_inv value and its partials, with u kept inside (0, 1); the
+    complexity c is positive, as ln(2 sqrt(m)/delta) > 0."""
+    return nk.kl_inv_with_grad(min(max(u, 1e-12), 1.0 - 1e-12), c)
 
 
 def _beta_loss_and_grad(corr, wrong, a_y, a_n, gamma: float, num_voters: int):

@@ -12,7 +12,7 @@ from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
 from votecert.votes import PredictionMatrix, WeightPosterior
 
-from conftest import random_matrix
+from conftest import mpmath_dirichlet_kl, random_matrix
 
 
 SPEC = BoundSpec(m=2000, delta=0.05)
@@ -515,6 +515,22 @@ class TestLockstepSearch:
             )
             assert (x[i], values[i]) == (want_x, want_value)
 
+    @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "f2"])
+    def test_reported_complexity_at_large_K_init(self, bound_id):
+        """At K_init = 1e12 the search reaches K where the textbook Dirichlet
+        KL cancels to nothing: the reported complexity term must be the true
+        (KL(K_star theta || 1) + ln(2 sqrt(m)/delta)) / m."""
+        P = random_matrix(seed=0, m=60, d=6, accuracy=0.75)
+        theta = np.random.default_rng(1).dirichlet(np.ones(6))
+        spec = BoundSpec(m=60, delta=0.05)
+        cfg = SearchConfig(n_gamma=5)
+        r = bounds.certify(P, WeightPosterior(theta, 1e12), spec, bound_id, cfg)
+        if bound_id == "dirichlet_margin":
+            spec = replace(spec, delta=spec.delta / cfg.n_gamma)
+        kl = mpmath_dirichlet_kl(r.K_star * theta, np.ones(6))
+        assert r.complexity_term == pytest.approx(
+            (kl + spec.log_confidence()) / spec.m, rel=0.0, abs=1e-9)
+
     def test_best_K_lanes_equal_one_lane_calls(self):
         rng = np.random.default_rng(5)
         theta = rng.dirichlet(np.ones(30))
@@ -576,15 +592,18 @@ class TestLockstepTSearch:
 
 
 class TestGridFormulas:
-    """The grid evaluator's one call over every margin equals one call per
-    margin, lane by lane."""
+    """The grid evaluator's one call over every margin, and the K search's
+    one call over every lane, equal one call per lane."""
 
     @pytest.mark.parametrize("formula", [
-        lambda l, g, th, spec: bounds.gz_from_loss(l, th.size, g, spec),
-        lambda l, g, th, spec: bounds.bgplus_from_loss(l, th.size, g, spec),
-        lambda l, g, th, spec: bounds.bg_original_from_loss(l, th.size, g, spec),
-        lambda l, g, th, spec: bounds.bgplusplus_from_loss(l, th, g, spec),
-    ], ids=["gz", "bgplus", "bg", "bgplusplus"])
+        lambda l, K, g, th, spec: bounds.gz_from_loss(l, th.size, g, spec),
+        lambda l, K, g, th, spec: bounds.bgplus_from_loss(l, th.size, g, spec),
+        lambda l, K, g, th, spec: bounds.bg_original_from_loss(l, th.size, g, spec),
+        lambda l, K, g, th, spec: bounds.bgplusplus_from_loss(l, th, g, spec),
+        lambda l, K, g, th, spec: bounds.dirichlet_margin_from_loss(l, th, K, g, spec),
+        lambda l, K, g, th, spec: bounds.stochastic_margin_from_loss(l, th, K, g, spec),
+        lambda l, K, g, th, spec: bounds.f2_from_loss(l, th, K, spec),
+    ], ids=["gz", "bgplus", "bg", "bgplusplus", "dirichlet_margin", "stochastic_margin", "f2"])
     def test_lanes_equal_one_lane_calls(self, formula):
         rng = np.random.default_rng(8)
         theta = rng.dirichlet(np.ones(400))
@@ -593,9 +612,12 @@ class TestGridFormulas:
         # ladder and trisection, the last ones scan their whole range
         gammas = np.concatenate([np.geomspace(0.08, 0.3, 5), np.linspace(0.36, 0.49, 4)])
         losses = rng.uniform(0.0, 0.4, gammas.size)
-        lanes = formula(losses, gammas, theta, spec)
-        for i, (loss, g) in enumerate(zip(losses, gammas)):
-            assert bounds._lane(lanes, i) == formula(float(loss), float(g), theta, spec)
+        # the Dirichlet formulas: from the floored-weight regime up to
+        # values clipped at 1, and one lane whose KL is not finite
+        Ks = np.array([1e-310, 1e-3, 1.0, 40.0, 400.0, 3e3, 1e5, 1e9, 1e14])
+        lanes = formula(losses, Ks, gammas, theta, spec)
+        for i, (loss, K, g) in enumerate(zip(losses, Ks, gammas)):
+            assert bounds._lane(lanes, i) == formula(float(loss), float(K), float(g), theta, spec)
 
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_reference.json")

@@ -71,6 +71,24 @@ class TestCertifyCommand:
         rows = read_results(out)
         assert [r["bound"] for r in rows] == ["fo", "f2"]
 
+    def test_subnormal_k_gives_vacuous_dirichlet_rows(self, tmp_path):
+        """At K = 1e-310 the Dirichlet KL is not finite, which makes every
+        Dirichlet certificate vacuous rather than an error."""
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds)
+        out = tmp_path / "out"
+        dirichlet = ["dirichlet_margin", "stochastic_margin", "f2"]
+        rc = cli.main([
+            "certify", "--predictions", str(preds), "--k", "1e-310",
+            "--bounds", ",".join(dirichlet), "--out", str(out), "--n-gamma", "5",
+        ])
+        assert rc == 0
+        rows = read_results(out)
+        assert [r["bound"] for r in rows] == dirichlet
+        for r in rows:
+            assert float(r["value"]) == 1.0
+            assert "vacuous" in r["flags"].split("|")
+
 
 @pytest.mark.parametrize("argv, code", [
     (["certify", "--bounds", "fo,foo"], 2),

@@ -10,6 +10,8 @@ from scipy import integrate
 
 from votecert import numkern as nk
 
+from conftest import mpmath_dirichlet_kl
+
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -55,22 +57,6 @@ class TestDigamma:
         for x in (0.3, 1.7, 6.5, 40.0):
             fd = (nk.digamma(x + 5e-6) - nk.digamma(x - 5e-6)) / 1e-5
             assert nk.trigamma(x) == pytest.approx(fd, rel=1e-6)
-
-
-class TestLogMultivariateBeta:
-    def test_pair_of_ones(self):
-        assert nk.log_multivariate_beta([1.0, 1.0]) == pytest.approx(0.0, abs=1e-13)
-
-    def test_all_ones_is_inverse_factorial(self):
-        for d in (2, 5, 9):
-            assert nk.log_multivariate_beta(np.ones(d)) == pytest.approx(
-                -nk.log_gamma(float(d)), abs=1e-12
-            )
-
-    def test_two_three(self):
-        assert nk.log_multivariate_beta([2.0, 3.0]) == pytest.approx(
-            math.log(1.0 / 12.0), abs=1e-12
-        )
 
 
 def beta_cdf_quadrature(z: float, a: float, b: float) -> float:
@@ -293,7 +279,7 @@ class TestKlInvGrad:
         for _ in range(30):
             u = rng.uniform(0.05, 0.8)
             c = rng.uniform(0.01, 1.0)
-            dv_du, dv_dc = nk.kl_inv_grad(u, c)
+            _, dv_du, dv_dc = nk.kl_inv_with_grad(u, c)
             h = 1e-7
             fd_u = (nk.kl_inv(u + h, c) - nk.kl_inv(u - h, c)) / (2 * h)
             fd_c = (nk.kl_inv(u, c + h) - nk.kl_inv(u, c - h)) / (2 * h)
@@ -303,12 +289,12 @@ class TestKlInvGrad:
     def test_small_u_limit(self):
         u, c = 1e-9, 0.4
         v = nk.kl_inv(u, c)
-        _, dv_dc = nk.kl_inv_grad(u, c)
+        _, _, dv_dc = nk.kl_inv_with_grad(u, c)
         assert dv_dc == pytest.approx(1.0 - v, rel=1e-6)
 
     def test_singular_at_zero_budget(self):
         with pytest.raises(ValueError):
-            nk.kl_inv_grad(0.5, 0.0)
+            nk.kl_inv_with_grad(0.5, 0.0)
 
 
 def beta_kl_quadrature(a1, a2, b1, b2) -> float:
@@ -359,6 +345,28 @@ class TestDirichletKl:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nk.dirichlet_kl([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(17)
+        theta = rng.dirichlet(np.ones(30))
+        alpha = np.logspace(-3, 14, 40)[:, None] * theta
+        beta = rng.uniform(0.3, 5.0, 30)
+        rows = nk.dirichlet_kl(alpha, beta)
+        assert rows.shape == (40,)
+        for i in range(40):
+            assert rows[i] == nk.dirichlet_kl(alpha[i], beta)
+
+    def test_against_mpmath_over_concentrations(self):
+        """alpha = K theta for K in [1e-3, 1e14], where the textbook form
+        cancels O(K ln K) terms down to an O(ln K) result."""
+        rng = np.random.default_rng(19)
+        for d in (2, 6, 108):
+            theta = rng.dirichlet(np.ones(d))
+            for beta in (np.ones(d), rng.uniform(0.3, 5.0, d)):
+                for K in np.logspace(-3, 14, 18):
+                    want = mpmath_dirichlet_kl(K * theta, beta)
+                    got = nk.dirichlet_kl(K * theta, beta)
+                    assert abs(got - want) <= 1e-11 * (1.0 + abs(want)), (d, K)
 
 
 def entropy_decimal(weights) -> float:
