@@ -174,7 +174,7 @@ def _lane(r: BoundResult, i: int) -> BoundResult:
 
 def _dirichlet_kl_of(theta: np.ndarray, spec: BoundSpec):
     """Lanewise K -> KL(Dir(K theta) || Dir(prior)), prior terms computed once."""
-    kl = nk.dirichlet_kl_to(spec.prior(theta.size))
+    kl = nk._dirichlet_kl_to(spec.prior(theta.size))
     return lambda K: kl(K[..., None] * theta)
 
 
@@ -200,17 +200,18 @@ def _stochastic_formula(expected_loss, K, gamma, kl_of, spec):
     return _dirichlet(np.minimum(1.0, expected_loss), K, gamma, eps, 1.0, kl_of, spec)
 
 
-def _f2_formula(expected_loss, K, gamma, kl_of, spec):
+def _f2_formula(expected_loss, K, kl_of, spec):
     return _dirichlet(np.minimum(1.0, expected_loss), K, None, 0.0, 2.0, kl_of, spec)
 
 
-def _from_loss(formula, loss, theta, K, gamma, spec: BoundSpec) -> BoundResult:
-    """``formula`` on the caller's lanes: K and gamma checked, theta floored."""
-    loss, K, gamma = _lanes(loss, K, gamma)
-    if np.any(K <= 0.0) or np.any(gamma <= 0.0):
+def _from_loss(formula, loss, theta, K, spec: BoundSpec, *gamma) -> BoundResult:
+    """``formula`` on the caller's lanes of loss, K and (margin formulas
+    only) gamma: K and gamma checked positive, theta floored."""
+    loss, K, *gamma = _lanes(loss, K, *gamma)
+    if any(np.any(x <= 0.0) for x in (K, *gamma)):
         raise ValueError("gamma and K must be positive")
     th, flags = _floor_theta(theta)
-    return formula(loss, K, gamma, _dirichlet_kl_of(th, spec), spec).with_flags(flags)
+    return formula(loss, K, *gamma, _dirichlet_kl_of(th, spec), spec).with_flags(flags)
 
 
 def dirichlet_margin_from_loss(l_gamma, theta, K, gamma, spec: BoundSpec) -> BoundResult:
@@ -220,21 +221,20 @@ def dirichlet_margin_from_loss(l_gamma, theta, K, gamma, spec: BoundSpec) -> Bou
     value = min(1, kl_inv(min(1, L_gamma + eps), (D(K theta, beta) + ln(2 sqrt(m)/delta))/m) + eps)
     with the de-randomisation penalty eps = exp(-(K + 1) gamma^2).
     """
-    return _from_loss(_margin_formula, l_gamma, theta, K, gamma, spec)
+    return _from_loss(_margin_formula, l_gamma, theta, K, spec, gamma)
 
 
 def stochastic_margin_from_loss(expected_loss, theta, K, gamma, spec: BoundSpec) -> BoundResult:
     """Differentiable variant: the empirical term is the Beta-CDF expected
     loss, the penalty exp(-4 (K + 1) gamma^2).  Lanewise over
     (expected_loss, K, gamma)."""
-    return _from_loss(_stochastic_formula, expected_loss, theta, K, gamma, spec)
+    return _from_loss(_stochastic_formula, expected_loss, theta, K, spec, gamma)
 
 
 def f2_from_loss(expected_loss, theta, K, spec: BoundSpec) -> BoundResult:
     """Dirichlet factor-two baseline 2 kl_inv(expected 0-1 loss, complexity)
-    at concentration K.  Lanewise over (expected_loss, K); f2 has no margin,
-    so the gamma lane is a placeholder."""
-    return _from_loss(_f2_formula, expected_loss, theta, K, 1.0, spec)
+    at concentration K.  Lanewise over (expected_loss, K)."""
+    return _from_loss(_f2_formula, expected_loss, theta, K, spec)
 
 
 def _gz_applies(gammas, num_voters: int):
@@ -539,15 +539,22 @@ def dirichlet_margin_best_K(
     ``losses`` and ``gammas`` broadcast together; one result per lane, each
     equal to what a one-lane call returns.  Formula-level: takes the margin
     loss values."""
-    cfg = search_cfg or SearchConfig()
-    th, _ = _floor_theta(theta)
+    th, flags = _floor_theta(theta)
     losses, gammas = (arr.ravel() for arr in _lanes(losses, gammas))
+    if np.any(gammas <= 0.0):
+        raise ValueError("gamma must be positive")
+    cfg = search_cfg or SearchConfig()
+    lanes = _margin_best_K(losses, th, gammas, spec, K_init, cfg).with_flags(flags)
+    return [_finalize(_lane(lanes, i), ()) for i in range(gammas.size)]
+
+
+def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
+    """The margin formula on flat (loss, gamma) lanes for a floored theta,
+    each lane at its golden-sectioned K."""
     kl_of = _dirichlet_kl_of(th, spec)
     x, _ = _search_log_K(lambda x: _margin_formula(losses, np.exp(x), gammas, kl_of, spec).value,
                          gammas.size, K_init, cfg)
-    K = np.array([math.exp(xi) for xi in x])
-    lanes = dirichlet_margin_from_loss(losses, theta, K, gammas, spec)
-    return [_finalize(_lane(lanes, i), ()) for i in range(gammas.size)]
+    return _margin_formula(losses, np.array([math.exp(xi) for xi in x]), gammas, kl_of, spec)
 
 
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.ndarray):
@@ -565,9 +572,9 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.nda
 
 
 def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
-    losses = _margin_losses(P, _floor_theta(wp.theta)[0], gammas)
-    lanes = dirichlet_margin_best_K(losses, wp.theta, gammas, spec, wp.K, cfg)
-    return lanes[_best_lane(np.array([r.value for r in lanes]), gammas)]
+    th, flags = _floor_theta(wp.theta)
+    lanes = _margin_best_K(_margin_losses(P, th, gammas), th, gammas, spec, wp.K, cfg)
+    return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
 
 
 def _certify_beta(P, wp, spec, cfg, gammas):
@@ -576,11 +583,12 @@ def _certify_beta(P, wp, spec, cfg, gammas):
     th, flags = _floor_theta(wp.theta)
     a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
     kl_of = _dirichlet_kl_of(th, spec)
-    formula, margins = ((_f2_formula, np.zeros(1)) if gammas is None
-                        else (_stochastic_formula, gammas))
+    margins = np.zeros(1) if gammas is None else gammas
 
     def at(K, g):
-        return formula(_beta_losses(K, g, a_c, a_w), K, g, kl_of, spec)
+        u = _beta_losses(K, g, a_c, a_w)
+        return (_f2_formula(u, K, kl_of, spec) if gammas is None
+                else _stochastic_formula(u, K, g, kl_of, spec))
 
     x, values = _search_log_K(lambda x: at(np.exp(x), margins).value, margins.size, wp.K, cfg)
     i = _best_lane(values, margins)

@@ -21,7 +21,6 @@ __all__ = [
     "kl_inv",
     "kl_inv_with_grad",
     "dirichlet_kl",
-    "dirichlet_kl_to",
     "categorical_entropy",
     "categorical_kl_uniform",
     "binomial_tail",
@@ -92,21 +91,26 @@ def log_gamma(x):
     return float(out[0]) if scalar else out
 
 
-def _lifted_series(x: np.ndarray, shift_term, series):
-    """Recurrence-lift x to >= 6, accumulating shift_term, then apply series."""
+# psi, psi' and h(x) = x psi(x) - ln Gamma(x) - x come from asymptotic
+# series at z >= 8, where each is within 3e-15; x < 8 is lifted to z = x + 8.
+# h grows only like ln(x) / 2: its series is ln(x)/2 - 1/2 - ln(2 pi)/2 plus
+# these coefficients of x^-1, x^-3, ..., x^-15 (-B_2k / (2k - 1)).
+_SERIES_FROM = 8.0
+_H_SERIES = (-1 / 6, 1 / 90, -1 / 210, 1 / 210, -5 / 594, 691 / 30030, -7 / 78, 3617 / 7650)
+
+
+def _lift(x: np.ndarray):
+    """For a 1-d x > 0: the series points z (x + 8 on the lanes ``lift``
+    where x < 8, x elsewhere) and the (8, lift) steps x + j, j = 0..7, whose
+    recurrences bring a series at z back to x."""
+    lift = np.flatnonzero(x < _SERIES_FROM)
     z = x.copy()
-    shift = np.zeros_like(z)
-    for _ in range(6):  # at most 6 unit lifts are needed for any x > 0
-        mask = z < 6.0
-        if not mask.any():
-            break
-        shift[mask] += shift_term(z[mask])
-        z[mask] += 1.0
-    return shift + series(z)
+    z[lift] += _SERIES_FROM
+    return z, lift, x[lift] + np.arange(_SERIES_FROM)[:, None]
 
 
 def _psi_series(z: np.ndarray) -> np.ndarray:
-    """Asymptotic psi(z) with Bernoulli terms through z^-14, for z >= 6."""
+    """Asymptotic psi(z) with Bernoulli terms through z^-14, for z >= 8."""
     inv = 1.0 / z
     inv2 = inv * inv
     tail = inv2 * (
@@ -128,44 +132,58 @@ def _psi_series(z: np.ndarray) -> np.ndarray:
     return np.log(z) - 0.5 * inv - tail
 
 
+def _h_psi(x: np.ndarray):
+    """(h(x), psi(x)) lanewise for a float array x > 0, lifted lanes brought
+    back by psi(x) = psi(z) - sum_j 1/(x + j) and
+    ln Gamma(x) = z psi(z) - z - h(z) - ln prod_j (x + j)."""
+    shape, x = x.shape, x.ravel()
+    z, lift, steps = _lift(x)
+    psi = _psi_series(z)
+    inv2 = 1.0 / (z * z)
+    tail = _H_SERIES[-1]
+    for coef in _H_SERIES[-2::-1]:
+        tail = tail * inv2 + coef
+    h = 0.5 * np.log(z) - 0.5 - _HALF_LOG_2PI + tail / z
+    s, zs, psi_z = x[lift], z[lift], psi[lift]
+    psi[lift] = psi_s = psi_z - (1.0 / steps).sum(axis=0)
+    h[lift] = s * psi_s - (zs * psi_z - zs - h[lift] - np.log(steps.prod(axis=0))) - s
+    return h.reshape(shape), psi.reshape(shape)
+
+
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0.  Array-capable."""
     arr = _positive_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float, copy=True)
-    out = _lifted_series(arr, lambda z: -1.0 / z, _psi_series)
-    return float(out[0]) if scalar else out
+    out = _h_psi(np.atleast_1d(arr).astype(float))[1]
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def trigamma(x):
-    """psi'(x) for x > 0; exact Dirichlet-KL gradients need it.  Array-capable."""
+    """psi'(x) for x > 0, lifted lanes brought back by
+    psi'(x) = psi'(z) + sum_j 1/(x + j)^2; exact Dirichlet-KL gradients need
+    it.  Array-capable."""
     arr = _positive_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float, copy=True)
-
-    def series(z):
-        inv = 1.0 / z
-        inv2 = inv * inv
-        tail = inv * inv2 * (
-            1.0 / 6.0
+    z, lift, steps = _lift(np.atleast_1d(arr).astype(float).ravel())
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = inv * inv2 * (
+        1.0 / 6.0
+        - inv2 * (
+            1.0 / 30.0
             - inv2 * (
-                1.0 / 30.0
+                1.0 / 42.0
                 - inv2 * (
-                    1.0 / 42.0
+                    1.0 / 30.0
                     - inv2 * (
-                        1.0 / 30.0
-                        - inv2 * (
-                            5.0 / 66.0
-                            - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0))
-                        )
+                        5.0 / 66.0
+                        - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0))
                     )
                 )
             )
         )
-        return inv + 0.5 * inv2 + tail
-
-    out = _lifted_series(arr, lambda z: 1.0 / (z * z), series)
-    return float(out[0]) if scalar else out
+    )
+    out = inv + 0.5 * inv2 + tail
+    out[lift] += (1.0 / (steps * steps)).sum(axis=0)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -406,36 +424,7 @@ def kl_inv_with_grad(u, c):
     return v, dv_du, dv_dc
 
 
-# h(x) = x psi(x) - ln Gamma(x) - x grows only like ln(x) / 2.  Its
-# asymptotic series, ln(x)/2 - 1/2 - ln(2 pi)/2 plus these coefficients of
-# x^-1, x^-3, ..., x^-15 (-B_2k / (2k - 1)), is within 2e-15 of it from x = 8 on.
-_H_SERIES_FROM = 8.0
-_H_SERIES = (-1 / 6, 1 / 90, -1 / 210, 1 / 210, -5 / 594, 691 / 30030, -7 / 78, 3617 / 7650)
-
-
-def _h_psi(x: np.ndarray):
-    """(h(x), psi(x)) lanewise from the series at z = x + 8 where x < 8,
-    brought back by psi(x) = psi(z) - sum_j 1/(x + j) and
-    ln Gamma(x) = z psi(z) - z - h(z) - ln prod_j (x + j), j = 0..7."""
-    shape, x = x.shape, x.ravel()
-    lift = np.flatnonzero(x < _H_SERIES_FROM)
-    s = x[lift]
-    z = x.copy()
-    z[lift] += _H_SERIES_FROM
-    psi = _psi_series(z)
-    inv2 = 1.0 / (z * z)
-    tail = _H_SERIES[-1]
-    for coef in _H_SERIES[-2::-1]:
-        tail = tail * inv2 + coef
-    h = 0.5 * np.log(z) - 0.5 - _HALF_LOG_2PI + tail / z
-    steps = s + np.arange(_H_SERIES_FROM)[:, None]
-    zs, psi_z = z[lift], psi[lift]
-    psi[lift] = psi_s = psi_z - (1.0 / steps).sum(axis=0)
-    h[lift] = s * psi_s - (zs * psi_z - zs - h[lift] - np.log(steps.prod(axis=0))) - s
-    return h.reshape(shape), psi.reshape(shape)
-
-
-def dirichlet_kl_to(beta):
+def _dirichlet_kl_to(beta):
     """``dirichlet_kl`` against a fixed beta as a function of a float array
     alpha, beta's terms computed once.  alpha is not checked: a row with an
     entry that is not positive and finite, or whose KL overflows, is inf or NaN."""
@@ -467,7 +456,7 @@ def dirichlet_kl(alpha, beta):
     mpmath for alpha = K theta, K in [1e-3, 1e14], d in {2, 6, 108}, ones and
     non-uniform beta.  KL(alpha, alpha) is exactly 0.
     """
-    kl = dirichlet_kl_to(beta)
+    kl = _dirichlet_kl_to(beta)
     a = _positive_array(alpha, "alpha")
     if a.ndim not in (1, 2) or a.shape[-1] != np.size(beta):
         raise ValueError("alpha rows and beta must have the same length")

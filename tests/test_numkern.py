@@ -58,6 +58,18 @@ class TestDigamma:
             fd = (nk.digamma(x + 5e-6) - nk.digamma(x - 5e-6)) / 1e-5
             assert nk.trigamma(x) == pytest.approx(fd, rel=1e-6)
 
+    def test_lanes_against_mpmath(self):
+        """psi and psi' over [1e-6, 1e6], one array call each, lifted and
+        unlifted lanes alike: absolute-or-relative error <= 1e-14."""
+        import mpmath
+
+        xs = np.concatenate([np.logspace(-6, 6, 300), np.linspace(0.05, 16.0, 300)])
+        for got, ref in ((nk.digamma(xs), mpmath.digamma),
+                         (nk.trigamma(xs), lambda x: mpmath.polygamma(1, x))):
+            for g, x in zip(got, xs):
+                want = float(ref(mpmath.mpf(float(x))))
+                assert abs(g - want) <= 1e-14 * max(1.0, abs(want))
+
 
 def beta_cdf_quadrature(z: float, a: float, b: float) -> float:
     """Adaptive quadrature of the Beta density with endpoint-weight handling."""
