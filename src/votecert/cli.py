@@ -401,13 +401,6 @@ def cmd_verify(args) -> int:
     reports = []
     for name in selected:
         reports.extend(_BATTERIES[name](args))
-    if args.claim_scale != 1.0:
-        # Failure-injection hook for testing the exit-status contract.
-        reports = [
-            oracle.McReport.build(r.label, r.estimate, r.stderr, r.n_samples,
-                                  r.claim_bound * args.claim_scale, r.direction)
-            for r in reports
-        ]
     payload = [dataclasses.asdict(r) for r in reports]
     _write_json(os.path.join(out, "mcreports.json"), payload)
     _write_csv(
@@ -423,7 +416,6 @@ def cmd_verify(args) -> int:
             "samples": args.samples,
             "sharpness_samples": args.sharpness_samples,
             "seed": args.seed,
-            "claim_scale": args.claim_scale,
         }),
     )
     _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
@@ -588,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
                    dest="sharpness_samples")
     p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--claim-scale", type=float, default=1.0, dest="claim_scale",
-                   help="scale claim bounds (failure-injection for testing)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="emit bound-vs-margin comparison curves")

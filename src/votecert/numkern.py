@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "digamma",
     "trigamma",
     "reg_inc_beta",
@@ -27,20 +26,6 @@ __all__ = [
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos approximation, g = 7 with 9 coefficients (relative error ~1e-15
-# over the positive reals once reflection handles x < 1/2).
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _BETACF_MAX_ITER = 2000
 _BETACF_EPS = 1e-15
@@ -65,89 +50,65 @@ def _unit_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
-    # Valid for x >= 0.5.
-    series = np.full_like(x, _LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        series = series + _LANCZOS[i] / (x - 1.0 + i)
-    t = x + 6.5
-    return _HALF_LOG_2PI + (x - 0.5) * np.log(t) - t + np.log(series)
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.  Array-capable."""
-    arr = _positive_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float, copy=True)
-    out = np.empty_like(arr)
-    small = arr < 0.5
-    if small.any():
-        xs = arr[small]
-        # Reflection keeps the Lanczos argument >= 0.5.
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos_log_gamma(1.0 - xs)
-    big = ~small
-    if big.any():
-        out[big] = _lanczos_log_gamma(arr[big])
-    return float(out[0]) if scalar else out
-
-
 # psi, psi' and h(x) = x psi(x) - ln Gamma(x) - x come from asymptotic
-# series at z >= 8, where each is within 3e-15; x < 8 is lifted to z = x + 8.
-# h grows only like ln(x) / 2: its series is ln(x)/2 - 1/2 - ln(2 pi)/2 plus
-# these coefficients of x^-1, x^-3, ..., x^-15 (-B_2k / (2k - 1)).
-_SERIES_FROM = 8.0
+# series at z >= 8, where each is within 3e-15, and ln Gamma from psi and h;
+# x < 8 is lifted to z = x + 8.
+# psi's series is ln(x) - 1/(2x) minus these coefficients of x^-2, ..., x^-14
+# (B_2k / (2k)); h grows only like ln(x) / 2: its series is
+# ln(x)/2 - 1/2 - ln(2 pi)/2 plus these coefficients of x^-1, x^-3, ..., x^-15
+# (-B_2k / (2k - 1)).
+_SERIES_FROM = 8
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 _H_SERIES = (-1 / 6, 1 / 90, -1 / 210, 1 / 210, -5 / 594, 691 / 30030, -7 / 78, 3617 / 7650)
 
 
 def _lift(x: np.ndarray):
     """For a 1-d x > 0: the series points z (x + 8 on the lanes ``lift``
-    where x < 8, x elsewhere) and the (8, lift) steps x + j, j = 0..7, whose
-    recurrences bring a series at z back to x."""
+    where x < 8, x elsewhere)."""
     lift = np.flatnonzero(x < _SERIES_FROM)
     z = x.copy()
     z[lift] += _SERIES_FROM
-    return z, lift, x[lift] + np.arange(_SERIES_FROM)[:, None]
+    return z, lift
 
 
-def _psi_series(z: np.ndarray) -> np.ndarray:
-    """Asymptotic psi(z) with Bernoulli terms through z^-14, for z >= 8."""
-    inv = 1.0 / z
-    inv2 = inv * inv
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (
-                        1.0 / 132.0
-                        - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0))
-                    )
-                )
-            )
-        )
-    )
-    return np.log(z) - 0.5 * inv - tail
+def _horner(coefs, t: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] t^k.  In place on one new array: on large lane arrays
+    a fresh temporary per step costs more than the arithmetic."""
+    out = t * coefs[-1]
+    out += coefs[-2]
+    for coef in coefs[-3::-1]:
+        out *= t
+        out += coef
+    return out
 
 
 def _h_psi(x: np.ndarray):
-    """(h(x), psi(x)) lanewise for a float array x > 0, lifted lanes brought
-    back by psi(x) = psi(z) - sum_j 1/(x + j) and
-    ln Gamma(x) = z psi(z) - z - h(z) - ln prod_j (x + j)."""
+    """(h(x), psi(x), ln Gamma(x)) lanewise for a float array x > 0, with
+    ln Gamma(z) = z psi(z) - z - h(z) at the series points.  Lifted lanes are
+    brought back (j = 0..7) by psi(x) = psi(z) - sum_j 1/(x + j),
+    ln Gamma(x) = ln Gamma(z) - ln prod_j (x + j) and
+    x psi(x) = x psi(z) - sum_j x/(x + j), whose j = 0 term is taken as
+    exactly 1, so h stays finite where psi(x) rounds to -inf (x below
+    ~5.6e-309)."""
     shape, x = x.shape, x.ravel()
-    z, lift, steps = _lift(x)
-    psi = _psi_series(z)
-    inv2 = 1.0 / (z * z)
-    tail = _H_SERIES[-1]
-    for coef in _H_SERIES[-2::-1]:
-        tail = tail * inv2 + coef
-    h = 0.5 * np.log(z) - 0.5 - _HALF_LOG_2PI + tail / z
-    s, zs, psi_z = x[lift], z[lift], psi[lift]
-    psi[lift] = psi_s = psi_z - (1.0 / steps).sum(axis=0)
-    h[lift] = s * psi_s - (zs * psi_z - zs - h[lift] - np.log(steps.prod(axis=0))) - s
-    return h.reshape(shape), psi.reshape(shape)
+    z, lift = _lift(x)
+    log_z, inv = np.log(z), 1.0 / z
+    inv2 = inv * inv
+    psi = log_z - 0.5 * inv - inv2 * _horner(_PSI_SERIES, inv2)
+    h = 0.5 * log_z - 0.5 - _HALF_LOG_2PI + _horner(_H_SERIES, inv2) * inv
+    ln_gamma = z * psi - z - h
+    s = x[lift]
+    prod, rest = s.copy(), np.zeros_like(s)
+    for j in range(1, _SERIES_FROM):
+        step = s + j
+        prod *= step
+        rest += 1.0 / step
+    ln_gamma[lift] -= np.log(prod)
+    psi_rest = psi[lift] - rest
+    h[lift] = s * psi_rest - 1.0 - ln_gamma[lift] - s
+    with np.errstate(over="ignore"):  # 1/x overflows: -inf is psi rounded
+        psi[lift] = psi_rest - 1.0 / s
+    return h.reshape(shape), psi.reshape(shape), ln_gamma.reshape(shape)
 
 
 def digamma(x):
@@ -162,7 +123,9 @@ def trigamma(x):
     psi'(x) = psi'(z) + sum_j 1/(x + j)^2; exact Dirichlet-KL gradients need
     it.  Array-capable."""
     arr = _positive_array(x, "x")
-    z, lift, steps = _lift(np.atleast_1d(arr).astype(float).ravel())
+    x = np.atleast_1d(arr).astype(float).ravel()
+    z, lift = _lift(x)
+    steps = x[lift] + np.arange(_SERIES_FROM)[:, None]
     inv = 1.0 / z
     inv2 = inv * inv
     tail = inv * inv2 * (
@@ -233,11 +196,8 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """I_z(a, b) on lanes already in the convergent regime (see above)."""
-    log_front = (
-        a * np.log(z)
-        + b * np.log1p(-z)
-        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-    )
+    ln_gamma_a, ln_gamma_b, ln_gamma_ab = _h_psi(np.stack([a, b, a + b]))[2]
+    log_front = a * np.log(z) + b * np.log1p(-z) - (ln_gamma_a + ln_gamma_b - ln_gamma_ab)
     out = np.zeros_like(z)
     live = log_front > _LOG_UNDERFLOW
     if live.any():
@@ -250,8 +210,10 @@ def reg_inc_beta(z, a, b):
     """Regularised incomplete beta I_z(a, b), the Beta(a, b) CDF at z.
 
     Continued-fraction evaluation with the symmetry swap at
-    z > (a + 1)/(a + b + 2).  Array-capable; absolute error <= 1e-10 across
-    the parameter ranges the certificate search explores.
+    z > (a + 1)/(a + b + 2).  Array-capable; absolute error <= 1e-10 for
+    a, b <= 1e4.  Beyond that the prefactor's cancellation grows with the
+    parameters (about 1.6e-10 at 3e4, 7e-8 at 1e7), and the certificate
+    search reaches 6e4; ROADMAP item 2 tracks the fix.
     """
     z_arr = _unit_array(z, "z")
     a_arr = _positive_array(a, "a")
@@ -431,12 +393,12 @@ def _dirichlet_kl_to(beta):
     b = _positive_array(beta, "beta")
     if b.ndim != 1 or b.size < 2:
         raise ValueError("beta must be a 1-d vector of length >= 2")
-    h_b, psi_b = _h_psi(np.append(b, b.sum()))
+    h_b, psi_b, _ = _h_psi(np.append(b, b.sum()))
 
     def kl(a):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # alpha_0 rides along as the last column.
-            h, psi = _h_psi(np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1))
+            h, psi, _ = _h_psi(np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1))
             dh, dpsi = h - h_b, psi - psi_b
             return (dh[..., :-1].sum(axis=-1) - dh[..., -1]
                     - (b * (dpsi[..., :-1] - dpsi[..., -1:])).sum(axis=-1))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, numkern as nk
+from . import bounds, numkern as nk, votes
 from .bounds import BoundResult, BoundSpec, SearchConfig
 from .votes import PredictionMatrix, WeightPosterior
 
@@ -161,24 +161,6 @@ def _kl_inv_with_grad(u: float, c: float):
     return nk.kl_inv_with_grad(min(max(u, 1e-12), 1.0 - 1e-12), c)
 
 
-def _beta_loss_and_grad(corr, wrong, a_y, a_n, gamma: float, num_voters: int):
-    """Batch-mean Beta-CDF margin loss and its alpha gradient.
-
-    Degenerate rows (no correct or no erring mass) contribute the constants
-    1 and 0, so only the regular rows enter the incomplete-beta partials.
-    """
-    regular = (a_y > 0.0) & (a_n > 0.0)
-    terms = np.where(a_y <= 0.0, 1.0, 0.0)
-    grad = np.zeros(num_voters)
-    if regular.any():
-        val, d_a, d_b = nk.reg_inc_beta_with_grad(
-            0.5 + gamma, a_y[regular], a_n[regular]
-        )
-        terms[regular] = val
-        grad = (corr[regular].T @ d_a + wrong[regular].T @ d_b) / a_y.size
-    return float(terms.mean()), grad
-
-
 def _batch_correct(P: PredictionMatrix, batch_rows) -> np.ndarray:
     """Correctness mask of the batch rows (every row for None)."""
     rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
@@ -209,7 +191,9 @@ def objective(
     corr = _batch_correct(P, batch_rows)
     wrong = ~corr
     margin = 0.0 if gamma is None else gamma
-    u, dE = _beta_loss_and_grad(corr, wrong, corr @ alpha, wrong @ alpha, margin, alpha.size)
+    terms, d_c, d_w = votes.beta_margin_loss_terms(corr @ alpha, wrong @ alpha, margin, grad=True)
+    u = float(terms.mean())
+    dE = (corr.T @ d_c + wrong.T @ d_w) / terms.size
     c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.size), spec)
     v, dv_du, dv_dc = _kl_inv_with_grad(u, c)
     if gamma is None:

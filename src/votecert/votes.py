@@ -208,26 +208,28 @@ def binomial_loss(P: PredictionMatrix, theta, N: int) -> float:
     return float(np.mean(nk.binomial_tail(N, p_err, k0)))
 
 
-def beta_margin_loss_terms(a_correct, a_wrong, gamma) -> np.ndarray:
-    """Per-row Beta-CDF margin-loss terms I_{1/2+gamma}(a_correct, a_wrong).
+def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False):
+    """Per-row Beta-CDF margin-loss terms I_{1/2+gamma}(a_correct, a_wrong);
+    with ``grad`` the tuple (terms, d/da_correct, d/da_wrong).
 
     ``gamma`` is a scalar or an array broadcast to the shape of the masses
     (for example one margin per row of an (n, m) stack of mass lanes).
     Degenerate rows: no mass on correct voters gives the term 1 and no mass
-    on erring voters gives 0 (for gamma < 1/2).
+    on erring voters gives 0 (for gamma < 1/2), both with zero partials.
     """
     a_c = np.asarray(a_correct, dtype=float)
     a_w = np.asarray(a_wrong, dtype=float)
     z = np.broadcast_to(0.5 + np.asarray(gamma, dtype=float), a_c.shape)
-    out = np.empty_like(a_c)
     none_right = a_c <= 0.0
-    none_wrong = (a_w <= 0.0) & ~none_right
-    regular = ~(none_right | none_wrong)
-    out[none_right] = 1.0
-    out[none_wrong] = 0.0
-    if regular.any():
-        out[regular] = nk.reg_inc_beta(z[regular], a_c[regular], a_w[regular])
-    return out
+    regular = ~none_right & ~(a_w <= 0.0)
+    out = np.where(none_right, 1.0, 0.0)
+    lanes = z[regular], a_c[regular], a_w[regular]
+    if not grad:
+        out[regular] = nk.reg_inc_beta(*lanes)
+        return out
+    d_c, d_w = np.zeros_like(out), np.zeros_like(out)
+    out[regular], d_c[regular], d_w[regular] = nk.reg_inc_beta_with_grad(*lanes)
+    return out, d_c, d_w
 
 
 def expected_margin_loss_beta(P: PredictionMatrix, alpha, gamma: float) -> float:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from votecert import cli, voters
+from votecert import cli, oracle, voters
 
 from conftest import random_matrix, write_board_csv
 
@@ -281,11 +281,14 @@ class TestVerifyCommand:
             reports = json.load(fh)
         assert all(r["verdict"] for r in reports)
 
-    def test_forced_failure_exits_nonzero(self, tmp_path):
+    def test_forced_failure_exits_nonzero(self, tmp_path, monkeypatch):
+        failing = oracle.McReport.build("forced", 0.5, 0.01, 5000, 0.1, "mc_lower")
+        assert not failing.verdict
+        monkeypatch.setitem(cli._BATTERIES, "marchal_arbel", lambda args: [failing])
         out = tmp_path / "out"
         rc = cli.main([
             "verify", "--battery", "marchal_arbel", "--samples", "5000",
-            "--claim-scale", "0.0001", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 4
 
