@@ -82,15 +82,11 @@ def _horner(coefs, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _h_psi(x: np.ndarray):
-    """(h(x), psi(x), ln Gamma(x)) lanewise for a float array x > 0, with
-    ln Gamma(z) = z psi(z) - z - h(z) at the series points.  Lifted lanes are
-    brought back (j = 0..7) by psi(x) = psi(z) - sum_j 1/(x + j),
-    ln Gamma(x) = ln Gamma(z) - ln prod_j (x + j) and
-    x psi(x) = x psi(z) - sum_j x/(x + j), whose j = 0 term is taken as
-    exactly 1, so h stays finite where psi(x) rounds to -inf (x below
-    ~5.6e-309)."""
-    shape, x = x.shape, x.ravel()
+def _series(x: np.ndarray):
+    """For a 1-d float array x > 0: (psi(z), h(z), ln Gamma(x), lift) at the
+    series points z of ``_lift``, with ln Gamma(z) = z psi(z) - z - h(z)
+    brought back to x on lifted lanes by ln Gamma(x) = ln Gamma(z) -
+    ln prod_j (x + j), j = 0..7.  The incomplete beta takes only ln Gamma."""
     z, lift = _lift(x)
     log_z, inv = np.log(z), 1.0 / z
     inv2 = inv * inv
@@ -98,17 +94,27 @@ def _h_psi(x: np.ndarray):
     h = 0.5 * log_z - 0.5 - _HALF_LOG_2PI + _horner(_H_SERIES, inv2) * inv
     ln_gamma = z * psi - z - h
     s = x[lift]
-    prod, rest = s.copy(), np.zeros_like(s)
+    prod = s.copy()
     for j in range(1, _SERIES_FROM):
-        step = s + j
-        prod *= step
-        rest += 1.0 / step
+        prod *= s + j
     ln_gamma[lift] -= np.log(prod)
-    psi_rest = psi[lift] - rest
+    return psi, h, ln_gamma, lift
+
+
+def _h_psi(x: np.ndarray):
+    """(h(x), psi(x)) lanewise for a float array x > 0, from ``_series``.
+    Lifted lanes are brought back by psi(x) = psi(z) - sum_j 1/(x + j) and
+    x psi(x) = x psi(z) - sum_j x/(x + j), whose j = 0 term is taken as
+    exactly 1, so h stays finite where psi(x) rounds to -inf (x below
+    ~5.6e-309)."""
+    shape, x = x.shape, x.ravel()
+    psi, h, ln_gamma, lift = _series(x)
+    s = x[lift]
+    psi_rest = psi[lift] - sum(1.0 / (s + j) for j in range(1, _SERIES_FROM))
     h[lift] = s * psi_rest - 1.0 - ln_gamma[lift] - s
     with np.errstate(over="ignore"):  # 1/x overflows: -inf is psi rounded
         psi[lift] = psi_rest - 1.0 / s
-    return h.reshape(shape), psi.reshape(shape), ln_gamma.reshape(shape)
+    return h.reshape(shape), psi.reshape(shape)
 
 
 def digamma(x):
@@ -196,7 +202,7 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """I_z(a, b) on lanes already in the convergent regime (see above)."""
-    ln_gamma_a, ln_gamma_b, ln_gamma_ab = _h_psi(np.stack([a, b, a + b]))[2]
+    ln_gamma_a, ln_gamma_b, ln_gamma_ab = _series(np.concatenate([a, b, a + b]))[2].reshape(3, -1)
     log_front = a * np.log(z) + b * np.log1p(-z) - (ln_gamma_a + ln_gamma_b - ln_gamma_ab)
     out = np.zeros_like(z)
     live = log_front > _LOG_UNDERFLOW
@@ -393,12 +399,12 @@ def _dirichlet_kl_to(beta):
     b = _positive_array(beta, "beta")
     if b.ndim != 1 or b.size < 2:
         raise ValueError("beta must be a 1-d vector of length >= 2")
-    h_b, psi_b, _ = _h_psi(np.append(b, b.sum()))
+    h_b, psi_b = _h_psi(np.append(b, b.sum()))
 
     def kl(a):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # alpha_0 rides along as the last column.
-            h, psi, _ = _h_psi(np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1))
+            h, psi = _h_psi(np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1))
             dh, dpsi = h - h_b, psi - psi_b
             return (dh[..., :-1].sum(axis=-1) - dh[..., -1]
                     - (b * (dpsi[..., :-1] - dpsi[..., -1:])).sum(axis=-1))

@@ -17,7 +17,7 @@ EULER_GAMMA = 0.5772156649015329
 
 def series_log_gamma(x):
     """ln Gamma from the psi/h series, the incomplete beta's only path to it."""
-    return nk._h_psi(np.atleast_1d(np.asarray(x, dtype=float)))[2]
+    return nk._series(np.atleast_1d(np.asarray(x, dtype=float)))[2]
 
 
 class TestLogGamma:
