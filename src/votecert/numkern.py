@@ -126,12 +126,12 @@ def digamma(x):
 
 def trigamma(x):
     """psi'(x) for x > 0, lifted lanes brought back by
-    psi'(x) = psi'(z) + sum_j 1/(x + j)^2; exact Dirichlet-KL gradients need
-    it.  Array-capable."""
+    psi'(x) = psi'(z) + sum_j 1/(x + j)^2, summed in order of j, so an array
+    call equals its one-lane calls bit for bit; exact Dirichlet-KL gradients
+    need it.  Array-capable."""
     arr = _positive_array(x, "x")
     x = np.atleast_1d(arr).astype(float).ravel()
     z, lift = _lift(x)
-    steps = x[lift] + np.arange(_SERIES_FROM)[:, None]
     inv = 1.0 / z
     inv2 = inv * inv
     tail = inv * inv2 * (
@@ -151,7 +151,11 @@ def trigamma(x):
         )
     )
     out = inv + 0.5 * inv2 + tail
-    out[lift] += (1.0 / (steps * steps)).sum(axis=0)
+    s = x[lift]
+    back = 1.0 / (s * s)
+    for j in range(1, _SERIES_FROM):
+        back += 1.0 / ((s + j) * (s + j))
+    out[lift] += back
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

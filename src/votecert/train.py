@@ -12,6 +12,10 @@ no margin, the factor-two (f2) baseline; the first-order (fo) baseline keeps
 softmax weights.  The table ``_OBJECTIVES`` says per kind how a run starts,
 which margins it tries and which posterior its parameters stand for, so all
 kinds share one optimiser and their certificates compare directly.
+
+The candidate runs of a kind train in lockstep: their parameters and Adam
+moments are the rows of (R, d) arrays, both objectives are lanewise over
+those rows, and a run that stops or diverges leaves the stack.
 """
 from __future__ import annotations
 
@@ -42,6 +46,8 @@ __all__ = [
 ]
 
 _ALPHA_SHIFT = 1e-6
+# The kl inverse sees the loss kept this far inside (0, 1).
+_U_EDGE = 1e-12
 
 
 class TrainingError(RuntimeError):
@@ -95,12 +101,13 @@ class AdamState:
 def adam_step(
     state: AdamState,
     gradient: np.ndarray,
-    lr: float,
+    lr: float | np.ndarray,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One bias-corrected Adam update; pure (returns a new state)."""
+    """One bias-corrected Adam update; pure (returns a new state).  ``lr`` is
+    a float, or an (R, 1) column of per-run rates for stacked (R, d) states."""
     g = np.asarray(gradient, dtype=float)
     t = state.step + 1
     m = beta1 * state.exp_avg + (1.0 - beta1) * g
@@ -139,42 +146,70 @@ def uniform_omega(num_voters: int, K_init: float) -> np.ndarray:
     return np.full(num_voters, _inv_softplus(K_init / num_voters - _ALPHA_SHIFT))
 
 
-def _dirichlet_complexity(alpha: np.ndarray, prior: np.ndarray, spec: BoundSpec):
-    """(c, dc/dalpha) for c = (D(alpha, prior) + ln(2 sqrt(m)/delta)) / m.
+def _dirichlet_complexity(alpha: np.ndarray, prior: np.ndarray, spec: BoundSpec, grad: bool):
+    """Per row of an (R, d) alpha: c = (D(alpha, prior) + ln(2 sqrt(m)/delta)) / m
+    and, with ``grad``, dc/dalpha.
 
     The digamma terms of the KL cancel in the gradient, leaving the
     trigamma form (alpha_i - beta_i) psi'(alpha_i) - psi'(alpha_0)(alpha_0 - beta_0).
     """
-    a0 = float(alpha.sum())
-    dkl = nk.dirichlet_kl(alpha, prior)
-    c = max(0.0, dkl + spec.log_confidence()) / spec.m
-    grad = (
-        (alpha - prior) * nk.trigamma(alpha)
-        - nk.trigamma(a0) * (a0 - float(prior.sum()))
-    ) / spec.m
-    return c, grad
+    a0 = alpha.sum(axis=1, keepdims=True)
+    c = np.maximum(0.0, nk.dirichlet_kl(alpha, prior) + spec.log_confidence()) / spec.m
+    if not grad:
+        return c, None
+    # One trigamma lane array: alpha_0 rides along as the last column.
+    tri = nk.trigamma(np.concatenate([alpha, a0], axis=1))
+    dc = ((alpha - prior) * tri[:, :-1] - tri[:, -1:] * (a0 - float(prior.sum()))) / spec.m
+    return c, dc
 
 
 def _kl_inv_with_grad(u: float, c: float):
     """kl_inv value and its partials, with u kept inside (0, 1); the
     complexity c is positive, as ln(2 sqrt(m)/delta) > 0."""
-    return nk.kl_inv_with_grad(min(max(u, 1e-12), 1.0 - 1e-12), c)
+    return nk.kl_inv_with_grad(min(max(u, _U_EDGE), 1.0 - _U_EDGE), c)
 
 
-def _batch_correct(P: PredictionMatrix, batch_rows) -> np.ndarray:
-    """Correctness mask of the batch rows (every row for None)."""
+def _kl_inv_rows(u: np.ndarray, c: np.ndarray, grad: bool):
+    """kl_inv per run, u clamped as in ``_kl_inv_with_grad``: the values, or
+    with ``grad`` the rows (v, dv/du, dv/dc).  The value path is one lane
+    array; the partials are one scalar call per run."""
+    if not grad:
+        return nk.kl_inv(np.clip(u, _U_EDGE, 1.0 - _U_EDGE), c)
+    return np.array([_kl_inv_with_grad(float(a), float(b)) for a, b in zip(u, c)]).T
+
+
+def _as_runs(omega):
+    """(R, d) parameters from one run's (d,) or stacked (R, d) ones, and
+    whether one run was given."""
+    omega = np.asarray(omega, dtype=float)
+    return np.atleast_2d(omega), omega.ndim == 1
+
+
+def _batch_correct(P: PredictionMatrix, batch_rows, runs: int) -> np.ndarray:
+    """(runs, B, d) correctness masks of the batch rows: one row set shared by
+    every run ((B,) or None for every row) or one per run ((runs, B))."""
     rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
     if rows.size == 0:
         raise ValueError("batch must be non-empty")
-    return P.correct_mask[rows]
+    corr = P.correct_mask[rows]
+    return np.broadcast_to(corr, (runs,) + corr.shape[-2:])
+
+
+def _unstack(one: bool, value, grad):
+    """The one-run shapes (float, (d,)) back from the stacked ones."""
+    if one:
+        value = float(value[0])
+        grad = None if grad is None else grad[0]
+    return value if grad is None else (value, grad)
 
 
 def objective(
     P: PredictionMatrix,
     omega: np.ndarray,
     batch_rows,
-    gamma: float | None,
+    gamma,
     spec: BoundSpec,
+    grad: bool = True,
 ):
     """Dirichlet training objective and its gradient in omega.
 
@@ -185,49 +220,74 @@ def objective(
     loss at gamma = 0) and no de-randomisation penalty.  The complexity c
     always uses the full-sample m.  Matches central finite differences to
     ~1e-4 relative away from the kl-inverse singularity.
-    """
-    omega = np.asarray(omega, dtype=float)
-    alpha = alpha_from(omega)
-    corr = _batch_correct(P, batch_rows)
-    wrong = ~corr
-    margin = 0.0 if gamma is None else gamma
-    terms, d_c, d_w = votes.beta_margin_loss_terms(corr @ alpha, wrong @ alpha, margin, grad=True)
-    u = float(terms.mean())
-    dE = (corr.T @ d_c + wrong.T @ d_w) / terms.size
-    c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.size), spec)
-    v, dv_du, dv_dc = _kl_inv_with_grad(u, c)
-    if gamma is None:
-        return 2.0 * v, 2.0 * (dv_du * dE + dv_dc * dc) * _sigmoid(omega)
 
-    eps = math.exp(-4.0 * (float(alpha.sum()) + 1.0) * gamma * gamma)
-    d_eps = -4.0 * gamma * gamma * eps
-    grad_alpha = dv_du * dE + dv_dc * dc + d_eps
-    return v + eps, grad_alpha * _sigmoid(omega)
+    Lanewise over stacked runs: an (R, d) omega with (R, B) batch rows (or
+    one row set, or None, shared by all) and R margins (or one) gives (R,)
+    values and (R, d) gradients, each row equal bit for bit to the one-run
+    call on that row.  ``grad=False`` returns the values alone, skipping the
+    finite-difference stacks and the pullbacks.
+    """
+    omega, one = _as_runs(omega)
+    runs = omega.shape[0]
+    alpha = alpha_from(omega)
+    corr = _batch_correct(P, batch_rows, runs)
+    wrong = ~corr
+    margin = 0.0 if gamma is None else np.broadcast_to(np.asarray(gamma, dtype=float), (runs,))
+    # Per-run products keep each run's BLAS summation order.
+    a_c = np.stack([c @ a for c, a in zip(corr, alpha)])
+    a_w = np.stack([w @ a for w, a in zip(wrong, alpha)])
+    lanes = a_c, a_w, np.reshape(margin, (-1, 1))
+    c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.shape[1]), spec, grad)
+    if gamma is None:
+        eps = d_eps = 0.0
+    else:
+        a0 = alpha.sum(axis=1)
+        eps = np.array([math.exp(-4.0 * (float(s) + 1.0) * g * g) for s, g in zip(a0, margin)])
+        d_eps = -4.0 * margin * margin * eps
+    if not grad:
+        v = _kl_inv_rows(votes.beta_margin_loss_terms(*lanes).mean(axis=1), c, False)
+        return _unstack(one, 2.0 * v if gamma is None else v + eps, None)
+
+    terms, d_c, d_w = votes.beta_margin_loss_terms(*lanes, grad=True)
+    width = terms.shape[1]
+    dE = np.stack([(cr.T @ dc_r + wr.T @ dw_r) / width
+                   for cr, wr, dc_r, dw_r in zip(corr, wrong, d_c, d_w)])
+    v, dv_du, dv_dc = _kl_inv_rows(terms.mean(axis=1), c, True)
+    dv_du, dv_dc = dv_du[:, None], dv_dc[:, None]
+    if gamma is None:
+        return _unstack(one, 2.0 * v, 2.0 * (dv_du * dE + dv_dc * dc) * _sigmoid(omega))
+    grad_alpha = dv_du * dE + dv_dc * dc + d_eps[:, None]
+    return _unstack(one, v + eps, grad_alpha * _sigmoid(omega))
 
 
 def _softmax(omega: np.ndarray) -> np.ndarray:
-    z = np.exp(omega - omega.max())
-    return z / z.sum()
+    z = np.exp(omega - omega.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
-def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: BoundSpec):
+def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: BoundSpec,
+                 grad: bool = True):
     """First-order objective: 2 * kl_inv(batch Gibbs loss, categorical complexity).
 
     Weights are parameterised by softmax, so the gradient pulls back through
-    the simplex Jacobian.
+    the simplex Jacobian.  Stacked runs and ``grad`` as in ``objective``.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega, one = _as_runs(omega)
     theta = _softmax(omega)
-    err_rates = (~_batch_correct(P, batch_rows)).mean(axis=0)
-    u = float(err_rates @ theta)
+    err_rates = (~_batch_correct(P, batch_rows, omega.shape[0])).mean(axis=1)
+    u = np.array([float(e @ t) for e, t in zip(err_rates, theta)])
 
-    d = theta.size
-    c = (nk.categorical_kl_uniform(theta) + spec.log_confidence()) / spec.m
-    v, dv_du, dv_dc = _kl_inv_with_grad(u, c)
+    d = theta.shape[1]
+    c = np.array([nk.categorical_kl_uniform(t) for t in theta])
+    c = (c + spec.log_confidence()) / spec.m
+    if not grad:
+        return _unstack(one, 2.0 * _kl_inv_rows(u, c, False), None)
+    v, dv_du, dv_dc = _kl_inv_rows(u, c, True)
     dc_dtheta = (np.log(theta) + 1.0 + math.log(d)) / spec.m
-    grad_theta = 2.0 * (dv_du * err_rates + dv_dc * dc_dtheta)
-    grad_omega = theta * (grad_theta - float(theta @ grad_theta))
-    return 2.0 * v, grad_omega
+    grad_theta = 2.0 * (dv_du[:, None] * err_rates + dv_dc[:, None] * dc_dtheta)
+    pull = np.array([float(t @ g) for t, g in zip(theta, grad_theta)])
+    grad_omega = theta * (grad_theta - pull[:, None])
+    return _unstack(one, 2.0 * v, grad_omega)
 
 
 def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
@@ -239,13 +299,15 @@ def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
 class _Objective:
     """How one objective kind is trained: ``init(num_voters, cfg)`` gives
     the starting parameters, ``gammas(cfg)`` the margin candidates (one run
-    each; None for the margin-free kinds), ``value_and_grad(P, omega, rows,
-    gamma, spec)`` the objective (rows=None: the full sample) and
-    ``posterior(omega)`` the weights the parameters stand for."""
+    each; None for the margin-free kinds), ``evaluate(P, omega, rows, gamma,
+    spec, grad)`` the objective over stacked runs (omega (R, d), rows (R, B)
+    or None for the full sample, gamma R margins or None), as values or as
+    (values, gradients), and ``posterior(omega)`` the weights one run's
+    parameters stand for."""
 
     init: Callable[[int, TrainConfig], np.ndarray]
     gammas: Callable[[TrainConfig], tuple]
-    value_and_grad: Callable[..., tuple]
+    evaluate: Callable[..., tuple]
     posterior: Callable[[np.ndarray], WeightPosterior]
 
 
@@ -257,7 +319,7 @@ def _dirichlet(gammas) -> _Objective:
     return _Objective(
         lambda d, cfg: uniform_omega(d, cfg.K_init),
         gammas,
-        lambda P, omega, rows, gamma, spec: objective(P, omega, rows, gamma, spec),
+        lambda P, omega, rows, gamma, spec, grad: objective(P, omega, rows, gamma, spec, grad),
         _dirichlet_posterior,
     )
 
@@ -267,7 +329,7 @@ _OBJECTIVES = {
     "fo": _Objective(
         lambda d, cfg: np.zeros(d),
         lambda cfg: (None,),
-        lambda P, omega, rows, gamma, spec: fo_objective(P, omega, rows, spec),
+        lambda P, omega, rows, gamma, spec, grad: fo_objective(P, omega, rows, spec, grad),
         lambda omega: WeightPosterior(_softmax(omega), 1.0),
     ),
     "f2": _dirichlet(lambda cfg: (None,)),
@@ -307,71 +369,126 @@ class TrainResult:
         return tuple(rec for run in self.runs for rec in run.history)
 
 
-def _run_single(
+@dataclass
+class _Run:
+    """One candidate run's own state in the lockstep loop."""
+
+    index: int
+    gamma: float | None
+    rng: np.random.Generator
+    lr: float
+    history: list
+    best_bound: float
+    best_params: np.ndarray
+    stall_stop: int = 0
+    stall_lr: int = 0
+
+    def result(self, posterior: WeightPosterior | None) -> RunResult:
+        """The run's outcome; no posterior marks it failed."""
+        return RunResult(self.gamma, posterior, tuple(self.history), self.best_bound,
+                         failed=posterior is None)
+
+
+def _train_runs(
     P: PredictionMatrix,
     cfg: TrainConfig,
     spec: BoundSpec,
     obj: _Objective,
-    gamma: float | None,
-    run_index: int,
-) -> RunResult:
+    gammas: tuple,
+) -> list:
+    """Train every candidate run of one kind in lockstep, one RunResult per
+    gamma in order.
+
+    The active runs' parameters and Adam moments are stacked (R, d) rows, so
+    each minibatch step is one objective call over R runs x B rows and one
+    Adam step.  Each run keeps its own permutation stream (seed, run index),
+    learning rate, stall counters, best parameters and history, and leaves
+    the stack when it stops early, its learning rate falls below min_lr or
+    it diverges; the rows left behind step exactly as they would alone.
+    """
     m = P.num_examples
-    state = AdamState.init(obj.init(P.num_voters, cfg))
-    rng = np.random.default_rng((cfg.seed, run_index))
-
-    def value_and_grad(params, rows):
-        return obj.value_and_grad(P, params, rows, gamma, spec)
-
-    lr = cfg.learning_rate
-    bound0 = value_and_grad(state.params, None)[0]
-    if not math.isfinite(bound0):
-        return RunResult(gamma, None, (), math.inf, failed=True)
-    history = [EpochRecord(gamma, 0, bound0, bound0, obj.posterior(state.params).K, lr)]
-    best_bound = bound0
-    best_params = state.params.copy()
-    stall_stop = 0
-    stall_lr = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(m)
-        epoch_vals = []
-        diverged = False
-        for start in range(0, m, cfg.batch_size):
-            rows = perm[start : start + cfg.batch_size]
-            val, grad = value_and_grad(state.params, rows)
-            if not math.isfinite(val) or not np.all(np.isfinite(grad)):
-                diverged = True
-                break
-            epoch_vals.append(val)
-            state = adam_step(
-                state, grad, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-            )
-        if diverged:
-            return RunResult(gamma, None, tuple(history), best_bound, failed=True)
-        bound = value_and_grad(state.params, None)[0]
+    init = obj.init(P.num_voters, cfg)
+    margins = None if gammas[0] is None else np.array(gammas)
+    bound0 = obj.evaluate(P, np.tile(init, (len(gammas), 1)), None, margins, spec, False)
+    results: list = [None] * len(gammas)
+    active = []
+    for idx, (gamma, bound) in enumerate(zip(gammas, bound0.tolist())):
         if not math.isfinite(bound):
-            return RunResult(gamma, None, tuple(history), best_bound, failed=True)
-        history.append(
-            EpochRecord(
-                gamma, epoch, float(np.mean(epoch_vals)), bound,
-                obj.posterior(state.params).K, lr,
-            )
-        )
-        if bound < best_bound:
-            best_bound = bound
-            best_params = state.params.copy()
-            stall_stop = 0
-            stall_lr = 0
-        else:
-            stall_stop += 1
-            stall_lr += 1
-        if stall_lr >= cfg.lr_reduce_patience:
-            lr /= cfg.lr_reduce_factor
-            stall_lr = 0
-            if lr < cfg.min_lr:
-                break
-        if stall_stop >= cfg.early_stop_patience:
+            results[idx] = RunResult(gamma, None, (), math.inf, failed=True)
+            continue
+        lr = cfg.learning_rate
+        history = [EpochRecord(gamma, 0, bound, bound, obj.posterior(init).K, lr)]
+        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, idx)), lr,
+                           history, bound, init.copy()))
+    state = AdamState.init(np.tile(init, (len(active), 1)))
+
+    def keep(rows):
+        """Drop every run whose row is not in ``rows`` from the stack."""
+        nonlocal active, state, margins
+        active = [active[r] for r in rows]
+        state = AdamState(state.params[rows], state.step,
+                          state.exp_avg[rows], state.exp_avg_sq[rows])
+        if margins is not None:
+            margins = np.array([run.gamma for run in active])
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        if not active:
             break
-    return RunResult(gamma, obj.posterior(best_params), tuple(history), best_bound)
+        perms = np.stack([run.rng.permutation(m) for run in active])
+        epoch_vals = [[] for _ in active]
+        for start in range(0, m, cfg.batch_size):
+            vals, grads = obj.evaluate(
+                P, state.params, perms[:, start : start + cfg.batch_size], margins, spec, True
+            )
+            finite = np.isfinite(vals) & np.isfinite(grads).all(axis=1)
+            if not finite.all():
+                for run, ok in zip(active, finite):
+                    if not ok:
+                        results[run.index] = run.result(None)
+                rows = np.flatnonzero(finite)
+                keep(rows)
+                perms, vals, grads = perms[rows], vals[rows], grads[rows]
+                epoch_vals = [epoch_vals[r] for r in rows]
+                if not active:
+                    break
+            for log, val in zip(epoch_vals, vals.tolist()):
+                log.append(val)
+            lrs = np.array([[run.lr] for run in active])
+            state = adam_step(state, grads, lrs, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        if not active:
+            break
+        bounds_now = obj.evaluate(P, state.params, None, margins, spec, False)
+        stay = []
+        for row, (run, bound, vals) in enumerate(zip(active, bounds_now.tolist(), epoch_vals)):
+            params = state.params[row]
+            if not math.isfinite(bound):
+                results[run.index] = run.result(None)
+                continue
+            run.history.append(EpochRecord(
+                run.gamma, epoch, float(np.mean(vals)), bound, obj.posterior(params).K, run.lr,
+            ))
+            if bound < run.best_bound:
+                run.best_bound = bound
+                run.best_params = params.copy()
+                run.stall_stop = 0
+                run.stall_lr = 0
+            else:
+                run.stall_stop += 1
+                run.stall_lr += 1
+            stopped = False
+            if run.stall_lr >= cfg.lr_reduce_patience:
+                run.lr /= cfg.lr_reduce_factor
+                run.stall_lr = 0
+                stopped = run.lr < cfg.min_lr
+            if stopped or run.stall_stop >= cfg.early_stop_patience:
+                results[run.index] = run.result(obj.posterior(run.best_params))
+            else:
+                stay.append(row)
+        if len(stay) < len(active):
+            keep(stay)
+    for run in active:
+        results[run.index] = run.result(obj.posterior(run.best_params))
+    return results
 
 
 def train_posterior(
@@ -383,8 +500,11 @@ def train_posterior(
 ) -> TrainResult:
     """Run one minibatch-Adam fit per margin candidate and keep the winner.
 
-    Early stopping and the plateau schedule track the full-sample bound, and
-    the parameters from the best epoch are kept.  The final posterior is
+    The fits run in lockstep (see ``_train_runs``): each minibatch step is
+    one objective call and one Adam step over every run still training, and
+    each run's trajectory is the one it would have alone.  Per run, early
+    stopping and the plateau schedule track the full-sample bound (a
+    value-only evaluation), and the parameters from the best epoch are kept.  The final posterior is
     selected by its deterministic-margin certificate computed at
     delta / (#candidates), so the candidate union is accounted for; the
     certificate returned is never the minibatch surrogate.
@@ -394,7 +514,7 @@ def train_posterior(
     except KeyError:
         raise ValueError(f"unknown objective: {objective_kind!r}") from None
     gammas = obj.gammas(cfg)
-    runs = [_run_single(P, cfg, spec, obj, g, idx) for idx, g in enumerate(gammas)]
+    runs = _train_runs(P, cfg, spec, obj, gammas)
     survivors = [r for r in runs if not r.failed]
     if not survivors:
         raise TrainingError("all candidate runs produced non-finite objectives")

@@ -102,9 +102,9 @@ class TestObjectiveGradients:
         # alpha-dependence through u; remaining signal is penalty + complexity
         eps_term = -4 * gamma**2 * math.exp(-4 * (alpha.sum() + 1) * gamma**2)
         sig = 1 / (1 + math.exp(-0.3))
-        c, dc = train._dirichlet_complexity(alpha, np.ones(4), spec)
-        v, _, dv_dc = train._kl_inv_with_grad(0.0, c)
-        want = (dv_dc * dc + eps_term) * sig
+        c, dc = train._dirichlet_complexity(alpha[None], np.ones(4), spec, grad=True)
+        v, _, dv_dc = train._kl_inv_with_grad(0.0, float(c[0]))
+        want = (dv_dc * dc[0] + eps_term) * sig
         np.testing.assert_allclose(grad, want, rtol=1e-10)
 
     def test_objective_matches_finite_differences(self):
@@ -314,3 +314,134 @@ class TestTrainReference:
             assert got.posterior.K == close(want["K"]), case
             assert got.certificate.value == close(want["certificate"]), case
         assert {w["objective"] for w in recorded["results"]} == set(train.OBJECTIVES)
+
+
+class TestStackedObjective:
+    """An objective call over (R, d) parameters, with per-run rows and
+    margins, is R one-run calls: every row equal bit for bit."""
+
+    RUNS, D = 3, 7
+
+    def _case(self, kind, batched):
+        rng = np.random.default_rng(21)
+        P = random_matrix(seed=22, m=90, d=self.D, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        centre = 0.0 if kind == "fo" else -1.5
+        omega = rng.normal(centre, 0.7, (self.RUNS, self.D))
+        rows = (np.stack([rng.permutation(90)[:40] for _ in range(self.RUNS)])
+                if batched else None)
+        gammas = [0.02, 0.07, 0.15] if kind == "stochastic_margin" else [None] * self.RUNS
+
+        def call(w, r, g, grad=True):
+            if kind == "fo":
+                return train.fo_objective(P, w, r, spec, grad=grad)
+            return train.objective(P, w, r, g, spec, grad=grad)
+
+        stacked_g = None if gammas[0] is None else np.array(gammas)
+        return omega, rows, gammas, stacked_g, call
+
+    @pytest.mark.parametrize("kind", ["stochastic_margin", "f2", "fo"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_rows_equal_one_run_calls(self, kind, batched):
+        omega, rows, gammas, stacked_g, call = self._case(kind, batched)
+        vals, grads = call(omega, rows, stacked_g)
+        assert vals.shape == (self.RUNS,) and grads.shape == (self.RUNS, self.D)
+        for r in range(self.RUNS):
+            one_val, one_grad = call(omega[r], None if rows is None else rows[r], gammas[r])
+            assert isinstance(one_val, float)
+            assert vals[r] == one_val
+            np.testing.assert_array_equal(grads[r], one_grad)
+
+    @pytest.mark.parametrize("kind", ["stochastic_margin", "f2", "fo"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_value_path_equals_gradient_path(self, kind, batched):
+        omega, rows, gammas, stacked_g, call = self._case(kind, batched)
+        np.testing.assert_array_equal(call(omega, rows, stacked_g, grad=False),
+                                      call(omega, rows, stacked_g)[0])
+        for r in range(self.RUNS):
+            one_rows = None if rows is None else rows[r]
+            assert call(omega[r], one_rows, gammas[r], grad=False) == call(
+                omega[r], one_rows, gammas[r])[0]
+
+
+class TestLockstepRuns:
+    def test_runs_independent_of_a_run_that_leaves(self):
+        """Replacing the first margin by one whose run stops at another epoch
+        leaves the other runs' trajectories unchanged bit for bit."""
+        P = random_matrix(seed=31, m=90, d=6, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        cfg = TrainConfig(seed=5, gamma_candidates=(0.01, 0.03, 0.08), max_epochs=25,
+                          batch_size=40, learning_rate=0.5, early_stop_patience=4)
+        first = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
+        cfg = replace(cfg, gamma_candidates=(0.3, 0.03, 0.08))
+        second = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
+        stops = [len(res.runs[0].history) for res in (first, second)]
+        assert stops[0] != stops[1]
+        # The other runs outlive both early stops, so they kept stepping
+        # after the stacked arrays lost a row.
+        assert min(len(res.runs[i].history) for res in (first, second)
+                   for i in (1, 2)) > max(stops)
+        for a, b in zip(first.runs[1:], second.runs[1:]):
+            assert a.history == b.history
+            assert a.best_bound == b.best_bound
+            np.testing.assert_array_equal(a.posterior.theta, b.posterior.theta)
+            assert a.posterior.K == b.posterior.K
+
+    @pytest.mark.parametrize("kind", ["stochastic_margin", "f2"])
+    def test_module_wrappers_see_every_step(self, kind, monkeypatch):
+        """Wrappers set on ``train.objective`` and ``train.adam_step`` (as the
+        benchmark tracer installs them) see every minibatch step: one
+        gradient call and one Adam step per batch, each over every active run."""
+        seen = {"grad": [], "value": 0, "adam": []}
+        objective, step = train.objective, train.adam_step
+
+        def counting_objective(P, omega, rows, gamma, spec, grad=True):
+            if grad:
+                seen["grad"].append(np.shape(omega)[0])
+            else:
+                seen["value"] += 1
+            return objective(P, omega, rows, gamma, spec, grad)
+
+        def counting_step(state, gradient, *args, **kwargs):
+            seen["adam"].append(state.params.shape[0])
+            return step(state, gradient, *args, **kwargs)
+
+        monkeypatch.setattr(train, "objective", counting_objective)
+        monkeypatch.setattr(train, "adam_step", counting_step)
+        P = random_matrix(seed=32, m=90, d=5, accuracy=0.7)
+        cfg = TrainConfig(seed=1, gamma_candidates=(0.02, 0.05, 0.3), max_epochs=6,
+                          batch_size=40, early_stop_patience=2)
+        res = train.train_posterior(P, cfg, BoundSpec(m=90, delta=0.05), kind, FAST_SEARCH)
+        steps = math.ceil(90 / 40)
+        epochs = [len(run.history) - 1 for run in res.runs]
+        assert seen["grad"] == seen["adam"]
+        assert sum(seen["adam"]) == steps * sum(epochs)
+        assert len(seen["adam"]) == steps * max(epochs)
+        assert seen["value"] == 1 + max(epochs)
+
+    def test_diverged_run_leaves_the_stack(self, monkeypatch):
+        """A run whose minibatch objective turns non-finite fails with the
+        history it had; the other runs train on as if it were not there."""
+        P = random_matrix(seed=33, m=90, d=5, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        cfg = TrainConfig(seed=2, gamma_candidates=(0.02, 0.05, 0.1), max_epochs=5,
+                          batch_size=40)
+        clean = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
+        objective, calls = train.objective, []
+
+        def poisoned(P, omega, rows, gamma, spec, grad=True):
+            out = objective(P, omega, rows, gamma, spec, grad)
+            if grad:
+                calls.append(None)
+                if len(calls) == 8:  # the second step of epoch 3
+                    out[0][np.flatnonzero(gamma == 0.05)] = math.nan
+            return out
+
+        monkeypatch.setattr(train, "objective", poisoned)
+        hit = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
+        assert hit.runs[1].failed and hit.runs[1].posterior is None
+        assert hit.runs[1].history == clean.runs[1].history[:3]
+        for i in (0, 2):
+            assert hit.runs[i].history == clean.runs[i].history
+            np.testing.assert_array_equal(hit.runs[i].posterior.theta,
+                                          clean.runs[i].posterior.theta)
