@@ -34,6 +34,8 @@ _FPMIN = 1e-300
 # exp() underflows to zero below this; the incomplete beta is then 0 or 1
 # to far better than the 1e-10 contract.
 _LOG_UNDERFLOW = -745.0
+# ln of the smallest normal float: exp() below it is subnormal, with few bits.
+_LOG_NORMAL_MIN = math.log(2.0**-1022)
 
 
 def _positive_array(x, name: str) -> np.ndarray:
@@ -211,8 +213,15 @@ def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     live = log_front > _LOG_UNDERFLOW
     if live.any():
-        cf = _beta_cont_frac(a[live], b[live], z[live])
-        out[live] = np.exp(log_front[live]) * cf / a[live]
+        front, a_live = log_front[live], a[live]
+        cf = _beta_cont_frac(a_live, b[live], z[live])
+        val = np.exp(front) * cf / a_live
+        # A subnormal exp(log_front) divided by a tiny a magnifies its lost
+        # bits: there 1/a goes into the exponent instead.
+        sub = front < _LOG_NORMAL_MIN
+        if sub.any():
+            val[sub] = np.exp(front[sub] - np.log(a_live[sub])) * cf[sub]
+        out[live] = val
     return out
 
 

@@ -124,7 +124,7 @@ class TestRegIncBeta:
         in_b = nk.reg_inc_beta(0.4, 3.0, a_grid)
         assert np.all(np.diff(in_b) > -1e-15)  # non-decreasing in b
 
-    @pytest.mark.parametrize("k", [1e-300, 1e-310])
+    @pytest.mark.parametrize("k", [1e-300, 1e-310, 1e-315, 1e-320])
     def test_tiny_parameters(self, k):
         """As a, b -> 0 the Beta mass sits at the ends, I_z(a, b) -> b/(a + b)."""
         assert nk.reg_inc_beta(0.6, k, 2.0 * k) == pytest.approx(2.0 / 3.0, abs=1e-12)
