@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 _ALPHA_SHIFT = 1e-6
-# The kl inverse sees the loss kept this far inside (0, 1).
-_U_EDGE = 1e-12
 
 
 class TrainingError(RuntimeError):
@@ -153,29 +151,25 @@ def _dirichlet_complexity(alpha: np.ndarray, prior: np.ndarray, spec: BoundSpec,
     The digamma terms of the KL cancel in the gradient, leaving the
     trigamma form (alpha_i - beta_i) psi'(alpha_i) - psi'(alpha_0)(alpha_0 - beta_0).
     """
-    a0 = alpha.sum(axis=1, keepdims=True)
     c = np.maximum(0.0, nk.dirichlet_kl(alpha, prior) + spec.log_confidence()) / spec.m
     if not grad:
         return c, None
+    a0 = alpha.sum(axis=1, keepdims=True)
     # One trigamma lane array: alpha_0 rides along as the last column.
     tri = nk.trigamma(np.concatenate([alpha, a0], axis=1))
     dc = ((alpha - prior) * tri[:, :-1] - tri[:, -1:] * (a0 - float(prior.sum()))) / spec.m
     return c, dc
 
 
-def _kl_inv_with_grad(u: float, c: float):
-    """kl_inv value and its partials, with u kept inside (0, 1); the
-    complexity c is positive, as ln(2 sqrt(m)/delta) > 0."""
-    return nk.kl_inv_with_grad(min(max(u, _U_EDGE), 1.0 - _U_EDGE), c)
-
-
 def _kl_inv_rows(u: np.ndarray, c: np.ndarray, grad: bool):
-    """kl_inv per run, u clamped as in ``_kl_inv_with_grad``: the values, or
-    with ``grad`` the rows (v, dv/du, dv/dc).  The value path is one lane
-    array; the partials are one scalar call per run."""
+    """kl_inv per run with u kept inside (0, 1) (the complexity c is
+    positive, as ln(2 sqrt(m)/delta) > 0): the values, or with ``grad`` the
+    rows (v, dv/du, dv/dc).  The values are one lane array; the partials
+    are one scalar call per run."""
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
     if not grad:
-        return nk.kl_inv(np.clip(u, _U_EDGE, 1.0 - _U_EDGE), c)
-    return np.array([_kl_inv_with_grad(float(a), float(b)) for a, b in zip(u, c)]).T
+        return nk.kl_inv(u, c)
+    return np.array([nk.kl_inv_with_grad(a, b) for a, b in zip(u, c)]).T
 
 
 def _as_runs(omega):
@@ -232,11 +226,11 @@ def objective(
     alpha = alpha_from(omega)
     corr = _batch_correct(P, batch_rows, runs)
     wrong = ~corr
-    margin = 0.0 if gamma is None else np.broadcast_to(np.asarray(gamma, dtype=float), (runs,))
+    margin = np.zeros(runs) if gamma is None else np.broadcast_to(np.asarray(gamma, float), (runs,))
     # Per-run products keep each run's BLAS summation order.
     a_c = np.stack([c @ a for c, a in zip(corr, alpha)])
     a_w = np.stack([w @ a for w, a in zip(wrong, alpha)])
-    lanes = a_c, a_w, np.reshape(margin, (-1, 1))
+    lanes = a_c, a_w, margin[:, None]
     c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.shape[1]), spec, grad)
     if gamma is None:
         eps = d_eps = 0.0
