@@ -413,13 +413,15 @@ def so_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
     return BoundResult(value, None, None, None, u, comp, 0.0)
 
 
-def bin_bound(
-    P: PredictionMatrix, theta, spec: BoundSpec, N: int = 100
-) -> BoundResult:
-    """Binomial baseline over N categorical draws; k0 = ceil(N/2)."""
+_BIN_VOTERS = 100
+
+
+def bin_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
+    """Binomial baseline over N = ``_BIN_VOTERS`` categorical draws;
+    k0 = ceil(N/2)."""
     th = np.asarray(theta, dtype=float)
-    u = votes.binomial_loss(P, th, N)
-    comp = (N * nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
+    u = votes.binomial_loss(P, th, _BIN_VOTERS)
+    comp = (_BIN_VOTERS * nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
     value = min(1.0, 2.0 * nk.kl_inv(u, comp))
     return BoundResult(value, None, None, None, u, comp, 0.0)
 
@@ -434,7 +436,6 @@ class SearchConfig:
     k_span: float = 2.0**16
     k_rel_tol: float = 1e-3
     k_max_iter: int = 200
-    bin_voters: int = 100
 
     def __post_init__(self):
         if self.n_gamma < 1:
@@ -658,7 +659,7 @@ _BOUNDS = {
     "so": _Bound(_kl(4.0), False, False,
                  lambda P, wp, spec, cfg, gammas: so_bound(P, wp.theta, spec)),
     "bin": _Bound(_kl(2.0), False, False,
-                  lambda P, wp, spec, cfg, gammas: bin_bound(P, wp.theta, spec, cfg.bin_voters)),
+                  lambda P, wp, spec, cfg, gammas: bin_bound(P, wp.theta, spec)),
     "f2": _Bound(_kl(2.0), False, False, _certify_beta),
 }
 

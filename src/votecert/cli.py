@@ -1,10 +1,12 @@
 """Command-line surface: certify | train | experiment | verify | compare.
 
-Every command writes a manifest.json that fully determines the run next to
-its outputs; re-running a manifest reproduces the result files bit-exactly.
-Wall-clock timings go to a separate timing.json, which is the only
-non-deterministic output.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 verification failure.
+Each ``cmd_*`` function takes the parsed flags and the output directory,
+writes its own result files and returns its exit code.  ``main`` does the
+rest: it makes the directory, times the whole command into timing.json (the
+only non-deterministic output) and records every parsed flag in
+manifest.json, so re-running a manifest reproduces the result files
+bit-exactly.  Exit codes: 0 success, 2 usage error, 3 data error, 4
+verification failure.
 """
 from __future__ import annotations
 
@@ -72,24 +74,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("VOTECERT_OUTDIR") or "votecert_out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _manifest(args, command: str, extra: dict) -> dict:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "delta": args.delta,
-        "n_gamma": args.n_gamma,
-        "output_dir": os.path.basename(os.path.normpath(_out_dir(args))),
-    }
-    manifest.update(extra)
-    return manifest
-
-
 def _search_cfg(args) -> SearchConfig:
     return SearchConfig(n_gamma=args.n_gamma)
 
@@ -129,19 +113,7 @@ def _result_row(dataset, seed, posterior_name, bound_id, result, test_error, m_b
     )
 
 
-def _require(args, *names) -> int | None:
-    for name in names:
-        if getattr(args, name) is None:
-            print(f"error: --{name.replace('_', '-')} is required", file=sys.stderr)
-            return 2
-    return None
-
-
-def cmd_certify(args) -> int:
-    rc = _require(args, "predictions")
-    if rc:
-        return rc
-    out = _out_dir(args)
+def cmd_certify(args, out: str) -> int:
     P = voters.ingest_predictions(args.predictions)
     theta = (
         _load_theta(args.theta, P.num_voters) if args.theta
@@ -149,26 +121,13 @@ def cmd_certify(args) -> int:
     )
     wp = WeightPosterior(theta, args.k)
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
-    bound_ids = args.bounds.split(",") if args.bounds else list(DEFAULT_BOUNDS)
     cfg = _search_cfg(args)
     name = os.path.basename(args.predictions)
-
-    t0 = time.perf_counter()
-    rows = []
-    for bid in bound_ids:
-        r = bounds.certify(P, wp, spec, bid, cfg)
-        rows.append(_result_row(name, "", "given", bid, r, None, spec.m))
+    rows = [
+        _result_row(name, "", "given", bid, bounds.certify(P, wp, spec, bid, cfg), None, spec.m)
+        for bid in args.bounds.split(",")
+    ]
     _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, rows)
-    _write_json(
-        os.path.join(out, "manifest.json"),
-        _manifest(args, "certify", {
-            "predictions": args.predictions,
-            "theta": args.theta,
-            "k": args.k,
-            "bounds": bound_ids,
-        }),
-    )
-    _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
     return 0
 
 
@@ -247,20 +206,13 @@ def _write_run_csvs(out, result_rows, log_rows, posterior_rows) -> None:
     _write_csv(os.path.join(out, "posteriors.csv"), _POSTERIOR_COLUMNS, posterior_rows)
 
 
-def cmd_train(args) -> int:
-    rc = _require(args, "predictions")
-    if rc:
-        return rc
-    out = _out_dir(args)
+def cmd_train(args, out: str) -> int:
     P = voters.ingest_predictions(args.predictions)
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
-    seeds = [int(s) for s in str(args.seeds).split(",")]
     cfg_search = _search_cfg(args)
     name = os.path.basename(args.predictions)
-
-    t0 = time.perf_counter()
     result_rows, log_rows, posterior_rows = [], [], []
-    for seed in seeds:
+    for seed in map(int, args.seeds.split(",")):
         tr = train.train_posterior(
             P, _train_config(args, seed), spec, args.objective, cfg_search
         )
@@ -272,18 +224,6 @@ def cmd_train(args) -> int:
             for bid, r in certs.items()
         )
     _write_run_csvs(out, result_rows, log_rows, posterior_rows)
-    _write_json(
-        os.path.join(out, "manifest.json"),
-        _manifest(args, "train", {
-            "predictions": args.predictions,
-            "seeds": seeds,
-            "objective": args.objective,
-            "gamma_candidates": args.gamma_candidates,
-            "max_epochs": args.max_epochs,
-            "batch_size": args.batch_size,
-        }),
-    )
-    _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
     return 0
 
 
@@ -345,43 +285,21 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
     return rows, log_rows, posterior_rows
 
 
-def cmd_experiment(args) -> int:
-    rc = _require(args, "dataset")
-    if rc:
-        return rc
-    out = _out_dir(args)
+def cmd_experiment(args, out: str) -> int:
     if args.voter_mode == "ingest":
         ds = None
         P_full = voters.ingest_predictions(args.dataset)
     else:
         ds = _load_dataset(args)
         P_full = None
-    seeds = [int(s) for s in str(args.seeds).split(",")]
     cfg_search = _search_cfg(args)
-
-    t0 = time.perf_counter()
     result_rows, log_rows, posterior_rows = [], [], []
-    for seed in seeds:
+    for seed in map(int, args.seeds.split(",")):
         rows, logs, posts = _experiment_seed(args, ds, P_full, seed, cfg_search)
         result_rows.extend(rows)
         log_rows.extend(logs)
         posterior_rows.extend(posts)
     _write_run_csvs(out, result_rows, log_rows, posterior_rows)
-    _write_json(
-        os.path.join(out, "manifest.json"),
-        _manifest(args, "experiment", {
-            "dataset": args.dataset,
-            "format": args.format,
-            "label_column": args.label_column,
-            "voter_mode": args.voter_mode,
-            "seeds": seeds,
-            "objectives": args.objectives,
-            "gamma_candidates": args.gamma_candidates,
-            "max_epochs": args.max_epochs,
-            "batch_size": args.batch_size,
-        }),
-    )
-    _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
     return 0
 
 
@@ -394,9 +312,7 @@ _BATTERIES = {
 }
 
 
-def cmd_verify(args) -> int:
-    out = _out_dir(args)
-    t0 = time.perf_counter()
+def cmd_verify(args, out: str) -> int:
     selected = list(_BATTERIES) if args.battery == "all" else [args.battery]
     reports = []
     for name in selected:
@@ -409,16 +325,6 @@ def cmd_verify(args) -> int:
         [(r.label, r.estimate, r.stderr, r.n_samples, r.claim_bound, r.direction,
           int(r.verdict)) for r in reports],
     )
-    _write_json(
-        os.path.join(out, "manifest.json"),
-        _manifest(args, "verify", {
-            "battery": args.battery,
-            "samples": args.samples,
-            "sharpness_samples": args.sharpness_samples,
-            "seed": args.seed,
-        }),
-    )
-    _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
     failed = [r for r in reports if not r.verdict]
     for r in failed:
         print(f"FAIL {r.label}: estimate={r.estimate} claim={r.claim_bound}",
@@ -431,13 +337,11 @@ _COMPARE_D = 100
 _COMPARE_DELTA = 0.5
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, out: str) -> int:
     """Formula-level margin sweep reproducing the bound-comparison figure:
     d = 100, delta = 0.5, panels over m in {2000, 10000} and fixed margin
     loss in {0, 0.1}, with three uniform-simplex weight draws for the
     Dirichlet margin bound."""
-    out = _out_dir(args)
-    t0 = time.perf_counter()
     gammas = np.linspace(0.005, 0.495, args.points)
     thetas = [
         np.random.default_rng((args.seed, i)).dirichlet(np.ones(_COMPARE_D))
@@ -445,7 +349,6 @@ def cmd_compare(args) -> int:
     ]
     cfg = SearchConfig()
     gz_ok = gammas > math.sqrt(2.0 / _COMPARE_D)
-    files = []
     for m, loss in _COMPARE_PANELS:
         spec = BoundSpec(m=m, delta=_COMPARE_DELTA)
         # one call per formula covers every margin; the weight-dependent
@@ -465,25 +368,13 @@ def cmd_compare(args) -> int:
              *(float(draw[i]) for draw in bgpp), *(draw[i] for draw in ours))
             for i, g in enumerate(gammas)
         ]
-        fname = f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"
         _write_csv(
-            os.path.join(out, fname),
+            os.path.join(out, f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"),
             ("gamma", "margin_error", "bg", "bgplus", "gz",
              "bgplusplus_1", "bgplusplus_2", "bgplusplus_3",
              "ours_1", "ours_2", "ours_3"),
             rows,
         )
-        files.append(fname)
-    _write_json(
-        os.path.join(out, "manifest.json"),
-        _manifest(args, "compare", {
-            "points": args.points,
-            "seed": args.seed,
-            "panels": [list(p) for p in _COMPARE_PANELS],
-            "files": files,
-        }),
-    )
-    _write_json(os.path.join(out, "timing.json"), {"seconds": time.perf_counter() - t0})
     return 0
 
 
@@ -522,8 +413,7 @@ _seeds = _checked(str, lambda v: all(int(s) >= 0 for s in v.split(",")),
                   "a comma-separated list of integers >= 0")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output directory (or $VOTECERT_OUTDIR)")
+def _add_certificate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=_confidence, default=0.05, help="confidence parameter")
     p.add_argument("--n-gamma", type=_count, default=1000, dest="n_gamma",
                    help="margin grid size for the certificate search")
@@ -546,15 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="evaluate certificates for given predictions")
-    _add_common(p)
+    _add_certificate(p)
     p.add_argument("--predictions", default=None)
     p.add_argument("--theta", default=None, help="weights file, one value per line")
     p.add_argument("--k", type=_positive, default=1.0, help="initial concentration")
-    p.add_argument("--bounds", type=_bound_ids, default=None, help="comma-separated bound ids")
+    p.add_argument("--bounds", type=_bound_ids, default=",".join(DEFAULT_BOUNDS),
+                   help="comma-separated bound ids")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("train", help="optimise weights on a prediction matrix")
-    _add_common(p)
+    _add_certificate(p)
     _add_training(p)
     p.add_argument("--predictions", default=None)
     p.add_argument("--objective", default="stochastic_margin", choices=train.OBJECTIVES)
@@ -562,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("experiment", help="full pipeline: split, voters, train, certify")
-    _add_common(p)
+    _add_certificate(p)
     _add_training(p)
     p.add_argument("--dataset", default=None)
     p.add_argument("--format", default="csv", choices=("csv", "libsvm"))
@@ -574,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="run the Monte Carlo oracle battery")
-    _add_common(p)
     p.add_argument("--battery", default="all", choices=("all", *_BATTERIES))
     p.add_argument("--samples", type=_count, default=100_000)
     p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
@@ -583,11 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="emit bound-vs-margin comparison curves")
-    _add_common(p)
     p.add_argument("--points", type=_count, default=99)
     p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output directory (or $VOTECERT_OUTDIR)")
     return parser
 
 
@@ -620,12 +511,29 @@ def _apply_manifest(parser, argv):
     return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
+# The input flag each command cannot run without.  It has no argparse
+# default so that a manifest can supply it.
+_REQUIRED = {"certify": "predictions", "train": "predictions", "experiment": "dataset"}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _apply_manifest(parser, argv)
-        return args.func(args)
+        required = _REQUIRED.get(args.command)
+        if required and getattr(args, required) is None:
+            print(f"error: --{required} is required", file=sys.stderr)
+            return 2
+        out = args.out or os.environ.get("VOTECERT_OUTDIR") or "votecert_out"
+        os.makedirs(out, exist_ok=True)
+        t0 = time.perf_counter()
+        rc = args.func(args, out)
+        seconds = time.perf_counter() - t0
+        flags = {k: v for k, v in vars(args).items() if k not in ("func", "manifest", "out")}
+        _write_json(os.path.join(out, "manifest.json"), {**flags, "tool_version": __version__})
+        _write_json(os.path.join(out, "timing.json"), {"seconds": seconds})
+        return rc
     except SystemExit as exc:  # argparse has reported a usage error (or --help)
         return exc.code
     except (data.DataError, voters.PredictionFileError, OSError) as exc:

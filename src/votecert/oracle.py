@@ -232,10 +232,14 @@ def _random_matrix(rng: np.random.Generator, m: int, d: int, c: int,
     return PredictionMatrix(preds, labels, c)
 
 
-def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30,
-                            m_rows: int = 32) -> list:
-    """Randomised de-randomisation configs over d in {5,20,100}, c in {2,3},
-    K in {5,50,500}, gamma in {0.02,0.05,0.1}; two reports per config."""
+_DERANDOMISATION_ROWS = 32
+_SHARPNESS_ROWS = 24
+
+
+def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30) -> list:
+    """Randomised de-randomisation configs of ``_DERANDOMISATION_ROWS`` rows
+    over d in {5,20,100}, c in {2,3}, K in {5,50,500}, gamma in
+    {0.02,0.05,0.1}; two reports per config."""
     rng = np.random.default_rng(seed)
     reports = []
     for k in range(n_configs):
@@ -243,7 +247,7 @@ def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30
         c = int(rng.choice([2, 3]))
         K = float(rng.choice([5.0, 50.0, 500.0]))
         gamma = float(rng.choice([0.02, 0.05, 0.1]))
-        P = _random_matrix(rng, m_rows, d, c)
+        P = _random_matrix(rng, _DERANDOMISATION_ROWS, d, c)
         theta = rng.dirichlet(np.ones(d))
         lower, upper = verify_derandomisation(P, theta, K, gamma, n, seed, stream=k)
         tag = f"[d={d},c={c},K={K:g},g={gamma:g}]"
@@ -266,14 +270,14 @@ def marchal_arbel_battery(seed: int = 0, n: int = 100_000, n_configs: int = 50) 
     return reports
 
 
-def sharpness_battery(seed: int = 0, n: int = 1_000_000, n_configs: int = 10,
-                      m_rows: int = 24) -> list:
-    """Binary equality checks of the Beta-CDF expected margin loss."""
+def sharpness_battery(seed: int = 0, n: int = 1_000_000, n_configs: int = 10) -> list:
+    """Binary equality checks of the Beta-CDF expected margin loss on
+    ``_SHARPNESS_ROWS`` rows."""
     rng = np.random.default_rng(seed)
     reports = []
     for k in range(n_configs):
         d = int(rng.integers(5, 31))
-        P = _random_matrix(rng, m_rows, d, 2)
+        P = _random_matrix(rng, _SHARPNESS_ROWS, d, 2)
         alpha = rng.uniform(0.5, 8.0, size=d)
         gamma = float(rng.uniform(0.0, 0.2))
         rep = verify_beta_sharpness(P, alpha, gamma, n, seed, stream=2000 + k)

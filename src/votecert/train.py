@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _ALPHA_SHIFT = 1e-6
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_LR_REDUCE_FACTOR = 10.0
 
 
 class TrainingError(RuntimeError):
@@ -55,18 +59,16 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimisation hyperparameters; defaults follow the reference protocol:
-    Adam(0.9, 0.999) at learning rate 0.1, batches of 100, up to 100 epochs
-    with 25-epoch early stopping and a /10 plateau schedule with patience 2,
-    uniform initial weights at concentration K_init = 2."""
+    learning rate 0.1, batches of 100, up to 100 epochs with 25-epoch early
+    stopping and a plateau schedule with patience 2, uniform initial weights
+    at concentration K_init = 2.  Fixed by module constants: Adam's
+    ``_ADAM_BETA1`` = 0.9, ``_ADAM_BETA2`` = 0.999 and ``_ADAM_EPS`` = 1e-8,
+    and the plateau divisor ``_LR_REDUCE_FACTOR`` = 10."""
 
     learning_rate: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 100
     max_epochs: int = 100
     early_stop_patience: int = 25
-    lr_reduce_factor: float = 10.0
     lr_reduce_patience: int = 2
     min_lr: float = 1e-6
     seed: int = 0
@@ -96,23 +98,17 @@ class AdamState:
         return AdamState(p, 0, np.zeros_like(p), np.zeros_like(p))
 
 
-def adam_step(
-    state: AdamState,
-    gradient: np.ndarray,
-    lr: float | np.ndarray,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """One bias-corrected Adam update; pure (returns a new state).  ``lr`` is
-    a float, or an (R, 1) column of per-run rates for stacked (R, d) states."""
+def adam_step(state: AdamState, gradient: np.ndarray, lr: float | np.ndarray) -> AdamState:
+    """One bias-corrected Adam(``_ADAM_BETA1``, ``_ADAM_BETA2``, ``_ADAM_EPS``)
+    update; pure (returns a new state).  ``lr`` is a float, or an (R, 1)
+    column of per-run rates for stacked (R, d) states."""
     g = np.asarray(gradient, dtype=float)
     t = state.step + 1
-    m = beta1 * state.exp_avg + (1.0 - beta1) * g
-    v = beta2 * state.exp_avg_sq + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    params = state.params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = _ADAM_BETA1 * state.exp_avg + (1.0 - _ADAM_BETA1) * g
+    v = _ADAM_BETA2 * state.exp_avg_sq + (1.0 - _ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    params = state.params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return AdamState(params, t, m, v)
 
 
@@ -448,7 +444,7 @@ def _train_runs(
             for log, val in zip(epoch_vals, vals.tolist()):
                 log.append(val)
             lrs = np.array([[run.lr] for run in active])
-            state = adam_step(state, grads, lrs, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            state = adam_step(state, grads, lrs)
         if not active:
             break
         bounds_now = obj.evaluate(P, state.params, None, margins, spec, False)
@@ -471,7 +467,7 @@ def _train_runs(
                 run.stall_lr += 1
             stopped = False
             if run.stall_lr >= cfg.lr_reduce_patience:
-                run.lr /= cfg.lr_reduce_factor
+                run.lr /= _LR_REDUCE_FACTOR
                 run.stall_lr = 0
                 stopped = run.lr < cfg.min_lr
             if stopped or run.stall_stop >= cfg.early_stop_patience:

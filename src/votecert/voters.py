@@ -59,25 +59,25 @@ class StumpEnsemble:
         return np.stack(cols, axis=1)
 
 
-def make_stumps(train_features, thresholds_per_feature: int = 6) -> StumpEnsemble:
-    """Stump grid for binary tasks: per feature, evenly spaced thresholds
-    strictly between the training min and max, and one stump per class
-    orientation per threshold (2 * thresholds_per_feature per feature).
+_STUMP_THRESHOLDS = 6
+
+
+def make_stumps(train_features) -> StumpEnsemble:
+    """Stump grid for binary tasks: per feature, ``_STUMP_THRESHOLDS``
+    evenly spaced thresholds strictly between the training min and max, and
+    one stump per class orientation per threshold.
 
     Constant features yield degenerate single-class stumps, which is valid.
     """
     X = np.asarray(train_features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("train_features must be a non-empty 2-d matrix")
-    T = int(thresholds_per_feature)
-    if T < 1:
-        raise ValueError("thresholds_per_feature must be >= 1")
     stumps = []
     for j in range(X.shape[1]):
         lo = float(X[:, j].min())
         hi = float(X[:, j].max())
-        for i in range(1, T + 1):
-            t = lo + (hi - lo) * i / (T + 1)
+        for i in range(1, _STUMP_THRESHOLDS + 1):
+            t = lo + (hi - lo) * i / (_STUMP_THRESHOLDS + 1)
             stumps.append(Stump(j, t, above_class=1))
             stumps.append(Stump(j, t, above_class=2))
     return StumpEnsemble(tuple(stumps))
@@ -85,20 +85,17 @@ def make_stumps(train_features, thresholds_per_feature: int = 6) -> StumpEnsembl
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Forest hyperparameters: 10 trees on half-size bags, sqrt(p) features
-    per tree, Gini splits, unbounded depth."""
+    """Forest hyperparameters: 10 trees, sqrt(p) features per tree.  Fixed
+    by module constant: bags of ``_BAG_FRACTION`` = 1/2 of the rows.  Trees
+    grow Gini splits to unbounded depth."""
 
     num_trees: int = 10
-    bag_fraction: float = 0.5
     features_per_tree: int | None = None
-    max_depth: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.num_trees < 1:
             raise ValueError("num_trees must be >= 1")
-        if not 0.0 < self.bag_fraction <= 1.0:
-            raise ValueError("bag_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -124,14 +121,12 @@ def _majority(y: np.ndarray, num_classes: int) -> int:
 
 
 _GAIN_EPS = 1e-12
+_BAG_FRACTION = 0.5
 
 
-def _grow(X: np.ndarray, y: np.ndarray, feats: np.ndarray, num_classes: int,
-          depth: int, max_depth: int | None) -> _Node:
+def _grow(X: np.ndarray, y: np.ndarray, feats: np.ndarray, num_classes: int) -> _Node:
     counts = np.bincount(y, minlength=num_classes + 1)[1:]
     if np.count_nonzero(counts) <= 1:
-        return _Node(klass=_majority(y, num_classes))
-    if max_depth is not None and depth >= max_depth:
         return _Node(klass=_majority(y, num_classes))
     n = y.size
     parent = _gini(counts)
@@ -156,8 +151,8 @@ def _grow(X: np.ndarray, y: np.ndarray, feats: np.ndarray, num_classes: int,
     return _Node(
         feature=f,
         threshold=t,
-        left=_grow(X[left], y[left], feats, num_classes, depth + 1, max_depth),
-        right=_grow(X[~left], y[~left], feats, num_classes, depth + 1, max_depth),
+        left=_grow(X[left], y[left], feats, num_classes),
+        right=_grow(X[~left], y[~left], feats, num_classes),
     )
 
 
@@ -191,7 +186,7 @@ class Forest:
 
 
 def train_forest(features, labels, cfg: ForestConfig) -> Forest:
-    """Bagged Gini trees: each draws floor(bag_fraction * n) rows with
+    """Bagged Gini trees: each draws floor(_BAG_FRACTION * n) rows with
     replacement and floor(sqrt(p)) feature indices without replacement, then
     grows greedily while some split has positive gain.  Split candidates are
     midpoints of consecutive sorted unique values; ties break toward the
@@ -202,9 +197,9 @@ def train_forest(features, labels, cfg: ForestConfig) -> Forest:
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features and labels must have matching rows")
     n, p = X.shape
-    bag_size = int(n * cfg.bag_fraction)
+    bag_size = int(n * _BAG_FRACTION)
     if bag_size < 1:
-        raise ValueError("dataset too small for the requested bag fraction")
+        raise ValueError("dataset too small to draw a bag")
     num_classes = int(y.max())
     n_feats = cfg.features_per_tree or max(1, int(math.isqrt(p)))
     n_feats = min(n_feats, p)
@@ -213,7 +208,7 @@ def train_forest(features, labels, cfg: ForestConfig) -> Forest:
         rng = np.random.default_rng((cfg.seed, i))
         bag = rng.integers(0, n, size=bag_size)
         feats = np.sort(rng.choice(p, size=n_feats, replace=False))
-        trees.append(_grow(X[bag], y[bag], feats, num_classes, 0, cfg.max_depth))
+        trees.append(_grow(X[bag], y[bag], feats, num_classes))
     return Forest(tuple(trees), num_classes)
 
 

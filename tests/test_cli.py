@@ -1,4 +1,5 @@
 """Command surface: outputs, determinism, exit codes, manifest round trips."""
+import argparse
 import csv
 import json
 import os
@@ -48,6 +49,7 @@ class TestCertifyCommand:
 
     def test_missing_predictions_is_usage_error(self, tmp_path):
         assert cli.main(["certify", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_bad_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -110,12 +112,16 @@ class TestCertifyCommand:
     (["compare", "--points", "0"], 2),
     (["verify", "--seed", "-1"], 2),
     (["compare", "--seed", "-1"], 2),
+    (["compare", "--delta", "0.1"], 2),
+    (["compare", "--n-gamma", "5"], 2),
+    (["verify", "--delta", "0.1"], 2),
+    (["verify", "--n-gamma", "5"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     """Bad flag or manifest values are usage errors (2) and a malformed
     weights or manifest file is a data error (3): each reported in one line,
-    without a traceback.  Each command otherwise gets the inputs it needs to
-    run."""
+    without a traceback, and no manifest is written.  Each command otherwise
+    gets the inputs it needs to run."""
     preds = tmp_path / "preds.csv"
     write_predictions(preds)
     bad_theta = tmp_path / "theta.txt"
@@ -140,6 +146,7 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestTrainCommand:
@@ -228,26 +235,6 @@ class TestExperimentCommand:
         rows = read_results(out)
         assert all(r["m_bound"] == "766" for r in rows)
 
-    def test_manifest_rerun_reproduces_results(self, tmp_path):
-        preds = tmp_path / "preds.csv"
-        write_predictions(preds, m=100)
-        out_a = tmp_path / "a"
-        rc = cli.main([
-            "experiment", "--dataset", str(preds), "--voter-mode", "ingest",
-            "--seeds", "0,1", "--objectives", "fo", "--max-epochs", "1",
-            "--out", str(out_a), "--n-gamma", "30",
-        ])
-        assert rc == 0
-        out_b = tmp_path / "b"
-        rc = cli.main([
-            "--manifest", str(out_a / "manifest.json"),
-            "experiment", "--out", str(out_b),
-        ])
-        assert rc == 0
-        for name in ("results.csv", "summary.csv", "training_log.csv",
-                     "posteriors.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
     def test_explicit_flag_overrides_manifest_value(self, tmp_path):
         """A manifest value passes the flag's checks only when no explicit
         flag replaces it: here the explicit --delta wins over a bad one, and
@@ -291,6 +278,7 @@ class TestVerifyCommand:
             "--out", str(out),
         ])
         assert rc == 4
+        assert (out / "manifest.json").exists() and (out / "timing.json").exists()
 
     def test_report_schema_stable(self, tmp_path):
         outs = []
@@ -302,6 +290,100 @@ class TestVerifyCommand:
                 outs.append(fh.readline().strip())
         assert outs[0] == outs[1]
         assert outs[0] == "label,estimate,stderr,n_samples,claim_bound,direction,verdict"
+
+
+RUN_FILES = ("results.csv", "summary.csv", "training_log.csv", "posteriors.csv")
+COMPARE_FILES = tuple(
+    f"compare_m{m}_loss{loss}.csv" for m in (2000, 10000) for loss in ("00", "10")
+)
+
+# Small runs of every command, with flags away from their defaults, and the
+# result files each writes.
+ROUND_TRIPS = {
+    "certify": (["--n-gamma", "20", "--k", "4.0", "--delta", "0.1",
+                 "--bounds", "fo,dirichlet_margin"], ("results.csv",)),
+    "train": (["--max-epochs", "1", "--gamma-candidates", "0.05", "--seeds", "0,1",
+               "--n-gamma", "20"], RUN_FILES),
+    "experiment": (["--voter-mode", "ingest", "--seeds", "0,1", "--objectives", "fo",
+                    "--max-epochs", "1", "--n-gamma", "30"], RUN_FILES),
+    "verify": (["--battery", "aggregation", "--samples", "2000", "--seed", "3"],
+               ("mcreports.json", "mcreports.csv")),
+    "compare": (["--points", "5", "--seed", "2"], COMPARE_FILES),
+}
+
+
+def command_inputs(command, tmp_path):
+    """The input flag a command needs, pointing at a fresh prediction file."""
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, m=100)
+    flag = {"certify": "--predictions", "train": "--predictions", "experiment": "--dataset"}
+    return [flag[command], str(preds)] if command in flag else []
+
+
+def subcommand_dests(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def same_files(a, b, names):
+    return all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+@pytest.mark.parametrize("command", ROUND_TRIPS)
+def test_manifest_rerun_reproduces_results(tmp_path, command):
+    """The manifest holds every flag the command parsed, and nothing else but
+    the command and the tool version; re-running it reproduces the result
+    files bit-exactly and records the same manifest."""
+    flags, files = ROUND_TRIPS[command]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main([command, *flags, *command_inputs(command, tmp_path),
+                     "--out", str(out_a)]) == 0
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    assert set(manifest) == subcommand_dests(command) - {"help", "out"} | {
+        "command", "tool_version"}
+    assert cli.main(["--manifest", str(out_a / "manifest.json"), command,
+                     "--out", str(out_b)]) == 0
+    assert same_files(out_a, out_b, files)
+    assert json.loads((out_b / "manifest.json").read_text()) == manifest
+    assert set(json.loads((out_b / "timing.json").read_text())) == {"seconds"}
+
+
+# Manifests in the format of earlier versions, which recorded the output
+# directory, lists for bounds and seeds, and compare's fixed panels and its
+# unused delta and n_gamma; each with the flags that make the same run.
+OLD_MANIFESTS = {
+    "compare": ({"delta": 0.01, "n_gamma": 7, "output_dir": "run5", "points": 5, "seed": 2,
+                 "panels": [[2000, 0.0], [2000, 0.1], [10000, 0.0], [10000, 0.1]],
+                 "files": list(COMPARE_FILES)},
+                ["--points", "5", "--seed", "2"], COMPARE_FILES),
+    "certify": ({"delta": 0.1, "n_gamma": 20, "output_dir": "run1", "theta": None, "k": 4.0,
+                 "bounds": ["fo", "dirichlet_margin"]},
+                ROUND_TRIPS["certify"][0], ("results.csv",)),
+    "train": ({"delta": 0.05, "n_gamma": 20, "output_dir": "run2", "seeds": [0, 1],
+               "objective": "stochastic_margin", "gamma_candidates": "0.05",
+               "max_epochs": 1, "batch_size": 100},
+              ROUND_TRIPS["train"][0], RUN_FILES),
+}
+
+
+@pytest.mark.parametrize("command", OLD_MANIFESTS)
+def test_old_manifest_reruns(tmp_path, command):
+    """An earlier version's manifest still runs: its lists become
+    comma-separated flags and keys that are no flag are skipped."""
+    stored, flags, files = OLD_MANIFESTS[command]
+    inputs = command_inputs(command, tmp_path)
+    stored = {"command": command, "tool_version": "0.1.0", **stored}
+    if inputs:
+        stored[inputs[0].lstrip("-")] = inputs[1]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(stored))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main([command, *flags, *inputs, "--out", str(out_a)]) == 0
+    assert cli.main(["--manifest", str(manifest), command, "--out", str(out_b)]) == 0
+    assert same_files(out_a, out_b, files)
+    assert (json.loads((out_b / "manifest.json").read_text())
+            == json.loads((out_a / "manifest.json").read_text()))
 
 
 @pytest.fixture(scope="module")
