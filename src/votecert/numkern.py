@@ -30,6 +30,10 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _BETACF_MAX_ITER = 2000
 _BETACF_EPS = 1e-15
 _FPMIN = 1e-300
+# Iterations per block of precomputed Lentz numerators, and the cap on a
+# block's rows x lanes.
+_BETACF_BLOCK_ROWS = 8
+_BETACF_BLOCK_SIZE = 2**15
 
 # exp() underflows to zero below this; the incomplete beta is then 0 or 1
 # to far better than the 1e-10 contract.
@@ -161,48 +165,90 @@ def trigamma(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _fpmin_guard(x: np.ndarray) -> None:
+    """Lentz's guard, in place: entries with |x| < _FPMIN become _FPMIN."""
+    np.copyto(x, _FPMIN, where=np.abs(x) < _FPMIN)
+
+
+def _lentz_step(dc: np.ndarray, aa: np.ndarray) -> None:
+    """One modified-Lentz step on the rows (d, c) of dc, in place:
+    d = 1 / (1 + aa d) and c = 1 + aa / c, each guarded before use."""
+    d, c = dc
+    d *= aa
+    np.divide(aa, c, out=c)
+    dc += 1.0
+    _fpmin_guard(dc)
+    np.divide(1.0, d, out=d)
+
+
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Modified Lentz continued fraction for the incomplete beta.
 
     Inputs are 1-d arrays with 0 < z <= (a + 1) / (a + b + 2) elementwise,
-    which is the rapidly-converging regime.
+    which is the rapidly-converging regime.  A lane returns h at the first
+    iteration whose step d c lies within ``_BETACF_EPS`` of 1, or, still
+    unconverged after ``_BETACF_MAX_ITER`` iterations, its last iterate.
+
+    The loop runs in blocks of up to ``_BETACF_BLOCK_ROWS`` iterations.  A
+    block's two Lentz numerators per iteration are computed up front as
+    (rows, lanes) arrays, rows x lanes capped at ``_BETACF_BLOCK_SIZE``
+    elements so that a wide lane array takes one row at a time and no large
+    temporary.  d, c and h are updated in place.  At each block end the lanes
+    that have converged leave the working arrays, so later blocks cost what
+    the lanes still running need and not what the slowest lane needs for all.
+    Each lane's arithmetic is that of the lane run alone, so an array call
+    equals its one-lane calls bit for bit.
     """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(z)
-    d = 1.0 - qab * z / qap
-    d[np.abs(d) < _FPMIN] = _FPMIN
-    d = 1.0 / d
-    h = d.copy()
+    lane = np.arange(z.size)
     out = np.empty_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * z / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _FPMIN] = _FPMIN
-        c = 1.0 + aa / c
-        c[np.abs(c) < _FPMIN] = _FPMIN
-        d = 1.0 / d
-        h = h * d * c
-        aa = -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d[np.abs(d) < _FPMIN] = _FPMIN
-        c = 1.0 + aa / c
-        c[np.abs(c) < _FPMIN] = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        newly = ~done & (np.abs(delta - 1.0) < _BETACF_EPS)
-        if newly.any():
-            # Freeze converged lanes so further iterations cannot drift them.
-            out[newly] = h[newly]
-            done |= newly
-            if done.all():
-                break
-    if not done.all():
-        out[~done] = h[~done]
+    # The working lanes' parameters, Lentz's d and c, and h as the rows of
+    # one array, so that converged lanes leave in one call and d and c share
+    # the calls for 1 + ... and the _FPMIN guard.
+    work = np.stack([a, b, z, a + b, a + 1.0, a - 1.0, np.ones_like(z), np.ones_like(z), z])
+    a, b, z, qab, qap, qam, d, c, h = work
+    d -= qab * z / qap
+    _fpmin_guard(d)
+    np.divide(1.0, d, out=d)
+    h[:] = d
+    m = 1
+    while lane.size and m <= _BETACF_MAX_ITER:
+        a, b, z, qab, qap, qam, d, c, h = work
+        dc = work[6:8]
+        rows = min(_BETACF_BLOCK_ROWS, max(1, _BETACF_BLOCK_SIZE // lane.size),
+                   _BETACF_MAX_ITER + 1 - m)
+        mm = np.arange(m, m + rows, dtype=float)[:, None]
+        m2 = 2.0 * mm
+        even = mm * (b - mm) * z / ((qam + m2) * (a + m2))
+        odd = -(a + mm) * (qab + mm) * z / ((a + m2) * (qap + m2))
+        delta = np.empty_like(h)
+        res = np.empty_like(h)
+        done = np.zeros(h.shape, dtype=bool)
+        newly = np.empty_like(done)
+        n_done = 0
+        for r in range(rows):
+            _lentz_step(dc, even[r])
+            h *= d
+            h *= c
+            _lentz_step(dc, odd[r])
+            np.multiply(d, c, out=delta)
+            h *= delta
+            delta -= 1.0
+            np.abs(delta, out=delta)
+            np.greater(delta < _BETACF_EPS, done, out=newly)
+            k = np.count_nonzero(newly)
+            if k:
+                # Freeze converged lanes so further iterations cannot drift them.
+                np.copyto(res, h, where=newly)
+                done |= newly
+                n_done += k
+                if n_done == lane.size:
+                    break
+        m += rows
+        if n_done:
+            out[lane[done]] = res[done]
+            live = ~done
+            lane, work = lane[live], work.compress(live, axis=1)
+    out[lane] = work[8]
     return out
 
 
@@ -228,11 +274,14 @@ def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 def reg_inc_beta(z, a, b):
     """Regularised incomplete beta I_z(a, b), the Beta(a, b) CDF at z.
 
-    Continued-fraction evaluation with the symmetry swap at
-    z > (a + 1)/(a + b + 2).  Array-capable; absolute error <= 1e-10 for
-    a, b <= 1e4.  Beyond that the prefactor's cancellation grows with the
-    parameters (about 1.6e-10 at 3e4, 7e-8 at 1e7), and the certificate
-    search reaches 6e4; ROADMAP item 2 tracks the fix.
+    Continued-fraction evaluation with the symmetry swap: lanes with
+    z > (a + 1)/(a + b + 2) evaluate 1 - I_{1-z}(b, a).  Both kinds of lane
+    go through one prefactor pass and one continued-fraction loop (see
+    ``_beta_cont_frac``).  Array-capable, and an array call equals its
+    one-lane calls bit for bit; absolute error <= 1e-10 for a, b <= 1e4.
+    Beyond that the prefactor's cancellation grows with the parameters
+    (about 1.6e-10 at 3e4, 7e-8 at 1e7), and the certificate search reaches
+    6e4; ROADMAP item 2 tracks the fix.
     """
     z_arr = _unit_array(z, "z")
     a_arr = _positive_array(a, "a")
@@ -249,12 +298,12 @@ def reg_inc_beta(z, a, b):
     out[at_zero] = 0.0
     out[at_one] = 1.0
     interior = ~(at_zero | at_one)
-    swap = interior & (zf > (af + 1.0) / (af + bf + 2.0))
-    keep = interior & ~swap
-    if keep.any():
-        out[keep] = _inc_beta_lower(af[keep], bf[keep], zf[keep])
-    if swap.any():
-        out[swap] = 1.0 - _inc_beta_lower(bf[swap], af[swap], 1.0 - zf[swap])
+    if interior.any():
+        zi, ai, bi = zf[interior], af[interior], bf[interior]
+        swap = zi > (ai + 1.0) / (ai + bi + 2.0)
+        lower = _inc_beta_lower(np.where(swap, bi, ai), np.where(swap, ai, bi),
+                                np.where(swap, 1.0 - zi, zi))
+        out[interior] = np.where(swap, 1.0 - lower, lower)
     out = np.clip(out, 0.0, 1.0)
     if scalar:
         return float(out[0])

@@ -150,6 +150,159 @@ class TestRegIncBeta:
                 nk.reg_inc_beta(0.5, bad, 1.0)
 
 
+def lockstep_cont_frac(a, b, z):
+    """The Lentz loop as it ran before lanes left it: every lane in lockstep
+    until the slowest converges, a converged lane frozen at its first
+    convergence.  Returns (values, iteration each lane froze at, 0 where
+    it never converged)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(z)
+    d = 1.0 - qab * z / qap
+    d[np.abs(d) < nk._FPMIN] = nk._FPMIN
+    d = 1.0 / d
+    h = d.copy()
+    out = np.empty_like(z)
+    froze = np.full(z.shape, -1)
+    done = np.zeros(z.shape, dtype=bool)
+    for m in range(1, nk._BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * z / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d[np.abs(d) < nk._FPMIN] = nk._FPMIN
+        c = 1.0 + aa / c
+        c[np.abs(c) < nk._FPMIN] = nk._FPMIN
+        d = 1.0 / d
+        h = h * d * c
+        aa = -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d[np.abs(d) < nk._FPMIN] = nk._FPMIN
+        c = 1.0 + aa / c
+        c[np.abs(c) < nk._FPMIN] = nk._FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        newly = ~done & (np.abs(delta - 1.0) < nk._BETACF_EPS)
+        out[newly] = h[newly]
+        froze[newly] = m
+        done |= newly
+        if done.all():
+            break
+    out[~done] = h[~done]
+    return out, froze
+
+
+def two_call_inc_beta_lower(a, b, z):
+    """I_z(a, b) on convergent-regime lanes, prefactor and continued
+    fraction as in the kernel, the Lentz loop run in lockstep."""
+    ln_gamma_a, ln_gamma_b, ln_gamma_ab = nk._series(np.concatenate([a, b, a + b]))[2].reshape(3, -1)
+    log_front = a * np.log(z) + b * np.log1p(-z) - (ln_gamma_a + ln_gamma_b - ln_gamma_ab)
+    out = np.zeros_like(z)
+    froze = np.zeros(z.shape, dtype=int)
+    live = log_front > nk._LOG_UNDERFLOW
+    if live.any():
+        front, a_live = log_front[live], a[live]
+        cf, froze[live] = lockstep_cont_frac(a_live, b[live], z[live])
+        val = np.exp(front) * cf / a_live
+        sub = front < nk._LOG_NORMAL_MIN
+        if sub.any():
+            val[sub] = np.exp(front[sub] - np.log(a_live[sub])) * cf[sub]
+        out[live] = val
+    return out, froze
+
+
+def two_call_reg_inc_beta(z, a, b):
+    """Reference for ``reg_inc_beta`` on 1-d lanes: the kept lanes and the
+    swapped lanes (z > (a + 1)/(a + b + 2), evaluated as 1 - I_{1-z}(b, a))
+    in two separate passes, each with its own lockstep Lentz loop.  Returns
+    (values, iteration each lane's continued fraction froze at)."""
+    out = np.empty_like(z)
+    froze = np.zeros(z.shape, dtype=int)
+    at_zero, at_one = z == 0.0, z == 1.0
+    out[at_zero] = 0.0
+    out[at_one] = 1.0
+    interior = ~(at_zero | at_one)
+    swap = interior & (z > (a + 1.0) / (a + b + 2.0))
+    keep = interior & ~swap
+    if keep.any():
+        out[keep], froze[keep] = two_call_inc_beta_lower(a[keep], b[keep], z[keep])
+    if swap.any():
+        lower, froze[swap] = two_call_inc_beta_lower(b[swap], a[swap], 1.0 - z[swap])
+        out[swap] = 1.0 - lower
+    return np.clip(out, 0.0, 1.0), froze
+
+
+def assert_bitwise_equal(x, y):
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@st.composite
+def beta_lanes(draw):
+    """1 to 12 (z, a, b) lanes: a, b at a scale in [1e-3, 1e6] or in the
+    subnormal-prefactor band (<= 1e-315), z on either side of the swap line
+    (a + 1)/(a + b + 2) or at 0 or 1."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+            a, b = (scale * math.exp(draw(st.floats(-1.0, 1.0))) for _ in range(2))
+        else:
+            a, b = (draw(st.floats(5e-324, 1e-315)) for _ in range(2))
+        split = (a + 1.0) / (a + b + 2.0)
+        t = draw(st.floats(0.0, 1.0, exclude_min=True))
+        side = draw(st.sampled_from(["keep", "swap", "end"]))
+        if side == "keep":
+            z = split * t
+        elif side == "swap":
+            z = min(split + (1.0 - split) * t, 1.0)
+        else:
+            z = float(t >= 0.5)
+        lanes.append((z, a, b))
+    return np.array(lanes).T
+
+
+class TestOnePassIncBeta:
+    """``reg_inc_beta`` runs kept and swapped lanes through one prefactor pass
+    and one Lentz loop whose converged lanes leave at block ends; every lane
+    must still round exactly as in the two-call lockstep form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=beta_lanes())
+    def test_equals_two_call_form(self, lanes):
+        z, a, b = lanes
+        got = nk.reg_inc_beta(z, a, b)
+        assert_bitwise_equal(got, two_call_reg_inc_beta(z, a, b)[0])
+        for i in range(z.size):
+            assert_bitwise_equal(np.float64(nk.reg_inc_beta(z[i], a[i], b[i])), got[i])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4, 1e6])
+    def test_wide_array_equals_two_call_form(self, scale):
+        """5,000 lanes per scale, wide enough that the first blocks hold
+        fewer than 8 iterations; half the z at random Beta quantiles, half
+        uniform."""
+        rng = np.random.default_rng(int(math.log10(scale)) + 3)
+        a, b = scale * np.exp(rng.uniform(-1.0, 1.0, (2, 5000)))
+        z = rng.uniform(0.0, 1.0, 5000)
+        near = rng.random(5000) < 0.5
+        z[near] = special.betaincinv(a[near], b[near], rng.uniform(0.0, 1.0, near.sum()))
+        assert_bitwise_equal(nk.reg_inc_beta(z, a, b), two_call_reg_inc_beta(z, a, b)[0])
+
+    def test_straggler_and_compaction(self):
+        """An unconverged lane (a = b = 1e8 at z = 1/2 runs all 2,000
+        iterations) beside lanes that converge in different blocks: lanes
+        leaving the working arrays must not disturb a survivor's d, c or h,
+        and the straggler returns its last iterate."""
+        a = np.array([1e8, 0.5, 3.0, 40.0, 700.0, 9e3, 2e5, 4e6, 1e7, 1e8])
+        b = np.array([1e8, 2.0, 5.0, 60.0, 500.0, 1.1e4, 3e5, 6e6, 1e7, 1e8])
+        z = np.array([0.5, 0.1, 0.3, 0.45, 0.6, 0.44, 0.401, 0.4001, 0.5, 0.5])
+        want, froze = two_call_reg_inc_beta(z, a, b)
+        assert list(froze[[0, -1]]) == [-1, -1]  # unconverged after 2,000
+        blocks = set(froze[1:-1] // nk._BETACF_BLOCK_ROWS)
+        assert len(blocks) >= 7  # the others leave at different block ends
+        assert_bitwise_equal(nk.reg_inc_beta(z, a, b), want)
+        assert_bitwise_equal(nk.reg_inc_beta(z[::-1], a[::-1], b[::-1]), want[::-1])
+
+
 def dIda_quadrature(z: float, a: float, b: float) -> float:
     """d/da I_z(a,b) by differentiating under the integral sign; the ln t
     factor rides in the quadrature weight to absorb the endpoint singularity."""
