@@ -406,6 +406,8 @@ _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _bound_ids = _id_list(bounds.BOUND_IDS)
 _objectives = _id_list(train.OBJECTIVES)
 _natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# A Monte Carlo standard error needs at least two samples.
+_samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
 # Comma-separated lists kept as text: the manifest records them as given.
 _gammas = _checked(str, lambda v: all(0.0 < float(g) < 0.5 for g in v.split(",")),
                    "a comma-separated list of margins in (0, 1/2)")
@@ -466,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the Monte Carlo oracle battery")
     p.add_argument("--battery", default="all", choices=("all", *_BATTERIES))
-    p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--sharpness-samples", type=_count, default=1_000_000,
+    p.add_argument("--samples", type=_samples, default=100_000)
+    p.add_argument("--sharpness-samples", type=_samples, default=1_000_000,
                    dest="sharpness_samples")
     p.add_argument("--seed", type=_natural, default=0)
     p.set_defaults(func=cmd_verify)

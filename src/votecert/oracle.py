@@ -57,8 +57,8 @@ class McReport:
 
     @staticmethod
     def build(label, estimate, stderr, n_samples, claim_bound, direction) -> "McReport":
-        if stderr < 0.0:
-            raise ValueError("stderr must be non-negative")
+        if not 0.0 <= stderr < math.inf:  # NaN fails too
+            raise ValueError("stderr must be non-negative and finite")
         if direction == "mc_upper":
             verdict = claim_bound <= estimate + 3.0 * stderr
         elif direction == "mc_lower":
@@ -178,6 +178,12 @@ def _per_sample_margin_losses(preds, labels, num_classes, samples, gamma: float)
     return totals / m
 
 
+def _check_samples(n: int) -> None:
+    """The sample standard deviation (ddof=1) is undefined below 2 samples."""
+    if n < 2:
+        raise ValueError("n must be at least 2 samples")
+
+
 def verify_derandomisation(P: PredictionMatrix, theta, K: float, gamma: float,
                            n: int, seed: int, stream: int = 0):
     """Monte Carlo check of the two-sided margin de-randomisation claim.
@@ -185,10 +191,12 @@ def verify_derandomisation(P: PredictionMatrix, theta, K: float, gamma: float,
     Estimates E L_gamma(xi) for xi ~ Dirichlet(K theta) and checks, with the
     one-sided 3-stderr rule and penalty eps = exp(-4 (K+1) gamma^2):
     L_0(theta) <= estimate + eps  and  estimate <= L_{2 gamma}(theta) + eps.
+    The standard error needs n >= 2 samples.
     """
     th = np.asarray(theta, dtype=float)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    _check_samples(n)
     preds, labels, c = P.preds, P.labels, P.num_classes
     samples = sample_dirichlet(K * th, n, seed, stream)
     per_sample = _per_sample_margin_losses(preds, labels, c, samples, gamma)
@@ -210,9 +218,11 @@ def verify_beta_sharpness(P: PredictionMatrix, alpha, gamma: float,
                           n: int, seed: int, stream: int = 0) -> McReport:
     """Compare the Beta-CDF closed form of the expected margin loss with a
     direct Monte Carlo estimate: two-sided equality for binary labels,
-    one-sided (closed form is an upper bound) otherwise."""
+    one-sided (closed form is an upper bound) otherwise.  The standard error
+    needs n >= 2 samples."""
     from . import votes as votes_mod
 
+    _check_samples(n)
     a = np.asarray(alpha, dtype=float)
     samples = sample_dirichlet(a, n, seed, stream)
     per_sample = _per_sample_margin_losses(P.preds, P.labels, P.num_classes, samples, gamma)

@@ -99,6 +99,8 @@ class TestCertifyCommand:
     (["certify", "--n-gamma", "0"], 2),
     (["certify", "--theta", "{bad_theta}"], 3),
     (["verify", "--samples", "0"], 2),
+    (["verify", "--samples", "1"], 2),
+    (["verify", "--sharpness-samples", "1"], 2),
     (["--manifest", "{bad_manifest}", "certify"], 2),
     (["train", "--gamma-candidates", "abc"], 2),
     (["train", "--gamma-candidates", "0.7"], 2),

@@ -124,6 +124,14 @@ class TestDerandomisation:
         assert lower.estimate == 1.0
         assert lower.verdict and upper.verdict
 
+    def test_one_sample_rejected(self):
+        """One sample has no standard error (ddof=1 gives NaN)."""
+        P = random_matrix(seed=11, m=20, d=5)
+        with pytest.raises(ValueError):
+            oracle.verify_derandomisation(P, np.full(5, 0.2), 10.0, 0.1, 1, seed=12)
+        lower, upper = oracle.verify_derandomisation(P, np.full(5, 0.2), 10.0, 0.1, 2, seed=12)
+        assert math.isfinite(lower.stderr) and math.isfinite(upper.stderr)
+
     def test_small_battery_passes(self):
         reports = oracle.derandomisation_battery(seed=2, n=20_000, n_configs=6)
         assert len(reports) == 12
@@ -138,6 +146,12 @@ class TestBetaSharpness:
         assert rep.estimate == 0.0
         assert rep.claim_bound == 0.0
         assert rep.verdict
+
+    def test_one_sample_rejected(self):
+        P = random_matrix(seed=14, m=20, d=7, accuracy=0.65)
+        with pytest.raises(ValueError):
+            oracle.verify_beta_sharpness(P, np.ones(7), 0.1, 1, seed=15)
+        assert math.isfinite(oracle.verify_beta_sharpness(P, np.ones(7), 0.1, 2, seed=15).stderr)
 
     def test_binary_equality_two_sided(self):
         P = random_matrix(seed=14, m=20, d=7, accuracy=0.65)
@@ -166,6 +180,13 @@ class TestMcReport:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             McReport.build("x", 0.5, -0.1, 10, 0.5, "mc_upper")
+
+    @pytest.mark.parametrize("stderr", [math.nan, math.inf])
+    def test_non_finite_stderr_rejected(self, stderr):
+        """A NaN stderr (the ddof=1 deviation of one sample) would reject
+        every claim; it is an error, not a verdict."""
+        with pytest.raises(ValueError):
+            McReport.build("x", 0.0, stderr, 1, -0.92, "mc_upper")
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
