@@ -277,13 +277,15 @@ class TestOnePassIncBeta:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4, 1e6])
     def test_wide_array_equals_two_call_form(self, scale):
-        """5,000 lanes per scale, wide enough that the first blocks hold
-        fewer than 8 iterations; half the z at random Beta quantiles, half
-        uniform."""
+        """20,000 lanes per scale: more than one chunk of lanes, and wide
+        enough that the first blocks hold fewer than 8 iterations; half the
+        z at random Beta quantiles, half uniform."""
+        n = 20_000
+        assert n > nk._LANE_CHUNK > nk._BETACF_BLOCK_SIZE // nk._BETACF_BLOCK_ROWS
         rng = np.random.default_rng(int(math.log10(scale)) + 3)
-        a, b = scale * np.exp(rng.uniform(-1.0, 1.0, (2, 5000)))
-        z = rng.uniform(0.0, 1.0, 5000)
-        near = rng.random(5000) < 0.5
+        a, b = scale * np.exp(rng.uniform(-1.0, 1.0, (2, n)))
+        z = rng.uniform(0.0, 1.0, n)
+        near = rng.random(n) < 0.5
         z[near] = special.betaincinv(a[near], b[near], rng.uniform(0.0, 1.0, near.sum()))
         assert_bitwise_equal(nk.reg_inc_beta(z, a, b), two_call_reg_inc_beta(z, a, b)[0])
 
