@@ -195,24 +195,24 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     The loop runs in blocks of up to ``_BETACF_BLOCK_ROWS`` iterations.  A
     block's two Lentz numerators per iteration are computed up front as
     (rows, lanes) arrays, rows x lanes capped at ``_BETACF_BLOCK_SIZE``
-    elements so that a wide lane array takes one row at a time and no large
+    elements so that a wide lane array takes fewer rows and no large
     temporary.  d, c and h are updated in place.  At each block end the lanes
     that have converged leave the working arrays, so later blocks cost what
     the lanes still running need and not what the slowest lane needs for all.
     Each lane's arithmetic is that of the lane run alone, so an array call
     equals its one-lane calls bit for bit.
     """
+    qab = a + b
+    qap = a + 1.0
+    d = 1.0 - qab * z / qap
+    _fpmin_guard(d)
+    d = 1.0 / d
     lane = np.arange(z.size)
     out = np.empty_like(z)
-    # The working lanes' parameters, Lentz's d and c, and h as the rows of
-    # one array, so that converged lanes leave in one call and d and c share
-    # the calls for 1 + ... and the _FPMIN guard.
-    work = np.stack([a, b, z, a + b, a + 1.0, a - 1.0, np.ones_like(z), np.ones_like(z), z])
-    a, b, z, qab, qap, qam, d, c, h = work
-    d -= qab * z / qap
-    _fpmin_guard(d)
-    np.divide(1.0, d, out=d)
-    h[:] = d
+    # The working lanes' parameters, Lentz's d and c, and h (d at the start)
+    # as the rows of one array, so that converged lanes leave in one call
+    # and d and c share the calls for 1 + ... and the _FPMIN guard.
+    work = np.stack([a, b, z, qab, qap, a - 1.0, d, np.ones_like(z), d])
     m = 1
     while lane.size and m <= _BETACF_MAX_ITER:
         a, b, z, qab, qap, qam, d, c, h = work
@@ -237,11 +237,11 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
             h *= delta
             delta -= 1.0
             np.abs(delta, out=delta)
-            np.greater(delta < _BETACF_EPS, done, out=newly)
+            np.greater(delta < _BETACF_EPS, done, out=newly)  # converged & ~done
             k = np.count_nonzero(newly)
             if k:
-                # A lane's value is h at its first convergence; the lane
-                # iterates on to the block end, which must not drift it.
+                # res keeps h from each lane's first convergence: the steps
+                # a lane takes after it, up to the block end, must not count.
                 np.copyto(res, h, where=newly)
                 done |= newly
                 n_done += k
@@ -281,8 +281,9 @@ def reg_inc_beta(z, a, b):
     Continued-fraction evaluation with the symmetry swap: lanes with
     z > (a + 1)/(a + b + 2) evaluate 1 - I_{1-z}(b, a).  Both kinds of lane
     go through one prefactor pass and one continued-fraction loop (see
-    ``_beta_cont_frac``), in chunks of at most ``_LANE_CHUNK`` lanes.  Array-capable, and an array call equals its
-    one-lane calls bit for bit; absolute error <= 1e-10 for a, b <= 1e4.
+    ``_beta_cont_frac``), in chunks of at most ``_LANE_CHUNK`` lanes.
+    Array-capable, and an array call equals its one-lane calls bit for bit;
+    absolute error <= 1e-10 for a, b <= 1e4.
     Beyond that the prefactor's cancellation grows with the parameters
     (about 1.6e-10 at 3e4, 7e-8 at 1e7), and the certificate search reaches
     6e4; ROADMAP item 2 tracks the fix.
