@@ -99,8 +99,6 @@ class TestCertifyCommand:
     (["certify", "--n-gamma", "0"], 2),
     (["certify", "--theta", "{bad_theta}"], 3),
     (["verify", "--samples", "0"], 2),
-    (["verify", "--samples", "1"], 2),
-    (["verify", "--sharpness-samples", "1"], 2),
     (["--manifest", "{bad_manifest}", "certify"], 2),
     (["train", "--gamma-candidates", "abc"], 2),
     (["train", "--gamma-candidates", "0.7"], 2),
@@ -118,6 +116,8 @@ class TestCertifyCommand:
     (["compare", "--n-gamma", "5"], 2),
     (["verify", "--delta", "0.1"], 2),
     (["verify", "--n-gamma", "5"], 2),
+    (["verify", "--samples", "1"], 2),
+    (["verify", "--sharpness-samples", "1"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     """Bad flag or manifest values are usage errors (2) and a malformed
