@@ -79,11 +79,11 @@ class InapplicableMarginError(ValueError):
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Sample size, confidence and prior shared by every certificate."""
+    """Sample size and confidence shared by every certificate.  Every
+    Dirichlet certificate takes the prior Dirichlet(1, ..., 1)."""
 
     m: int
     delta: float
-    prior_beta: np.ndarray | None = None
 
     def __post_init__(self):
         if int(self.m) < 1:
@@ -92,19 +92,6 @@ class BoundSpec:
         if not 0.0 < float(self.delta) < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         object.__setattr__(self, "delta", float(self.delta))
-        if self.prior_beta is not None:
-            beta = np.asarray(self.prior_beta, dtype=float)
-            if np.any(beta <= 0.0) or not np.all(np.isfinite(beta)):
-                raise ValueError("prior_beta must be positive and finite")
-            beta.setflags(write=False)
-            object.__setattr__(self, "prior_beta", beta)
-
-    def prior(self, num_voters: int) -> np.ndarray:
-        if self.prior_beta is None:
-            return np.ones(num_voters)
-        if self.prior_beta.size != num_voters:
-            raise ValueError("prior_beta length must equal the number of voters")
-        return self.prior_beta
 
     def log_confidence(self) -> float:
         """ln(2 sqrt(m) / delta), the standard confidence term."""
@@ -172,9 +159,9 @@ def _lane(r: BoundResult, i: int) -> BoundResult:
         r.derandomisation_term)), r.flags)
 
 
-def _dirichlet_kl_of(theta: np.ndarray, spec: BoundSpec):
-    """Lanewise K -> KL(Dir(K theta) || Dir(prior)), prior terms computed once."""
-    kl = nk._dirichlet_kl_to(spec.prior(theta.size))
+def _dirichlet_kl_of(theta: np.ndarray):
+    """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once."""
+    kl = nk._dirichlet_kl_to(np.ones(theta.size))
     return lambda K: kl(K[..., None] * theta)
 
 
@@ -211,7 +198,7 @@ def _from_loss(formula, loss, theta, K, spec: BoundSpec, *gamma) -> BoundResult:
     if any(np.any(x <= 0.0) for x in (K, *gamma)):
         raise ValueError("gamma and K must be positive")
     th, flags = _floor_theta(theta)
-    return formula(loss, K, *gamma, _dirichlet_kl_of(th, spec), spec).with_flags(flags)
+    return formula(loss, K, *gamma, _dirichlet_kl_of(th), spec).with_flags(flags)
 
 
 def dirichlet_margin_from_loss(l_gamma, theta, K, gamma, spec: BoundSpec) -> BoundResult:
@@ -521,12 +508,6 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
     return int(np.lexsort((gammas, values))[0])
 
 
-def _margin_losses(P: PredictionMatrix, theta: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Empirical margin loss L_gamma at every grid margin."""
-    sorted_margins = np.sort(votes.margins(P, theta))
-    return np.searchsorted(sorted_margins, gammas, side="right") / P.num_examples
-
-
 def dirichlet_margin_best_K(
     losses,
     theta,
@@ -552,7 +533,7 @@ def dirichlet_margin_best_K(
 def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
     """The margin formula on flat (loss, gamma) lanes for a floored theta,
     each lane at its golden-sectioned K."""
-    kl_of = _dirichlet_kl_of(th, spec)
+    kl_of = _dirichlet_kl_of(th)
     x, _ = _search_log_K(lambda x: _margin_formula(losses, np.exp(x), gammas, kl_of, spec).value,
                          gammas.size, K_init, cfg)
     return _margin_formula(losses, np.array([math.exp(xi) for xi in x]), gammas, kl_of, spec)
@@ -574,7 +555,7 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.nda
 
 def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
     th, flags = _floor_theta(wp.theta)
-    lanes = _margin_best_K(_margin_losses(P, th, gammas), th, gammas, spec, wp.K, cfg)
+    lanes = _margin_best_K(votes.empirical_margin_loss(P, th, gammas), th, gammas, spec, wp.K, cfg)
     return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
 
 
@@ -583,7 +564,7 @@ def _certify_beta(P, wp, spec, cfg, gammas):
     baseline at the single margin 0."""
     th, flags = _floor_theta(wp.theta)
     a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
-    kl_of = _dirichlet_kl_of(th, spec)
+    kl_of = _dirichlet_kl_of(th)
     margins = np.zeros(1) if gammas is None else gammas
 
     def at(K, g):
@@ -607,7 +588,7 @@ def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool
         if not gammas.size:
             vacuous = _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
             return _finalize(vacuous, flags)
-        lanes = formula(_margin_losses(P, th, gammas), gammas, th, spec)
+        lanes = formula(votes.empirical_margin_loss(P, th, gammas), gammas, th, spec)
         return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
 
     return evaluate

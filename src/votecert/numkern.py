@@ -12,15 +12,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "digamma",
     "trigamma",
     "reg_inc_beta",
     "reg_inc_beta_with_grad",
-    "small_kl",
     "kl_inv",
     "kl_inv_with_grad",
     "dirichlet_kl",
-    "categorical_entropy",
     "categorical_kl_uniform",
     "binomial_tail",
 ]
@@ -63,11 +60,13 @@ def _unit_array(x, name: str) -> np.ndarray:
 # series at z >= 8, where each is within 3e-15, and ln Gamma from psi and h;
 # x < 8 is lifted to z = x + 8.
 # psi's series is ln(x) - 1/(2x) minus these coefficients of x^-2, ..., x^-14
-# (B_2k / (2k)); h grows only like ln(x) / 2: its series is
+# (B_2k / (2k)); psi''s is 1/x + 1/(2x^2) plus these coefficients of
+# x^-3, x^-5, ..., x^-15 (B_2k); h grows only like ln(x) / 2: its series is
 # ln(x)/2 - 1/2 - ln(2 pi)/2 plus these coefficients of x^-1, x^-3, ..., x^-15
 # (-B_2k / (2k - 1)).
 _SERIES_FROM = 8
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 _H_SERIES = (-1 / 6, 1 / 90, -1 / 210, 1 / 210, -5 / 594, 691 / 30030, -7 / 78, 3617 / 7650)
 
 
@@ -126,13 +125,6 @@ def _h_psi(x: np.ndarray):
     return h.reshape(shape), psi.reshape(shape)
 
 
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0.  Array-capable."""
-    arr = _positive_array(x, "x")
-    out = _h_psi(np.atleast_1d(arr).astype(float))[1]
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def trigamma(x):
     """psi'(x) for x > 0, lifted lanes brought back by
     psi'(x) = psi'(z) + sum_j 1/(x + j)^2, summed in order of j, so an array
@@ -143,22 +135,7 @@ def trigamma(x):
     z, lift = _lift(x)
     inv = 1.0 / z
     inv2 = inv * inv
-    tail = inv * inv2 * (
-        1.0 / 6.0
-        - inv2 * (
-            1.0 / 30.0
-            - inv2 * (
-                1.0 / 42.0
-                - inv2 * (
-                    1.0 / 30.0
-                    - inv2 * (
-                        5.0 / 66.0
-                        - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0))
-                    )
-                )
-            )
-        )
-    )
+    tail = inv * inv2 * _horner(_TRIGAMMA_SERIES, inv2)
     out = inv + 0.5 * inv2 + tail
     s = x[lift]
     back = 1.0 / (s * s)
@@ -347,30 +324,23 @@ def reg_inc_beta_with_grad(z, a, b):
 
 
 _TINY = 5e-324  # the smallest positive float64
+_LOG_TINY = math.log(_TINY)
 
 
 def _kl(q, p):
     """Bernoulli kl(q, p) on validated lanes (or numpy scalars), for q != p
     on the boundary; callers silence numpy's divide warnings.
 
-    Adding the smallest float to a ratio turns 0 ln 0 into 0 ln(tiny) = 0
-    and leaves every normal ratio unchanged.
+    The (1 - q) term is (1 - q) ln(1 + (p - q)/(1 - p)): the log of the
+    rounded ratio (1 - q)/(1 - p) is off by up to ~1e-16 absolute, which is
+    all of the term when q and p are that small.  Adding the smallest
+    float to q/p turns 0 ln 0 into 0 ln(tiny) = 0 and leaves every normal
+    ratio unchanged; the log1p, -inf only at q = 1, is raised to ln(tiny)
+    for the same rule.
     """
     rest = 1.0 - q
-    return q * np.log(q / p + _TINY) + rest * np.log(rest / (1.0 - p) + _TINY)
-
-
-def small_kl(q, p):
-    """kl(q, p) between Bernoulli(q) and Bernoulli(p), with 0 ln 0 := 0.
-
-    Saturates to +inf when p is on the boundary and q differs; callers clip
-    bound values at 1 instead of treating that as an error.  Array-capable.
-    """
-    q_arr = _unit_array(q, "q")
-    p_arr = _unit_array(p, "p")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(q_arr == p_arr, 0.0, _kl(q_arr, p_arr))
-    return float(out) if out.ndim == 0 else out
+    return (q * np.log(q / p + _TINY)
+            + rest * np.maximum(np.log1p((p - q) / (1.0 - p)), _LOG_TINY))
 
 
 _KL_TOP = math.nextafter(1.0, 0.0)
@@ -439,24 +409,29 @@ def _kl_inv_lanes(u, c):
 
 def kl_inv_with_grad(u, c):
     """(v, dv/du, dv/dc) for v = kl_inv(u, c), the partials by implicit
-    differentiation at that v.
+    differentiation at that v.  Array-capable, lane by lane.
 
-    Requires 0 < u < 1 and c > 0.  When the inverse saturates at 1 the bound
-    is locally constant and both partials are zero.
+    Requires 0 < u < 1 and c > 0 on every lane.  Where the inverse saturates
+    at 1 the bound is locally constant and both partials are zero.
     """
-    u, c = float(u), float(c)
-    if not 0.0 < u < 1.0:
+    u_arr = np.asarray(u, dtype=float)
+    c_arr = np.asarray(c, dtype=float)
+    if not ((u_arr > 0.0) & (u_arr < 1.0)).all():
         raise ValueError("u must lie strictly inside (0, 1)")
-    if not c > 0.0:
+    if not (c_arr > 0.0).all():
         raise ValueError("kl_inv_with_grad is singular at c = 0 (v = u)")
-    v = kl_inv(u, c)
-    if v >= 1.0:
-        return v, 0.0, 0.0
-    gap = v - u
-    if gap <= 1e-15:
+    v = np.asarray(kl_inv(u_arr, c_arr))
+    u_arr = np.broadcast_to(u_arr, v.shape)
+    gap = v - u_arr
+    live = v < 1.0
+    if (gap[live] <= 1e-15).any():
         raise ValueError("kl_inv_with_grad is singular: v coincides with u")
-    dv_dc = v * (1.0 - v) / gap
-    dv_du = -(math.log(u / v) - math.log((1.0 - u) / (1.0 - v))) * dv_dc
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1 - v = 0 where saturated
+        dv_dc = np.where(live, v * (1.0 - v) / gap, 0.0)
+        dv_du = np.where(
+            live, -(np.log(u_arr / v) - np.log((1.0 - u_arr) / (1.0 - v))) * dv_dc, 0.0)
+    if v.ndim == 0:
+        return float(v), float(dv_du), float(dv_dc)
     return v, dv_du, dv_dc
 
 
@@ -511,17 +486,12 @@ def _simplex_array(theta, name: str, tol: float = 1e-9) -> np.ndarray:
     return arr
 
 
-def categorical_entropy(theta) -> float:
-    """H(theta) = -sum_i theta_i ln theta_i with 0 ln 0 := 0."""
+def categorical_kl_uniform(theta) -> float:
+    """KL(Categorical(theta) || uniform) = ln d - H(theta) >= 0, with
+    H(theta) = -sum_i theta_i ln theta_i and 0 ln 0 := 0."""
     arr = _simplex_array(theta, "theta")
     pos = arr[arr > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
-
-
-def categorical_kl_uniform(theta) -> float:
-    """KL(Categorical(theta) || uniform) = ln d - H(theta) >= 0."""
-    arr = _simplex_array(theta, "theta")
-    return max(0.0, math.log(arr.size) - categorical_entropy(arr))
+    return max(0.0, math.log(arr.size) + float(np.sum(pos * np.log(pos))))
 
 
 def binomial_tail(N, p, k0):

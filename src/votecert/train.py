@@ -4,8 +4,8 @@ The primary objective is the stochastic-margin certificate: the Beta-CDF
 expected margin loss pushed through the inverted small-kl, plus the
 de-randomisation penalty.  Dirichlet parameters are kept positive through a
 softplus reparameterisation; gradients are assembled by the chain rule
-through the incomplete-beta partials, the digamma/trigamma terms of the
-Dirichlet KL, and implicit differentiation of the kl inverse.
+through the incomplete-beta partials, the trigamma form of the Dirichlet
+KL's gradient, and implicit differentiation of the kl inverse.
 
 One Dirichlet objective serves the stochastic-margin certificate and, with
 no margin, the factor-two (f2) baseline; the first-order (fo) baseline keeps
@@ -140,32 +140,30 @@ def uniform_omega(num_voters: int, K_init: float) -> np.ndarray:
     return np.full(num_voters, _inv_softplus(K_init / num_voters - _ALPHA_SHIFT))
 
 
-def _dirichlet_complexity(alpha: np.ndarray, prior: np.ndarray, spec: BoundSpec, grad: bool):
-    """Per row of an (R, d) alpha: c = (D(alpha, prior) + ln(2 sqrt(m)/delta)) / m
-    and, with ``grad``, dc/dalpha.
+def _dirichlet_complexity(alpha: np.ndarray, spec: BoundSpec, grad: bool):
+    """Per row of an (R, d) alpha: c = (D(alpha, 1) + ln(2 sqrt(m)/delta)) / m,
+    D the KL to the prior Dirichlet(1, ..., 1), and, with ``grad``, dc/dalpha.
 
     The digamma terms of the KL cancel in the gradient, leaving the
-    trigamma form (alpha_i - beta_i) psi'(alpha_i) - psi'(alpha_0)(alpha_0 - beta_0).
+    trigamma form (alpha_i - 1) psi'(alpha_i) - psi'(alpha_0)(alpha_0 - d).
     """
-    c = np.maximum(0.0, nk.dirichlet_kl(alpha, prior) + spec.log_confidence()) / spec.m
+    d = alpha.shape[1]
+    c = np.maximum(0.0, nk.dirichlet_kl(alpha, np.ones(d)) + spec.log_confidence()) / spec.m
     if not grad:
         return c, None
     a0 = alpha.sum(axis=1, keepdims=True)
     # One trigamma lane array: alpha_0 rides along as the last column.
     tri = nk.trigamma(np.concatenate([alpha, a0], axis=1))
-    dc = ((alpha - prior) * tri[:, :-1] - tri[:, -1:] * (a0 - float(prior.sum()))) / spec.m
+    dc = ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
     return c, dc
 
 
 def _kl_inv_rows(u: np.ndarray, c: np.ndarray, grad: bool):
     """kl_inv per run with u kept inside (0, 1) (the complexity c is
     positive, as ln(2 sqrt(m)/delta) > 0): the values, or with ``grad`` the
-    rows (v, dv/du, dv/dc).  The values are one lane array; the partials
-    are one scalar call per run."""
+    rows (v, dv/du, dv/dc), each from one lane array over the runs."""
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    if not grad:
-        return nk.kl_inv(u, c)
-    return np.array([nk.kl_inv_with_grad(a, b) for a, b in zip(u, c)]).T
+    return nk.kl_inv_with_grad(u, c) if grad else nk.kl_inv(u, c)
 
 
 def _as_runs(omega):
@@ -227,7 +225,7 @@ def objective(
     a_c = np.stack([c @ a for c, a in zip(corr, alpha)])
     a_w = np.stack([w @ a for w, a in zip(wrong, alpha)])
     lanes = a_c, a_w, margin[:, None]
-    c, dc = _dirichlet_complexity(alpha, spec.prior(alpha.shape[1]), spec, grad)
+    c, dc = _dirichlet_complexity(alpha, spec, grad)
     if gamma is None:
         eps = d_eps = 0.0
     else:

@@ -172,15 +172,19 @@ def _theta_of(wp) -> np.ndarray:
     return wp.theta if isinstance(wp, WeightPosterior) else np.asarray(wp, float)
 
 
-def empirical_margin_loss(P: PredictionMatrix, wp, gamma: float) -> float:
-    """Fraction of rows with margin <= gamma.
+def empirical_margin_loss(P: PredictionMatrix, wp, gamma):
+    """Fraction of rows with margin <= gamma, lanewise in gamma: a float for
+    a float gamma, one value per lane for an array.
 
     At gamma = 0 this is the majority-vote training error with ties counted
     as errors.  Accepts a WeightPosterior or a bare simplex vector.
     """
-    if gamma < 0.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if not (gamma >= 0.0).all():
         raise ValueError("gamma must be non-negative")
-    return float(np.mean(margins(P, _theta_of(wp)) <= gamma))
+    sorted_margins = np.sort(margins(P, _theta_of(wp)))
+    out = np.searchsorted(sorted_margins, gamma, side="right") / P.num_examples
+    return float(out) if out.ndim == 0 else out
 
 
 def gibbs_loss(P: PredictionMatrix, theta) -> float:

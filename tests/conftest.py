@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from votecert import numkern as nk
 from votecert.votes import PredictionMatrix
 
 
@@ -19,6 +20,17 @@ def random_matrix(seed: int, m: int, d: int, c: int = 2,
     agree = rng.random((m, d)) < accuracy
     preds[agree] = np.broadcast_to(labels[:, None], (m, d))[agree]
     return PredictionMatrix(preds, labels, c)
+
+
+def small_kl(q, p):
+    """Bernoulli kl(q, p) with 0 ln 0 := 0 and kl(q, q) = 0, lanewise: the
+    kernel's own kl (the one ``kl_inv`` inverts, checked against mpmath in
+    test_numkern), for round-trip checks of the inverse.  +inf where p is
+    on the boundary and q differs."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(q == p, 0.0, nk._kl(q, p))
+    return float(out) if out.ndim == 0 else out
 
 
 def mpmath_dirichlet_kl(alpha, beta) -> float:

@@ -17,7 +17,7 @@ from votecert import bounds, cli, numkern as nk, oracle, train, votes
 from votecert.bounds import BoundSpec
 from votecert.votes import PredictionMatrix
 
-from conftest import random_matrix, write_board_csv
+from conftest import random_matrix, small_kl, write_board_csv
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -32,7 +32,7 @@ def test_criterion_01_kernel_roundtrip():
     for u in np.arange(0.01, 1.0, 0.01):
         for c in np.logspace(-6, math.log10(5.0), 40):
             v = nk.kl_inv(float(u), float(c))
-            if v < 1.0 and abs(nk.small_kl(float(u), v) - c) > 1e-9:
+            if v < 1.0 and abs(small_kl(float(u), v) - c) > 1e-9:
                 ok = False
     elapsed = time.perf_counter() - t0
     _verdict(1, f"kernel round-trip on 99x40 grid in {elapsed:.2f}s", ok and elapsed < 1.0)

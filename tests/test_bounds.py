@@ -12,7 +12,7 @@ from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
 from votecert.votes import PredictionMatrix, WeightPosterior
 
-from conftest import mpmath_dirichlet_kl, random_matrix
+from conftest import mpmath_dirichlet_kl, random_matrix, small_kl
 
 
 SPEC = BoundSpec(m=2000, delta=0.05)
@@ -128,7 +128,7 @@ class TestGZ:
         ) / m
         want = min(1.0, nk.kl_inv(l_g, comp) + math.log(d) / m)
         assert r.value == pytest.approx(want, abs=1e-12)
-        assert abs(nk.small_kl(l_g, nk.kl_inv(l_g, comp)) - comp) <= 1e-9
+        assert abs(small_kl(l_g, nk.kl_inv(l_g, comp)) - comp) <= 1e-9
 
 
 class TestBGFamily:

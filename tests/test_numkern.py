@@ -3,6 +3,7 @@ import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from scipy import integrate, special
 
 from votecert import numkern as nk
 
-from conftest import mpmath_dirichlet_kl
+from conftest import mpmath_dirichlet_kl, small_kl
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -18,6 +19,12 @@ EULER_GAMMA = 0.5772156649015329
 def series_log_gamma(x):
     """ln Gamma from the psi/h series, the incomplete beta's only path to it."""
     return nk._series(np.atleast_1d(np.asarray(x, dtype=float)))[2]
+
+
+def psi(x):
+    """psi from the (h, psi) series that the Dirichlet KL uses."""
+    out = nk._h_psi(np.asarray(x, dtype=float))[1]
+    return float(out) if out.ndim == 0 else out
 
 
 class TestLogGamma:
@@ -42,36 +49,36 @@ class TestLogGamma:
 
 
 class TestDigamma:
+    """psi through ``_h_psi``, the path the Dirichlet KL takes, and psi'."""
+
     def test_psi_one_is_minus_euler(self):
-        assert nk.digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
+        assert psi(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
 
     def test_psi_half_closed_form(self):
-        assert nk.digamma(0.5) == pytest.approx(
+        assert psi(0.5) == pytest.approx(
             -EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12
         )
 
     def test_recurrence(self):
         """psi(x + 1) = psi(x) + 1/x, including the x = 3.7 check point."""
-        assert nk.digamma(3.7) == pytest.approx(nk.digamma(2.7) + 1 / 2.7, abs=1e-12)
+        assert psi(3.7) == pytest.approx(psi(2.7) + 1 / 2.7, abs=1e-12)
         rng = np.random.default_rng(0)
         for x in rng.uniform(1e-3, 60.0, 200):
-            assert nk.digamma(x + 1.0) - nk.digamma(x) == pytest.approx(
+            assert psi(x + 1.0) - psi(x) == pytest.approx(
                 1.0 / x, abs=1e-12
             )
 
     def test_trigamma_against_derivative(self):
         assert nk.trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-11)
         for x in (0.3, 1.7, 6.5, 40.0):
-            fd = (nk.digamma(x + 5e-6) - nk.digamma(x - 5e-6)) / 1e-5
+            fd = (psi(x + 5e-6) - psi(x - 5e-6)) / 1e-5
             assert nk.trigamma(x) == pytest.approx(fd, rel=1e-6)
 
     def test_lanes_against_mpmath(self):
         """psi and psi' over [1e-6, 1e6], one array call each, lifted and
         unlifted lanes alike: absolute-or-relative error <= 1e-14."""
-        import mpmath
-
         xs = np.concatenate([np.logspace(-6, 6, 300), np.linspace(0.05, 16.0, 300)])
-        for got, ref in ((nk.digamma(xs), mpmath.digamma),
+        for got, ref in ((psi(xs), mpmath.digamma),
                          (nk.trigamma(xs), lambda x: mpmath.polygamma(1, x))):
             for g, x in zip(got, xs):
                 want = float(ref(mpmath.mpf(float(x))))
@@ -309,7 +316,7 @@ def dIda_quadrature(z: float, a: float, b: float) -> float:
     """d/da I_z(a,b) by differentiating under the integral sign; the ln t
     factor rides in the quadrature weight to absorb the endpoint singularity."""
     ln_B = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    psi_term = nk.digamma(a) - nk.digamma(a + b)
+    psi_term = psi(a) - psi(a + b)
     log_piece, _ = integrate.quad(
         lambda t: (1.0 - t) ** (b - 1.0),
         0.0, z, weight="alg-loga", wvar=(a - 1.0, 0.0),
@@ -370,29 +377,45 @@ def small_kl_decimal(q: str, p: str) -> float:
     return float(total)
 
 
+def mpmath_kl(q: float, p: float) -> float:
+    """50-digit Bernoulli kl(q, p) at the exact float arguments."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    q_m, p_m = mp.mpf(q), mp.mpf(p)
+    head = q_m * mp.log(q_m / p_m) if q > 0 else mp.mpf(0)
+    return float(head + (1 - q_m) * mp.log((1 - q_m) / (1 - p_m)))
+
+
 class TestSmallKl:
+    """The tests' kl reference and the kernel's ``_kl`` beneath it."""
+
     def test_zero_on_diagonal(self):
         for u in (0.0, 0.3, 1.0):
-            assert nk.small_kl(u, u) == 0.0
+            assert small_kl(u, u) == 0.0
 
     def test_limit_form_at_zero(self):
         for p in (0.1, 0.5, 0.9):
-            assert nk.small_kl(0.0, p) == pytest.approx(-math.log(1.0 - p), abs=1e-14)
+            assert small_kl(0.0, p) == pytest.approx(-math.log(1.0 - p), abs=1e-14)
 
     def test_high_precision_value(self):
-        assert nk.small_kl(0.1, 0.2) == pytest.approx(
+        assert small_kl(0.1, 0.2) == pytest.approx(
             small_kl_decimal("0.1", "0.2"), abs=1e-15
         )
 
     def test_boundary_saturation(self):
-        assert nk.small_kl(0.3, 0.0) == math.inf
-        assert nk.small_kl(0.3, 1.0) == math.inf
+        assert small_kl(0.3, 0.0) == math.inf
+        assert small_kl(0.3, 1.0) == math.inf
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            nk.small_kl(1.2, 0.5)
-        with pytest.raises(ValueError):
-            nk.small_kl(0.5, -0.1)
+    def test_relative_accuracy_near_the_boundaries(self):
+        """Relative error <= 1e-14 against mpmath where q and p are both
+        small, so that ln((1 - q)/(1 - p)) is a log of a ratio within 1e-3 of
+        1, and where p is within 1e-3 of 1."""
+        cases = [(q, float(p)) for q in (0.0, 1e-300, 1e-12)
+                 for p in np.logspace(-16, -3, 53) if p != q]
+        cases += [(q, 1.0 - float(e)) for q in (0.5, 0.9) for e in np.logspace(-12, -3, 37)]
+        for q, p in cases:
+            want = mpmath_kl(q, p)
+            assert abs(nk._kl(np.float64(q), np.float64(p)) - want) <= 1e-14 * want, (q, p)
 
 
 class TestKlInv:
@@ -406,7 +429,7 @@ class TestKlInv:
 
     def test_resubstitution(self):
         v = nk.kl_inv(0.1, 0.05)
-        assert abs(nk.small_kl(0.1, v) - 0.05) <= 1e-9
+        assert abs(small_kl(0.1, v) - 0.05) <= 1e-9
 
     def test_infinite_budget(self):
         assert nk.kl_inv(0.5, math.inf) == 1.0
@@ -418,7 +441,7 @@ class TestKlInv:
             for c in np.logspace(-6, math.log10(5.0), 40):
                 v = nk.kl_inv(float(u), float(c))
                 if v < 1.0:
-                    assert abs(nk.small_kl(float(u), v) - c) <= 1e-9
+                    assert abs(small_kl(float(u), v) - c) <= 1e-9
 
     def test_monotone_in_both_arguments(self):
         cs = np.linspace(0.0, 2.0, 15)
@@ -455,7 +478,7 @@ class TestKlInvContract:
         v = nk.kl_inv(u, c)
         assert v.shape == (len(us), len(KL_BUDGETS))
         with np.errstate(invalid="ignore"):  # inf - inf where c = inf, and v = 1
-            gap = np.abs(nk.small_kl(np.broadcast_to(u, v.shape), v) - c)
+            gap = np.abs(small_kl(np.broadcast_to(u, v.shape), v) - c)
         assert np.all((v == 1.0) | (gap <= 1e-9))
         assert np.all(v >= u)
         assert np.all(np.diff(v, axis=1) >= 0.0)
@@ -486,6 +509,42 @@ class TestKlInvGrad:
     def test_singular_at_zero_budget(self):
         with pytest.raises(ValueError):
             nk.kl_inv_with_grad(0.5, 0.0)
+
+    def test_array_equals_one_lane_calls(self):
+        """Values and partials of an array call equal its one-lane calls bit
+        for bit, saturated lanes included."""
+        rng = np.random.default_rng(29)
+        n = 10_000
+        u = np.concatenate([10.0 ** rng.uniform(-12, 0, n // 2), rng.uniform(1e-12, 1.0, n // 2)])
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        c = 10.0 ** rng.uniform(-6, 2, n)
+        rows = nk.kl_inv_with_grad(u, c)
+        assert all(r.shape == (n,) for r in rows)
+        assert np.count_nonzero(rows[0] == 1.0) > 0
+        one = np.array([nk.kl_inv_with_grad(float(a), float(b)) for a, b in zip(u, c)]).T
+        for got, want in zip(rows, one):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rows[0], nk.kl_inv(u, c))
+
+    def test_saturated_lanes_have_zero_partials(self):
+        u = np.array([0.5, 0.5, 0.9, 0.2])
+        c = np.array([0.1, 50.0, math.inf, 0.3])
+        v, dv_du, dv_dc = nk.kl_inv_with_grad(u, c)
+        saturated = v == 1.0
+        assert list(saturated) == [False, True, True, False]
+        assert np.all(dv_du[saturated] == 0.0) and np.all(dv_dc[saturated] == 0.0)
+        assert np.all(dv_dc[~saturated] > 0.0)
+        assert nk.kl_inv_with_grad(0.5, 50.0) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad_u, bad_c", [(0.0, 0.1), (1.0, 0.1), (0.3, 0.0), (0.3, 1e-300)])
+    def test_one_bad_lane_raises_the_scalar_error(self, bad_u, bad_c):
+        with pytest.raises(ValueError) as scalar:
+            nk.kl_inv_with_grad(bad_u, bad_c)
+        u = np.array([0.2, bad_u, 0.4])
+        c = np.array([0.1, bad_c, 0.5])
+        with pytest.raises(ValueError) as lanes:
+            nk.kl_inv_with_grad(u, c)
+        assert str(lanes.value) == str(scalar.value)
 
 
 def beta_kl_quadrature(a1, a2, b1, b2) -> float:
@@ -569,21 +628,28 @@ def entropy_decimal(weights) -> float:
     return float(total)
 
 
+def entropy(theta) -> float:
+    """H(theta) = ln d - KL(theta || uniform)."""
+    return math.log(len(theta)) - nk.categorical_kl_uniform(theta)
+
+
 class TestCategoricalEntropy:
+    """H(theta), with 0 ln 0 := 0, read through ``categorical_kl_uniform``."""
+
     def test_uniform(self):
         theta = np.full(7, 1.0 / 7.0)
-        assert nk.categorical_entropy(theta) == pytest.approx(math.log(7), abs=1e-12)
+        assert entropy(theta) == pytest.approx(math.log(7), abs=1e-12)
         assert nk.categorical_kl_uniform(theta) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot(self):
         theta = np.zeros(5)
         theta[2] = 1.0
-        assert nk.categorical_entropy(theta) == 0.0
-        assert nk.categorical_kl_uniform(theta) == pytest.approx(math.log(5), abs=1e-12)
+        assert entropy(theta) == 0.0
+        assert nk.categorical_kl_uniform(theta) == math.log(5)
 
     def test_high_precision_point(self):
         theta = [0.7, 0.2, 0.1]
-        assert nk.categorical_entropy(np.array(theta)) == pytest.approx(
+        assert entropy(np.array(theta)) == pytest.approx(
             entropy_decimal(["0.7", "0.2", "0.1"]), abs=1e-14
         )
 

@@ -102,7 +102,7 @@ class TestObjectiveGradients:
         # alpha-dependence through u; remaining signal is penalty + complexity
         eps_term = -4 * gamma**2 * math.exp(-4 * (alpha.sum() + 1) * gamma**2)
         sig = 1 / (1 + math.exp(-0.3))
-        c, dc = train._dirichlet_complexity(alpha[None], np.ones(4), spec, grad=True)
+        c, dc = train._dirichlet_complexity(alpha[None], spec, grad=True)
         _, _, dv_dc = train._kl_inv_rows(np.zeros(1), c, grad=True)
         want = (dv_dc[0] * dc[0] + eps_term) * sig
         np.testing.assert_allclose(grad, want, rtol=1e-10)

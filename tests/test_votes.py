@@ -118,6 +118,21 @@ class TestEmpiricalMarginLoss:
         P = PredictionMatrix(preds, labels, 2)
         assert votes.empirical_margin_loss(P, WeightPosterior.uniform(2), 0.0) == 1.0
 
+    def test_lanewise_in_gamma(self):
+        """An array of margins gives the one-margin values lane by lane, each
+        the fraction of rows with margin <= gamma, margins hit exactly
+        included; one negative lane is rejected."""
+        P = random_matrix(seed=9, m=120, d=10, accuracy=0.6)
+        theta = np.random.default_rng(9).dirichlet(np.ones(10))
+        m = votes.margins(P, theta)
+        gammas = np.concatenate([np.linspace(0.0, 0.5, 26), np.unique(m[m >= 0.0])])
+        got = votes.empirical_margin_loss(P, theta, gammas)
+        assert got.shape == gammas.shape
+        for g, value in zip(gammas, got):
+            assert value == votes.empirical_margin_loss(P, theta, float(g)) == np.mean(m <= g)
+        with pytest.raises(ValueError):
+            votes.empirical_margin_loss(P, theta, np.array([0.1, -0.1]))
+
 
 class TestGibbsAndTandem:
     def test_all_correct(self):
