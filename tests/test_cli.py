@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from votecert import cli, oracle, voters
 
 from conftest import random_matrix, write_board_csv
+
+VERIFY_REFERENCE = pathlib.Path(__file__).parent / "verify_reference.json"
 
 
 def write_predictions(path, seed=0, m=80, d=6, accuracy=0.75):
@@ -292,6 +295,16 @@ class TestVerifyCommand:
                 outs.append(fh.readline().strip())
         assert outs[0] == outs[1]
         assert outs[0] == "label,estimate,stderr,n_samples,claim_bound,direction,verdict"
+
+    def test_reproduces_recorded_reports(self, tmp_path):
+        """Every battery at 2,000 samples, seed 0, against mcreports.json
+        recorded from the row-by-row oracle: the Philox streams, the sample
+        counts and the loss arithmetic stay, byte for byte."""
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "--samples", "2000", "--sharpness-samples", "2000",
+                       "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        assert (out / "mcreports.json").read_bytes() == VERIFY_REFERENCE.read_bytes()
 
 
 RUN_FILES = ("results.csv", "summary.csv", "training_log.csv", "posteriors.csv")
