@@ -138,6 +138,89 @@ class TestDerandomisation:
         assert all(r.verdict for r in reports)
 
 
+def row_by_row_margins(preds, labels, c, weights):
+    """Reference margins, one row at a time: class sums by bincount, the
+    runner-up by max."""
+    out = np.empty(preds.shape[0])
+    for i, (row, y) in enumerate(zip(preds, labels)):
+        sums = np.bincount(row, weights=weights, minlength=c + 1)[1:]
+        true_w = sums[y - 1]
+        sums[y - 1] = -np.inf
+        out[i] = 0.5 * (true_w - sums.max())
+    return np.clip(out, -0.5, 0.5)
+
+
+def row_by_row_losses(preds, labels, c, samples, gamma):
+    """Reference per-sample margin losses, one row at a time: an (n, d) @
+    (d, c) product per row, the runner-up by max."""
+    totals = np.zeros(samples.shape[0])
+    for row, y in zip(preds, labels):
+        mass = samples @ (row[:, None] == np.arange(1, c + 1)).astype(float)
+        true_w = mass[:, y - 1].copy()
+        mass[:, y - 1] = -np.inf
+        totals += np.clip(0.5 * (true_w - mass.max(axis=1)), -0.5, 0.5) <= gamma
+    return totals / preds.shape[0]
+
+
+def dyadic_weights(rng, shape):
+    """Weights in {0, 1, 2, 3} / 16: every class sum is exact in any order,
+    so margins land exactly on 0 and 0.25, and sums above 1 hit the clip."""
+    return rng.integers(0, 4, size=shape) / 16.0
+
+
+class TestMarginLosses:
+    """The oracle's chunked losses and direct margins against one-row-at-a-
+    time references, exactly."""
+
+    CHUNK = oracle._LOSS_CHUNK
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("n", [7, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_chunked_losses_with_margins_at_gamma(self, c, n, gamma):
+        P = random_matrix(seed=20 + c, m=9, d=6, c=c, accuracy=0.5)
+        samples = dyadic_weights(np.random.default_rng(n), (n, 6))
+        want = row_by_row_losses(P.preds, P.labels, c, samples, gamma)
+        # some margins sit exactly on gamma, so "<=" is what is tested
+        assert not np.array_equal(
+            want, row_by_row_losses(P.preds, P.labels, c, samples, np.nextafter(gamma, -1)))
+        got = oracle._per_sample_margin_losses(P.preds, P.labels, c, samples, gamma)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("n", [7, CHUNK, CHUNK + 1])
+    def test_chunked_losses_on_dirichlet_samples(self, c, n):
+        P = random_matrix(seed=30 + c, m=12, d=20, c=c, accuracy=0.6)
+        samples = oracle.sample_dirichlet(np.full(20, 0.8), n, seed=n)
+        want = row_by_row_losses(P.preds, P.labels, c, samples, 0.1)
+        got = oracle._per_sample_margin_losses(P.preds, P.labels, c, samples, 0.1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_direct_margins(self, c):
+        """Exact on dyadic weights (ties and clipped rows included) and on
+        Dirichlet weights, whose class sums match bincount's to the bit."""
+        P = random_matrix(seed=40 + c, m=50, d=6, c=c, accuracy=0.5)
+        rng = np.random.default_rng(c)
+        for weights in (dyadic_weights(rng, 6), rng.dirichlet(np.ones(6))):
+            want = row_by_row_margins(P.preds, P.labels, c, weights)
+            got = oracle._margins_direct(P.preds, P.labels, c, weights)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [14, 20, 100])
+    def test_equal_weights_tie_exactly(self, d):
+        """Uniform weights on rows split evenly between two classes: every
+        margin is exactly 0, whatever the voters' order, so L_0 is 1.  A
+        BLAS product can sum the two classes in different orders and break
+        these ties by an ulp."""
+        rng = np.random.default_rng(d)
+        preds = np.stack([rng.permutation(np.repeat([1, 2], d // 2)) for _ in range(60)])
+        labels = rng.integers(1, 3, size=60)
+        weights = np.full(d, 1.0 / d)
+        assert np.array_equal(oracle._margins_direct(preds, labels, 2, weights), np.zeros(60))
+        assert oracle._margin_loss_direct(preds, labels, 2, weights, 0.0) == 1.0
+
+
 class TestBetaSharpness:
     def test_unanimous_matrix_both_sides_vanish(self):
         P = PredictionMatrix(np.full((15, 4), 2), np.full(15, 2), 2)
