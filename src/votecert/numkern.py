@@ -138,7 +138,10 @@ def trigamma(x):
     tail = inv * inv2 * _horner(_TRIGAMMA_SERIES, inv2)
     out = inv + 0.5 * inv2 + tail
     s = x[lift]
-    back = 1.0 / (s * s)
+    # below x ~ 7.5e-155, 1/x^2 exceeds the largest double: inf is the
+    # correctly rounded value, so its overflow is no fault
+    with np.errstate(over="ignore", divide="ignore"):
+        back = 1.0 / (s * s)
     for j in range(1, _SERIES_FROM):
         back += 1.0 / ((s + j) * (s + j))
     out[lift] += back

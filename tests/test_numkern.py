@@ -1,5 +1,6 @@
 """Numeric kernel tests: closed forms, independent oracles, and invariants."""
 import math
+import warnings
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -73,6 +74,20 @@ class TestDigamma:
         for x in (0.3, 1.7, 6.5, 40.0):
             fd = (psi(x + 5e-6) - psi(x - 5e-6)) / 1e-5
             assert nk.trigamma(x) == pytest.approx(fd, rel=1e-6)
+
+    def test_trigamma_overflows_to_inf_quietly(self):
+        """psi'(x) ~ 1/x^2 passes the largest double below x ~ 7.5e-155: the
+        correctly rounded value is inf, with no RuntimeWarning, in a scalar
+        call and in an array call next to finite lanes."""
+        tiny = [1e-160, 1e-300, 5e-324]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in tiny:
+                assert nk.trigamma(x) == math.inf
+            got = nk.trigamma(np.array(tiny + [1e-150, 0.5]))
+        assert np.array_equal(got[:3], np.full(3, math.inf))
+        assert got[3] == pytest.approx(1e300, rel=1e-12)
+        assert got[4] == pytest.approx(math.pi**2 / 2.0, rel=1e-14)
 
     def test_lanes_against_mpmath(self):
         """psi and psi' over [1e-6, 1e6], one array call each, lifted and
