@@ -200,10 +200,9 @@ def _per_sample_margin_losses(preds, labels, num_classes, samples, gamma: float)
     masks = _class_masks(preds, num_classes)
     counts = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _LOSS_CHUNK):
-        chunk = samples[lo:lo + _LOSS_CHUNK]
-        mass = (chunk @ masks).reshape(chunk.shape[0], m, num_classes)
+        mass = (samples[lo:lo + _LOSS_CHUNK] @ masks).reshape(-1, m, num_classes)
         margins = _margins_from_mass(mass, labels)
-        counts[lo:lo + chunk.shape[0]] = np.count_nonzero(margins <= gamma, axis=1)
+        counts[lo:lo + _LOSS_CHUNK] = np.count_nonzero(margins <= gamma, axis=1)
     return counts / m
 
 
