@@ -164,7 +164,7 @@ def row_by_row_losses(preds, labels, c, samples, gamma):
 
 def dyadic_weights(rng, shape):
     """Weights in {0, 1, 2, 3} / 16: every class sum is exact in any order,
-    so margins land exactly on 0 and 0.25, and sums above 1 hit the clip."""
+    so margins land exactly on 0 and 0.25."""
     return rng.integers(0, 4, size=shape) / 16.0
 
 
@@ -202,7 +202,7 @@ class TestMarginLosses:
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_direct_margins(self, c):
-        """Exact on dyadic weights (ties and clipped rows included) and on
+        """Exact on dyadic weights (ties included) and on
         Dirichlet weights, whose class sums match bincount's to the bit."""
         P = random_matrix(seed=40 + c, m=50, d=6, c=c, accuracy=0.5)
         rng = np.random.default_rng(c)
