@@ -160,9 +160,25 @@ def _lane(r: BoundResult, i: int) -> BoundResult:
 
 
 def _dirichlet_kl_of(theta: np.ndarray):
-    """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once."""
+    """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once.
+
+    The KL depends on K alone, so the closure keeps every value it computes,
+    keyed by K: a search that sends one K on many lanes, or comes back to
+    it, pays the d-voter KL once.  The K values it has not seen go through
+    one kernel call, each as its own row, so every lane equals
+    ``nk.dirichlet_kl(K * theta, ones)`` bit for bit."""
     kl = nk._dirichlet_kl_to(np.ones(theta.size))
-    return lambda K: kl(K[..., None] * theta)
+    known: dict[float, float] = {}
+
+    def kl_of(K):
+        K = np.asarray(K, dtype=float)
+        keys = K.ravel().tolist()
+        new = [k for k in dict.fromkeys(keys) if k not in known]
+        if new:
+            known.update(zip(new, kl(np.array(new)[:, None] * theta).tolist()))
+        return np.array([known[k] for k in keys]).reshape(K.shape)
+
+    return kl_of
 
 
 def _dirichlet(u, K, gamma, eps, factor: float, kl_of, spec: BoundSpec) -> BoundResult:

@@ -546,6 +546,70 @@ class TestLockstepSearch:
         assert lanes == singles
 
 
+class TestDirichletKLMemo:
+    """The searches' K -> KL closure keeps each K's KL and computes only the
+    K values it has not seen."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=6, unique=True),
+        calls=st.lists(st.lists(st.integers(0, 5), min_size=0, max_size=12), min_size=1,
+                       max_size=6),
+        scalar=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_equals_dirichlet_kl_on_every_lane(self, d, seed, pool, calls, scalar):
+        theta = np.random.default_rng(seed).dirichlet(np.ones(d))
+        ones = np.ones(d)
+        want = {K: nk.dirichlet_kl(K * theta, ones) for K in pool}
+        calls = [[pool[i % len(pool)] for i in picks] for picks in calls]
+        # The same calls in order and reversed, each order on its own closure,
+        # with a call of one lane sent as a 0-d K where ``scalar`` says so.
+        for order in (calls, calls[::-1]):
+            kl_of = bounds._dirichlet_kl_of(theta)
+            for picks, as_scalar in zip(order, scalar):
+                if as_scalar and len(picks) == 1:
+                    got = kl_of(np.float64(picks[0]))
+                    assert got.shape == () and got == want[picks[0]]
+                else:
+                    got = kl_of(np.array(picks, dtype=float))
+                    assert got.shape == (len(picks),)
+                    assert got.tolist() == [want[K] for K in picks]
+
+    def test_search_sends_each_K_once(self, monkeypatch):
+        """A dirichlet_margin certify at n_gamma=100 sends the kernel no more
+        rows than the search holds distinct K, though its lanes repeat K."""
+        asked, rows = [], []
+        closure, kernel = bounds._dirichlet_kl_of, nk._dirichlet_kl_to
+
+        def spy_closure(theta):
+            kl_of = closure(theta)
+
+            def spied(K):
+                asked.extend(np.ravel(K).tolist())
+                return kl_of(K)
+
+            return spied
+
+        def spy_kernel(beta):
+            kl = kernel(beta)
+
+            def spied(a):
+                rows.append(a.size // a.shape[-1])
+                return kl(a)
+
+            return spied
+
+        monkeypatch.setattr(bounds, "_dirichlet_kl_of", spy_closure)
+        monkeypatch.setattr(nk, "_dirichlet_kl_to", spy_kernel)
+        P = random_matrix(seed=3, m=300, d=40, accuracy=0.6)
+        wp = WeightPosterior(np.random.default_rng(3).dirichlet(np.ones(40)), 1.0)
+        bounds.certify(P, wp, BoundSpec(m=300, delta=0.05), "dirichlet_margin",
+                       SearchConfig(n_gamma=100))
+        assert sum(rows) <= len(set(asked)) < len(asked)
+
+
 def exhaustive_int_min(f, t_max):
     """(T, f(T)) of the smallest value over {1..t_max}, smallest T on ties."""
     values = [f(T) for T in range(1, t_max + 1)]
