@@ -70,8 +70,9 @@ class PredictionMatrix:
     """m x d table of voter class predictions plus the true labels.
 
     Class indices are 1-based in [1..num_classes].  The constructor caches
-    the correctness mask and one boolean (m, d) mask per class, so weight
-    aggregation per class is a matrix-vector product.
+    the correctness mask and the one-hot class masks, voter-major as a
+    C-contiguous (d, m, c) boolean array, so the weight on each class is a
+    sum over the first axis, taken in voter order.
     """
 
     def __init__(self, preds, labels, num_classes: int):
@@ -98,7 +99,7 @@ class PredictionMatrix:
         correct = preds == labels[:, None]
         correct.setflags(write=False)
         self._correct = correct
-        masks = np.stack([preds == k for k in range(1, c + 1)])
+        masks = np.ascontiguousarray((preds[:, :, None] == np.arange(1, c + 1)).transpose(1, 0, 2))
         masks.setflags(write=False)
         self._class_masks = masks
 
@@ -133,11 +134,16 @@ class PredictionMatrix:
         )
 
     def class_weight_table(self, weights) -> np.ndarray:
-        """(m, c) table: total weight voting for each class on each row."""
+        """(m, c) table: total weight voting for each class on each row.
+
+        Summed in voter order (over the masks' contiguous first axis), so
+        classes that hold equal weights tie exactly; a BLAS product or a
+        pairwise sum adds them in a different order per class and breaks
+        the tie by rounding."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.num_voters,):
             raise ValueError("weights length must equal the number of voters")
-        return np.tensordot(self._class_masks, w, axes=([2], [0])).T
+        return (w[:, None, None] * self._class_masks).sum(axis=0)
 
     def correct_mass(self, weights) -> np.ndarray:
         """(m,) total weight on voters that predict the true label."""

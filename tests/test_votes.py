@@ -118,6 +118,18 @@ class TestEmpiricalMarginLoss:
         P = PredictionMatrix(preds, labels, 2)
         assert votes.empirical_margin_loss(P, WeightPosterior.uniform(2), 0.0) == 1.0
 
+    @pytest.mark.parametrize("d", [14, 50, 100])
+    def test_ties_exact_under_uniform_weights(self, d):
+        """Every row splits its d uniform weights evenly between two classes,
+        each row in its own voter order: every margin is exactly 0, so the
+        loss at 0 is 1 and the vote picks the smaller class on every row."""
+        rng = np.random.default_rng(d)
+        preds = np.array([rng.permutation(np.repeat([1, 2], d // 2)) for _ in range(200)])
+        P = PredictionMatrix(preds, rng.integers(1, 3, size=200), 2)
+        theta = np.full(d, 1.0 / d)
+        assert votes.empirical_margin_loss(P, theta, 0.0) == 1.0
+        np.testing.assert_array_equal(votes.majority_predict(P, theta), 1)
+
     def test_lanewise_in_gamma(self):
         """An array of margins gives the one-margin values lane by lane, each
         the fraction of rows with margin <= gamma, margins hit exactly
