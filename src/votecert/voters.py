@@ -23,7 +23,6 @@ __all__ = [
     "train_forest",
     "predict_matrix",
     "ingest_predictions",
-    "export_predictions",
     "PredictionFileError",
 ]
 
@@ -257,12 +256,3 @@ def ingest_predictions(path) -> PredictionMatrix:
     table = np.asarray(rows, dtype=np.int64)
     num_classes = max(2, int(table.max()))
     return PredictionMatrix(table[:, 1:], table[:, 0], num_classes)
-
-
-def export_predictions(P: PredictionMatrix, path) -> None:
-    """Inverse of ingest_predictions; the round trip is exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"v{j+1}" for j in range(P.num_voters)])
-        for y, row in zip(P.labels, P.preds):
-            writer.writerow([int(y)] + [int(v) for v in row])

@@ -22,6 +22,16 @@ def random_matrix(seed: int, m: int, d: int, c: int = 2,
     return PredictionMatrix(preds, labels, c)
 
 
+def export_predictions(P: PredictionMatrix, path) -> None:
+    """Write P as the prediction CSV that ``voters.ingest_predictions``
+    reads (header ``label,v1,...,vd``); the round trip is exact."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label"] + [f"v{j+1}" for j in range(P.num_voters)])
+        for y, row in zip(P.labels, P.preds):
+            writer.writerow([int(y)] + [int(v) for v in row])
+
+
 def small_kl(q, p):
     """Bernoulli kl(q, p) with 0 ln 0 := 0 and kl(q, q) = 0, lanewise: the
     kernel's own kl (the one ``kl_inv`` inverts, checked against mpmath in

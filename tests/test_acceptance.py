@@ -17,7 +17,7 @@ from votecert import bounds, cli, numkern as nk, oracle, train, votes
 from votecert.bounds import BoundSpec
 from votecert.votes import PredictionMatrix
 
-from conftest import random_matrix, small_kl, write_board_csv
+from conftest import export_predictions, random_matrix, small_kl, write_board_csv
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -369,9 +369,7 @@ def test_criterion_12_manifest_determinism(tmp_path_factory):
     """Re-running a manifest reproduces every result file bit-exactly."""
     base = tmp_path_factory.mktemp("determinism")
     preds_path = base / "preds.csv"
-    from votecert import voters
-
-    voters.export_predictions(random_matrix(seed=5, m=120, d=8), preds_path)
+    export_predictions(random_matrix(seed=5, m=120, d=8), preds_path)
 
     first = base / "run1"
     rc = cli.main([

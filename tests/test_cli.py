@@ -8,16 +8,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from votecert import cli, oracle, voters
+from votecert import cli, oracle
 
-from conftest import random_matrix, write_board_csv
+from conftest import export_predictions, random_matrix, write_board_csv
 
 VERIFY_REFERENCE = pathlib.Path(__file__).parent / "verify_reference.json"
 
 
 def write_predictions(path, seed=0, m=80, d=6, accuracy=0.75):
     P = random_matrix(seed=seed, m=m, d=d, accuracy=accuracy)
-    voters.export_predictions(P, path)
+    export_predictions(P, path)
     return P
 
 

@@ -5,7 +5,7 @@ import pytest
 from votecert import voters
 from votecert.voters import ForestConfig, PredictionFileError, Stump
 
-from conftest import random_matrix
+from conftest import export_predictions, random_matrix
 
 
 class TestStumps:
@@ -161,7 +161,7 @@ class TestPredictionIO:
     def test_round_trip(self, tmp_path):
         P = random_matrix(seed=31, m=25, d=6, c=3, accuracy=0.5)
         path = tmp_path / "round.csv"
-        voters.export_predictions(P, path)
+        export_predictions(P, path)
         Q = voters.ingest_predictions(path)
         np.testing.assert_array_equal(P.preds, Q.preds)
         np.testing.assert_array_equal(P.labels, Q.labels)
