@@ -462,8 +462,12 @@ class SearchConfig:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Rows x margins per reg_inc_beta call in the Beta-CDF searches; caps the
-# kernel's working arrays at about 0.5 MB each.
+# Rows x margins per reg_inc_beta call in the Beta-CDF searches.  Median
+# seconds of a uniform-weight stochastic_margin certify (2 vCPUs, one BLAS
+# thread; values bit-identical at every size): on a 766 x 27 matrix at
+# n_gamma=200, 3.33 at 2**12, 2.33 at 2**14, 2.79 at 2**16 and 3.01 at
+# 2**18; on a 479 x 108 matrix (the desk experiment's shape) at
+# n_gamma=100, 1.13 at 2**14 and 1.05 at 2**16.  No size wins both.
 _BETA_LANES = 1 << 16
 
 
