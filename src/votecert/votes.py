@@ -99,7 +99,7 @@ class PredictionMatrix:
         correct = preds == labels[:, None]
         correct.setflags(write=False)
         self._correct = correct
-        masks = np.ascontiguousarray((preds[:, :, None] == np.arange(1, c + 1)).transpose(1, 0, 2))
+        masks = np.ascontiguousarray(preds.T[:, :, None] == np.arange(1, c + 1))
         masks.setflags(write=False)
         self._class_masks = masks
 
