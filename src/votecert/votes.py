@@ -136,14 +136,14 @@ class PredictionMatrix:
     def class_weight_table(self, weights) -> np.ndarray:
         """(m, c) table: total weight voting for each class on each row.
 
-        Summed in voter order (over the masks' contiguous first axis), so
-        classes that hold equal weights tie exactly; a BLAS product or a
-        pairwise sum adds them in a different order per class and breaks
-        the tie by rounding."""
+        Summed in voter order (over the masks' contiguous first axis, the
+        outermost loop of the einsum), so classes that hold equal weights
+        tie exactly; a BLAS product or a pairwise sum adds them in a
+        different order per class and breaks the tie by rounding."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.num_voters,):
             raise ValueError("weights length must equal the number of voters")
-        return (w[:, None, None] * self._class_masks).sum(axis=0)
+        return np.einsum("j,jik->ik", w, self._class_masks)
 
     def correct_mass(self, weights) -> np.ndarray:
         """(m,) total weight on voters that predict the true label."""

@@ -75,6 +75,18 @@ class TestMargin:
             want = brute_force_margin(P.preds[row], P.labels[row], 3, wp.theta)
             assert vec[row] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("m,d,c", [(1, 9, 2), (40, 6, 3), (200, 50, 2), (383, 108, 2),
+                                       (100, 60, 3), (30, 200, 4)])
+    def test_class_weights_summed_in_voter_order(self, m, d, c):
+        """The class table equals a loop that adds each voter's weight to
+        its class, voter by voter, bit for bit."""
+        P = random_matrix(seed=m + d, m=m, d=d, c=c, accuracy=0.5)
+        theta = np.random.default_rng(d).dirichlet(np.ones(d))
+        want = np.zeros((m, c))
+        for j in range(d):
+            want[np.arange(m), P.preds[:, j] - 1] += theta[j]
+        np.testing.assert_array_equal(P.class_weight_table(theta), want)
+
     def test_range_invariant(self):
         P = random_matrix(seed=9, m=100, d=12, c=4, accuracy=0.4)
         theta = np.random.default_rng(3).dirichlet(np.ones(12))
