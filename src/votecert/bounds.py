@@ -1,20 +1,29 @@
 """Risk certificates for weighted majority votes and the (gamma, K) search.
 
-Each certificate has a formula on precomputed empirical terms (the
-``*_from_loss`` functions, used by the comparison sweeps and the search;
-the margin-free baselines take the PredictionMatrix directly), and
-``certify`` searches it on a PredictionMatrix.  The table ``_BOUNDS`` is the
-one place a bound is defined: per bound id it holds how a result's value is
-rebuilt from its components (a kl factor, or bg's closed form), whether the
-delta/n_gamma union correction over the margin grid applies, whether the
-bound is searched over margins, and how ``certify`` evaluates it.
-``BOUND_IDS``, ``certify`` and ``reconstruct_value`` all read it.  All
-certified values are clipped to 1 and carry their additive components so a
-result can be reconstructed and audited.
+Every certificate but bg's closed form reads factor kl_inv(u, c) + eps, on
+an empirical term u, a complexity c and an additive term eps, and each
+builds its terms in one place:
+- the margin bounds gz, bgplus, bg and bgplusplus in their public
+  ``*_from_loss`` functions, lanewise over (loss, gamma), which the
+  comparison sweep also calls;
+- dirichlet_margin, stochastic_margin and f2 in one core (``_dirichlet``)
+  on each lane's KL to the prior, which the caller computes: the searches
+  through ``_dirichlet_kl_of``, training from its Dirichlet parameters;
+- the Gibbs baselines fo, so and bin in ``_gibbs``, from one (loss, KL
+  multiple, kl factor) triple each.
+The Dirichlet and Gibbs formulas return the unclipped value, and with
+``grad`` its partials (``_kl_bound``), so ``train`` minimises the formula
+that ``certify`` reports.
 
-Every margin and Dirichlet formula is lanewise: gz, bgplus, bg and
-bgplusplus over (loss, gamma), dirichlet_margin, stochastic_margin and f2
-over (loss, K, gamma), each returning one result with a value per lane.
+``certify`` searches a formula on a PredictionMatrix.  The table
+``_BOUNDS`` is the one place a bound is defined: per bound id it holds how a
+result's value is rebuilt from its components (a kl factor, or bg's closed
+form), whether the delta/n_gamma union correction over the margin grid
+applies, whether the bound is searched over margins, and how ``certify``
+evaluates it.  ``BOUND_IDS``, ``certify`` and ``reconstruct_value`` all read
+it.  All certified values are clipped to 1 and carry their additive
+components so a result can be reconstructed and audited.
+
 One grid evaluator (``_on_grid``) makes a single formula call over every
 applicable grid margin and picks the winner with ``_best_lane``;
 bgplusplus minimises over T with one integer search run in lockstep across
@@ -55,16 +64,10 @@ __all__ = [
     "SearchConfig",
     "InapplicableMarginError",
     "BOUND_IDS",
-    "dirichlet_margin_from_loss",
-    "stochastic_margin_from_loss",
     "gz_from_loss",
     "bgplus_from_loss",
     "bg_original_from_loss",
     "bgplusplus_from_loss",
-    "fo_bound",
-    "so_bound",
-    "bin_bound",
-    "f2_from_loss",
     "dirichlet_margin_best_K",
     "certify",
     "reconstruct_value",
@@ -181,63 +184,64 @@ def _dirichlet_kl_of(theta: np.ndarray):
     return kl_of
 
 
-def _dirichlet(u, K, gamma, eps, factor: float, kl_of, spec: BoundSpec) -> BoundResult:
-    """The Dirichlet certificates' core, lanewise: min(1, factor kl_inv(u, c)
-    + eps) with c = max(0, D(K theta, beta) + ln(2 sqrt(m)/delta)) / m, and
-    c = inf (so the value is 1) on lanes whose KL is not finite."""
-    kl = kl_of(K)
+def _kl_bound(u, comp, factor, eps, grad: bool):
+    """The kl-family certificate, lanewise and unclipped: (factor kl_inv(u,
+    comp) + eps,), and with ``grad`` also factor dv/du and factor dv/dc for
+    v = kl_inv(u, comp), from one ``kl_inv_with_grad`` call (which needs
+    0 < u < 1 and comp > 0)."""
+    if not grad:
+        return (factor * nk.kl_inv(u, comp) + eps,)
+    v, dv_du, dv_dc = nk.kl_inv_with_grad(u, comp)
+    return factor * v + eps, factor * dv_du, factor * dv_dc
+
+
+def _dirichlet(u, kl, eps, factor: float, spec: BoundSpec, grad: bool):
+    """The Dirichlet certificates' core on each lane's KL D(K theta, beta) to
+    the prior, computed by the caller: (value, u, c, eps, *partials) with the
+    unclipped value factor kl_inv(u, c) + eps, c = max(0, D + ln(2 sqrt(m) /
+    delta)) / m, and c = inf (so kl_inv is 1) on lanes whose KL is not
+    finite; the partials are ``_kl_bound``'s."""
     comp = np.where(np.isfinite(kl), np.maximum(0.0, kl + spec.log_confidence()) / spec.m,
                     np.inf)
-    value = np.minimum(1.0, factor * nk.kl_inv(u, comp) + eps)
-    return _result(value, gamma, K, None, u, comp, eps)
+    value, *partials = _kl_bound(u, comp, factor, eps, grad)
+    return (value, u, comp, eps, *partials)
 
 
-# The three Dirichlet formulas on (loss, K, gamma) lanes, given the KL in K.
-def _margin_formula(l_gamma, K, gamma, kl_of, spec):
+# The three Dirichlet formulas on lanes of loss, K (the concentration) and
+# gamma, given each lane's KL, as ``_dirichlet`` returns them; with ``grad``
+# the stochastic and f2 formulas append d eps / dK.
+def _margin_formula(l_gamma, K, gamma, kl, spec):
     eps = np.exp(-(K + 1.0) * gamma * gamma)
-    return _dirichlet(np.minimum(1.0, l_gamma + eps), K, gamma, eps, 1.0, kl_of, spec)
+    return _dirichlet(np.minimum(1.0, l_gamma + eps), kl, eps, 1.0, spec, False)
 
 
-def _stochastic_formula(expected_loss, K, gamma, kl_of, spec):
+def _stochastic_formula(expected_loss, K, gamma, kl, spec, grad=False):
     eps = np.exp(-4.0 * (K + 1.0) * gamma * gamma)
-    return _dirichlet(np.minimum(1.0, expected_loss), K, gamma, eps, 1.0, kl_of, spec)
+    out = _dirichlet(np.minimum(1.0, expected_loss), kl, eps, 1.0, spec, grad)
+    return out + (-4.0 * gamma * gamma * eps,) if grad else out
 
 
-def _f2_formula(expected_loss, K, kl_of, spec):
-    return _dirichlet(np.minimum(1.0, expected_loss), K, None, 0.0, 2.0, kl_of, spec)
+def _f2_formula(expected_loss, kl, spec, grad=False):
+    out = _dirichlet(np.minimum(1.0, expected_loss), kl, 0.0, 2.0, spec, grad)
+    return out + (0.0,) if grad else out
 
 
-def _from_loss(formula, loss, theta, K, spec: BoundSpec, *gamma) -> BoundResult:
-    """``formula`` on the caller's lanes of loss, K and (margin formulas
-    only) gamma: K and gamma checked positive, theta floored."""
-    loss, K, *gamma = _lanes(loss, K, *gamma)
-    if any(np.any(x <= 0.0) for x in (K, *gamma)):
-        raise ValueError("gamma and K must be positive")
-    th, flags = _floor_theta(theta)
-    return formula(loss, K, *gamma, _dirichlet_kl_of(th), spec).with_flags(flags)
+def _dirichlet_result(terms, K, gamma) -> BoundResult:
+    """A Dirichlet formula's lanes as a BoundResult, the value clipped to 1."""
+    value, u, comp, eps = terms[:4]
+    return _result(np.minimum(1.0, value), gamma, K, None, u, comp, eps)
 
 
-def dirichlet_margin_from_loss(l_gamma, theta, K, gamma, spec: BoundSpec) -> BoundResult:
-    """Deterministic-vote margin certificate at margin gamma and
-    concentration K.  Lanewise over (l_gamma, K, gamma).
-
-    value = min(1, kl_inv(min(1, L_gamma + eps), (D(K theta, beta) + ln(2 sqrt(m)/delta))/m) + eps)
-    with the de-randomisation penalty eps = exp(-(K + 1) gamma^2).
-    """
-    return _from_loss(_margin_formula, l_gamma, theta, K, spec, gamma)
-
-
-def stochastic_margin_from_loss(expected_loss, theta, K, gamma, spec: BoundSpec) -> BoundResult:
-    """Differentiable variant: the empirical term is the Beta-CDF expected
-    loss, the penalty exp(-4 (K + 1) gamma^2).  Lanewise over
-    (expected_loss, K, gamma)."""
-    return _from_loss(_stochastic_formula, expected_loss, theta, K, spec, gamma)
-
-
-def f2_from_loss(expected_loss, theta, K, spec: BoundSpec) -> BoundResult:
-    """Dirichlet factor-two baseline 2 kl_inv(expected 0-1 loss, complexity)
-    at concentration K.  Lanewise over (expected_loss, K)."""
-    return _from_loss(_f2_formula, expected_loss, theta, K, spec)
+def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray:
+    """dc/dalpha per row of an (R, d) alpha, c the Dirichlet complexity of
+    ``_dirichlet`` at K theta = alpha.  The digamma terms of the KL cancel,
+    leaving the trigamma form (alpha_i - 1) psi'(alpha_i) - psi'(alpha_0)
+    (alpha_0 - d)."""
+    d = alpha.shape[1]
+    a0 = alpha.sum(axis=1, keepdims=True)
+    # One trigamma lane array: alpha_0 rides along as the last column.
+    tri = nk.trigamma(np.concatenate([alpha, a0], axis=1))
+    return ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
 
 
 def _gz_applies(gammas, num_voters: int):
@@ -398,35 +402,18 @@ def bgplusplus_from_loss(
     return _result(value, gamma, None, T_star, u, comp, eps)
 
 
-def fo_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
-    """First-order Gibbs baseline: 2 * kl_inv(gibbs loss, complexity)."""
-    th = np.asarray(theta, dtype=float)
-    u = votes.gibbs_loss(P, th)
-    comp = (nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
-    value = min(1.0, 2.0 * nk.kl_inv(u, comp))
-    return BoundResult(value, None, None, None, u, comp, 0.0)
+def _gibbs(u, kl_cat, n: int, factor: float, spec: BoundSpec, grad: bool = False):
+    """The Gibbs baselines' formula, lanewise: (value, c, *partials) with the
+    unclipped value factor kl_inv(u, c), c = (n KL(theta || uniform) +
+    ln(2 sqrt(m)/delta)) / m, and ``_kl_bound``'s partials."""
+    comp = (n * kl_cat + spec.log_confidence()) / spec.m
+    value, *partials = _kl_bound(u, comp, factor, 0.0, grad)
+    return (value, comp, *partials)
 
 
-def so_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
-    """Second-order (tandem loss) baseline: 4 * kl_inv(tandem, complexity)."""
-    th = np.asarray(theta, dtype=float)
-    u = votes.tandem_loss(P, th)
-    comp = (2.0 * nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
-    value = min(1.0, 4.0 * nk.kl_inv(u, comp))
-    return BoundResult(value, None, None, None, u, comp, 0.0)
-
-
+# The binomial baseline's number of categorical draws N; it certifies at
+# k0 = ceil(N/2).
 _BIN_VOTERS = 100
-
-
-def bin_bound(P: PredictionMatrix, theta, spec: BoundSpec) -> BoundResult:
-    """Binomial baseline over N = ``_BIN_VOTERS`` categorical draws;
-    k0 = ceil(N/2)."""
-    th = np.asarray(theta, dtype=float)
-    u = votes.binomial_loss(P, th, _BIN_VOTERS)
-    comp = (_BIN_VOTERS * nk.categorical_kl_uniform(th) + spec.log_confidence()) / spec.m
-    value = min(1.0, 2.0 * nk.kl_inv(u, comp))
-    return BoundResult(value, None, None, None, u, comp, 0.0)
 
 
 @dataclass(frozen=True)
@@ -554,9 +541,13 @@ def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
     """The margin formula on flat (loss, gamma) lanes for a floored theta,
     each lane at its golden-sectioned K."""
     kl_of = _dirichlet_kl_of(th)
-    x, _ = _search_log_K(lambda x: _margin_formula(losses, np.exp(x), gammas, kl_of, spec).value,
-                         gammas.size, K_init, cfg)
-    return _margin_formula(losses, np.array([math.exp(xi) for xi in x]), gammas, kl_of, spec)
+
+    def at(K):
+        return _margin_formula(losses, K, gammas, kl_of(K), spec)
+
+    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, K_init, cfg)
+    K = np.array([math.exp(xi) for xi in x])
+    return _dirichlet_result(at(K), K, gammas)
 
 
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.ndarray):
@@ -589,12 +580,15 @@ def _certify_beta(P, wp, spec, cfg, gammas):
 
     def at(K, g):
         u = _beta_losses(K, g, a_c, a_w)
-        return (_f2_formula(u, K, kl_of, spec) if gammas is None
-                else _stochastic_formula(u, K, g, kl_of, spec))
+        return (_f2_formula(u, kl_of(K), spec) if gammas is None
+                else _stochastic_formula(u, K, g, kl_of(K), spec))
 
-    x, values = _search_log_K(lambda x: at(np.exp(x), margins).value, margins.size, wp.K, cfg)
+    x, values = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x), margins)[0]),
+                              margins.size, wp.K, cfg)
     i = _best_lane(values, margins)
-    return _finalize(_lane(at(np.array([math.exp(x[i])]), margins[i:i + 1]), 0), flags)
+    K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
+    return _finalize(_lane(_dirichlet_result(at(K, g), K, None if gammas is None else g), 0),
+                     flags)
 
 
 def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool)):
@@ -631,9 +625,21 @@ class _Bound:
 
 def _kl(factor: float) -> Callable[[BoundResult], float]:
     """factor * kl_inv(empirical, complexity) + derandomisation."""
-    return lambda r: (
-        factor * nk.kl_inv(r.empirical_term, r.complexity_term) + r.derandomisation_term
-    )
+    return lambda r: _kl_bound(
+        r.empirical_term, r.complexity_term, factor, r.derandomisation_term, False)[0]
+
+
+def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
+    """A Gibbs baseline's entry: ``_gibbs`` with this KL multiple n and kl
+    factor on the empirical ``loss(P, theta)``, for unfloored weights."""
+
+    def evaluate(P, wp, spec, cfg, gammas):
+        th = np.asarray(wp.theta, dtype=float)
+        u = loss(P, th)
+        value, comp = _gibbs(u, nk.categorical_kl_uniform(th), n, factor, spec)
+        return _result(min(1.0, value), None, None, None, u, comp, 0.0)
+
+    return _Bound(_kl(factor), False, False, evaluate)
 
 
 def _bg_closed_form(r: BoundResult) -> float:
@@ -655,12 +661,11 @@ _BOUNDS = {
         lambda losses, g, th, spec: bg_original_from_loss(losses, th.size, g, spec))),
     "bgplusplus": _Bound(_kl(1.0), True, True, _on_grid(
         lambda losses, g, th, spec: bgplusplus_from_loss(losses, th, g, spec))),
-    "fo": _Bound(_kl(2.0), False, False,
-                 lambda P, wp, spec, cfg, gammas: fo_bound(P, wp.theta, spec)),
-    "so": _Bound(_kl(4.0), False, False,
-                 lambda P, wp, spec, cfg, gammas: so_bound(P, wp.theta, spec)),
-    "bin": _Bound(_kl(2.0), False, False,
-                  lambda P, wp, spec, cfg, gammas: bin_bound(P, wp.theta, spec)),
+    # The losses are looked up when called, so a wrapper installed on votes
+    # sees the calls.
+    "fo": _gibbs_bound(lambda P, th: votes.gibbs_loss(P, th), 1, 2.0),
+    "so": _gibbs_bound(lambda P, th: votes.tandem_loss(P, th), 2, 4.0),
+    "bin": _gibbs_bound(lambda P, th: votes.binomial_loss(P, th, _BIN_VOTERS), _BIN_VOTERS, 2.0),
     "f2": _Bound(_kl(2.0), False, False, _certify_beta),
 }
 

@@ -134,7 +134,6 @@ def cmd_certify(args, out: str) -> int:
 def _train_config(args, seed: int) -> train.TrainConfig:
     return train.TrainConfig(
         seed=seed,
-        delta=args.delta,
         gamma_candidates=tuple(float(g) for g in args.gamma_candidates.split(",")),
         max_epochs=args.max_epochs,
         batch_size=args.batch_size,

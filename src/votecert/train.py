@@ -1,11 +1,14 @@
 """Gradient training of voting weights on differentiable certificates.
 
-The primary objective is the stochastic-margin certificate: the Beta-CDF
-expected margin loss pushed through the inverted small-kl, plus the
-de-randomisation penalty.  Dirichlet parameters are kept positive through a
-softplus reparameterisation; gradients are assembled by the chain rule
-through the incomplete-beta partials, the trigamma form of the Dirichlet
-KL's gradient, and implicit differentiation of the kl inverse.
+Each objective is the certificate formula that ``bounds.certify`` reports,
+called from ``bounds`` rather than copied, and left unclipped so it keeps a
+gradient above 1.  The primary objective is the stochastic-margin
+certificate: the Beta-CDF expected margin loss pushed through the inverted
+small-kl, plus the de-randomisation penalty, at K = alpha_0.  Dirichlet
+parameters are kept positive through a softplus reparameterisation;
+gradients are assembled by the chain rule through the incomplete-beta
+partials, the formula's partials (implicit differentiation of the kl
+inverse) and the trigamma form of the Dirichlet KL's gradient.
 
 One Dirichlet objective serves the stochastic-margin certificate and, with
 no margin, the factor-two (f2) baseline; the first-order (fo) baseline keeps
@@ -33,8 +36,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "adam_step",
-    "alpha_from",
-    "uniform_omega",
     "objective",
     "fo_objective",
     "EpochRecord",
@@ -74,7 +75,6 @@ class TrainConfig:
     seed: int = 0
     gamma_candidates: tuple = (0.005, 0.01, 0.025, 0.05, 0.1)
     K_init: float = 2.0
-    delta: float = 0.05
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 0:
@@ -130,40 +130,20 @@ def _inv_softplus(y: float) -> float:
     return y + math.log(-math.expm1(-y)) if y > 0 else math.log(math.expm1(y))
 
 
-def alpha_from(omega: np.ndarray) -> np.ndarray:
+def _alpha_from(omega: np.ndarray) -> np.ndarray:
     """Positive Dirichlet parameters from unconstrained ones."""
     return _softplus(omega) + _ALPHA_SHIFT
 
 
-def uniform_omega(num_voters: int, K_init: float) -> np.ndarray:
+def _uniform_omega(num_voters: int, K_init: float) -> np.ndarray:
     """Unconstrained parameters giving uniform theta at concentration K_init."""
     return np.full(num_voters, _inv_softplus(K_init / num_voters - _ALPHA_SHIFT))
 
 
-def _dirichlet_complexity(alpha: np.ndarray, spec: BoundSpec, grad: bool):
-    """Per row of an (R, d) alpha: c = (D(alpha, 1) + ln(2 sqrt(m)/delta)) / m,
-    D the KL to the prior Dirichlet(1, ..., 1), and, with ``grad``, dc/dalpha.
-
-    The digamma terms of the KL cancel in the gradient, leaving the
-    trigamma form (alpha_i - 1) psi'(alpha_i) - psi'(alpha_0)(alpha_0 - d).
-    """
-    d = alpha.shape[1]
-    c = np.maximum(0.0, nk.dirichlet_kl(alpha, np.ones(d)) + spec.log_confidence()) / spec.m
-    if not grad:
-        return c, None
-    a0 = alpha.sum(axis=1, keepdims=True)
-    # One trigamma lane array: alpha_0 rides along as the last column.
-    tri = nk.trigamma(np.concatenate([alpha, a0], axis=1))
-    dc = ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
-    return c, dc
-
-
-def _kl_inv_rows(u: np.ndarray, c: np.ndarray, grad: bool):
-    """kl_inv per run with u kept inside (0, 1) (the complexity c is
-    positive, as ln(2 sqrt(m)/delta) > 0): the values, or with ``grad`` the
-    rows (v, dv/du, dv/dc), each from one lane array over the runs."""
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return nk.kl_inv_with_grad(u, c) if grad else nk.kl_inv(u, c)
+def _clip_loss(u: np.ndarray) -> np.ndarray:
+    """The empirical term kept inside (0, 1), where the kl inverse's partials
+    are finite (the complexity is positive, as ln(2 sqrt(m)/delta) > 0)."""
+    return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
 def _as_runs(omega):
@@ -201,13 +181,15 @@ def objective(
 ):
     """Dirichlet training objective and its gradient in omega.
 
-    At a margin gamma this is the stochastic-margin certificate
-    kl_inv(u, c) + exp(-4 (alpha_0 + 1) gamma^2), with u the batch mean of
-    I_{1/2+gamma}(a_y, a_wrong).  gamma=None selects the factor-two (f2)
-    objective 2 kl_inv(u, c), with u the expected 0-1 loss (the margin
-    loss at gamma = 0) and no de-randomisation penalty.  The complexity c
-    always uses the full-sample m.  Matches central finite differences to
-    ~1e-4 relative away from the kl-inverse singularity.
+    The objective is the certificate ``certify`` evaluates, unclipped, at
+    K = alpha_0 and theta = alpha / alpha_0: at a margin gamma the
+    stochastic-margin formula kl_inv(u, c) + exp(-4 (alpha_0 + 1) gamma^2),
+    with u the batch mean of I_{1/2+gamma}(a_y, a_wrong); gamma=None selects
+    the factor-two (f2) formula 2 kl_inv(u, c), with u the expected 0-1 loss
+    (the margin loss at gamma = 0) and no de-randomisation penalty.  u is
+    clipped to [1e-12, 1 - 1e-12] first, and the complexity c always uses
+    the full-sample m.  Matches central finite differences to ~1e-4
+    relative away from the kl-inverse singularity.
 
     Lanewise over stacked runs: an (R, d) omega with (R, B) batch rows (or
     one row set, or None, shared by all) and R margins (or one) gives (R,)
@@ -216,8 +198,8 @@ def objective(
     finite-difference stacks and the pullbacks.
     """
     omega, one = _as_runs(omega)
-    runs = omega.shape[0]
-    alpha = alpha_from(omega)
+    runs, d = omega.shape
+    alpha = _alpha_from(omega)
     corr = _batch_correct(P, batch_rows, runs)
     wrong = ~corr
     margin = np.zeros(runs) if gamma is None else np.broadcast_to(np.asarray(gamma, float), (runs,))
@@ -225,27 +207,27 @@ def objective(
     a_c = np.stack([c @ a for c, a in zip(corr, alpha)])
     a_w = np.stack([w @ a for w, a in zip(wrong, alpha)])
     lanes = a_c, a_w, margin[:, None]
-    c, dc = _dirichlet_complexity(alpha, spec, grad)
-    if gamma is None:
-        eps = d_eps = 0.0
-    else:
-        a0 = alpha.sum(axis=1)
-        eps = np.array([math.exp(-4.0 * (float(s) + 1.0) * g * g) for s, g in zip(a0, margin)])
-        d_eps = -4.0 * margin * margin * eps
+    kl = nk.dirichlet_kl(alpha, np.ones(d))
+
+    def certificate(terms):
+        """The certify formula at K = alpha_0 on the batch's mean loss."""
+        u = _clip_loss(terms.mean(axis=1))
+        if gamma is None:
+            return bounds._f2_formula(u, kl, spec, grad)
+        return bounds._stochastic_formula(u, alpha.sum(axis=1), margin, kl, spec, grad)
+
     if not grad:
-        v = _kl_inv_rows(votes.beta_margin_loss_terms(*lanes).mean(axis=1), c, False)
-        return _unstack(one, 2.0 * v if gamma is None else v + eps, None)
+        return _unstack(one, certificate(votes.beta_margin_loss_terms(*lanes))[0], None)
 
     terms, d_c, d_w = votes.beta_margin_loss_terms(*lanes, grad=True)
     width = terms.shape[1]
     dE = np.stack([(cr.T @ dc_r + wr.T @ dw_r) / width
                    for cr, wr, dc_r, dw_r in zip(corr, wrong, d_c, d_w)])
-    v, dv_du, dv_dc = _kl_inv_rows(terms.mean(axis=1), c, True)
-    dv_du, dv_dc = dv_du[:, None], dv_dc[:, None]
-    if gamma is None:
-        return _unstack(one, 2.0 * v, 2.0 * (dv_du * dE + dv_dc * dc) * _sigmoid(omega))
-    grad_alpha = dv_du * dE + dv_dc * dc + d_eps[:, None]
-    return _unstack(one, v + eps, grad_alpha * _sigmoid(omega))
+    v, *_, dv_du, dv_dc, deps_dK = certificate(terms)
+    dc = bounds._dirichlet_complexity_grad(alpha, spec)
+    # d alpha_0 / d alpha_i = 1: the penalty's partial in K is its partial in each alpha_i.
+    grad_alpha = dv_du[:, None] * dE + dv_dc[:, None] * dc + np.reshape(deps_dK, (-1, 1))
+    return _unstack(one, v, grad_alpha * _sigmoid(omega))
 
 
 def _softmax(omega: np.ndarray) -> np.ndarray:
@@ -255,7 +237,9 @@ def _softmax(omega: np.ndarray) -> np.ndarray:
 
 def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: BoundSpec,
                  grad: bool = True):
-    """First-order objective: 2 * kl_inv(batch Gibbs loss, categorical complexity).
+    """First-order objective: the fo certificate 2 kl_inv(u, c), unclipped,
+    with u the batch Gibbs loss clipped to [1e-12, 1 - 1e-12] and c the
+    categorical complexity.
 
     Weights are parameterised by softmax, so the gradient pulls back through
     the simplex Jacobian.  Stacked runs and ``grad`` as in ``objective``.
@@ -263,23 +247,22 @@ def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: Bound
     omega, one = _as_runs(omega)
     theta = _softmax(omega)
     err_rates = (~_batch_correct(P, batch_rows, omega.shape[0])).mean(axis=1)
-    u = np.array([float(e @ t) for e, t in zip(err_rates, theta)])
-
-    d = theta.shape[1]
-    c = np.array([nk.categorical_kl_uniform(t) for t in theta])
-    c = (c + spec.log_confidence()) / spec.m
+    u = _clip_loss(np.array([float(e @ t) for e, t in zip(err_rates, theta)]))
+    kl_cat = np.array([nk.categorical_kl_uniform(t) for t in theta])
     if not grad:
-        return _unstack(one, 2.0 * _kl_inv_rows(u, c, False), None)
-    v, dv_du, dv_dc = _kl_inv_rows(u, c, True)
-    dc_dtheta = (np.log(theta) + 1.0 + math.log(d)) / spec.m
-    grad_theta = 2.0 * (dv_du[:, None] * err_rates + dv_dc[:, None] * dc_dtheta)
+        return _unstack(one, bounds._gibbs(u, kl_cat, 1, 2.0, spec)[0], None)
+    v, _, dv_du, dv_dc = bounds._gibbs(u, kl_cat, 1, 2.0, spec, True)
+    # d KL(theta || uniform) / d theta_i is ln theta_i + 1 + ln d; the softmax
+    # pullback cancels the ln d that every voter shares.
+    dc_dtheta = (np.log(theta) + 1.0) / spec.m
+    grad_theta = dv_du[:, None] * err_rates + dv_dc[:, None] * dc_dtheta
     pull = np.array([float(t @ g) for t, g in zip(theta, grad_theta)])
     grad_omega = theta * (grad_theta - pull[:, None])
-    return _unstack(one, 2.0 * v, grad_omega)
+    return _unstack(one, v, grad_omega)
 
 
 def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
-    alpha = alpha_from(omega)
+    alpha = _alpha_from(omega)
     return WeightPosterior(alpha / alpha.sum(), float(alpha.sum()))
 
 
@@ -305,7 +288,7 @@ def _dirichlet(gammas) -> _Objective:
     """A kind trained through ``objective``: Dirichlet weights from uniform
     theta at K_init; the kinds differ only in their margin candidates."""
     return _Objective(
-        lambda d, cfg: uniform_omega(d, cfg.K_init),
+        lambda d, cfg: _uniform_omega(d, cfg.K_init),
         gammas,
         lambda P, omega, rows, gamma, spec, grad: objective(P, omega, rows, gamma, spec, grad),
         _dirichlet_posterior,

@@ -24,7 +24,6 @@ __all__ = [
     "binomial_loss",
     "beta_margin_loss_terms",
     "expected_margin_loss_beta",
-    "majority_predict",
     "majority_vote_error",
 ]
 
@@ -259,11 +258,11 @@ def expected_margin_loss_beta(P: PredictionMatrix, alpha, gamma: float) -> float
     return float(terms.mean())
 
 
-def majority_predict(P: PredictionMatrix, theta) -> np.ndarray:
+def _majority_predict(P: PredictionMatrix, theta) -> np.ndarray:
     """Deterministic vote: argmax of class-weight sums, smallest index on ties."""
     return np.argmax(P.class_weight_table(theta), axis=1) + 1
 
 
 def majority_vote_error(P: PredictionMatrix, theta) -> float:
     """Test-style error of the deterministic vote (argmax tie -> smallest class)."""
-    return float(np.mean(majority_predict(P, theta) != P.labels))
+    return float(np.mean(_majority_predict(P, theta) != P.labels))

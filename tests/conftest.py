@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from votecert import numkern as nk
+from votecert import bounds, numkern as nk
 from votecert.votes import PredictionMatrix
 
 
@@ -30,6 +30,17 @@ def export_predictions(P: PredictionMatrix, path) -> None:
         writer.writerow(["label"] + [f"v{j+1}" for j in range(P.num_voters)])
         for y, row in zip(P.labels, P.preds):
             writer.writerow([int(y)] + [int(v) for v in row])
+
+
+def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
+    """The BoundResult of a Dirichlet formula of ``bounds`` (``_margin_formula``
+    and ``_stochastic_formula`` take gamma, ``_f2_formula`` does not) on the
+    caller's lanes of loss, K and gamma, theta floored as certify floors it."""
+    loss, K, *gamma = bounds._lanes(loss, K, *gamma)
+    th, flags = bounds._floor_theta(theta)
+    kl = bounds._dirichlet_kl_of(th)(K)
+    terms = formula(loss, K, *gamma, kl, spec) if gamma else formula(loss, kl, spec)
+    return bounds._dirichlet_result(terms, K, gamma[0] if gamma else None).with_flags(flags)
 
 
 def small_kl(q, p):

@@ -12,7 +12,7 @@ from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
 from votecert.votes import PredictionMatrix, WeightPosterior
 
-from conftest import mpmath_dirichlet_kl, random_matrix, small_kl
+from conftest import dirichlet_from_loss, mpmath_dirichlet_kl, random_matrix, small_kl
 
 
 SPEC = BoundSpec(m=2000, delta=0.05)
@@ -22,13 +22,30 @@ def uniform_theta(d):
     return np.full(d, 1.0 / d)
 
 
+def margin_from_loss(l_gamma, theta, K, gamma, spec):
+    return dirichlet_from_loss(bounds._margin_formula, l_gamma, theta, K, spec, gamma)
+
+
+def stochastic_from_loss(expected_loss, theta, K, gamma, spec):
+    return dirichlet_from_loss(bounds._stochastic_formula, expected_loss, theta, K, spec, gamma)
+
+
+def f2_from_loss(expected_loss, theta, K, spec):
+    return dirichlet_from_loss(bounds._f2_formula, expected_loss, theta, K, spec)
+
+
+def gibbs(P, theta, spec, bound_id):
+    """A Gibbs baseline's certificate at weights theta."""
+    return bounds.certify(P, WeightPosterior(theta, 1.0), spec, bound_id)
+
+
 class TestDirichletMargin:
     def test_clips_at_one_for_full_loss(self):
-        r = bounds.dirichlet_margin_from_loss(1.0, uniform_theta(10), 50.0, 0.1, SPEC)
+        r = margin_from_loss(1.0, uniform_theta(10), 50.0, 0.1, SPEC)
         assert r.value == 1.0
 
     def test_tiny_K_is_vacuous(self):
-        r = bounds.dirichlet_margin_from_loss(0.0, uniform_theta(10), 1e-9, 0.01, SPEC)
+        r = margin_from_loss(0.0, uniform_theta(10), 1e-9, 0.01, SPEC)
         assert r.value == 1.0
 
     def test_component_recomputation_figure_config(self):
@@ -37,7 +54,7 @@ class TestDirichletMargin:
         d, gamma, K = 100, 0.2, 300.0
         spec = BoundSpec(m=2000, delta=0.5)
         theta = uniform_theta(d)
-        r = bounds.dirichlet_margin_from_loss(0.0, theta, K, gamma, spec)
+        r = margin_from_loss(0.0, theta, K, gamma, spec)
         eps = math.exp(-(K + 1) * gamma**2)
         dkl = nk.dirichlet_kl(K * theta, np.ones(d))
         comp = (dkl + math.log(2 * math.sqrt(2000) / 0.5)) / 2000
@@ -53,7 +70,7 @@ class TestDirichletMargin:
         d, gamma = 300, 0.15
         theta = uniform_theta(d)
         l_g = 0.12
-        r = bounds.dirichlet_margin_from_loss(l_g, theta, float(d), gamma, SPEC)
+        r = margin_from_loss(l_g, theta, float(d), gamma, SPEC)
         eps = math.exp(-(d + 1) * gamma**2)
         want = nk.kl_inv(l_g + eps, SPEC.log_confidence() / SPEC.m) + eps
         assert want < 1.0
@@ -65,14 +82,14 @@ class TestDirichletMargin:
     def test_zero_component_floored_and_flagged(self):
         theta = np.zeros(6)
         theta[0] = 1.0
-        r = bounds.dirichlet_margin_from_loss(0.1, theta, 5.0, 0.1, SPEC)
+        r = margin_from_loss(0.1, theta, 5.0, 0.1, SPEC)
         assert "theta_floored" in r.flags
         assert 0.0 <= r.value <= 1.0
 
 
 class TestStochasticMargin:
     def test_full_loss_clips(self):
-        r = bounds.stochastic_margin_from_loss(1.0, uniform_theta(8), 10.0, 0.1, SPEC)
+        r = stochastic_from_loss(1.0, uniform_theta(8), 10.0, 0.1, SPEC)
         assert r.value == 1.0
 
     def test_limit_structure_large_K(self):
@@ -82,7 +99,7 @@ class TestStochasticMargin:
         wp = WeightPosterior(uniform_theta(6), 50000.0)
         spec = BoundSpec(m=40, delta=0.05)
         loss = votes.expected_margin_loss_beta(P, wp.alpha, 0.1)
-        r = bounds.stochastic_margin_from_loss(loss, wp.theta, wp.K, 0.1, spec)
+        r = stochastic_from_loss(loss, wp.theta, wp.K, 0.1, spec)
         eps = math.exp(-4 * 50001 * 0.01)
         want = nk.kl_inv(0.0, r.complexity_term) + eps
         assert r.value == pytest.approx(want, abs=1e-10)
@@ -97,7 +114,7 @@ class TestStochasticMargin:
         K, gamma = 20.0, 0.05
         spec = BoundSpec(m=30, delta=0.05)
         loss = votes.expected_margin_loss_beta(P, K * theta, gamma)
-        r = bounds.stochastic_margin_from_loss(loss, theta, K, gamma, spec)
+        r = stochastic_from_loss(loss, theta, K, gamma, spec)
         rep = oracle.verify_beta_sharpness(P, K * theta, gamma, 200_000, seed=11)
         assert r.empirical_term >= rep.estimate - 3 * rep.stderr
 
@@ -219,13 +236,13 @@ class TestBaselines:
         P = random_matrix(seed=21, m=50, d=6, accuracy=0.3)
         theta = uniform_theta(6)
         if votes.gibbs_loss(P, theta) >= 0.5:
-            assert bounds.fo_bound(P, theta, BoundSpec(m=50, delta=0.05)).value == 1.0
+            assert gibbs(P, theta, BoundSpec(m=50, delta=0.05), "fo").value == 1.0
 
     def test_fo_one_hot_complexity(self):
         P = random_matrix(seed=22, m=50, d=6)
         theta = np.zeros(6)
         theta[1] = 1.0
-        r = bounds.fo_bound(P, theta, BoundSpec(m=50, delta=0.05))
+        r = gibbs(P, theta, BoundSpec(m=50, delta=0.05), "fo")
         want_c = (math.log(6) + math.log(2 * math.sqrt(50) / 0.05)) / 50
         assert r.complexity_term == pytest.approx(want_c, abs=1e-12)
 
@@ -233,7 +250,7 @@ class TestBaselines:
         P = random_matrix(seed=23, m=80, d=8, accuracy=0.75)
         theta = np.random.default_rng(1).dirichlet(np.ones(8))
         spec = BoundSpec(m=80, delta=0.05)
-        r = bounds.fo_bound(P, theta, spec)
+        r = gibbs(P, theta, spec, "fo")
         u = votes.gibbs_loss(P, theta)
         c = (nk.categorical_kl_uniform(theta) + spec.log_confidence()) / 80
         assert r.value == pytest.approx(min(1.0, 2 * nk.kl_inv(u, c)), abs=1e-12)
@@ -241,7 +258,7 @@ class TestBaselines:
     def test_so_all_correct(self):
         P = PredictionMatrix(np.full((30, 4), 1), np.full(30, 1), 2)
         spec = BoundSpec(m=30, delta=0.05)
-        r = bounds.so_bound(P, uniform_theta(4), spec)
+        r = gibbs(P, uniform_theta(4), spec, "so")
         c = spec.log_confidence() / 30
         assert r.value == pytest.approx(min(1.0, 4 * (1 - math.exp(-c))), abs=1e-10)
 
@@ -249,7 +266,7 @@ class TestBaselines:
         P = random_matrix(seed=24, m=80, d=8, accuracy=0.75)
         theta = np.random.default_rng(2).dirichlet(np.ones(8))
         spec = BoundSpec(m=80, delta=0.05)
-        r = bounds.so_bound(P, theta, spec)
+        r = gibbs(P, theta, spec, "so")
         u = votes.tandem_loss(P, theta)
         c = (2 * nk.categorical_kl_uniform(theta) + spec.log_confidence()) / 80
         assert r.value == pytest.approx(min(1.0, 4 * nk.kl_inv(u, c)), abs=1e-12)
@@ -257,7 +274,7 @@ class TestBaselines:
     def test_bin_uniform_complexity_vanishes(self):
         P = random_matrix(seed=25, m=60, d=9, accuracy=0.8)
         spec = BoundSpec(m=60, delta=0.05)
-        r = bounds.bin_bound(P, uniform_theta(9), spec)
+        r = gibbs(P, uniform_theta(9), spec, "bin")
         assert r.complexity_term == pytest.approx(spec.log_confidence() / 60, abs=1e-12)
         u = votes.binomial_loss(P, uniform_theta(9), 100)
         assert r.value == pytest.approx(
@@ -268,13 +285,13 @@ class TestBaselines:
         P = random_matrix(seed=26, m=60, d=7, accuracy=0.8)
         wp = WeightPosterior(uniform_theta(7), 30.0)
         spec = BoundSpec(m=60, delta=0.05)
-        r = bounds.f2_from_loss(
+        r = f2_from_loss(
             votes.expected_margin_loss_beta(P, wp.alpha, 0.0), wp.theta, wp.K, spec
         )
         assert r.value >= min(1.0, 2 * r.empirical_term) - 1e-12
 
     def test_f2_full_loss_clips(self):
-        r = bounds.f2_from_loss(0.6, uniform_theta(5), 5.0, SPEC)
+        r = f2_from_loss(0.6, uniform_theta(5), 5.0, SPEC)
         assert r.value == 1.0
 
 
@@ -284,7 +301,7 @@ class TestMonotonicityInSpec:
         sample grows or the confidence requirement loosens."""
         theta = uniform_theta(15)
         for make in (
-            lambda s: bounds.dirichlet_margin_from_loss(0.1, theta, 60.0, 0.1, s).value,
+            lambda s: margin_from_loss(0.1, theta, 60.0, 0.1, s).value,
             lambda s: bounds.gz_from_loss(0.1, 15, 0.4, s).value,
             lambda s: bounds.bgplus_from_loss(0.1, 15, 0.3, s).value,
             lambda s: bounds.bgplusplus_from_loss(0.1, theta, 0.3, s).value,
@@ -331,7 +348,7 @@ class TestCertify:
         for g in cfg.gamma_grid()[::37]:
             l_g = float(np.searchsorted(srt, g, side="right")) / toy_matrix.num_examples
             for K in np.logspace(0.0, 16.0 * math.log10(2.0), 40):
-                val = bounds.dirichlet_margin_from_loss(
+                val = margin_from_loss(
                     l_g, theta, float(K), float(g), spec_union
                 ).value
                 best = min(best, val)
@@ -345,9 +362,9 @@ class TestCertify:
         expected = votes.expected_margin_loss_beta(toy_matrix, wp.alpha, 0.1)
         for bid, direct in (
             ("dirichlet_margin",
-             lambda: bounds.dirichlet_margin_from_loss(l_g, wp.theta, wp.K, 0.1, spec)),
+             lambda: margin_from_loss(l_g, wp.theta, wp.K, 0.1, spec)),
             ("stochastic_margin",
-             lambda: bounds.stochastic_margin_from_loss(expected, wp.theta, wp.K, 0.1, spec)),
+             lambda: stochastic_from_loss(expected, wp.theta, wp.K, 0.1, spec)),
             ("bgplus",
              lambda: bounds.bgplus_from_loss(l_g, toy_matrix.num_voters, 0.1, spec)),
         ):
@@ -664,9 +681,9 @@ class TestGridFormulas:
         lambda l, K, g, th, spec: bounds.bgplus_from_loss(l, th.size, g, spec),
         lambda l, K, g, th, spec: bounds.bg_original_from_loss(l, th.size, g, spec),
         lambda l, K, g, th, spec: bounds.bgplusplus_from_loss(l, th, g, spec),
-        lambda l, K, g, th, spec: bounds.dirichlet_margin_from_loss(l, th, K, g, spec),
-        lambda l, K, g, th, spec: bounds.stochastic_margin_from_loss(l, th, K, g, spec),
-        lambda l, K, g, th, spec: bounds.f2_from_loss(l, th, K, spec),
+        lambda l, K, g, th, spec: margin_from_loss(l, th, K, g, spec),
+        lambda l, K, g, th, spec: stochastic_from_loss(l, th, K, g, spec),
+        lambda l, K, g, th, spec: f2_from_loss(l, th, K, spec),
     ], ids=["gz", "bgplus", "bg", "bgplusplus", "dirichlet_margin", "stochastic_margin", "f2"])
     def test_lanes_equal_one_lane_calls(self, formula):
         rng = np.random.default_rng(8)

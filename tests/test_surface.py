@@ -1,9 +1,11 @@
 """Each module's ``__all__`` names exactly its public functions and classes,
-and every name the kernel layer exports has a caller in the package."""
+and every function a module exports has a caller in the package or the
+benchmark."""
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -30,17 +32,17 @@ def test_all_lists_the_public_functions_and_classes(name):
     assert listed == defined
 
 
-def _numkern_names_used(path: pathlib.Path) -> set:
-    """Names that one module reads from numkern: ``alias.name`` for every
-    alias it imports numkern under, and names imported from it directly."""
+def _names_used(path: pathlib.Path, module: str) -> set:
+    """Names that one file reads from ``module``: ``alias.name`` for every
+    alias it imports the module under, and names imported from it directly."""
     tree = ast.parse(path.read_text())
     aliases, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name == "numkern":
+                if alias.name == module:
                     aliases.add(alias.asname or alias.name)
-                elif (node.module or "").endswith("numkern"):
+                elif (node.module or "").split(".")[-1] == module:
                     used.add(alias.name)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -49,12 +51,22 @@ def _numkern_names_used(path: pathlib.Path) -> set:
     return used
 
 
-def test_every_numkern_export_has_a_caller():
-    """The kernel layer exports nothing that the rest of the package never calls."""
-    numkern = importlib.import_module("votecert.numkern")
-    package = pathlib.Path(numkern.__file__).parent
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_a_caller(name):
+    """A module exports no function that the rest of the package never reads
+    and the benchmark never names (``bounds.reconstruct_value`` is called
+    there, ``train.adam_step`` and the oracle functions are traced rows).
+    Classes are exempt."""
+    module = importlib.import_module(f"votecert.{name}")
+    package = pathlib.Path(module.__file__).parent
     used = set()
     for path in package.glob("*.py"):
-        if path.name != "numkern.py":
-            used |= _numkern_names_used(path)
-    assert set(numkern.__all__) - used == set()
+        if path.stem != name:
+            used |= _names_used(path, name)
+    bench = "\n".join(path.read_text() for path in (package.parents[1] / "bench").glob("*.py"))
+    uncalled = {
+        attr for attr in module.__all__
+        if inspect.isfunction(getattr(module, attr)) and attr not in used
+        and not re.search(rf"\b{name}\.{attr}\b|[\"']{attr}[\"']", bench)
+    }
+    assert uncalled == set()

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from votecert import bounds, train, votes
+from votecert import bounds, numkern as nk, train, votes
 from votecert.bounds import BoundSpec, SearchConfig
 from votecert.train import AdamState, TrainConfig, adam_step
 from votecert.votes import PredictionMatrix, WeightPosterior
@@ -97,14 +98,15 @@ class TestObjectiveGradients:
         omega = np.full(4, 0.3)
         gamma = 0.1
         _, grad = train.objective(P, omega, None, gamma, spec)
-        alpha = train.alpha_from(omega)
+        alpha = train._alpha_from(omega)
         # all-correct rows freeze the empirical term, kl_inv(0, c) has no
         # alpha-dependence through u; remaining signal is penalty + complexity
         eps_term = -4 * gamma**2 * math.exp(-4 * (alpha.sum() + 1) * gamma**2)
         sig = 1 / (1 + math.exp(-0.3))
-        c, dc = train._dirichlet_complexity(alpha[None], spec, grad=True)
-        _, _, dv_dc = train._kl_inv_rows(np.zeros(1), c, grad=True)
-        want = (dv_dc[0] * dc[0] + eps_term) * sig
+        c = (nk.dirichlet_kl(alpha, np.ones(4)) + spec.log_confidence()) / spec.m
+        dc = bounds._dirichlet_complexity_grad(alpha[None], spec)[0]
+        _, _, dv_dc = nk.kl_inv_with_grad(1e-12, c)  # u clipped off 0
+        want = (dv_dc * dc + eps_term) * sig
         np.testing.assert_allclose(grad, want, rtol=1e-10)
 
     def test_objective_matches_finite_differences(self):
@@ -163,7 +165,7 @@ class TestObjectiveGradients:
     def test_full_batch_objective_decreases_over_first_epoch(self):
         P = random_matrix(seed=8, m=80, d=8, accuracy=0.8)
         spec = BoundSpec(m=80, delta=0.05)
-        omega = train.uniform_omega(8, 2.0)
+        omega = train._uniform_omega(8, 2.0)
         state = AdamState.init(omega)
         v0, g = train.objective(P, state.params, None, 0.05, spec)
         for _ in range(8):
@@ -171,6 +173,84 @@ class TestObjectiveGradients:
             state = adam_step(state, g, lr=0.1)
         v1, _ = train.objective(P, state.params, None, 0.05, spec)
         assert v1 < v0
+
+
+class TestObjectiveIsTheCertificate:
+    """The objectives evaluate the certificate formulas of ``bounds``: their
+    values are the shared formulas' unclipped values, their gradients the
+    formulas' partials pulled back to omega, and below 1 the Dirichlet
+    objective is the certificate certify reports at theta = alpha / alpha_0
+    and K = alpha_0."""
+
+    CASES = st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(100, 300), st.integers(5, 39),
+        st.sampled_from([2, 3]),
+        st.one_of(st.none(), st.floats(0.005, 0.3)),
+    )
+
+    @staticmethod
+    def _draw(case, centre):
+        seed, m, d, classes, gamma = case
+        rng = np.random.default_rng(seed)
+        P = random_matrix(seed, m, d, classes, accuracy=float(rng.uniform(0.4, 0.9)))
+        omega = rng.normal(centre, 1.0, d)
+        return P, omega, gamma, BoundSpec(m=m, delta=0.05)
+
+    @settings(max_examples=40, deadline=None)
+    @given(CASES)
+    def test_dirichlet_objective(self, case):
+        P, omega, gamma, spec = self._draw(case, -1.0)
+        alpha = train._alpha_from(omega)
+        K = alpha.sum()
+        corr = P.correct_mask
+        g = 0.0 if gamma is None else gamma
+        terms, d_c, d_w = votes.beta_margin_loss_terms(
+            (corr @ alpha)[None], ((~corr) @ alpha)[None], np.array([[g]]), grad=True)
+        u = np.clip(terms.mean(axis=1), 1e-12, 1.0 - 1e-12)
+        kl = nk.dirichlet_kl(alpha[None], np.ones(alpha.size))
+
+        def formula(kl, grad=False):
+            if gamma is None:
+                return bounds._f2_formula(u, kl, spec, grad)
+            return bounds._stochastic_formula(u, np.array([K]), np.array([g]), kl, spec, grad)
+
+        value, grad = train.objective(P, omega, None, gamma, spec)
+        assert train.objective(P, omega, None, gamma, spec, grad=False) == formula(kl)[0][0]
+
+        theta = alpha / K
+        kl_cert = bounds._dirichlet_kl_of(theta)(np.array([K]))
+        certificate = bounds._dirichlet_result(formula(kl_cert), np.array([K]), None).value[0]
+        if certificate < 1.0:
+            assert value == pytest.approx(certificate, rel=4 * np.finfo(float).eps, abs=0.0)
+
+        _, _, _, _, dv_du, dv_dc, deps_dK = formula(kl, True)
+        dE = (d_c[0] @ corr + d_w[0] @ ~corr) / P.num_examples
+        dc = bounds._dirichlet_complexity_grad(alpha[None], spec)[0]
+        want = (dv_du * dE + dv_dc * dc + deps_dK) / (1.0 + np.exp(-omega))
+        np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(CASES)
+    def test_fo_objective(self, case):
+        P, omega, _, spec = self._draw(case, 0.0)
+        theta = np.exp(omega - omega.max())
+        theta /= theta.sum()
+        err = (~P.correct_mask).mean(axis=0)
+        u = np.clip(err @ theta, 1e-12, 1.0 - 1e-12)
+        kl = nk.categorical_kl_uniform(theta)
+
+        value, grad = train.fo_objective(P, omega, None, spec)
+        assert train.fo_objective(P, omega, None, spec, grad=False) == bounds._gibbs(
+            np.array([u]), np.array([kl]), 1, 2.0, spec)[0][0]
+
+        certificate = bounds.certify(P, WeightPosterior(theta, 1.0), spec, "fo").value
+        if certificate < 1.0:
+            assert value == pytest.approx(certificate, rel=1e-12, abs=0.0)
+
+        _, _, dv_du, dv_dc = bounds._gibbs(u, kl, 1, 2.0, spec, True)
+        grad_theta = dv_du * err + dv_dc * (np.log(theta) + 1.0) / spec.m
+        want = theta * (grad_theta - theta @ grad_theta)  # the softmax pullback
+        np.testing.assert_allclose(grad, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
 
 
 def separable_matrix(seed: int, m: int = 400, d: int = 9) -> PredictionMatrix:
@@ -262,13 +342,13 @@ class TestTrainPosterior:
 
 class TestUnconstrainedParams:
     def test_uniform_omega_round_trip(self):
-        omega = train.uniform_omega(12, 2.0)
-        alpha = train.alpha_from(omega)
+        omega = train._uniform_omega(12, 2.0)
+        alpha = train._alpha_from(omega)
         np.testing.assert_allclose(alpha, np.full(12, 2.0 / 12.0), rtol=1e-12)
 
     def test_alpha_positive_everywhere(self):
         omega = np.array([-40.0, -1.0, 0.0, 25.0])
-        alpha = train.alpha_from(omega)
+        alpha = train._alpha_from(omega)
         assert alpha.min() > 0.0
         # theta and K recoverable
         theta = alpha / alpha.sum()

@@ -140,7 +140,7 @@ class TestEmpiricalMarginLoss:
         P = PredictionMatrix(preds, rng.integers(1, 3, size=200), 2)
         theta = np.full(d, 1.0 / d)
         assert votes.empirical_margin_loss(P, theta, 0.0) == 1.0
-        np.testing.assert_array_equal(votes.majority_predict(P, theta), 1)
+        np.testing.assert_array_equal(votes._majority_predict(P, theta), 1)
 
     def test_lanewise_in_gamma(self):
         """An array of margins gives the one-margin values lane by lane, each
@@ -313,14 +313,14 @@ class TestMajorityPredict:
         preds = np.array([[1, 2], [2, 3]])
         labels = np.array([1, 3])
         P = PredictionMatrix(preds, labels, 3)
-        out = votes.majority_predict(P, np.array([0.5, 0.5]))
+        out = votes._majority_predict(P, np.array([0.5, 0.5]))
         np.testing.assert_array_equal(out, [1, 2])  # ties resolve downward
 
     def test_error_rate(self):
         P = random_matrix(seed=16, m=40, d=7, accuracy=0.8)
         theta = np.full(7, 1 / 7)
         err = votes.majority_vote_error(P, theta)
-        preds = votes.majority_predict(P, theta)
+        preds = votes._majority_predict(P, theta)
         assert err == pytest.approx(np.mean(preds != P.labels))
 
     def test_subset_matches_parent(self):
