@@ -449,12 +449,13 @@ class SearchConfig:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Rows x margins per reg_inc_beta call in the Beta-CDF searches.  Median
-# seconds of a uniform-weight stochastic_margin certify (2 vCPUs, one BLAS
+# Distinct row masses x margins per reg_inc_beta call in the Beta-CDF
+# searches.  Median seconds of five stochastic_margin certifies with
+# Dirichlet(5) weights, so every row mass distinct (2 vCPUs, one BLAS
 # thread; values bit-identical at every size): on a 766 x 27 matrix at
-# n_gamma=200, 3.33 at 2**12, 2.33 at 2**14, 2.79 at 2**16 and 3.01 at
-# 2**18; on a 479 x 108 matrix (the desk experiment's shape) at
-# n_gamma=100, 1.13 at 2**14 and 1.05 at 2**16.  No size wins both.
+# n_gamma=200, 1.69 at 2**14, 1.74 at 2**16 and 1.92 at 2**18; on a
+# 479 x 108 matrix (the desk experiment's shape) at n_gamma=100, 0.52,
+# 0.48 and 0.49.  No size wins both.
 _BETA_LANES = 1 << 16
 
 
@@ -550,14 +551,19 @@ def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
     return _dirichlet_result(at(K), K, gammas)
 
 
-def _beta_losses(K: np.ndarray, gammas: np.ndarray, a_c: np.ndarray, a_w: np.ndarray):
-    """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w)."""
+def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np.ndarray):
+    """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w): the CDF
+    runs once per distinct (a_c, a_w) column of ``masses``, and ``rows``
+    gathers it back into row order, so the mean is the every-row mean."""
+    a_c, a_w = masses
     out = np.empty(K.size)
-    step = max(1, _BETA_LANES // a_c.size)
+    # At most _BETA_LANES CDF lanes per call, and 16 times as many gathered
+    # terms however few distinct masses stand for the rows.
+    step = max(1, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
     for s in range(0, K.size, step):
         k = K[s:s + step, None]
         terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None])
-        out[s:s + step] = terms.mean(axis=1)
+        out[s:s + step] = terms[:, rows].mean(axis=1)
     return out
 
 
@@ -574,12 +580,13 @@ def _certify_beta(P, wp, spec, cfg, gammas):
     """stochastic_margin over the grid margins; with gammas None, the f2
     baseline at the single margin 0."""
     th, flags = _floor_theta(wp.theta)
-    a_c, a_w = P.correct_mass(th), P.wrong_mass(th)
+    masses, rows = np.unique(np.stack([P.correct_mass(th), P.wrong_mass(th)]), axis=1,
+                             return_inverse=True)
     kl_of = _dirichlet_kl_of(th)
     margins = np.zeros(1) if gammas is None else gammas
 
     def at(K, g):
-        u = _beta_losses(K, g, a_c, a_w)
+        u = _beta_losses(K, g, masses, rows)
         return (_f2_formula(u, kl_of(K), spec) if gammas is None
                 else _stochastic_formula(u, K, g, kl_of(K), spec))
 

@@ -87,7 +87,8 @@ def sample_dirichlet(alpha, n: int, seed: int, stream: int = 0) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     g = _rng(seed, stream).standard_gamma(a, size=(int(n), a.size))
-    return g / g.sum(axis=1, keepdims=True)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

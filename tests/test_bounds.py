@@ -3,6 +3,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -625,6 +626,89 @@ class TestDirichletKLMemo:
         bounds.certify(P, wp, BoundSpec(m=300, delta=0.05), "dirichlet_margin",
                        SearchConfig(n_gamma=100))
         assert sum(rows) <= len(set(asked)) < len(asked)
+
+
+def every_row_beta_losses(a_c, a_w):
+    """A stand-in for ``bounds._beta_losses`` that ignores the distinct
+    masses it is given and runs the CDF on every row of (a_c, a_w), as the
+    search did before rows were collapsed: the reference for the searches'
+    Beta-CDF loss."""
+
+    def losses(K, gammas, masses, rows):
+        out = np.empty(K.size)
+        step = max(1, bounds._BETA_LANES // a_c.size)
+        for s in range(0, K.size, step):
+            k = K[s:s + step, None]
+            terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None])
+            out[s:s + step] = terms.mean(axis=1)
+        return out
+
+    return losses
+
+
+class TestBetaDistinctMasses:
+    """The Beta-CDF searches (stochastic_margin, f2) run the CDF once per
+    distinct row mass (a_c, a_w) and return what running it on every row
+    returns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.sampled_from([2, 3]),
+        base=st.integers(2, 8),
+        d=st.integers(2, 6),
+        copies=st.integers(1, 12),
+        weights=st.sampled_from(["uniform", "dirichlet", "zeros"]),
+        n_gamma=st.sampled_from([1, 10]),
+        bound_id=st.sampled_from(["stochastic_margin", "f2"]),
+    )
+    def test_equals_every_row_search(self, seed, c, base, d, copies, weights, n_gamma,
+                                     bound_id):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(1, c + 1, size=base)
+        preds = rng.integers(1, c + 1, size=(base, d))
+        # One row every voter gets right (a_w = 0), one every voter gets wrong
+        # (a_c = 0).
+        preds[0] = labels[0]
+        preds[1] = labels[1] % c + 1
+        order = rng.permutation(base * copies)
+        P = PredictionMatrix(np.tile(preds, (copies, 1))[order], np.tile(labels, copies)[order], c)
+        theta = uniform_theta(d) if weights == "uniform" else rng.dirichlet(np.ones(d))
+        if weights == "zeros":
+            theta[rng.permutation(d)[:d // 2]] = 0.0
+        wp = WeightPosterior(theta, float(rng.choice([1.0, 40.0])))
+        spec = BoundSpec(m=P.num_examples, delta=0.05)
+        cfg = SearchConfig(n_gamma=n_gamma)
+        got = bounds.certify(P, wp, spec, bound_id, cfg)
+        th, _ = bounds._floor_theta(wp.theta)
+        with patch.object(bounds, "_beta_losses",
+                          every_row_beta_losses(P.correct_mass(th), P.wrong_mass(th))):
+            want = bounds.certify(P, wp, spec, bound_id, cfg)
+        assert repr(got) == repr(want)
+
+    def test_cdf_lanes_per_step(self, monkeypatch):
+        """A uniform-weight stochastic_margin certify at the default grid sends
+        the CDF at most (d + 1) lanes per margin at each golden step, where
+        every-row evaluation sends one per row."""
+        m, d = 766, 27
+        steps = []
+        beta_losses, cdf = bounds._beta_losses, nk.reg_inc_beta
+
+        def spy_losses(K, *args):
+            steps.append([K.size, 0])
+            return beta_losses(K, *args)
+
+        def spy_cdf(z, a, b):
+            steps[-1][1] += np.size(z)
+            return cdf(z, a, b)
+
+        monkeypatch.setattr(bounds, "_beta_losses", spy_losses)
+        monkeypatch.setattr(nk, "reg_inc_beta", spy_cdf)
+        P = random_matrix(seed=0, m=m, d=d, accuracy=0.6)
+        bounds.certify(P, WeightPosterior(uniform_theta(d), 1.0), BoundSpec(m=m, delta=0.05),
+                       "stochastic_margin")
+        assert max(step[0] for step in steps) == SearchConfig().n_gamma
+        assert all(lanes <= (d + 1) * n for n, lanes in steps)
 
 
 def exhaustive_int_min(f, t_max):
