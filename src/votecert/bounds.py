@@ -554,11 +554,12 @@ def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np.ndarray):
     """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w): the CDF
     runs once per distinct (a_c, a_w) column of ``masses``, and ``rows``
-    gathers it back into row order, so the mean is the every-row mean."""
+    gathers it back into row order, so the mean is the every-row mean bit
+    for bit."""
     a_c, a_w = masses
     out = np.empty(K.size)
-    # At most _BETA_LANES CDF lanes per call, and 16 times as many gathered
-    # terms however few distinct masses stand for the rows.
+    # At most _BETA_LANES CDF lanes per call, and at most 16 times as many
+    # gathered terms, which few masses standing for many rows would exceed.
     step = max(1, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
     for s in range(0, K.size, step):
         k = K[s:s + step, None]
