@@ -13,6 +13,7 @@ from votecert import cli, oracle
 from conftest import export_predictions, random_matrix, write_board_csv
 
 VERIFY_REFERENCE = pathlib.Path(__file__).parent / "verify_reference.json"
+COMPARE_REFERENCE = pathlib.Path(__file__).parent / "compare_reference"
 
 
 def write_predictions(path, seed=0, m=80, d=6, accuracy=0.75):
@@ -438,3 +439,11 @@ class TestCompareCommand:
         with open(compare_dir / "compare_m2000_loss10.csv") as fh:
             values = {row["margin_error"] for row in csv.DictReader(fh)}
         assert values == {"0.1"}
+
+    def test_reproduces_recorded_csvs(self, tmp_path):
+        """``compare --points 99 --seed 0`` against the four CSVs recorded
+        from the per-bound formula functions, byte for byte."""
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--points", "99", "--seed", "0", "--out", str(out)]) == 0
+        for name in COMPARE_FILES:
+            assert (out / name).read_bytes() == (COMPARE_REFERENCE / name).read_bytes(), name
