@@ -3,9 +3,7 @@
 Every certificate but bg's closed form reads factor kl_inv(u, c) + eps, on
 an empirical term u, a complexity c and an additive term eps, and each
 builds its terms in one place:
-- the margin bounds gz, bgplus, bg and bgplusplus in their public
-  ``*_from_loss`` functions, lanewise over (loss, gamma), which the
-  comparison sweep also calls;
+- gz, bgplus, bg and bgplusplus in one margin-grid formula each (below);
 - dirichlet_margin, stochastic_margin and f2 in one core (``_dirichlet``)
   on each lane's KL to the prior, which the caller computes: the searches
   through ``_dirichlet_kl_of``, training from its Dirichlet parameters;
@@ -15,17 +13,20 @@ The Dirichlet and Gibbs formulas return the unclipped value, and with
 ``grad`` its partials (``_kl_bound``), so ``train`` minimises the formula
 that ``certify`` reports.
 
-``certify`` searches a formula on a PredictionMatrix.  The table
-``_BOUNDS`` is the one place a bound is defined: per bound id it holds how a
-result's value is rebuilt from its components (a kl factor, or bg's closed
-form), whether the delta/n_gamma union correction over the margin grid
-applies, whether the bound is searched over margins, and how ``certify``
-evaluates it.  ``BOUND_IDS``, ``certify`` and ``reconstruct_value`` all read
-it.  All certified values are clipped to 1 and carry their additive
-components so a result can be reconstructed and audited.
+The table ``_BOUNDS`` is the one place a bound is defined: per bound id it
+holds how a result's value is rebuilt from its components (a kl factor, or
+bg's closed form), whether the delta/n_gamma union correction over the
+margin grid applies, whether the bound is searched over margins, and how
+``certify`` evaluates it.  A margin-grid bound (dirichlet_margin, gz,
+bgplus, bg, bgplusplus) also holds its formula, with one signature for all
+five and lanewise over (margin loss, gamma), and the rule of the margins
+where it holds.  ``certify`` runs the five through one grid evaluator
+(``_on_grid``): a single formula call over every applicable grid margin,
+the winner picked by ``_best_lane``.  ``margin_bound`` calls a formula on
+the caller's lanes, as the comparison sweep does, and ``margin_applies``
+reads the rule.  All certified values are clipped to 1 and carry their
+additive components so a result can be reconstructed and audited.
 
-One grid evaluator (``_on_grid``) makes a single formula call over every
-applicable grid margin and picks the winner with ``_best_lane``;
 bgplusplus minimises over T with one integer search run in lockstep across
 margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
 margin 0) optimise K by one golden-section search on ln K over every lane
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -64,11 +66,8 @@ __all__ = [
     "SearchConfig",
     "InapplicableMarginError",
     "BOUND_IDS",
-    "gz_from_loss",
-    "bgplus_from_loss",
-    "bg_original_from_loss",
-    "bgplusplus_from_loss",
-    "dirichlet_margin_best_K",
+    "margin_bound",
+    "margin_applies",
     "certify",
     "reconstruct_value",
 ]
@@ -155,11 +154,16 @@ def _result(value, gamma, K, T, u, comp, eps, flags=()) -> BoundResult:
     return BoundResult(out(value), out(gamma), out(K), out(T, int), out(u), comp, out(eps), flags)
 
 
-def _lane(r: BoundResult, i: int) -> BoundResult:
-    """Lane i of a margin formula's lanewise BoundResult."""
-    return _result(*(x[i] if isinstance(x, np.ndarray) else x for x in (
+def _per_lane(r: BoundResult, f) -> BoundResult:
+    """A lanewise BoundResult with f applied to each of its lane arrays."""
+    return _result(*(f(x) if isinstance(x, np.ndarray) else x for x in (
         r.value, r.gamma_star, r.K_star, r.T_star, r.empirical_term, r.complexity_term,
         r.derandomisation_term)), r.flags)
+
+
+def _lane(r: BoundResult, i: int) -> BoundResult:
+    """Lane i of a lanewise BoundResult."""
+    return _per_lane(r, lambda x: x[i])
 
 
 def _dirichlet_kl_of(theta: np.ndarray):
@@ -244,67 +248,61 @@ def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray
     return ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
 
 
-def _gz_applies(gammas, num_voters: int):
+# The margin-grid formulas: one signature, (losses, gammas, theta, spec, K,
+# cfg) -> BoundResult, lanewise over flat (margin loss, gamma) lanes, for
+# weights theta already floored; each reads the arguments it needs.
+
+
+def _everywhere(gammas, d: int):
+    return np.ones(np.shape(gammas), dtype=bool)
+
+
+def _gz_applies(gammas, d: int):
     """Margins where the gz bound holds: d >= 3 and gamma > sqrt(2/d)."""
-    return (num_voters >= 3) & (np.asarray(gammas) > math.sqrt(2.0 / num_voters))
+    return (d >= 3) & (np.asarray(gammas) > math.sqrt(2.0 / d))
 
 
-def gz_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
-    """Margin bound holding simultaneously for all gamma > sqrt(2/d), d >= 3.
-    Lanewise over (l_gamma, gamma)."""
-    d = int(num_voters)
-    u, gamma = _lanes(l_gamma, gamma)
-    if d < 3:
-        raise InapplicableMarginError("needs at least 3 voters")
-    if not _gz_applies(gamma, d).all():
-        raise InapplicableMarginError("gamma must exceed sqrt(2/d)")
-    m = spec.m
+def _gz(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+    """kth-margin bound, holding simultaneously over the margins where
+    ``_gz_applies``."""
+    d, m = theta.size, spec.m
     log_d = math.log(d)
     comp = (
-        2.0 * math.log(2.0 * d) / (gamma * gamma) * math.log(2.0 * m * m / log_d)
+        2.0 * math.log(2.0 * d) / (gammas * gammas) * math.log(2.0 * m * m / log_d)
         + math.log(d * m / spec.delta)
     ) / m
     tail = log_d / m
-    value = np.minimum(1.0, nk.kl_inv(u, comp) + tail)
-    return _result(value, gamma, None, None, u, comp, tail)
+    value = np.minimum(1.0, nk.kl_inv(losses, comp) + tail)
+    return _result(value, gammas, None, None, losses, comp, tail)
 
 
 def _bgplus_T(gamma, m: int):
     return np.maximum(1, np.ceil(2.0 * math.log(m) / (gamma * gamma))).astype(np.int64)
 
 
-def bgplus_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
+def _bgplus(losses, gammas, theta, spec, K, cfg) -> BoundResult:
     """Sharpened fixed-margin bound; T = ceil(2 ln(m) / gamma^2) replications.
-    Lanewise over (l_gamma, gamma).
 
     The sampling penalty exp(-T gamma^2 / 2) <= 1/m by construction, so both
     additive corrections appear as 1/m.
     """
-    l_gamma, gamma = _lanes(l_gamma, gamma)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be positive")
     m = spec.m
-    T = _bgplus_T(gamma, m)
-    u = np.minimum(1.0, l_gamma + 1.0 / m)
-    comp = (T * math.log(num_voters) + spec.log_confidence()) / m
+    T = _bgplus_T(gammas, m)
+    u = np.minimum(1.0, losses + 1.0 / m)
+    comp = (T * math.log(theta.size) + spec.log_confidence()) / m
     value = np.minimum(1.0, nk.kl_inv(u, comp) + 1.0 / m)
-    return _result(value, gamma, None, T, u, comp, 1.0 / m)
+    return _result(value, gammas, None, T, u, comp, 1.0 / m)
 
 
-def bg_original_from_loss(l_gamma, num_voters: int, gamma, spec: BoundSpec) -> BoundResult:
-    """Original closed-form relaxation; strictly looser than bgplus.
-    Lanewise over (l_gamma, gamma)."""
-    u, gamma = _lanes(l_gamma, gamma)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be positive")
+def _bg(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+    """Original closed-form relaxation; strictly looser than bgplus."""
     m = spec.m
-    C = 2.0 * math.log(2.0 / spec.delta) + 4.75 * math.log(num_voters) * math.log(
-        m
-    ) / (gamma * gamma)
+    C = (2.0 * math.log(2.0 / spec.delta)
+         + 4.75 * math.log(theta.size) * math.log(m) / (gammas * gammas))
     comp = C / m
     tail = (C + np.sqrt(C) + 2.0) / m
-    value = np.minimum(1.0, u + np.sqrt(comp * u) + tail)
-    return _result(value, gamma, None, None, u, comp, tail)
+    value = np.minimum(1.0, losses + np.sqrt(comp * losses) + tail)
+    return _result(value, gammas, None, None, losses, comp, tail)
 
 
 # Lanes whose whole range {1..t_max} is this short are scanned exhaustively.
@@ -366,40 +364,26 @@ def _minimize_over_int(f, t_max, forced):
     return best_t, best_val
 
 
-def bgplusplus_from_loss(
-    l_gamma,
-    theta,
-    gamma,
-    spec: BoundSpec,
-    T_max: int | None = None,
-) -> BoundResult:
-    """Variant minimised over the replication count T in {1..T_max}.
-    Lanewise over (l_gamma, gamma), every lane's T search in lockstep.
-
-    T_max defaults to 4x the bgplus heuristic so that choice is always in
-    the search range.  The complexity charges T * (ln d - H(theta)), which
-    vanishes for uniform weights.
-    """
-    u0, gamma = _lanes(l_gamma, gamma)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be positive")
+def _bgplusplus(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+    """Replication bound minimised over the count T in {1..4 T_bgplus}, so
+    bgplus's choice is always in range; every lane's T search in lockstep.
+    The complexity charges T * (ln d - H(theta)), which vanishes for
+    uniform weights."""
     m = spec.m
-    t_plus = _bgplus_T(gamma, m).ravel()
-    t_max = 4 * t_plus if T_max is None else np.full(t_plus.size, max(1, int(T_max)))
-    kl_unif = nk.categorical_kl_uniform(np.asarray(theta, dtype=float))
+    t_plus = _bgplus_T(gammas, m)
+    kl_unif = nk.categorical_kl_uniform(theta)
     log_term = math.log(m / spec.delta)
 
     def candidate(lanes, T):
-        g = gamma.flat[lanes]
+        g = gammas[lanes]
         eps = np.exp(-0.5 * T * g * g)
-        u = np.minimum(1.0, u0.flat[lanes] + eps)
+        u = np.minimum(1.0, losses[lanes] + eps)
         comp = (T * kl_unif + log_term) / m
         return np.minimum(1.0, nk.kl_inv(u, comp) + eps), u, comp, eps
 
-    T_star, _ = _minimize_over_int(lambda lanes, T: candidate(lanes, T)[0], t_max, t_plus)
-    T_star = T_star.reshape(gamma.shape)
-    value, u, comp, eps = candidate(np.arange(gamma.size).reshape(gamma.shape), T_star)
-    return _result(value, gamma, None, T_star, u, comp, eps)
+    T_star, _ = _minimize_over_int(lambda lanes, T: candidate(lanes, T)[0], 4 * t_plus, t_plus)
+    value, u, comp, eps = candidate(np.arange(gammas.size), T_star)
+    return _result(value, gammas, None, T_star, u, comp, eps)
 
 
 def _gibbs(u, kl_cat, n: int, factor: float, spec: BoundSpec, grad: bool = False):
@@ -458,6 +442,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # 0.48 and 0.49.  No size wins both.
 _BETA_LANES = 1 << 16
 
+# The largest K_init the K search takes: its range must end at a finite
+# K_init * k_span, which at the default k_span holds up to ~2.7e303.  The
+# Beta-CDF bounds can fail well below it, where the incomplete beta's
+# prefactor loses its accuracy (see ``nk.reg_inc_beta``).
+_K_MAX = 1e300
+
 
 def _search_log_K(values_at, n: int, K_init: float, cfg: SearchConfig):
     """Golden-section minimum over ln K in [ln K_init, ln(K_init * k_span)]
@@ -468,8 +458,10 @@ def _search_log_K(values_at, n: int, K_init: float, cfg: SearchConfig):
     once its bracket is no wider than ``cfg.k_rel_tol`` (or after
     ``cfg.k_max_iter`` steps).  Returns the best ln K and value per lane
     over every evaluation, the bracket ends included; ties keep the
-    earliest evaluation.
+    earliest evaluation.  Raises ValueError for a K_init above ``_K_MAX``.
     """
+    if not K_init <= _K_MAX:
+        raise ValueError(f"K must be at most {_K_MAX:g}")
     lo = math.log(K_init)
     hi = math.log(K_init * cfg.k_span)
     best_x = np.full(n, lo)
@@ -516,37 +508,15 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
     return int(np.lexsort((gammas, values))[0])
 
 
-def dirichlet_margin_best_K(
-    losses,
-    theta,
-    gammas,
-    spec: BoundSpec,
-    K_init: float = 1.0,
-    search_cfg: SearchConfig | None = None,
-) -> list[BoundResult]:
-    """Deterministic-margin bound per lane of (margin loss, gamma), with K
-    golden-sectioned over [K_init, K_init * k_span] for every lane at once.
-    ``losses`` and ``gammas`` broadcast together; one result per lane, each
-    equal to what a one-lane call returns.  Formula-level: takes the margin
-    loss values."""
-    th, flags = _floor_theta(theta)
-    losses, gammas = (arr.ravel() for arr in _lanes(losses, gammas))
-    if np.any(gammas <= 0.0):
-        raise ValueError("gamma must be positive")
-    cfg = search_cfg or SearchConfig()
-    lanes = _margin_best_K(losses, th, gammas, spec, K_init, cfg).with_flags(flags)
-    return [_finalize(_lane(lanes, i), ()) for i in range(gammas.size)]
-
-
-def _margin_best_K(losses, th, gammas, spec, K_init, cfg) -> BoundResult:
-    """The margin formula on flat (loss, gamma) lanes for a floored theta,
-    each lane at its golden-sectioned K."""
-    kl_of = _dirichlet_kl_of(th)
+def _margin_best_K(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+    """Deterministic-margin bound per lane, each lane at its K
+    golden-sectioned over [K, K * k_span]."""
+    kl_of = _dirichlet_kl_of(theta)
 
     def at(K):
         return _margin_formula(losses, K, gammas, kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, K_init, cfg)
+    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, K, cfg)
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(K), K, gammas)
 
@@ -569,12 +539,9 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np
 
 
 # -- certify: one evaluator per table entry -------------------------------------
-
-
-def _certify_dirichlet_margin(P, wp, spec, cfg, gammas):
-    th, flags = _floor_theta(wp.theta)
-    lanes = _margin_best_K(votes.empirical_margin_loss(P, th, gammas), th, gammas, spec, wp.K, cfg)
-    return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
+#
+# An evaluator returns its result with the flags of its own search;
+# ``certify`` adds ``vacuous``.
 
 
 def _certify_beta(P, wp, spec, cfg, gammas):
@@ -595,25 +562,22 @@ def _certify_beta(P, wp, spec, cfg, gammas):
                               margins.size, wp.K, cfg)
     i = _best_lane(values, margins)
     K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
-    return _finalize(_lane(_dirichlet_result(at(K, g), K, None if gammas is None else g), 0),
-                     flags)
+    result = _dirichlet_result(at(K, g), K, None if gammas is None else g)
+    return _lane(result, 0).with_flags(flags)
 
 
-def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool)):
-    """Evaluator that calls ``formula(losses, gammas, theta, spec)`` once
-    over every grid margin where ``applies(gammas, d)`` holds and keeps the
-    smallest value (the smallest gamma on ties)."""
-
-    def evaluate(P, wp, spec, cfg, gammas):
-        th, flags = _floor_theta(wp.theta)
-        gammas = gammas[applies(gammas, th.size)]
-        if not gammas.size:
-            vacuous = _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
-            return _finalize(vacuous, flags)
-        lanes = formula(votes.empirical_margin_loss(P, th, gammas), gammas, th, spec)
-        return _finalize(_lane(lanes, _best_lane(lanes.value, gammas)), flags)
-
-    return evaluate
+def _on_grid(formula, applies, P, wp, spec, cfg, gammas):
+    """A margin-grid bound's evaluator: ``formula`` in one call over every
+    grid margin where ``applies(gammas, d)`` holds, keeping the smallest
+    value (the smallest gamma on ties)."""
+    th, flags = _floor_theta(wp.theta)
+    gammas = gammas[applies(gammas, th.size)]
+    if not gammas.size:
+        result = _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
+    else:
+        lanes = formula(votes.empirical_margin_loss(P, th, gammas), gammas, th, spec, wp.K, cfg)
+        result = _lane(lanes, _best_lane(lanes.value, gammas))
+    return result.with_flags(flags)
 
 
 # -- the bound table ------------------------------------------------------------
@@ -623,12 +587,22 @@ def _on_grid(formula, applies=lambda gammas, d: np.ones(gammas.shape, dtype=bool
 class _Bound:
     """How a bound's value is rebuilt from its components and how it is
     searched.  ``evaluate(P, wp, spec, cfg, gammas)`` returns the result;
-    ``gammas`` is the margin grid, or None for bounds without a margin."""
+    ``gammas`` is the margin grid, or None for bounds without a margin.  A
+    margin-grid bound also holds its ``formula`` and the rule ``applies(gammas,
+    d)`` of the margins where it holds (see ``_margin_grid``)."""
 
     rebuild: Callable[[BoundResult], float]  # unclipped value
     union: bool  # fixed-margin statement: searched at delta / n_gamma
     margin: bool  # searched over the margin grid
     evaluate: Callable[..., BoundResult]
+    formula: Callable[..., BoundResult] | None = None
+    applies: Callable[..., np.ndarray] = _everywhere
+
+
+def _margin_grid(rebuild, formula, union: bool = True, applies=_everywhere) -> _Bound:
+    """A margin-grid bound's entry: certify evaluates ``formula`` by
+    ``_on_grid``, and ``margin_bound`` calls it on the caller's lanes."""
+    return _Bound(rebuild, union, True, partial(_on_grid, formula, applies), formula, applies)
 
 
 def _kl(factor: float) -> Callable[[BoundResult], float]:
@@ -659,16 +633,12 @@ def _bg_closed_form(r: BoundResult) -> float:
 
 
 _BOUNDS = {
-    "dirichlet_margin": _Bound(_kl(1.0), True, True, _certify_dirichlet_margin),
+    "dirichlet_margin": _margin_grid(_kl(1.0), _margin_best_K),
     "stochastic_margin": _Bound(_kl(1.0), True, True, _certify_beta),
-    "gz": _Bound(_kl(1.0), False, True, _on_grid(
-        lambda losses, g, th, spec: gz_from_loss(losses, th.size, g, spec), _gz_applies)),
-    "bgplus": _Bound(_kl(1.0), True, True, _on_grid(
-        lambda losses, g, th, spec: bgplus_from_loss(losses, th.size, g, spec))),
-    "bg": _Bound(_bg_closed_form, True, True, _on_grid(
-        lambda losses, g, th, spec: bg_original_from_loss(losses, th.size, g, spec))),
-    "bgplusplus": _Bound(_kl(1.0), True, True, _on_grid(
-        lambda losses, g, th, spec: bgplusplus_from_loss(losses, th, g, spec))),
+    "gz": _margin_grid(_kl(1.0), _gz, union=False, applies=_gz_applies),
+    "bgplus": _margin_grid(_kl(1.0), _bgplus),
+    "bg": _margin_grid(_bg_closed_form, _bg),
+    "bgplusplus": _margin_grid(_kl(1.0), _bgplusplus),
     # The losses are looked up when called, so a wrapper installed on votes
     # sees the calls.
     "fo": _gibbs_bound(lambda P, th: votes.gibbs_loss(P, th), 1, 2.0),
@@ -680,11 +650,39 @@ _BOUNDS = {
 BOUND_IDS = tuple(_BOUNDS)
 
 
-def _lookup(bound_id: str) -> _Bound:
-    try:
-        return _BOUNDS[bound_id]
-    except KeyError:
-        raise ValueError(f"unknown bound id: {bound_id!r}") from None
+def _lookup(bound_id: str, margin_grid: bool = False) -> _Bound:
+    bound = _BOUNDS.get(bound_id)
+    if bound is None or (margin_grid and bound.formula is None):
+        raise ValueError(f"unknown {'margin-grid ' * margin_grid}bound id: {bound_id!r}")
+    return bound
+
+
+def margin_applies(bound_id: str, gammas, d: int) -> np.ndarray:
+    """Per margin, whether a margin-grid bound holds there for d voters:
+    gz needs d >= 3 and gamma > sqrt(2/d), the others hold at every margin."""
+    return _lookup(bound_id, margin_grid=True).applies(np.asarray(gammas, dtype=float), d)
+
+
+def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec, K: float = 1.0,
+                 search_cfg: SearchConfig | None = None) -> BoundResult:
+    """A margin-grid bound (dirichlet_margin, gz, bgplus, bg, bgplusplus) on
+    lanes of (margin loss, gamma), which broadcast together: one result
+    whose fields hold one entry per lane (plain numbers for scalar lanes).
+    Formula-level: takes the margin loss values and ``spec`` as given (no
+    union correction).  theta is floored as certify floors it;
+    dirichlet_margin golden-sections its K over [K, K * k_span] on every
+    lane.  Raises ValueError for a margin <= 0 and InapplicableMarginError
+    for one where the bound does not hold (``margin_applies``)."""
+    bound = _lookup(bound_id, margin_grid=True)
+    th, flags = _floor_theta(theta)
+    losses, gammas = _lanes(losses, gammas)
+    if np.any(gammas <= 0.0):
+        raise ValueError("gamma must be positive")
+    if not bound.applies(gammas, th.size).all():
+        raise InapplicableMarginError(f"{bound_id} does not hold at every margin given")
+    cfg = search_cfg or SearchConfig()
+    lanes = bound.formula(losses.ravel(), gammas.ravel(), th, spec, K, cfg)
+    return _per_lane(lanes, lambda x: x.reshape(gammas.shape)).with_flags(flags)
 
 
 def reconstruct_value(bound_id: str, r: BoundResult) -> float:
@@ -704,20 +702,15 @@ def certify(
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as
     do the margin-free baselines.  K is optimised per grid point by
-    golden-section on ln K over [K_init, K_init * k_span].  Deterministic
-    given (inputs, search_cfg); ties in the grid keep the smallest gamma.
-    Every result of value 1 carries the ``vacuous`` flag.
+    golden-section on ln K over [K_init, K_init * k_span], for K_init at
+    most 1e300.  Deterministic given (inputs, search_cfg); ties in the grid
+    keep the smallest gamma.  Every result of value 1 carries the
+    ``vacuous`` flag.
     """
     bound = _lookup(bound_id)
     cfg = search_cfg or SearchConfig()
     if bound.union:
         spec = replace(spec, delta=spec.delta / cfg.n_gamma)
     gammas = cfg.gamma_grid() if bound.margin else None
-    return _finalize(bound.evaluate(P, wp_init, spec, cfg, gammas), ())
-
-
-def _finalize(result: BoundResult, base_flags: tuple) -> BoundResult:
-    flags = set(base_flags)
-    if result.value >= 1.0:
-        flags.add("vacuous")
-    return result.with_flags(flags) if flags else result
+    result = bound.evaluate(P, wp_init, spec, cfg, gammas)
+    return result.with_flags(("vacuous",)) if result.value >= 1.0 else result

@@ -334,45 +334,39 @@ def cmd_verify(args, out: str) -> int:
 _COMPARE_PANELS = ((2000, 0.0), (2000, 0.1), (10000, 0.0), (10000, 0.1))
 _COMPARE_D = 100
 _COMPARE_DELTA = 0.5
+# (column, bound id, weight draws): a bound that reads the weights gets one
+# column per draw; the others read only d and take the first draw.
+_COMPARE_COLUMNS = (("bg", "bg", 1), ("bgplus", "bgplus", 1), ("gz", "gz", 1),
+                    ("bgplusplus", "bgplusplus", 3), ("ours", "dirichlet_margin", 3))
 
 
 def cmd_compare(args, out: str) -> int:
     """Formula-level margin sweep reproducing the bound-comparison figure:
     d = 100, delta = 0.5, panels over m in {2000, 10000} and fixed margin
-    loss in {0, 0.1}, with three uniform-simplex weight draws for the
-    Dirichlet margin bound."""
+    loss in {0, 0.1}, with three uniform-simplex weight draws.  One
+    ``margin_bound`` call per column covers every margin; a margin where the
+    bound does not hold is left empty."""
     gammas = np.linspace(0.005, 0.495, args.points)
     thetas = [
         np.random.default_rng((args.seed, i)).dirichlet(np.ones(_COMPARE_D))
         for i in range(3)
     ]
-    cfg = SearchConfig()
-    gz_ok = gammas > math.sqrt(2.0 / _COMPARE_D)
+    header = ["gamma", "margin_error"]
+    for name, _, draws in _COMPARE_COLUMNS:
+        header += [name] if draws == 1 else [f"{name}_{i + 1}" for i in range(draws)]
     for m, loss in _COMPARE_PANELS:
         spec = BoundSpec(m=m, delta=_COMPARE_DELTA)
-        # one call per formula covers every margin; the weight-dependent
-        # bounds share the same three simplex draws
-        bg = bounds.bg_original_from_loss(loss, _COMPARE_D, gammas, spec).value
-        bgp = bounds.bgplus_from_loss(loss, _COMPARE_D, gammas, spec).value
-        gz = np.full(gammas.size, math.nan)
-        gz[gz_ok] = bounds.gz_from_loss(loss, _COMPARE_D, gammas[gz_ok], spec).value
-        bgpp = [bounds.bgplusplus_from_loss(loss, theta, gammas, spec).value for theta in thetas]
-        ours = [
-            [r.value for r in bounds.dirichlet_margin_best_K(loss, theta, gammas, spec, 1.0, cfg)]
-            for theta in thetas
-        ]
-        rows = [
-            (float(g), loss, float(bg[i]), float(bgp[i]),
-             float(gz[i]) if gz_ok[i] else None,
-             *(float(draw[i]) for draw in bgpp), *(draw[i] for draw in ours))
-            for i, g in enumerate(gammas)
-        ]
+        columns = []
+        for _, bid, draws in _COMPARE_COLUMNS:
+            ok = bounds.margin_applies(bid, gammas, _COMPARE_D)
+            for theta in thetas[:draws]:
+                column = np.full(gammas.size, math.nan)
+                column[ok] = bounds.margin_bound(bid, loss, theta, gammas[ok], spec).value
+                columns.append(column)
+        rows = [(float(g), loss, *(None if math.isnan(c[i]) else float(c[i]) for c in columns))
+                for i, g in enumerate(gammas)]
         _write_csv(
-            os.path.join(out, f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"),
-            ("gamma", "margin_error", "bg", "bgplus", "gz",
-             "bgplusplus_1", "bgplusplus_2", "bgplusplus_3",
-             "ours_1", "ours_2", "ours_3"),
-            rows,
+            os.path.join(out, f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"), header, rows
         )
     return 0
 
@@ -400,7 +394,9 @@ def _id_list(ids):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+# The K search's largest starting concentration.
+_concentration = _checked(float, lambda v: 0.0 < v <= bounds._K_MAX,
+                          f"a positive number <= {bounds._K_MAX:g}")
 _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _bound_ids = _id_list(bounds.BOUND_IDS)
 _objectives = _id_list(train.OBJECTIVES)
@@ -440,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_certificate(p)
     p.add_argument("--predictions", default=None)
     p.add_argument("--theta", default=None, help="weights file, one value per line")
-    p.add_argument("--k", type=_positive, default=1.0, help="initial concentration")
+    p.add_argument("--k", type=_concentration, default=1.0, help="initial concentration")
     p.add_argument("--bounds", type=_bound_ids, default=",".join(DEFAULT_BOUNDS),
                    help="comma-separated bound ids")
     p.set_defaults(func=cmd_certify)

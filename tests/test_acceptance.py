@@ -235,9 +235,8 @@ def test_criterion_08_bg_family_ordering():
         l_g = float(rng.uniform(0.0, 0.5))
         theta = rng.dirichlet(np.ones(d))
         spec = BoundSpec(m=m, delta=delta)
-        v_bg = bounds.bg_original_from_loss(l_g, d, gamma, spec).value
-        v_p = bounds.bgplus_from_loss(l_g, d, gamma, spec).value
-        v_pp = bounds.bgplusplus_from_loss(l_g, theta, gamma, spec).value
+        v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta, gamma, spec).value
+                           for bid in ("bg", "bgplus", "bgplusplus"))
         if v_bg < v_p - 1e-12 or v_p < v_pp - 1e-12:
             ok = False
     _verdict(8, "bg >= bgplus >= bgplusplus on 500-point grid", ok)

@@ -123,23 +123,23 @@ class TestStochasticMargin:
 class TestGZ:
     def test_margin_precondition(self):
         with pytest.raises(bounds.InapplicableMarginError):
-            bounds.gz_from_loss(0.1, 100, math.sqrt(2 / 100), SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(100), math.sqrt(2 / 100), SPEC)
 
     def test_small_margin_rejected(self):
         with pytest.raises(bounds.InapplicableMarginError):
-            bounds.gz_from_loss(0.1, 100, 0.1, SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(100), 0.1, SPEC)
 
     def test_too_few_voters_rejected(self):
         with pytest.raises(bounds.InapplicableMarginError):
-            bounds.gz_from_loss(0.1, 2, 0.3, SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(2), 0.3, SPEC)
 
     def test_full_loss_clips(self):
-        assert bounds.gz_from_loss(1.0, 100, 0.3, SPEC).value == 1.0
+        assert bounds.margin_bound("gz", 1.0, uniform_theta(100), 0.3, SPEC).value == 1.0
 
     def test_formula_recomputation(self):
         d, m, delta, l_g, gamma = 100, 10000, 0.5, 0.1, 0.3
         spec = BoundSpec(m=m, delta=delta)
-        r = bounds.gz_from_loss(l_g, d, gamma, spec)
+        r = bounds.margin_bound("gz", l_g, uniform_theta(d), gamma, spec)
         comp = (
             2 * math.log(2 * d) / gamma**2 * math.log(2 * m * m / math.log(d))
             + math.log(d * m / delta)
@@ -151,7 +151,7 @@ class TestGZ:
 
 class TestBGFamily:
     def test_bgplus_full_loss_clips(self):
-        assert bounds.bgplus_from_loss(1.0, 50, 0.2, SPEC).value == 1.0
+        assert bounds.margin_bound("bgplus", 1.0, uniform_theta(50), 0.2, SPEC).value == 1.0
 
     def test_bgplus_replication_boundary(self):
         """The replication count T steps across integers as m moves, and the
@@ -167,44 +167,49 @@ class TestBGFamily:
                 break
             prev_T = T
         assert jump_at is not None
-        lo = bounds.bgplus_from_loss(0.1, 50, gamma, BoundSpec(m=jump_at - 1, delta=0.05))
-        hi = bounds.bgplus_from_loss(0.1, 50, gamma, BoundSpec(m=jump_at, delta=0.05))
+        lo, hi = (bounds.margin_bound("bgplus", 0.1, uniform_theta(50), gamma,
+                                      BoundSpec(m=m, delta=0.05)) for m in (jump_at - 1, jump_at))
         assert lo.T_star != hi.T_star
 
     def test_bg_zero_loss_tail(self):
         d, gamma = 50, 0.2
-        r = bounds.bg_original_from_loss(0.0, d, gamma, SPEC)
+        r = bounds.margin_bound("bg", 0.0, uniform_theta(d), gamma, SPEC)
         C = 2 * math.log(2 / 0.05) + 4.75 / gamma**2 * math.log(d) * math.log(2000)
         assert r.value == pytest.approx(
             min(1.0, (C + math.sqrt(C) + 2) / 2000), abs=1e-12
         )
 
     def test_bg_vacuous_for_tiny_margin(self):
-        assert bounds.bg_original_from_loss(0.0, 50, 0.001, SPEC).value == 1.0
+        assert bounds.margin_bound("bg", 0.0, uniform_theta(50), 0.001, SPEC).value == 1.0
 
     def test_bgplusplus_single_T(self):
-        r = bounds.bgplusplus_from_loss(0.1, uniform_theta(10), 0.2, SPEC, T_max=1)
-        assert r.T_star == 1
-        eps = math.exp(-0.5 * 0.04)
-        comp = (1 * 0.0 + math.log(2000 / 0.05)) / 2000
+        """The reported value is the formula at the reported T_star."""
+        theta = np.random.default_rng(3).dirichlet(np.ones(10))
+        r = bounds.margin_bound("bgplusplus", 0.1, theta, 0.2, SPEC)
+        T = r.T_star
+        eps = math.exp(-0.5 * T * 0.04)
+        comp = (T * nk.categorical_kl_uniform(theta) + math.log(2000 / 0.05)) / 2000
         assert r.value == pytest.approx(
             min(1.0, nk.kl_inv(min(1.0, 0.1 + eps), comp) + eps), abs=1e-12
         )
 
     def test_bgplusplus_uniform_collapses_complexity(self):
         """Uniform weights zero out the per-replication complexity charge."""
-        r = bounds.bgplusplus_from_loss(0.05, uniform_theta(30), 0.15, SPEC)
+        r = bounds.margin_bound("bgplusplus", 0.05, uniform_theta(30), 0.15, SPEC)
         T = r.T_star
         eps = math.exp(-0.5 * T * 0.15**2)
         want = nk.kl_inv(min(1.0, 0.05 + eps), math.log(2000 / 0.05) / 2000) + eps
         assert r.value == pytest.approx(min(1.0, want), abs=1e-12)
 
     def test_T_search_matches_full_scan_small_range(self):
+        """The search range {1..4 T_bgplus} is longer than the exhaustive
+        scan's, so the ladder and trisection find the minimum."""
         spec = BoundSpec(m=200, delta=0.1)
         theta = np.random.default_rng(2).dirichlet(np.ones(12))
-        gamma = 0.3
-        T_max = 400
-        r = bounds.bgplusplus_from_loss(0.2, theta, gamma, spec, T_max=T_max)
+        gamma = 0.25
+        T_max = 4 * math.ceil(2 * math.log(200) / gamma**2)
+        assert T_max > bounds._EXHAUSTIVE_T
+        r = bounds.margin_bound("bgplusplus", 0.2, theta, gamma, spec)
         kl_unif = nk.categorical_kl_uniform(theta)
         best = min(
             min(1.0, nk.kl_inv(min(1.0, 0.2 + math.exp(-0.5 * T * gamma**2)),
@@ -225,9 +230,8 @@ class TestBGFamily:
             l_g = float(rng.uniform(0.0, 0.5))
             theta = rng.dirichlet(np.ones(d))
             spec = BoundSpec(m=m, delta=delta)
-            v_bg = bounds.bg_original_from_loss(l_g, d, gamma, spec).value
-            v_p = bounds.bgplus_from_loss(l_g, d, gamma, spec).value
-            v_pp = bounds.bgplusplus_from_loss(l_g, theta, gamma, spec).value
+            v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta, gamma, spec).value
+                               for bid in ("bg", "bgplus", "bgplusplus"))
             assert v_bg >= v_p - 1e-12
             assert v_p >= v_pp - 1e-12
 
@@ -303,10 +307,10 @@ class TestMonotonicityInSpec:
         theta = uniform_theta(15)
         for make in (
             lambda s: margin_from_loss(0.1, theta, 60.0, 0.1, s).value,
-            lambda s: bounds.gz_from_loss(0.1, 15, 0.4, s).value,
-            lambda s: bounds.bgplus_from_loss(0.1, 15, 0.3, s).value,
-            lambda s: bounds.bgplusplus_from_loss(0.1, theta, 0.3, s).value,
-            lambda s: bounds.bg_original_from_loss(0.1, 15, 0.3, s).value,
+            lambda s: bounds.margin_bound("gz", 0.1, theta, 0.4, s).value,
+            lambda s: bounds.margin_bound("bgplus", 0.1, theta, 0.3, s).value,
+            lambda s: bounds.margin_bound("bgplusplus", 0.1, theta, 0.3, s).value,
+            lambda s: bounds.margin_bound("bg", 0.1, theta, 0.3, s).value,
         ):
             deltas = [0.01, 0.05, 0.2, 0.5]
             vals = [make(BoundSpec(m=5000, delta=dlt)) for dlt in deltas]
@@ -367,7 +371,7 @@ class TestCertify:
             ("stochastic_margin",
              lambda: stochastic_from_loss(expected, wp.theta, wp.K, 0.1, spec)),
             ("bgplus",
-             lambda: bounds.bgplus_from_loss(l_g, toy_matrix.num_voters, 0.1, spec)),
+             lambda: bounds.margin_bound("bgplus", l_g, wp.theta, 0.1, spec)),
         ):
             got = bounds.certify(toy_matrix, wp, spec, bid, cfg)
             assert got.value == pytest.approx(direct().value, abs=1e-12)
@@ -380,9 +384,8 @@ class TestCertify:
         got = bounds.certify(toy_matrix, wp, spec, "bgplus", cfg)
         spec_half = replace(spec, delta=0.025)
         manual = min(
-            (bounds.bgplus_from_loss(
-                votes.empirical_margin_loss(toy_matrix, wp, float(g)),
-                toy_matrix.num_voters, float(g), spec_half)
+            (bounds.margin_bound("bgplus", votes.empirical_margin_loss(toy_matrix, wp, float(g)),
+                                 wp.theta, float(g), spec_half)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -396,8 +399,8 @@ class TestCertify:
         cfg = SearchConfig(n_gamma=2, gamma_min=0.3, gamma_max=0.4)
         got = bounds.certify(P, wp, spec, "gz", cfg)
         manual = min(
-            (bounds.gz_from_loss(
-                votes.empirical_margin_loss(P, wp, float(g)), P.num_voters, float(g), spec)
+            (bounds.margin_bound("gz", votes.empirical_margin_loss(P, wp, float(g)), wp.theta,
+                                 float(g), spec)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -417,6 +420,15 @@ class TestCertify:
         a = bounds.certify(toy_matrix, wp, spec, "dirichlet_margin", cfg)
         b = bounds.certify(toy_matrix, wp, spec, "dirichlet_margin", cfg)
         assert a == b
+
+    def test_margin_bound_rejects_a_bound_off_the_grid(self):
+        for bid in ("stochastic_margin", "fo", "f2", "nope"):
+            with pytest.raises(ValueError):
+                bounds.margin_bound(bid, 0.1, uniform_theta(5), 0.2, SPEC)
+
+    def test_margin_bound_rejects_nonpositive_margin(self):
+        with pytest.raises(ValueError):
+            bounds.margin_bound("bg", 0.1, uniform_theta(5), np.array([0.2, 0.0]), SPEC)
 
     def test_unknown_bound_id(self, toy_matrix):
         with pytest.raises(ValueError):
@@ -556,12 +568,29 @@ class TestLockstepSearch:
         gammas = np.linspace(0.01, 0.49, 17)
         losses = rng.uniform(0.0, 0.3, gammas.size)
         cfg = SearchConfig()
-        lanes = bounds.dirichlet_margin_best_K(losses, theta, gammas, spec, 2.0, cfg)
+        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec, 2.0, cfg)
         singles = [
-            bounds.dirichlet_margin_best_K(loss, theta, g, spec, 2.0, cfg)[0]
+            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec, 2.0, cfg)
             for loss, g in zip(losses, gammas)
         ]
-        assert lanes == singles
+        assert [bounds._lane(lanes, i) for i in range(gammas.size)] == singles
+
+    @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "stochastic_margin", "f2"])
+    def test_K_above_limit_is_rejected(self, bound_id):
+        """Past K_init = 1e300 the top of the search range, K_init * k_span,
+        overflows: certify raises instead of searching on NaN."""
+        P = random_matrix(seed=0, m=60, d=6, accuracy=0.75)
+        wp = WeightPosterior(uniform_theta(6), 1e305)
+        with pytest.raises(ValueError, match="at most"):
+            bounds.certify(P, wp, BoundSpec(m=60, delta=0.05), bound_id, SearchConfig(n_gamma=5))
+
+    def test_K_limit_is_inclusive(self):
+        theta = uniform_theta(6)
+        r = bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=1e300)
+        assert 0.0 <= r.value <= 1.0
+        with pytest.raises(ValueError, match="at most"):
+            bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC,
+                                K=np.nextafter(1e300, 2e300))
 
 
 class TestDirichletKLMemo:
@@ -757,19 +786,12 @@ class TestLockstepTSearch:
 
 
 class TestGridFormulas:
-    """The grid evaluator's one call over every margin, and the K search's
-    one call over every lane, equal one call per lane."""
+    """The margin-grid bounds' one call over every margin, and the Dirichlet
+    formulas' one call over every lane, equal one call per lane."""
 
-    @pytest.mark.parametrize("formula", [
-        lambda l, K, g, th, spec: bounds.gz_from_loss(l, th.size, g, spec),
-        lambda l, K, g, th, spec: bounds.bgplus_from_loss(l, th.size, g, spec),
-        lambda l, K, g, th, spec: bounds.bg_original_from_loss(l, th.size, g, spec),
-        lambda l, K, g, th, spec: bounds.bgplusplus_from_loss(l, th, g, spec),
-        lambda l, K, g, th, spec: margin_from_loss(l, th, K, g, spec),
-        lambda l, K, g, th, spec: stochastic_from_loss(l, th, K, g, spec),
-        lambda l, K, g, th, spec: f2_from_loss(l, th, K, spec),
-    ], ids=["gz", "bgplus", "bg", "bgplusplus", "dirichlet_margin", "stochastic_margin", "f2"])
-    def test_lanes_equal_one_lane_calls(self, formula):
+    @pytest.mark.parametrize("bound_id", [
+        "gz", "bgplus", "bg", "bgplusplus", "dirichlet_margin", "stochastic_margin", "f2"])
+    def test_lanes_equal_one_lane_calls(self, bound_id):
         rng = np.random.default_rng(8)
         theta = rng.dirichlet(np.ones(400))
         spec = BoundSpec(m=700, delta=0.05)
@@ -777,12 +799,21 @@ class TestGridFormulas:
         # ladder and trisection, the last ones scan their whole range
         gammas = np.concatenate([np.geomspace(0.08, 0.3, 5), np.linspace(0.36, 0.49, 4)])
         losses = rng.uniform(0.0, 0.4, gammas.size)
-        # the Dirichlet formulas: from the floored-weight regime up to
-        # values clipped at 1, and one lane whose KL is not finite
+        # the Dirichlet formulas at a given K: from the floored-weight regime
+        # up to values clipped at 1, and one lane whose KL is not finite
         Ks = np.array([1e-310, 1e-3, 1.0, 40.0, 400.0, 3e3, 1e5, 1e9, 1e14])
-        lanes = formula(losses, Ks, gammas, theta, spec)
-        for i, (loss, K, g) in enumerate(zip(losses, Ks, gammas)):
-            assert bounds._lane(lanes, i) == formula(float(loss), float(K), float(g), theta, spec)
+
+        def formula(loss, K, g):
+            if bound_id == "stochastic_margin":
+                return stochastic_from_loss(loss, theta, K, g, spec)
+            if bound_id == "f2":
+                return f2_from_loss(loss, theta, K, spec)
+            # a margin-grid bound; dirichlet_margin searches K from 1
+            return bounds.margin_bound(bound_id, loss, theta, g, spec)
+
+        lanes = formula(losses, Ks, gammas)
+        for i, lane in enumerate(zip(losses, Ks, gammas)):
+            assert bounds._lane(lanes, i) == formula(*map(float, lane))
 
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_reference.json")

@@ -122,6 +122,7 @@ class TestCertifyCommand:
     (["verify", "--n-gamma", "5"], 2),
     (["verify", "--samples", "1"], 2),
     (["verify", "--sharpness-samples", "1"], 2),
+    (["certify", "--k", "1e305"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     """Bad flag or manifest values are usage errors (2) and a malformed
