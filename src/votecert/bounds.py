@@ -660,7 +660,7 @@ def _lookup(bound_id: str, margin_grid: bool = False) -> _Bound:
 def margin_applies(bound_id: str, gammas, d: int) -> np.ndarray:
     """Per margin, whether a margin-grid bound holds there for d voters:
     gz needs d >= 3 and gamma > sqrt(2/d), the others hold at every margin."""
-    return _lookup(bound_id, margin_grid=True).applies(np.asarray(gammas, dtype=float), d)
+    return _lookup(bound_id, margin_grid=True).applies(gammas, d)
 
 
 def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec, K: float = 1.0,

@@ -394,7 +394,6 @@ def _id_list(ids):
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-# The K search's largest starting concentration.
 _concentration = _checked(float, lambda v: 0.0 < v <= bounds._K_MAX,
                           f"a positive number <= {bounds._K_MAX:g}")
 _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
