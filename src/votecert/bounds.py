@@ -16,22 +16,28 @@ that ``certify`` reports.
 The table ``_BOUNDS`` is the one place a bound is defined: per bound id it
 holds how a result's value is rebuilt from its components (a kl factor, or
 bg's closed form), whether the delta/n_gamma union correction over the
-margin grid applies, whether the bound is searched over margins, and how
-``certify`` evaluates it.  A margin-grid bound (dirichlet_margin, gz,
-bgplus, bg, bgplusplus) also holds its formula, with one signature for all
-five and lanewise over (margin loss, gamma), and the rule of the margins
-where it holds.  ``certify`` runs the five through one grid evaluator
-(``_on_grid``): a single formula call over every applicable grid margin,
-the winner picked by ``_best_lane``.  ``margin_bound`` calls a formula on
-the caller's lanes, as the comparison sweep does, and ``margin_applies``
-reads the rule.  All certified values are clipped to 1 and carry their
-additive components so a result can be reconstructed and audited.
+margin grid applies, and how it is evaluated.  A margin-grid bound
+(dirichlet_margin, gz, bgplus, bg, bgplusplus) also holds its formula, with
+one signature for all five and lanewise over (margin loss, gamma), and the
+rule of the margins where it holds; ``_on_grid`` evaluates it in a single
+formula call over every applicable grid margin, the winner picked by
+``_best_lane``.  ``margin_bound`` calls a formula on the caller's lanes, as
+the comparison sweep does, and ``margin_applies`` reads the rule.  All
+certified values are clipped to 1 and carry their additive components so a
+result can be reconstructed and audited.
+
+``certify_all`` evaluates any bound ids on one posterior through one context
+(``_Posterior``): theta floored once, one K -> KL memo for the three K
+searches, and the grid's margin losses and distinct row masses computed the
+first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
 
 bgplusplus minimises over T with one integer search run in lockstep across
 margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
 margin 0) optimise K by one golden-section search on ln K over every lane
 in lockstep (``_search_log_K``) whose value function is the formula itself,
-so the searched and the reported certificate come from the same code.
+so the searched and the reported certificate come from the same code.  The
+grid's range and the K search's span, tolerance and step limit are module
+constants; ``SearchConfig`` sets only the grid's size.
 
 Bound identifiers:
 
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -64,19 +70,15 @@ __all__ = [
     "BoundSpec",
     "BoundResult",
     "SearchConfig",
-    "InapplicableMarginError",
     "BOUND_IDS",
     "margin_bound",
     "margin_applies",
     "certify",
+    "certify_all",
     "reconstruct_value",
 ]
 
 _THETA_FLOOR = 1e-12
-
-
-class InapplicableMarginError(ValueError):
-    """The requested margin is outside a bound's validity region."""
 
 
 @dataclass(frozen=True)
@@ -118,19 +120,41 @@ class BoundResult:
         return replace(self, flags=merged)
 
 
-def _floor_theta(theta) -> tuple[np.ndarray, tuple]:
-    """Clamp zero weights before forming Dirichlet parameters.
+class _Posterior:
+    """What the certificates of one posterior share: theta as given (for the
+    Gibbs baselines), theta floored and its flags, K, the margin grid, and
+    a K -> KL memo, margin losses and row masses made when first read, so
+    that fo, so and bin pay for none of them.
 
-    Trained posteriors can hit the simplex boundary numerically, where the
+    Flooring clamps zero weights before forming Dirichlet parameters:
+    trained posteriors can hit the simplex boundary numerically, where the
     Dirichlet KL diverges; flooring keeps the certificate finite and is
     flagged for audit.
     """
-    th = np.asarray(theta, dtype=float)
-    if float(th.min()) < _THETA_FLOOR:
-        th = np.maximum(th, _THETA_FLOOR)
-        th = th / th.sum()
-        return th, ("theta_floored",)
-    return th, ()
+
+    def __init__(self, theta, K: float = 1.0, P: PredictionMatrix | None = None, gammas=None):
+        self.P, self.K, self.gammas = P, K, gammas
+        self.theta = self.floored = np.asarray(theta, dtype=float)
+        self.flags = ()
+        if float(self.theta.min()) < _THETA_FLOOR:
+            th = np.maximum(self.theta, _THETA_FLOOR)
+            self.floored, self.flags = th / th.sum(), ("theta_floored",)
+
+    @cached_property
+    def kl_of(self):
+        return _dirichlet_kl_of(self.floored)
+
+    @cached_property
+    def margin_losses(self) -> np.ndarray:
+        """The empirical margin loss at every grid margin."""
+        return votes.empirical_margin_loss(self.P, self.floored, self.gammas)
+
+    @cached_property
+    def masses(self):
+        """The distinct (a_c, a_w) row masses, and each row's column among them."""
+        th = self.floored
+        return np.unique(np.stack([self.P.correct_mass(th), self.P.wrong_mass(th)]), axis=1,
+                         return_inverse=True)
 
 
 def _lanes(*values) -> list[np.ndarray]:
@@ -170,10 +194,10 @@ def _dirichlet_kl_of(theta: np.ndarray):
     """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once.
 
     The KL depends on K alone, so the closure keeps every value it computes,
-    keyed by K: a search that sends one K on many lanes, or comes back to
-    it, pays the d-voter KL once.  The K values it has not seen go through
-    one kernel call, each as its own row, so every lane equals
-    ``nk.dirichlet_kl(K * theta, ones)`` bit for bit."""
+    keyed by K: the searches of one posterior that send one K on many lanes,
+    or come back to it, pay the d-voter KL once.  The K values it has not
+    seen go through one kernel call, each as its own row, so every lane
+    equals ``nk.dirichlet_kl(K * theta, ones)`` bit for bit."""
     kl = nk._dirichlet_kl_to(np.ones(theta.size))
     known: dict[float, float] = {}
 
@@ -248,9 +272,9 @@ def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray
     return ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
 
 
-# The margin-grid formulas: one signature, (losses, gammas, theta, spec, K,
-# cfg) -> BoundResult, lanewise over flat (margin loss, gamma) lanes, for
-# weights theta already floored; each reads the arguments it needs.
+# The margin-grid formulas: one signature, (losses, gammas, post, spec) ->
+# BoundResult, lanewise over flat (margin loss, gamma) lanes, on the
+# posterior context ``post``; each reads the parts it needs.
 
 
 def _everywhere(gammas, d: int):
@@ -262,10 +286,10 @@ def _gz_applies(gammas, d: int):
     return (d >= 3) & (np.asarray(gammas) > math.sqrt(2.0 / d))
 
 
-def _gz(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+def _gz(losses, gammas, post, spec) -> BoundResult:
     """kth-margin bound, holding simultaneously over the margins where
     ``_gz_applies``."""
-    d, m = theta.size, spec.m
+    d, m = post.theta.size, spec.m
     log_d = math.log(d)
     comp = (
         2.0 * math.log(2.0 * d) / (gammas * gammas) * math.log(2.0 * m * m / log_d)
@@ -280,7 +304,7 @@ def _bgplus_T(gamma, m: int):
     return np.maximum(1, np.ceil(2.0 * math.log(m) / (gamma * gamma))).astype(np.int64)
 
 
-def _bgplus(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+def _bgplus(losses, gammas, post, spec) -> BoundResult:
     """Sharpened fixed-margin bound; T = ceil(2 ln(m) / gamma^2) replications.
 
     The sampling penalty exp(-T gamma^2 / 2) <= 1/m by construction, so both
@@ -289,16 +313,16 @@ def _bgplus(losses, gammas, theta, spec, K, cfg) -> BoundResult:
     m = spec.m
     T = _bgplus_T(gammas, m)
     u = np.minimum(1.0, losses + 1.0 / m)
-    comp = (T * math.log(theta.size) + spec.log_confidence()) / m
+    comp = (T * math.log(post.theta.size) + spec.log_confidence()) / m
     value = np.minimum(1.0, nk.kl_inv(u, comp) + 1.0 / m)
     return _result(value, gammas, None, T, u, comp, 1.0 / m)
 
 
-def _bg(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+def _bg(losses, gammas, post, spec) -> BoundResult:
     """Original closed-form relaxation; strictly looser than bgplus."""
     m = spec.m
     C = (2.0 * math.log(2.0 / spec.delta)
-         + 4.75 * math.log(theta.size) * math.log(m) / (gammas * gammas))
+         + 4.75 * math.log(post.theta.size) * math.log(m) / (gammas * gammas))
     comp = C / m
     tail = (C + np.sqrt(C) + 2.0) / m
     value = np.minimum(1.0, losses + np.sqrt(comp * losses) + tail)
@@ -364,14 +388,14 @@ def _minimize_over_int(f, t_max, forced):
     return best_t, best_val
 
 
-def _bgplusplus(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+def _bgplusplus(losses, gammas, post, spec) -> BoundResult:
     """Replication bound minimised over the count T in {1..4 T_bgplus}, so
     bgplus's choice is always in range; every lane's T search in lockstep.
     The complexity charges T * (ln d - H(theta)), which vanishes for
     uniform weights."""
     m = spec.m
     t_plus = _bgplus_T(gammas, m)
-    kl_unif = nk.categorical_kl_uniform(theta)
+    kl_unif = nk.categorical_kl_uniform(post.floored)
     log_term = math.log(m / spec.delta)
 
     def candidate(lanes, T):
@@ -400,33 +424,30 @@ def _gibbs(u, kl_cat, n: int, factor: float, spec: BoundSpec, grad: bool = False
 _BIN_VOTERS = 100
 
 
+# The margin grid spans [_GAMMA_MIN, _GAMMA_MAX).  Each K search spans
+# [K_init, K_init * _K_SPAN] in ln K and stops once its bracket is no wider
+# than _K_REL_TOL, or after _K_MAX_ITER steps.
+_GAMMA_MIN = 1e-4
+_GAMMA_MAX = 0.5
+_K_SPAN = 2.0**16
+_K_REL_TOL = 1e-3
+_K_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid and line-search knobs for certify()."""
+    """The size of certify()'s margin grid."""
 
     n_gamma: int = 1000
-    gamma_min: float = 1e-4
-    gamma_max: float = 0.5
-    k_span: float = 2.0**16
-    k_rel_tol: float = 1e-3
-    k_max_iter: int = 200
 
     def __post_init__(self):
-        if self.n_gamma < 1:
-            raise ValueError("n_gamma must be >= 1")
-        if not 0.0 < self.gamma_min <= self.gamma_max <= 0.5:
-            raise ValueError("need 0 < gamma_min <= gamma_max <= 1/2")
-        if self.k_span < 1.0:
-            raise ValueError("k_span must be >= 1")
+        if not isinstance(self.n_gamma, (int, np.integer)) or self.n_gamma < 1:
+            raise ValueError("n_gamma must be an integer >= 1")
 
     def gamma_grid(self) -> np.ndarray:
-        """Log-spaced (base 10) margins over [gamma_min, gamma_max)."""
-        return np.logspace(
-            math.log10(self.gamma_min),
-            math.log10(self.gamma_max),
-            self.n_gamma,
-            endpoint=False,
-        )
+        """Log-spaced (base 10) margins over [_GAMMA_MIN, _GAMMA_MAX)."""
+        return np.logspace(math.log10(_GAMMA_MIN), math.log10(_GAMMA_MAX), self.n_gamma,
+                           endpoint=False)
 
 
 # -- the K search -------------------------------------------------------------
@@ -443,63 +464,61 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BETA_LANES = 1 << 16
 
 # The largest K_init the K search takes: its range must end at a finite
-# K_init * k_span, which at the default k_span holds up to ~2.7e303.  The
-# Beta-CDF bounds can fail well below it, where the incomplete beta's
-# prefactor loses its accuracy (see ``nk.reg_inc_beta``).
+# K_init * _K_SPAN, which holds up to ~2.7e303.  The Beta-CDF bounds can
+# fail well below it, where the incomplete beta's prefactor loses its
+# accuracy (see ``nk.reg_inc_beta``).
 _K_MAX = 1e300
 
 
-def _search_log_K(values_at, n: int, K_init: float, cfg: SearchConfig):
-    """Golden-section minimum over ln K in [ln K_init, ln(K_init * k_span)]
+def _search_log_K(values_at, n: int, K_init: float):
+    """Golden-section minimum over ln K in [ln K_init, ln(K_init * _K_SPAN)]
     for n independent lanes, all run in lockstep.
 
     ``values_at`` maps an (n,) array of ln K points, one per lane, to the
     (n,) lane values, so each golden step costs one call.  A lane stops
-    once its bracket is no wider than ``cfg.k_rel_tol`` (or after
-    ``cfg.k_max_iter`` steps).  Returns the best ln K and value per lane
-    over every evaluation, the bracket ends included; ties keep the
-    earliest evaluation.  Raises ValueError for a K_init above ``_K_MAX``.
+    once its bracket is no wider than ``_K_REL_TOL`` (or after
+    ``_K_MAX_ITER`` steps).  Returns the best ln K and value per lane over
+    every evaluation, the bracket ends included; ties keep the earliest
+    evaluation.  Raises ValueError for a K_init outside (0, ``_K_MAX``].
     """
-    if not K_init <= _K_MAX:
-        raise ValueError(f"K must be at most {_K_MAX:g}")
+    if not 0.0 < K_init <= _K_MAX:
+        raise ValueError("K must lie in (0, 1e300]")
     lo = math.log(K_init)
-    hi = math.log(K_init * cfg.k_span)
+    hi = math.log(K_init * _K_SPAN)
     best_x = np.full(n, lo)
     best_val = values_at(best_x)
 
-    def consider(x, fx, live):
+    def consider(x, fx, live=True):
         nonlocal best_x, best_val
         better = live & (fx < best_val)
         best_val = np.where(better, fx, best_val)
         best_x = np.where(better, x, best_x)
 
-    if cfg.k_span > 1.0:
-        live = np.ones(n, dtype=bool)
-        a = np.full(n, lo)
-        b = np.full(n, hi)
-        consider(b, values_at(b), live)
-        x1 = b - _INV_PHI * (b - a)
-        x2 = a + _INV_PHI * (b - a)
-        f1 = values_at(x1)
-        f2 = values_at(x2)
-        consider(x1, f1, live)
-        consider(x2, f2, live)
-        for _ in range(cfg.k_max_iter):
-            live = (b - a) > cfg.k_rel_tol
-            if not live.any():
-                break
-            take_low = f1 <= f2
-            a = np.where(take_low, a, x1)
-            b = np.where(take_low, x2, b)
-            x_keep = np.where(take_low, x1, x2)
-            f_keep = np.where(take_low, f1, f2)
-            x_new = np.where(take_low, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-            f_new = values_at(x_new)
-            consider(x_new, f_new, live)
-            x1 = np.where(take_low, x_new, x_keep)
-            f1 = np.where(take_low, f_new, f_keep)
-            x2 = np.where(take_low, x_keep, x_new)
-            f2 = np.where(take_low, f_keep, f_new)
+    a = np.full(n, lo)
+    b = np.full(n, hi)
+    consider(b, values_at(b))
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1 = values_at(x1)
+    f2 = values_at(x2)
+    consider(x1, f1)
+    consider(x2, f2)
+    for _ in range(_K_MAX_ITER):
+        live = (b - a) > _K_REL_TOL
+        if not live.any():
+            break
+        take_low = f1 <= f2
+        a = np.where(take_low, a, x1)
+        b = np.where(take_low, x2, b)
+        x_keep = np.where(take_low, x1, x2)
+        f_keep = np.where(take_low, f1, f2)
+        x_new = np.where(take_low, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new = values_at(x_new)
+        consider(x_new, f_new, live)
+        x1 = np.where(take_low, x_new, x_keep)
+        f1 = np.where(take_low, f_new, f_keep)
+        x2 = np.where(take_low, x_keep, x_new)
+        f2 = np.where(take_low, f_keep, f_new)
     return best_x, best_val
 
 
@@ -508,15 +527,14 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
     return int(np.lexsort((gammas, values))[0])
 
 
-def _margin_best_K(losses, gammas, theta, spec, K, cfg) -> BoundResult:
+def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     """Deterministic-margin bound per lane, each lane at its K
-    golden-sectioned over [K, K * k_span]."""
-    kl_of = _dirichlet_kl_of(theta)
+    golden-sectioned over [K, K * _K_SPAN] from the posterior's K."""
 
     def at(K):
-        return _margin_formula(losses, K, gammas, kl_of(K), spec)
+        return _margin_formula(losses, K, gammas, post.kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, K, cfg)
+    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, post.K)
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(K), K, gammas)
 
@@ -540,44 +558,38 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np
 
 # -- certify: one evaluator per table entry -------------------------------------
 #
-# An evaluator returns its result with the flags of its own search;
-# ``certify`` adds ``vacuous``.
+# An evaluator returns its result on a posterior context with the flags of
+# its own search; ``certify_all`` adds ``theta_floored`` and ``vacuous``.
 
 
-def _certify_beta(P, wp, spec, cfg, gammas):
-    """stochastic_margin over the grid margins; with gammas None, the f2
-    baseline at the single margin 0."""
-    th, flags = _floor_theta(wp.theta)
-    masses, rows = np.unique(np.stack([P.correct_mass(th), P.wrong_mass(th)]), axis=1,
-                             return_inverse=True)
-    kl_of = _dirichlet_kl_of(th)
-    margins = np.zeros(1) if gammas is None else gammas
+def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundResult:
+    """stochastic_margin over the grid margins, or the f2 baseline at the
+    single margin 0."""
+    masses, rows = post.masses
+    margins = post.gammas if stochastic else np.zeros(1)
 
     def at(K, g):
         u = _beta_losses(K, g, masses, rows)
-        return (_f2_formula(u, kl_of(K), spec) if gammas is None
-                else _stochastic_formula(u, K, g, kl_of(K), spec))
+        return (_stochastic_formula(u, K, g, post.kl_of(K), spec) if stochastic
+                else _f2_formula(u, post.kl_of(K), spec))
 
     x, values = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x), margins)[0]),
-                              margins.size, wp.K, cfg)
+                              margins.size, post.K)
     i = _best_lane(values, margins)
     K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
-    result = _dirichlet_result(at(K, g), K, None if gammas is None else g)
-    return _lane(result, 0).with_flags(flags)
+    return _lane(_dirichlet_result(at(K, g), K, g if stochastic else None), 0)
 
 
-def _on_grid(formula, applies, P, wp, spec, cfg, gammas):
-    """A margin-grid bound's evaluator: ``formula`` in one call over every
-    grid margin where ``applies(gammas, d)`` holds, keeping the smallest
-    value (the smallest gamma on ties)."""
-    th, flags = _floor_theta(wp.theta)
-    gammas = gammas[applies(gammas, th.size)]
-    if not gammas.size:
-        result = _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
-    else:
-        lanes = formula(votes.empirical_margin_loss(P, th, gammas), gammas, th, spec, wp.K, cfg)
-        result = _lane(lanes, _best_lane(lanes.value, gammas))
-    return result.with_flags(flags)
+def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult:
+    """A margin-grid bound's evaluator: ``formula`` in one call over the grid
+    margins where ``applies(gammas, d)`` holds, on the posterior's margin
+    losses there, keeping the smallest value (the smallest gamma on ties)."""
+    keep = applies(post.gammas, post.theta.size)
+    if not keep.any():
+        return _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
+    gammas = post.gammas[keep]
+    lanes = formula(post.margin_losses[keep], gammas, post, spec)
+    return _lane(lanes, _best_lane(lanes.value, gammas))
 
 
 # -- the bound table ------------------------------------------------------------
@@ -586,23 +598,23 @@ def _on_grid(formula, applies, P, wp, spec, cfg, gammas):
 @dataclass(frozen=True)
 class _Bound:
     """How a bound's value is rebuilt from its components and how it is
-    searched.  ``evaluate(P, wp, spec, cfg, gammas)`` returns the result;
-    ``gammas`` is the margin grid, or None for bounds without a margin.  A
-    margin-grid bound also holds its ``formula`` and the rule ``applies(gammas,
-    d)`` of the margins where it holds (see ``_margin_grid``)."""
+    evaluated: ``evaluate(post, spec)`` returns its result on a posterior
+    context.  A margin-grid bound also holds its ``formula`` and the rule
+    ``applies(gammas, d)`` of the margins where it holds (see
+    ``_margin_grid``)."""
 
     rebuild: Callable[[BoundResult], float]  # unclipped value
     union: bool  # fixed-margin statement: searched at delta / n_gamma
-    margin: bool  # searched over the margin grid
-    evaluate: Callable[..., BoundResult]
+    evaluate: Callable[[_Posterior, BoundSpec], BoundResult]
     formula: Callable[..., BoundResult] | None = None
     applies: Callable[..., np.ndarray] = _everywhere
+    floored: bool = True  # reads the floored weights, so carries their flag
 
 
 def _margin_grid(rebuild, formula, union: bool = True, applies=_everywhere) -> _Bound:
     """A margin-grid bound's entry: certify evaluates ``formula`` by
     ``_on_grid``, and ``margin_bound`` calls it on the caller's lanes."""
-    return _Bound(rebuild, union, True, partial(_on_grid, formula, applies), formula, applies)
+    return _Bound(rebuild, union, partial(_on_grid, formula, applies), formula, applies)
 
 
 def _kl(factor: float) -> Callable[[BoundResult], float]:
@@ -613,15 +625,14 @@ def _kl(factor: float) -> Callable[[BoundResult], float]:
 
 def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
     """A Gibbs baseline's entry: ``_gibbs`` with this KL multiple n and kl
-    factor on the empirical ``loss(P, theta)``, for unfloored weights."""
+    factor on the empirical ``loss(P, theta)``, for the weights as given."""
 
-    def evaluate(P, wp, spec, cfg, gammas):
-        th = np.asarray(wp.theta, dtype=float)
-        u = loss(P, th)
-        value, comp = _gibbs(u, nk.categorical_kl_uniform(th), n, factor, spec)
+    def evaluate(post, spec):
+        u = loss(post.P, post.theta)
+        value, comp = _gibbs(u, nk.categorical_kl_uniform(post.theta), n, factor, spec)
         return _result(min(1.0, value), None, None, None, u, comp, 0.0)
 
-    return _Bound(_kl(factor), False, False, evaluate)
+    return _Bound(_kl(factor), False, evaluate, floored=False)
 
 
 def _bg_closed_form(r: BoundResult) -> float:
@@ -634,7 +645,7 @@ def _bg_closed_form(r: BoundResult) -> float:
 
 _BOUNDS = {
     "dirichlet_margin": _margin_grid(_kl(1.0), _margin_best_K),
-    "stochastic_margin": _Bound(_kl(1.0), True, True, _certify_beta),
+    "stochastic_margin": _Bound(_kl(1.0), True, partial(_certify_beta, True)),
     "gz": _margin_grid(_kl(1.0), _gz, union=False, applies=_gz_applies),
     "bgplus": _margin_grid(_kl(1.0), _bgplus),
     "bg": _margin_grid(_bg_closed_form, _bg),
@@ -644,7 +655,7 @@ _BOUNDS = {
     "fo": _gibbs_bound(lambda P, th: votes.gibbs_loss(P, th), 1, 2.0),
     "so": _gibbs_bound(lambda P, th: votes.tandem_loss(P, th), 2, 4.0),
     "bin": _gibbs_bound(lambda P, th: votes.binomial_loss(P, th, _BIN_VOTERS), _BIN_VOTERS, 2.0),
-    "f2": _Bound(_kl(2.0), False, False, _certify_beta),
+    "f2": _Bound(_kl(2.0), False, partial(_certify_beta, False)),
 }
 
 BOUND_IDS = tuple(_BOUNDS)
@@ -663,26 +674,25 @@ def margin_applies(bound_id: str, gammas, d: int) -> np.ndarray:
     return _lookup(bound_id, margin_grid=True).applies(gammas, d)
 
 
-def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec, K: float = 1.0,
-                 search_cfg: SearchConfig | None = None) -> BoundResult:
+def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
+                 K: float = 1.0) -> BoundResult:
     """A margin-grid bound (dirichlet_margin, gz, bgplus, bg, bgplusplus) on
     lanes of (margin loss, gamma), which broadcast together: one result
     whose fields hold one entry per lane (plain numbers for scalar lanes).
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
-    dirichlet_margin golden-sections its K over [K, K * k_span] on every
-    lane.  Raises ValueError for a margin <= 0 and InapplicableMarginError
-    for one where the bound does not hold (``margin_applies``)."""
+    dirichlet_margin golden-sections its K over [K, K * 2**16] on every
+    lane.  Raises ValueError for a margin <= 0, for one where the bound does
+    not hold (``margin_applies``), and for a K outside (0, 1e300]."""
     bound = _lookup(bound_id, margin_grid=True)
-    th, flags = _floor_theta(theta)
+    post = _Posterior(theta, K)
     losses, gammas = _lanes(losses, gammas)
     if np.any(gammas <= 0.0):
         raise ValueError("gamma must be positive")
-    if not bound.applies(gammas, th.size).all():
-        raise InapplicableMarginError(f"{bound_id} does not hold at every margin given")
-    cfg = search_cfg or SearchConfig()
-    lanes = bound.formula(losses.ravel(), gammas.ravel(), th, spec, K, cfg)
-    return _per_lane(lanes, lambda x: x.reshape(gammas.shape)).with_flags(flags)
+    if not bound.applies(gammas, post.theta.size).all():
+        raise ValueError(f"{bound_id} does not hold at every margin given")
+    lanes = bound.formula(losses.ravel(), gammas.ravel(), post, spec)
+    return _per_lane(lanes, lambda x: x.reshape(gammas.shape)).with_flags(post.flags)
 
 
 def reconstruct_value(bound_id: str, r: BoundResult) -> float:
@@ -690,27 +700,34 @@ def reconstruct_value(bound_id: str, r: BoundResult) -> float:
     return min(1.0, _lookup(bound_id).rebuild(r))
 
 
-def certify(
-    P: PredictionMatrix,
-    wp_init: WeightPosterior,
-    spec: BoundSpec,
-    bound_id: str,
-    search_cfg: SearchConfig | None = None,
-) -> BoundResult:
-    """Search the margin grid (and K where applicable) for the tightest bound.
+def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound_ids,
+                search_cfg: SearchConfig | None = None) -> dict[str, BoundResult]:
+    """Search the margin grid (and K where applicable) for the tightest
+    certificate of each distinct id in ``bound_ids``, in order, all on one
+    posterior context: theta is floored once, the grid's margins are sorted
+    at most once, and no K's Dirichlet KL is computed twice.
 
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as
     do the margin-free baselines.  K is optimised per grid point by
-    golden-section on ln K over [K_init, K_init * k_span], for K_init at
-    most 1e300.  Deterministic given (inputs, search_cfg); ties in the grid
+    golden-section on ln K over [K_init, K_init * 2**16], for K_init in
+    (0, 1e300].  Deterministic given (inputs, search_cfg); ties in the grid
     keep the smallest gamma.  Every result of value 1 carries the
     ``vacuous`` flag.
     """
-    bound = _lookup(bound_id)
     cfg = search_cfg or SearchConfig()
-    if bound.union:
-        spec = replace(spec, delta=spec.delta / cfg.n_gamma)
-    gammas = cfg.gamma_grid() if bound.margin else None
-    result = bound.evaluate(P, wp_init, spec, cfg, gammas)
-    return result.with_flags(("vacuous",)) if result.value >= 1.0 else result
+    post = _Posterior(wp.theta, wp.K, P, cfg.gamma_grid())
+    union_spec = replace(spec, delta=spec.delta / cfg.n_gamma)
+    out = {}
+    for bound_id in dict.fromkeys(bound_ids):
+        bound = _lookup(bound_id)
+        result = bound.evaluate(post, union_spec if bound.union else spec)
+        result = result.with_flags(post.flags if bound.floored else ())
+        out[bound_id] = result.with_flags(("vacuous",)) if result.value >= 1.0 else result
+    return out
+
+
+def certify(P: PredictionMatrix, wp_init: WeightPosterior, spec: BoundSpec, bound_id: str,
+            search_cfg: SearchConfig | None = None) -> BoundResult:
+    """The tightest certificate of one bound id (see ``certify_all``)."""
+    return certify_all(P, wp_init, spec, (bound_id,), search_cfg)[bound_id]

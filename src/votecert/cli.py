@@ -74,10 +74,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _search_cfg(args) -> SearchConfig:
-    return SearchConfig(n_gamma=args.n_gamma)
-
-
 def _load_theta(path, num_voters: int) -> np.ndarray:
     """Voting weights, one value per line; malformed files are data errors."""
     values = []
@@ -121,12 +117,8 @@ def cmd_certify(args, out: str) -> int:
     )
     wp = WeightPosterior(theta, args.k)
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
-    cfg = _search_cfg(args)
-    name = os.path.basename(args.predictions)
-    rows = [
-        _result_row(name, "", "given", bid, bounds.certify(P, wp, spec, bid, cfg), None, spec.m)
-        for bid in args.bounds.split(",")
-    ]
+    rows = _certify_rows((os.path.basename(args.predictions), "", "given"), None, P, wp, spec,
+                         SearchConfig(n_gamma=args.n_gamma), args.bounds.split(","))
     _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, rows)
     return 0
 
@@ -186,15 +178,17 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _certify_defaults(P, wp, spec, cfg_search, trained_cert=None) -> dict:
-    """Every default bound of wp.  A trained posterior passes the
-    dirichlet_margin certificate train_posterior selected it by: that search
-    already paid the delta/(#candidates) union, so it is reused."""
-    return {
-        bid: trained_cert if bid == "dirichlet_margin" and trained_cert is not None
-        else bounds.certify(P, wp, spec, bid, cfg_search)
-        for bid in DEFAULT_BOUNDS
-    }
+def _certify_rows(key, test_error, P, wp, spec, cfg_search, ids=DEFAULT_BOUNDS,
+                  trained_cert=None) -> list:
+    """One result row per bound id in ``ids``, each led by ``key`` (dataset,
+    seed, posterior), from one ``certify_all`` pass over wp.  A trained
+    posterior passes the dirichlet_margin certificate train_posterior
+    selected it by: that search already paid the delta/(#candidates) union,
+    so it is reused."""
+    skip = () if trained_cert is None else ("dirichlet_margin",)
+    certs = bounds.certify_all(P, wp, spec, [b for b in ids if b not in skip], cfg_search)
+    return [_result_row(*key, bid, certs.get(bid, trained_cert), test_error, spec.m)
+            for bid in ids]
 
 
 def _write_run_csvs(out, result_rows, log_rows, posterior_rows) -> None:
@@ -208,7 +202,7 @@ def _write_run_csvs(out, result_rows, log_rows, posterior_rows) -> None:
 def cmd_train(args, out: str) -> int:
     P = voters.ingest_predictions(args.predictions)
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
-    cfg_search = _search_cfg(args)
+    cfg_search = SearchConfig(n_gamma=args.n_gamma)
     name = os.path.basename(args.predictions)
     result_rows, log_rows, posterior_rows = [], [], []
     for seed in map(int, args.seeds.split(",")):
@@ -217,11 +211,8 @@ def cmd_train(args, out: str) -> int:
         )
         log_rows.extend(_log_rows(seed, args.objective, tr))
         posterior_rows.extend(_posterior_rows(seed, args.objective, tr.posterior))
-        certs = _certify_defaults(P, tr.posterior, spec, cfg_search, tr.certificate)
-        result_rows.extend(
-            _result_row(name, seed, args.objective, bid, r, None, spec.m)
-            for bid, r in certs.items()
-        )
+        result_rows.extend(_certify_rows((name, seed, args.objective), None, P, tr.posterior,
+                                         spec, cfg_search, trained_cert=tr.certificate))
     _write_run_csvs(out, result_rows, log_rows, posterior_rows)
     return 0
 
@@ -276,11 +267,8 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
     for pname, wp in posteriors.items():
         test_error = votes.majority_vote_error(P_test, wp.theta)
         posterior_rows.extend(_posterior_rows(seed, pname, wp))
-        certs = _certify_defaults(P_bound, wp, spec, cfg_search, trained_certs.get(pname))
-        rows.extend(
-            _result_row(dataset_name, seed, pname, bid, r, test_error, spec.m)
-            for bid, r in certs.items()
-        )
+        rows.extend(_certify_rows((dataset_name, seed, pname), test_error, P_bound, wp, spec,
+                                  cfg_search, trained_cert=trained_certs.get(pname)))
     return rows, log_rows, posterior_rows
 
 
@@ -291,7 +279,7 @@ def cmd_experiment(args, out: str) -> int:
     else:
         ds = _load_dataset(args)
         P_full = None
-    cfg_search = _search_cfg(args)
+    cfg_search = SearchConfig(n_gamma=args.n_gamma)
     result_rows, log_rows, posterior_rows = [], [], []
     for seed in map(int, args.seeds.split(",")):
         rows, logs, posts = _experiment_seed(args, ds, P_full, seed, cfg_search)

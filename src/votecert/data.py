@@ -56,10 +56,6 @@ class Dataset:
     def num_examples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class SplitPlan:

@@ -173,21 +173,17 @@ def margins(P: PredictionMatrix, theta) -> np.ndarray:
     return np.clip(0.5 * (true_w - rivals.max(axis=1)), -0.5, 0.5)
 
 
-def _theta_of(wp) -> np.ndarray:
-    return wp.theta if isinstance(wp, WeightPosterior) else np.asarray(wp, float)
-
-
-def empirical_margin_loss(P: PredictionMatrix, wp, gamma):
+def empirical_margin_loss(P: PredictionMatrix, theta, gamma):
     """Fraction of rows with margin <= gamma, lanewise in gamma: a float for
     a float gamma, one value per lane for an array.
 
     At gamma = 0 this is the majority-vote training error with ties counted
-    as errors.  Accepts a WeightPosterior or a bare simplex vector.
+    as errors.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not (gamma >= 0.0).all():
         raise ValueError("gamma must be non-negative")
-    sorted_margins = np.sort(margins(P, _theta_of(wp)))
+    sorted_margins = np.sort(margins(P, theta))
     out = np.searchsorted(sorted_margins, gamma, side="right") / P.num_examples
     return float(out) if out.ndim == 0 else out
 

@@ -37,10 +37,10 @@ def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
     and ``_stochastic_formula`` take gamma, ``_f2_formula`` does not) on the
     caller's lanes of loss, K and gamma, theta floored as certify floors it."""
     loss, K, *gamma = bounds._lanes(loss, K, *gamma)
-    th, flags = bounds._floor_theta(theta)
-    kl = bounds._dirichlet_kl_of(th)(K)
+    post = bounds._Posterior(theta)
+    kl = post.kl_of(K)
     terms = formula(loss, K, *gamma, kl, spec) if gamma else formula(loss, kl, spec)
-    return bounds._dirichlet_result(terms, K, gamma[0] if gamma else None).with_flags(flags)
+    return bounds._dirichlet_result(terms, K, gamma[0] if gamma else None).with_flags(post.flags)
 
 
 def small_kl(q, p):

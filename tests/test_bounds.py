@@ -122,15 +122,15 @@ class TestStochasticMargin:
 
 class TestGZ:
     def test_margin_precondition(self):
-        with pytest.raises(bounds.InapplicableMarginError):
+        with pytest.raises(ValueError, match="does not hold"):
             bounds.margin_bound("gz", 0.1, uniform_theta(100), math.sqrt(2 / 100), SPEC)
 
     def test_small_margin_rejected(self):
-        with pytest.raises(bounds.InapplicableMarginError):
+        with pytest.raises(ValueError, match="does not hold"):
             bounds.margin_bound("gz", 0.1, uniform_theta(100), 0.1, SPEC)
 
     def test_too_few_voters_rejected(self):
-        with pytest.raises(bounds.InapplicableMarginError):
+        with pytest.raises(ValueError, match="does not hold"):
             bounds.margin_bound("gz", 0.1, uniform_theta(2), 0.3, SPEC)
 
     def test_full_loss_clips(self):
@@ -320,6 +320,13 @@ class TestMonotonicityInSpec:
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def grid_and_span(monkeypatch, gamma_min, gamma_max, k_span):
+    """Set the margin grid's range and the K search's span for one test."""
+    monkeypatch.setattr(bounds, "_GAMMA_MIN", gamma_min)
+    monkeypatch.setattr(bounds, "_GAMMA_MAX", gamma_max)
+    monkeypatch.setattr(bounds, "_K_SPAN", k_span)
+
+
 class TestCertify:
     def test_constant_profile_returns_first_grid_point(self):
         # every voter errs on every row: margin loss is 1 at every gamma
@@ -359,11 +366,12 @@ class TestCertify:
                 best = min(best, val)
         assert r.value <= best + 1e-9
 
-    def test_singleton_grid_equals_direct_evaluation(self, toy_matrix):
+    def test_singleton_grid_equals_direct_evaluation(self, toy_matrix, monkeypatch):
         wp = WeightPosterior(uniform_theta(toy_matrix.num_voters), 12.0)
         spec = BoundSpec(m=toy_matrix.num_examples, delta=0.05)
-        cfg = SearchConfig(n_gamma=1, gamma_min=0.1, gamma_max=0.1, k_span=1.0)
-        l_g = votes.empirical_margin_loss(toy_matrix, wp, 0.1)
+        grid_and_span(monkeypatch, 0.1, 0.1, 1.0)
+        cfg = SearchConfig(n_gamma=1)
+        l_g = votes.empirical_margin_loss(toy_matrix, wp.theta, 0.1)
         expected = votes.expected_margin_loss_beta(toy_matrix, wp.alpha, 0.1)
         for bid, direct in (
             ("dirichlet_margin",
@@ -376,31 +384,34 @@ class TestCertify:
             got = bounds.certify(toy_matrix, wp, spec, bid, cfg)
             assert got.value == pytest.approx(direct().value, abs=1e-12)
 
-    def test_union_correction_divides_delta_by_grid_size(self, toy_matrix):
+    def test_union_correction_divides_delta_by_grid_size(self, toy_matrix, monkeypatch):
         """Fixed-margin bounds are searched at delta / n_gamma."""
         wp = WeightPosterior.uniform(toy_matrix.num_voters)
         spec = BoundSpec(m=toy_matrix.num_examples, delta=0.05)
-        cfg = SearchConfig(n_gamma=2, gamma_min=0.2, gamma_max=0.3, k_span=1.0)
+        grid_and_span(monkeypatch, 0.2, 0.3, 1.0)
+        cfg = SearchConfig(n_gamma=2)
         got = bounds.certify(toy_matrix, wp, spec, "bgplus", cfg)
         spec_half = replace(spec, delta=0.025)
         manual = min(
-            (bounds.margin_bound("bgplus", votes.empirical_margin_loss(toy_matrix, wp, float(g)),
+            (bounds.margin_bound("bgplus",
+                                 votes.empirical_margin_loss(toy_matrix, wp.theta, float(g)),
                                  wp.theta, float(g), spec_half)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
         assert got.value == pytest.approx(manual.value, abs=1e-12)
 
-    def test_gz_keeps_full_delta(self):
+    def test_gz_keeps_full_delta(self, monkeypatch):
         """The simultaneous-margin bound takes no union correction."""
         P = random_matrix(seed=29, m=60, d=50, accuracy=0.8)
         wp = WeightPosterior.uniform(50)
         spec = BoundSpec(m=60, delta=0.05)
-        cfg = SearchConfig(n_gamma=2, gamma_min=0.3, gamma_max=0.4)
+        grid_and_span(monkeypatch, 0.3, 0.4, bounds._K_SPAN)
+        cfg = SearchConfig(n_gamma=2)
         got = bounds.certify(P, wp, spec, "gz", cfg)
         manual = min(
-            (bounds.margin_bound("gz", votes.empirical_margin_loss(P, wp, float(g)), wp.theta,
-                                 float(g), spec)
+            (bounds.margin_bound("gz", votes.empirical_margin_loss(P, wp.theta, float(g)),
+                                 wp.theta, float(g), spec)
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -430,6 +441,12 @@ class TestCertify:
         with pytest.raises(ValueError):
             bounds.margin_bound("bg", 0.1, uniform_theta(5), np.array([0.2, 0.0]), SPEC)
 
+    def test_n_gamma_must_be_a_positive_integer(self):
+        for n_gamma in (2.5, 3.0, "3", 0, -1):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                SearchConfig(n_gamma=n_gamma)
+        assert SearchConfig(n_gamma=np.int64(3)).gamma_grid().size == 3
+
     def test_unknown_bound_id(self, toy_matrix):
         with pytest.raises(ValueError):
             bounds.certify(
@@ -449,6 +466,71 @@ class TestCertify:
                 assert bounds.reconstruct_value(bid, r) == pytest.approx(
                     r.value, abs=1e-9
                 )
+
+
+class TestCertifyAll:
+    """One certify_all pass over every bound id equals one certify call per
+    id, and shares the margins and the Dirichlet KLs between the ids."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "dirichlet", "zeros"])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_equals_per_id_certify(self, classes, weights):
+        d = 12
+        P = random_matrix(seed=40 + classes, m=150, d=d, c=classes, accuracy=0.65)
+        theta = (uniform_theta(d) if weights == "uniform"
+                 else np.random.default_rng(classes).dirichlet(np.full(d, 5.0)))
+        if weights == "zeros":
+            theta[[1, 4, 7]] = 0.0
+        wp = WeightPosterior(theta, 1.0)
+        spec = BoundSpec(m=P.num_examples, delta=0.05)
+        cfg = SearchConfig(n_gamma=20)
+        got = bounds.certify_all(P, wp, spec, bounds.BOUND_IDS + ("fo", "gz"), cfg)
+        assert tuple(got) == bounds.BOUND_IDS
+        for bid in bounds.BOUND_IDS:
+            assert got[bid] == bounds.certify(P, wp, spec, bid, cfg)
+        assert ("theta_floored" in got["f2"].flags) == (weights == "zeros")
+
+    def test_one_sort_and_each_K_once(self, monkeypatch):
+        """Over every bound id of a Dirichlet(5) posterior at n_gamma=100:
+        one votes.margins call, one KL kernel, and no K row sent to it twice."""
+        sorts, kernels, sent = [], [], []
+        margins, kernel = votes.margins, nk._dirichlet_kl_to
+
+        def spy_margins(*args):
+            sorts.append(1)
+            return margins(*args)
+
+        def spy_kernel(beta):
+            kernels.append(1)
+            kl = kernel(beta)
+
+            def spied(alpha):
+                sent.extend(row.tobytes() for row in alpha.reshape(-1, alpha.shape[-1]))
+                return kl(alpha)
+
+            return spied
+
+        monkeypatch.setattr(votes, "margins", spy_margins)
+        monkeypatch.setattr(nk, "_dirichlet_kl_to", spy_kernel)
+        d = 27
+        P = random_matrix(seed=6, m=300, d=d, c=3, accuracy=0.6)
+        wp = WeightPosterior(np.random.default_rng(6).dirichlet(np.full(d, 5.0)), 1.0)
+        bounds.certify_all(P, wp, BoundSpec(m=300, delta=0.05), bounds.BOUND_IDS,
+                           SearchConfig(n_gamma=100))
+        assert len(sorts) == 1 and len(kernels) == 1
+        assert len(sent) == len(set(sent)) > 0
+
+    def test_gibbs_ids_skip_the_shared_work(self, monkeypatch):
+        """fo, so and bin sort no margins, find no distinct masses and build
+        no KL memo."""
+        spy = []
+        monkeypatch.setattr(votes, "margins", lambda *a: spy.append("margins"))
+        monkeypatch.setattr(bounds, "_dirichlet_kl_of", lambda *a: spy.append("kl"))
+        monkeypatch.setattr(np, "unique", lambda *a, **k: spy.append("unique"))
+        P = random_matrix(seed=2, m=60, d=6)
+        bounds.certify_all(P, WeightPosterior.uniform(6), BoundSpec(m=60, delta=0.05),
+                           ("fo", "so", "bin"))
+        assert spy == []
 
 
 class TestSoundnessSmoke:
@@ -476,12 +558,12 @@ class TestSoundnessSmoke:
             assert count >= trials - 1, f"{bid} failed soundness smoke test"
 
 
-def scalar_golden(f, K_init, cfg):
+def scalar_golden(f, K_init, k_span, k_rel_tol, k_max_iter):
     """Reference golden-section search over ln K for one lane: the best
     (x, f(x)) over every evaluation, bracket ends included, keeping the
     earliest evaluation on ties; stops once the bracket is no wider than
-    cfg.k_rel_tol or after cfg.k_max_iter steps."""
-    lo, hi = math.log(K_init), math.log(K_init * cfg.k_span)
+    k_rel_tol or after k_max_iter steps."""
+    lo, hi = math.log(K_init), math.log(K_init * k_span)
     best = [lo, f(lo)]
 
     def see(x):
@@ -490,14 +572,14 @@ def scalar_golden(f, K_init, cfg):
             best[:] = [x, fx]
         return fx
 
-    if cfg.k_span > 1.0:
+    if k_span > 1.0:
         see(hi)
         a, b = lo, hi
         x1 = b - bounds._INV_PHI * (b - a)
         x2 = a + bounds._INV_PHI * (b - a)
         f1, f2 = see(x1), see(x2)
-        for _ in range(cfg.k_max_iter):
-            if b - a <= cfg.k_rel_tol:
+        for _ in range(k_max_iter):
+            if b - a <= k_rel_tol:
                 break
             if f1 <= f2:
                 b, x2, f2 = x2, x1, f1
@@ -534,14 +616,14 @@ class TestLockstepSearch:
         k_max_iter=st.integers(0, 60),
     )
     def test_every_lane_matches_scalar_search(self, lanes, K_init, k_span, k_rel_tol, k_max_iter):
-        cfg = SearchConfig(k_span=k_span, k_rel_tol=k_rel_tol, k_max_iter=k_max_iter)
         params = [np.array(column) for column in zip(*lanes)]
-        x, values = bounds._search_log_K(
-            lambda pts: lane_profile(pts, *params), len(lanes), K_init, cfg
-        )
+        with patch.multiple(bounds, _K_SPAN=k_span, _K_REL_TOL=k_rel_tol, _K_MAX_ITER=k_max_iter):
+            x, values = bounds._search_log_K(
+                lambda pts: lane_profile(pts, *params), len(lanes), K_init
+            )
         for i, lane in enumerate(lanes):
             want_x, want_value = scalar_golden(
-                lambda pt: float(lane_profile(pt, *lane)), K_init, cfg
+                lambda pt: float(lane_profile(pt, *lane)), K_init, k_span, k_rel_tol, k_max_iter
             )
             assert (x[i], values[i]) == (want_x, want_value)
 
@@ -567,30 +649,34 @@ class TestLockstepSearch:
         spec = BoundSpec(m=500, delta=0.1)
         gammas = np.linspace(0.01, 0.49, 17)
         losses = rng.uniform(0.0, 0.3, gammas.size)
-        cfg = SearchConfig()
-        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec, 2.0, cfg)
+        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec, 2.0)
         singles = [
-            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec, 2.0, cfg)
+            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec, 2.0)
             for loss, g in zip(losses, gammas)
         ]
         assert [bounds._lane(lanes, i) for i in range(gammas.size)] == singles
 
     @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "stochastic_margin", "f2"])
     def test_K_above_limit_is_rejected(self, bound_id):
-        """Past K_init = 1e300 the top of the search range, K_init * k_span,
-        overflows: certify raises instead of searching on NaN."""
+        """Past K_init = 1e300 the top of the search range, K_init * 2**16,
+        overflows: certify raises instead of searching on NaN.  A K_init of
+        0, below 0 or NaN has no ln K to start from; WeightPosterior refuses
+        it, and the search raises the same error for it."""
         P = random_matrix(seed=0, m=60, d=6, accuracy=0.75)
         wp = WeightPosterior(uniform_theta(6), 1e305)
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
             bounds.certify(P, wp, BoundSpec(m=60, delta=0.05), bound_id, SearchConfig(n_gamma=5))
+        for K in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
+                bounds._search_log_K(lambda x: x, 1, K)
 
     def test_K_limit_is_inclusive(self):
         theta = uniform_theta(6)
         r = bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=1e300)
         assert 0.0 <= r.value <= 1.0
-        with pytest.raises(ValueError, match="at most"):
-            bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC,
-                                K=np.nextafter(1e300, 2e300))
+        for K in (np.nextafter(1e300, 2e300), 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
+                bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=K)
 
 
 class TestDirichletKLMemo:
@@ -709,7 +795,7 @@ class TestBetaDistinctMasses:
         spec = BoundSpec(m=P.num_examples, delta=0.05)
         cfg = SearchConfig(n_gamma=n_gamma)
         got = bounds.certify(P, wp, spec, bound_id, cfg)
-        th, _ = bounds._floor_theta(wp.theta)
+        th = bounds._Posterior(wp.theta).floored
         with patch.object(bounds, "_beta_losses",
                           every_row_beta_losses(P.correct_mass(th), P.wrong_mass(th))):
             want = bounds.certify(P, wp, spec, bound_id, cfg)

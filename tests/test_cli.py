@@ -77,6 +77,17 @@ class TestCertifyCommand:
         rows = read_results(out)
         assert [r["bound"] for r in rows] == ["fo", "f2"]
 
+    def test_repeated_bound_id_writes_a_row_each(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds)
+        out = tmp_path / "out"
+        rc = cli.main(["certify", "--predictions", str(preds), "--bounds", "fo,so,fo",
+                       "--out", str(out), "--n-gamma", "10"])
+        assert rc == 0
+        rows = read_results(out)
+        assert [r["bound"] for r in rows] == ["fo", "so", "fo"]
+        assert rows[0] == rows[2]
+
     def test_subnormal_k_gives_vacuous_dirichlet_rows(self, tmp_path):
         """At K = 1e-310 the Dirichlet KL is not finite, which makes every
         Dirichlet certificate vacuous rather than an error."""

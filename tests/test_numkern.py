@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from votecert import numkern as nk
 
@@ -474,6 +474,34 @@ class TestKlInv:
         vec = nk.kl_inv(us, cs)
         for u, c, v in zip(us, cs, vec):
             assert v == nk.kl_inv(float(u), float(c))
+
+
+def kl_step_coverage(m: int, c: float) -> float:
+    """The exact worst case over p of P[kl_inv(k/m, c) < p] for k ~ Bin(m,
+    p), on a dense p grid plus the float just above each kl_inv(k/m, c),
+    where the probability jumps up; between the jumps it falls as p grows,
+    so these points hold the supremum.  kl_inv is monotone in k, so the
+    event is k below the count of inverses under p: one binomial CDF."""
+    v = nk.kl_inv(np.arange(m + 1) / m, np.full(m + 1, c))
+    assert np.all(np.diff(v) >= 0.0)
+    p = np.concatenate([np.linspace(0.0, 1.0, 4002)[1:-1], np.nextafter(v, 2.0)])
+    p = p[(p > 0.0) & (p < 1.0)]
+    return float(stats.binom.cdf(np.searchsorted(v, p, side="left") - 1, m, p).max())
+
+
+class TestKlStepCoverage:
+    """The kl step of every certificate, checked exactly on one Bernoulli
+    loss: the chance that kl_inv(k/m, c) falls below the true risk p stays
+    at most delta, both for the certificates' c = ln(2 sqrt(m)/delta)/m
+    (Maurer 2004) and for the tighter Chernoff form c = ln(1/delta)/m
+    (Langford 2005), which leaves no slack: at k = 0 its supremum is delta
+    itself, so the check allows the binomial CDF's rounding, 1e-12."""
+
+    @pytest.mark.parametrize("m", [20, 50, 200, 1000])
+    def test_coverage_at_most_delta(self, m):
+        delta = 0.05
+        for c in (math.log(2.0 * math.sqrt(m) / delta) / m, math.log(1.0 / delta) / m):
+            assert kl_step_coverage(m, c) <= delta + 1e-12
 
 
 # Budgets from the degenerate ends to saturation, spaced widely enough that

@@ -98,11 +98,11 @@ class TestEmpiricalMarginLoss:
     def test_saturates_at_half(self):
         P = random_matrix(seed=4, m=50, d=6)
         wp = WeightPosterior.uniform(6)
-        assert votes.empirical_margin_loss(P, wp, 0.5) == 1.0
+        assert votes.empirical_margin_loss(P, wp.theta, 0.5) == 1.0
 
     def test_unanimous_correct_zero(self):
         P = PredictionMatrix(np.full((5, 4), 1), np.full(5, 1), 2)
-        assert votes.empirical_margin_loss(P, WeightPosterior.uniform(4), 0.1) == 0.0
+        assert votes.empirical_margin_loss(P, WeightPosterior.uniform(4).theta, 0.1) == 0.0
 
     def test_crafted_matrix_fraction(self):
         # margins under uniform theta: row1 two of three correct (+1/6),
@@ -113,14 +113,14 @@ class TestEmpiricalMarginLoss:
         wp = WeightPosterior.uniform(3)
         want_margins = np.array([1 / 6, -1 / 6, -1 / 2, 1 / 2])
         np.testing.assert_allclose(votes.margins(P, wp.theta), want_margins, atol=1e-12)
-        assert votes.empirical_margin_loss(P, wp, 0.0) == 0.5
-        assert votes.empirical_margin_loss(P, wp, 0.2) == 0.75
+        assert votes.empirical_margin_loss(P, wp.theta, 0.0) == 0.5
+        assert votes.empirical_margin_loss(P, wp.theta, 0.2) == 0.75
 
     def test_monotone_in_gamma(self):
         P = random_matrix(seed=8, m=80, d=10, accuracy=0.6)
         wp = WeightPosterior.uniform(10)
         grid = np.linspace(0.0, 0.5, 26)
-        vals = [votes.empirical_margin_loss(P, wp, float(g)) for g in grid]
+        vals = [votes.empirical_margin_loss(P, wp.theta, float(g)) for g in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 1.0
 
@@ -128,7 +128,7 @@ class TestEmpiricalMarginLoss:
         preds = np.array([[1, 2], [1, 2]])
         labels = np.array([1, 2])
         P = PredictionMatrix(preds, labels, 2)
-        assert votes.empirical_margin_loss(P, WeightPosterior.uniform(2), 0.0) == 1.0
+        assert votes.empirical_margin_loss(P, WeightPosterior.uniform(2).theta, 0.0) == 1.0
 
     @pytest.mark.parametrize("d", [14, 50, 100])
     def test_ties_exact_under_uniform_weights(self, d):
