@@ -43,6 +43,47 @@ def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
     return bounds._dirichlet_result(terms, K, gamma[0] if gamma else None).with_flags(post.flags)
 
 
+# The rule a certificate meets against a recorded one: the value and its
+# components to 1e-12 (infinite terms exactly), the knobs and flags exactly.
+REFERENCE_TERMS = ("value", "empirical_term", "complexity_term", "derandomisation_term")
+REFERENCE_KNOBS = ("gamma_star", "K_star", "T_star")
+
+
+def reference_mismatches(case, got: dict, want: dict) -> list:
+    """(case, field, got, want) for each field of ``got`` (a certificate's
+    fields by name, as ``vars(BoundResult)`` or ``results_csv_certificates``
+    gives them) that breaks the reference rule against the recorded ``want``."""
+    out = []
+    for field in REFERENCE_KNOBS:
+        if field in got and got[field] != want[field]:
+            out.append((case, field, got[field], want[field]))
+    if "flags" in got and list(got["flags"]) != want["flags"]:
+        out.append((case, "flags", got["flags"], want["flags"]))
+    for field in REFERENCE_TERMS:
+        # == first: infinite complexity terms match exactly
+        if field in got and not (got[field] == want[field]
+                                 or abs(got[field] - want[field]) <= 1e-12):
+            out.append((case, field, got[field], want[field]))
+    return out
+
+
+def results_csv_certificates(path) -> dict:
+    """bound id -> the certificate fields a CLI ``results.csv`` holds (value,
+    knobs, flags), typed as in a BoundResult."""
+
+    def number(text, kind=float):
+        return kind(text) if text else None
+
+    with open(path) as fh:
+        return {row["bound"]: {
+            "value": float(row["value"]),
+            "gamma_star": number(row["gamma_star"]),
+            "K_star": number(row["K_star"]),
+            "T_star": number(row["T_star"], int),
+            "flags": row["flags"].split("|") if row["flags"] else [],
+        } for row in csv.DictReader(fh)}
+
+
 def small_kl(q, p):
     """Bernoulli kl(q, p) with 0 ln 0 := 0 and kl(q, q) = 0, lanewise: the
     kernel's own kl (the one ``kl_inv`` inverts, checked against mpmath in

@@ -13,7 +13,10 @@ from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
 from votecert.votes import PredictionMatrix, WeightPosterior
 
-from conftest import dirichlet_from_loss, mpmath_dirichlet_kl, random_matrix, small_kl
+from conftest import (
+    REFERENCE_KNOBS, REFERENCE_TERMS, dirichlet_from_loss, mpmath_dirichlet_kl, random_matrix,
+    reference_mismatches, small_kl,
+)
 
 
 SPEC = BoundSpec(m=2000, delta=0.05)
@@ -929,8 +932,6 @@ class TestCertifyReference:
             P = PredictionMatrix(table[:, :-1], table[:, -1], spec_in["classes"])
             for weights, theta in spec_in["weights"].items():
                 cases[name, weights] = (P, WeightPosterior(np.array(theta), 1.0))
-        terms = ("value", "empirical_term", "complexity_term", "derandomisation_term")
-        knobs = ("gamma_star", "K_star", "T_star")
         mismatches = []
         for want in recorded["results"]:
             P, wp = cases[want["matrix"], want["weights"]]
@@ -940,22 +941,39 @@ class TestCertifyReference:
             if case in self.TIES:
                 # Both candidates, evaluated by the same code, are within 1e-12.
                 at_recorded = bounds.reconstruct_value(want["bound"], bounds.BoundResult(
-                    **{f: want[f] for f in terms + knobs}))
+                    **{f: want[f] for f in REFERENCE_TERMS + REFERENCE_KNOBS}))
                 if not abs(at_recorded - got.value) <= 1e-12:
                     mismatches.append((case, "tie", at_recorded, got.value))
             else:
-                for field in knobs:
-                    if getattr(got, field) != want[field]:
-                        mismatches.append((case, field, getattr(got, field), want[field]))
-                if list(got.flags) != want["flags"]:
-                    mismatches.append((case, "flags", got.flags, want["flags"]))
-                for field in terms:
-                    # == first: infinite complexity terms match exactly
-                    if not (getattr(got, field) == want[field]
-                            or abs(getattr(got, field) - want[field]) <= 1e-12):
-                        mismatches.append((case, field, getattr(got, field), want[field]))
+                mismatches += reference_mismatches(case, vars(got), want)
             rebuilt = bounds.reconstruct_value(want["bound"], got)
             if not abs(rebuilt - got.value) <= 1e-9:
                 mismatches.append((case, "reconstruct", rebuilt, got.value))
         assert mismatches == []
         assert len(recorded["results"]) == 2 * 2 * 3 * len(bounds.BOUND_IDS)
+
+
+BETA_DRAWN_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    "beta_drawn_reference.json")
+
+
+class TestBetaDrawnReference:
+    """stochastic_margin and f2 with Dirichlet(5)-drawn weights, every row
+    mass distinct, on the 766 x 27 matrix at n_gamma=200, against the
+    certificates recorded before the K search dropped margin lanes, by
+    TestCertifyReference's rule.  The file also holds the n_gamma=1000
+    certificates that CI compares the CLI's results.csv against."""
+
+    def test_matches_recorded_outputs(self):
+        with open(BETA_DRAWN_REFERENCE) as fh:
+            recorded = json.load(fh)
+        P = random_matrix(seed=0, m=766, d=27, accuracy=0.6)
+        wp = WeightPosterior(np.array(recorded["theta"]), 1.0)
+        wants = [w for w in recorded["results"] if w["n_gamma"] == 200]
+        got = bounds.certify_all(P, wp, BoundSpec(m=766, delta=0.05),
+                                 [w["bound"] for w in wants], SearchConfig(n_gamma=200))
+        mismatches = []
+        for want in wants:
+            mismatches += reference_mismatches(want["bound"], vars(got[want["bound"]]), want)
+        assert mismatches == []
+        assert sorted(got) == ["f2", "stochastic_margin"]
