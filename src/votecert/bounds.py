@@ -36,7 +36,12 @@ margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
 margin 0) optimise K by one golden-section search on ln K over every lane
 in lockstep (``_search_log_K``) whose value function is the formula itself,
 so the searched and the reported certificate come from the same code.  The
-grid's range and the K search's span, tolerance and step limit are module
+search evaluates the top of the ln K range first.  For stochastic_margin it
+also takes a proven lower bound on each margin's value below a bracket top
+(``_stochastic_floor``), and drops the margins whose bound exceeds the
+smallest value found; they come back as +inf, and the winning margin, its K
+and the certificate are those of the search without the bound.  The grid's
+range and the K search's span, tolerance and step limit are module
 constants; ``SearchConfig`` sets only the grid's size.
 
 Bound identifiers:
@@ -249,6 +254,27 @@ def _stochastic_formula(expected_loss, K, gamma, kl, spec, grad=False):
     return out + (-4.0 * gamma * gamma * eps,) if grad else out
 
 
+# Slack under the stochastic floor for the 1e-9 of kl_inv's contract and
+# the rounding of the KL, the exponentials and the sums.
+_FLOOR_SLACK = 1e-8
+
+
+def _stochastic_floor(hi, gamma, spec):
+    """A lower bound on the clipped stochastic-margin value at each margin
+    gamma over every K <= e^hi:
+    min(1, 1 - exp(-c0) + exp(-4 (e^hi + 1) gamma^2)) - _FLOOR_SLACK, with
+    c0 = ln(2 sqrt(m) / delta) / m.
+
+    The Dirichlet KL is >= 0, so c >= c0.  The exact kl inverse is
+    nondecreasing in u and in c, so at u = 0 it is at least kl_inv(0, c0) =
+    1 - exp(-c0).  ``nk.kl_inv`` returns 1 or a v with |kl(u, v) - c| <=
+    1e-9, so it is at least the exact inverse at c - 1e-9, which lowers the
+    bound by at most 1e-9.  The penalty exp(-4 (K + 1) gamma^2) decreases in
+    K, so it is least at the top, K = e^hi."""
+    eps_top = np.exp(-4.0 * (np.exp(hi) + 1.0) * gamma * gamma)
+    return np.minimum(1.0, -math.expm1(-spec.log_confidence() / spec.m) + eps_top) - _FLOOR_SLACK
+
+
 def _f2_formula(expected_loss, kl, spec, grad=False):
     out = _dirichlet(np.minimum(1.0, expected_loss), kl, 0.0, 2.0, spec, grad)
     return out + (0.0,) if grad else out
@@ -288,13 +314,15 @@ def _gz_applies(gammas, d: int):
 
 def _gz(losses, gammas, post, spec) -> BoundResult:
     """kth-margin bound, holding simultaneously over the margins where
-    ``_gz_applies``."""
+    ``_gz_applies``.  ln(2 m^2 / ln d) is negative only for m < sqrt(ln(d) /
+    2), where the tail ln(d) / m alone exceeds 1; the complexity is clamped
+    at 0, so the value there is 1."""
     d, m = post.theta.size, spec.m
     log_d = math.log(d)
-    comp = (
+    comp = np.maximum(0.0, (
         2.0 * math.log(2.0 * d) / (gammas * gammas) * math.log(2.0 * m * m / log_d)
         + math.log(d * m / spec.delta)
-    ) / m
+    ) / m)
     tail = log_d / m
     value = np.minimum(1.0, nk.kl_inv(losses, comp) + tail)
     return _result(value, gammas, None, None, losses, comp, tail)
@@ -470,23 +498,55 @@ _BETA_LANES = 1 << 16
 _K_MAX = 1e300
 
 
-def _search_log_K(values_at, n: int, K_init: float):
+def _search_log_K(values_at, n: int, K_init: float, floor=None):
     """Golden-section minimum over ln K in [ln K_init, ln(K_init * _K_SPAN)]
     for n independent lanes, all run in lockstep.
 
-    ``values_at`` maps an (n,) array of ln K points, one per lane, to the
-    (n,) lane values, so each golden step costs one call.  A lane stops
-    once its bracket is no wider than ``_K_REL_TOL`` (or after
-    ``_K_MAX_ITER`` steps).  Returns the best ln K and value per lane over
-    every evaluation, the bracket ends included; ties keep the earliest
-    evaluation.  Raises ValueError for a K_init outside (0, ``_K_MAX``].
+    ``values_at(lanes, x)`` maps an int array of lane indices and an array
+    of ln K points, one per lane, to those lanes' values, so each golden
+    step costs one call.  The top of the range is evaluated first, then the
+    bottom and the two interior points, and the four are folded in the
+    order bottom, top, interior.  A lane stops once its bracket is no wider
+    than ``_K_REL_TOL`` (or after ``_K_MAX_ITER`` steps).
+
+    ``floor(lanes, hi)``, if given, bounds each lane's value from below over
+    every ln K <= hi.  After the top's call and before every golden step,
+    the search drops each lane whose floor at its bracket top exceeds the
+    smallest value found on any lane, unless the lane's own best is one of
+    the two smallest: the later points of a dropped lane lie in its bracket,
+    so it can neither reach nor tie that value.  The lanes that can are
+    evaluated as without a floor, so the smallest value, and the lanes and
+    points that reach it, are unchanged.
+
+    Returns the best ln K and value per lane over every evaluation, the
+    bracket ends included; ties keep the earliest evaluation, and a dropped
+    lane's value is +inf.  Raises ValueError for a K_init outside (0,
+    ``_K_MAX``].
     """
     if not 0.0 < K_init <= _K_MAX:
         raise ValueError("K must lie in (0, 1e300]")
     lo = math.log(K_init)
     hi = math.log(K_init * _K_SPAN)
-    best_x = np.full(n, lo)
-    best_val = values_at(best_x)
+    out_x = np.full(n, hi)
+    out_val = np.full(n, np.inf)
+    lanes = np.arange(n)
+
+    def kept(top, best):
+        """Per lane, whether it may still reach the smallest value found; the
+        two best lanes always stay, so a search of many lanes never calls
+        ``values_at`` on one (``_beta_losses`` rounds a lone lane apart)."""
+        incumbent = best.min()
+        runner_up = np.partition(best, 1)[1] if best.size > 1 else incumbent
+        return (best <= runner_up) | (floor(lanes, top) <= incumbent)
+
+    b = np.full(n, hi)
+    f_top = values_at(lanes, b)
+    if floor is not None:
+        keep = kept(b, f_top)
+        lanes, b, f_top = lanes[keep], b[keep], f_top[keep]
+    a = np.full(lanes.size, lo)
+    best_x = a
+    best_val = values_at(lanes, a)
 
     def consider(x, fx, live=True):
         nonlocal best_x, best_val
@@ -494,32 +554,35 @@ def _search_log_K(values_at, n: int, K_init: float):
         best_val = np.where(better, fx, best_val)
         best_x = np.where(better, x, best_x)
 
-    a = np.full(n, lo)
-    b = np.full(n, hi)
-    consider(b, values_at(b))
+    consider(b, f_top)
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1 = values_at(x1)
-    f2 = values_at(x2)
+    f1 = values_at(lanes, x1)
+    f2 = values_at(lanes, x2)
     consider(x1, f1)
     consider(x2, f2)
     for _ in range(_K_MAX_ITER):
         live = (b - a) > _K_REL_TOL
         if not live.any():
             break
+        if floor is not None and not (keep := kept(b, best_val)).all():
+            out_x[lanes[~keep]] = best_x[~keep]
+            lanes, a, b, x1, x2, f1, f2, best_x, best_val, live = (
+                arr[keep] for arr in (lanes, a, b, x1, x2, f1, f2, best_x, best_val, live))
         take_low = f1 <= f2
         a = np.where(take_low, a, x1)
         b = np.where(take_low, x2, b)
         x_keep = np.where(take_low, x1, x2)
         f_keep = np.where(take_low, f1, f2)
         x_new = np.where(take_low, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = values_at(x_new)
+        f_new = values_at(lanes, x_new)
         consider(x_new, f_new, live)
         x1 = np.where(take_low, x_new, x_keep)
         f1 = np.where(take_low, f_new, f_keep)
         x2 = np.where(take_low, x_keep, x_new)
         f2 = np.where(take_low, f_keep, f_new)
-    return best_x, best_val
+    out_x[lanes], out_val[lanes] = best_x, best_val
+    return out_x, out_val
 
 
 def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
@@ -531,10 +594,11 @@ def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     """Deterministic-margin bound per lane, each lane at its K
     golden-sectioned over [K, K * _K_SPAN] from the posterior's K."""
 
-    def at(K):
-        return _margin_formula(losses, K, gammas, post.kl_of(K), spec)
+    def at(K, lanes=slice(None)):
+        return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, post.K)
+    x, _ = _search_log_K(lambda lanes, x: np.minimum(1.0, at(np.exp(x), lanes)[0]),
+                         gammas.size, post.K)
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(K), K, gammas)
 
@@ -543,16 +607,23 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np
     """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w): the CDF
     runs once per distinct (a_c, a_w) column of ``masses``, and ``rows``
     gathers it back into row order, so the mean is the every-row mean bit
-    for bit."""
+    for bit.
+
+    numpy sums the gathered terms of a chunk of two or more lanes column by
+    column, and those of a lone lane pairwise, which rounds differently.  So
+    no chunk of a call of two or more lanes holds one lane, and each such
+    lane's loss is the same whichever lanes share the call."""
     a_c, a_w = masses
     out = np.empty(K.size)
     # At most _BETA_LANES CDF lanes per call, and at most 16 times as many
-    # gathered terms, which few masses standing for many rows would exceed.
-    step = max(1, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
-    for s in range(0, K.size, step):
-        k = K[s:s + step, None]
-        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None])
-        out[s:s + step] = terms[:, rows].mean(axis=1)
+    # gathered terms, which few masses standing for many rows would exceed;
+    # but two lanes at least, and a last lane left over joins the chunk before.
+    step = max(2, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
+    starts = range(0, max(K.size - 1, 1), step)
+    for s, e in zip(starts, [*starts[1:], K.size]):
+        k = K[s:e, None]
+        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:e, None])
+        out[s:e] = terms[:, rows].mean(axis=1)
     return out
 
 
@@ -564,7 +635,8 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np
 
 def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundResult:
     """stochastic_margin over the grid margins, or the f2 baseline at the
-    single margin 0."""
+    single margin 0; the stochastic search drops the margins that
+    ``_stochastic_floor`` rules out."""
     masses, rows = post.masses
     margins = post.gammas if stochastic else np.zeros(1)
 
@@ -573,8 +645,11 @@ def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundR
         return (_stochastic_formula(u, K, g, post.kl_of(K), spec) if stochastic
                 else _f2_formula(u, post.kl_of(K), spec))
 
-    x, values = _search_log_K(lambda x: np.minimum(1.0, at(np.exp(x), margins)[0]),
-                              margins.size, post.K)
+    def floor(lanes, hi):
+        return _stochastic_floor(hi, margins[lanes], spec)
+
+    x, values = _search_log_K(lambda lanes, x: np.minimum(1.0, at(np.exp(x), margins[lanes])[0]),
+                              margins.size, post.K, floor if stochastic else None)
     i = _best_lane(values, margins)
     K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
     return _lane(_dirichlet_result(at(K, g), K, g if stochastic else None), 0)

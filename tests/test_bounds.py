@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from votecert import bounds, numkern as nk, votes
 from votecert.bounds import BoundSpec, SearchConfig
@@ -138,6 +138,13 @@ class TestGZ:
 
     def test_full_loss_clips(self):
         assert bounds.margin_bound("gz", 1.0, uniform_theta(100), 0.3, SPEC).value == 1.0
+
+    def test_one_example_is_vacuous(self):
+        """At m = 1 and d = 100, ln(2 m^2 / ln d) < 0 and the complexity is
+        clamped at 0; the tail ln(d) / m alone exceeds 1."""
+        r = bounds.margin_bound("gz", 0.0, uniform_theta(100), 0.15, BoundSpec(m=1, delta=0.05))
+        assert (r.value, r.complexity_term) == (1.0, 0.0)
+        assert bounds.reconstruct_value("gz", r) == r.value
 
     def test_formula_recomputation(self):
         d, m, delta, l_g, gamma = 100, 10000, 0.5, 0.1, 0.3
@@ -622,7 +629,7 @@ class TestLockstepSearch:
         params = [np.array(column) for column in zip(*lanes)]
         with patch.multiple(bounds, _K_SPAN=k_span, _K_REL_TOL=k_rel_tol, _K_MAX_ITER=k_max_iter):
             x, values = bounds._search_log_K(
-                lambda pts: lane_profile(pts, *params), len(lanes), K_init
+                lambda rows, pts: lane_profile(pts, *(p[rows] for p in params)), len(lanes), K_init
             )
         for i, lane in enumerate(lanes):
             want_x, want_value = scalar_golden(
@@ -671,7 +678,7 @@ class TestLockstepSearch:
             bounds.certify(P, wp, BoundSpec(m=60, delta=0.05), bound_id, SearchConfig(n_gamma=5))
         for K in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
-                bounds._search_log_K(lambda x: x, 1, K)
+                bounds._search_log_K(lambda lanes, x: x, 1, K)
 
     def test_K_limit_is_inclusive(self):
         theta = uniform_theta(6)
@@ -804,6 +811,26 @@ class TestBetaDistinctMasses:
             want = bounds.certify(P, wp, spec, bound_id, cfg)
         assert repr(got) == repr(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lanes_per_chunk=st.integers(1, 4),
+        size=st.integers(2, 30),
+    )
+    def test_lane_loss_ignores_the_other_lanes(self, seed, lanes_per_chunk, size):
+        """Each lane's loss is the same in a call of any two or more of the
+        lanes, chunked at any size, as in the call of all of them."""
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(10, 41)), int(rng.integers(2, 9))
+        post = bounds._Posterior(rng.dirichlet(np.ones(d)), 1.0, random_matrix(seed, m, d),
+                                 SearchConfig(30).gamma_grid())
+        K = np.exp(rng.uniform(math.log(0.01), math.log(0.01 * 2.0**16), 30))
+        sub = np.sort(rng.permutation(30)[:size])
+        want = bounds._beta_losses(K, post.gammas, *post.masses)[sub]
+        with patch.object(bounds, "_BETA_LANES", lanes_per_chunk * post.masses[0].shape[1]):
+            got = bounds._beta_losses(K[sub], post.gammas[sub], *post.masses)
+        assert got.tolist() == want.tolist()
+
     def test_cdf_lanes_per_step(self, monkeypatch):
         """A uniform-weight stochastic_margin certify at the default grid sends
         the CDF at most (d + 1) lanes per margin at each golden step, where
@@ -827,6 +854,103 @@ class TestBetaDistinctMasses:
                        "stochastic_margin")
         assert max(step[0] for step in steps) == SearchConfig().n_gamma
         assert all(lanes <= (d + 1) * n for n, lanes in steps)
+
+
+@st.composite
+def stochastic_cases(draw):
+    """(P, wp, spec, cfg) for a stochastic_margin certify: a binary or
+    3-class matrix, uniform, Dirichlet or zero-holding weights, n_gamma in
+    {1, 10, 100} and K_init in {1e-2, 1, 40, 1e4}; with ``vacuous`` every
+    voter errs on every row, so every margin's value is 1."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c, m, d = draw(st.sampled_from([2, 3])), draw(st.integers(4, 40)), draw(st.integers(2, 8))
+    weights = draw(st.sampled_from(["uniform", "dirichlet", "zeros"]))
+    n_gamma = draw(st.sampled_from([1, 10, 100]))
+    K_init = draw(st.sampled_from([1e-2, 1.0, 40.0, 1e4]))
+    rng = np.random.default_rng(seed)
+    P = random_matrix(seed, m, d, c, accuracy=float(rng.uniform(0.5, 0.95)))
+    if draw(st.booleans()):
+        P = PredictionMatrix(np.tile(P.labels[:, None] % c + 1, (1, d)), P.labels, c)
+    theta = uniform_theta(d) if weights == "uniform" else rng.dirichlet(np.ones(d))
+    if weights == "zeros":
+        theta[rng.permutation(d)[:d // 2]] = 0.0
+    return P, WeightPosterior(theta, K_init), BoundSpec(m=m, delta=0.05), SearchConfig(n_gamma)
+
+
+SEARCH_LOG_K = bounds._search_log_K
+
+
+def search_without_floor(values_at, n, K_init, floor=None):
+    """``bounds._search_log_K`` with the floor left out."""
+    return SEARCH_LOG_K(values_at, n, K_init)
+
+
+class TestStochasticFloor:
+    """The stochastic_margin K search drops the margins that
+    ``bounds._stochastic_floor`` shows cannot reach the smallest value
+    found, and finds what the search without the floor finds."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=stochastic_cases())
+    def test_floor_is_below_every_value_up_to_the_top(self, case):
+        """On every lane, the clipped value at every point of a dense ln K
+        grid is at least the floor at that point and at every point above."""
+        P, wp, spec, cfg = case
+        post = bounds._Posterior(wp.theta, wp.K, P, cfg.gamma_grid())
+        union = replace(spec, delta=spec.delta / cfg.n_gamma)
+        x = np.linspace(math.log(wp.K), math.log(wp.K * bounds._K_SPAN), 193)
+        K, g = (arr.ravel() for arr in np.meshgrid(np.exp(x), post.gammas))
+        u = bounds._beta_losses(K, g, *post.masses)
+        values = np.minimum(1.0, bounds._stochastic_formula(u, K, g, post.kl_of(K), union)[0])
+        lowest = np.minimum.accumulate(values.reshape(cfg.n_gamma, x.size), axis=1)
+        floors = bounds._stochastic_floor(x, post.gammas[:, None], union)
+        assert (lowest >= floors).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=stochastic_cases())
+    def test_certificate_equals_search_without_floor(self, case):
+        P, wp, spec, cfg = case
+        got = bounds.certify(P, wp, spec, "stochastic_margin", cfg)
+        with patch.object(bounds, "_search_log_K", search_without_floor):
+            want = bounds.certify(P, wp, spec, "stochastic_margin", cfg)
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=stochastic_cases())
+    # The floor leaves one margin here, which the search keeps company:
+    # alone in a call, its loss would round apart from the search's.
+    @example(case=(random_matrix(507, 30, 3, accuracy=0.7239834195936858),
+                   WeightPosterior(np.array([0.018373442219029427, 0.14280972626364885,
+                                             0.8388168315173218]), 0.01),
+                   BoundSpec(m=30, delta=0.05), SearchConfig(10)))
+    def test_incumbent_lanes_are_never_dropped(self, case):
+        """Every lane that reaches the smallest value without the floor is
+        in every evaluation with it, and ends with the same point and value;
+        every other lane ends as it would or at +inf.  No call of a search
+        of many lanes holds one."""
+        searches = []
+
+        def both(values_at, n, K_init, floor=None):
+            calls = []
+
+            def spy(lanes, x):
+                calls.append(lanes)
+                return values_at(lanes, x)
+
+            got = SEARCH_LOG_K(spy, n, K_init, floor)
+            searches.append((calls, got, SEARCH_LOG_K(values_at, n, K_init)))
+            return got
+
+        P, wp, spec, cfg = case
+        with patch.object(bounds, "_search_log_K", both):
+            bounds.certify(P, wp, spec, "stochastic_margin", cfg)
+        [(calls, (got_x, got_v), (want_x, want_v))] = searches
+        best = np.flatnonzero(want_v == want_v.min())
+        assert all(np.isin(best, lanes).all() for lanes in calls)
+        assert min(lanes.size for lanes in calls) >= min(cfg.n_gamma, 2)
+        kept = np.isfinite(got_v)
+        assert (got_x[kept] == want_x[kept]).all() and (got_v[kept] == want_v[kept]).all()
+        assert (want_v[~kept] > want_v.min()).all()
 
 
 def exhaustive_int_min(f, t_max):
@@ -957,23 +1081,50 @@ BETA_DRAWN_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     "beta_drawn_reference.json")
 
 
+@pytest.fixture(scope="module")
+def drawn_beta_certify():
+    """The recorded n_gamma=200 certificates of the drawn-weight case, and
+    stochastic_margin and f2 certified there now, each with the lane counts
+    of its ``_beta_losses`` calls."""
+    with open(BETA_DRAWN_REFERENCE) as fh:
+        recorded = json.load(fh)
+    P = random_matrix(seed=0, m=766, d=27, accuracy=0.6)
+    wp = WeightPosterior(np.array(recorded["theta"]), 1.0)
+    beta_losses = bounds._beta_losses
+    got, lanes = {}, {}
+    for bound_id in ("stochastic_margin", "f2"):
+        sizes = lanes[bound_id] = []
+
+        def spy(K, *args):
+            sizes.append(K.size)
+            return beta_losses(K, *args)
+
+        with patch.object(bounds, "_beta_losses", spy):
+            got[bound_id] = bounds.certify(P, wp, BoundSpec(m=766, delta=0.05), bound_id,
+                                           SearchConfig(n_gamma=200))
+    return [w for w in recorded["results"] if w["n_gamma"] == 200], got, lanes
+
+
 class TestBetaDrawnReference:
     """stochastic_margin and f2 with Dirichlet(5)-drawn weights, every row
-    mass distinct, on the 766 x 27 matrix at n_gamma=200, against the
-    certificates recorded before the K search dropped margin lanes, by
-    TestCertifyReference's rule.  The file also holds the n_gamma=1000
-    certificates that CI compares the CLI's results.csv against."""
+    mass distinct, on the 766 x 27 matrix at n_gamma=200.  The file also
+    holds the n_gamma=1000 certificates that CI compares the CLI's
+    results.csv against."""
 
-    def test_matches_recorded_outputs(self):
-        with open(BETA_DRAWN_REFERENCE) as fh:
-            recorded = json.load(fh)
-        P = random_matrix(seed=0, m=766, d=27, accuracy=0.6)
-        wp = WeightPosterior(np.array(recorded["theta"]), 1.0)
-        wants = [w for w in recorded["results"] if w["n_gamma"] == 200]
-        got = bounds.certify_all(P, wp, BoundSpec(m=766, delta=0.05),
-                                 [w["bound"] for w in wants], SearchConfig(n_gamma=200))
+    def test_matches_recorded_outputs(self, drawn_beta_certify):
+        """The certificates recorded before the K search dropped margin
+        lanes, by TestCertifyReference's rule."""
+        wants, got, _ = drawn_beta_certify
         mismatches = []
         for want in wants:
             mismatches += reference_mismatches(want["bound"], vars(got[want["bound"]]), want)
         assert mismatches == []
-        assert sorted(got) == ["f2", "stochastic_margin"]
+        assert sorted(w["bound"] for w in wants) == ["f2", "stochastic_margin"]
+
+    def test_search_drops_margin_lanes(self, drawn_beta_certify):
+        """The stochastic_margin search evaluates at least 35% fewer margin
+        lanes than n_gamma per call (4,800 before it dropped any); its last
+        call is the winner's one-lane evaluation."""
+        *search, final = drawn_beta_certify[2]["stochastic_margin"]
+        assert (search[0], final) == (200, 1)
+        assert sum(search) <= 0.65 * 200 * len(search)

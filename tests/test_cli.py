@@ -10,7 +10,9 @@ import pytest
 
 from votecert import cli, oracle
 
-from conftest import export_predictions, random_matrix, write_board_csv
+from conftest import (
+    export_predictions, random_matrix, results_csv_certificates, write_board_csv,
+)
 
 VERIFY_REFERENCE = pathlib.Path(__file__).parent / "verify_reference.json"
 COMPARE_REFERENCE = pathlib.Path(__file__).parent / "compare_reference"
@@ -87,6 +89,22 @@ class TestCertifyCommand:
         rows = read_results(out)
         assert [r["bound"] for r in rows] == ["fo", "so", "fo"]
         assert rows[0] == rows[2]
+
+    def test_one_row_gz_is_vacuous(self, tmp_path):
+        """One row and 100 voters: gz's ln(2 m^2 / ln d) is negative there,
+        and its tail ln(d) / m alone exceeds 1.  The default run exits 0 with
+        a vacuous gz row, and its other rows are those of a run without gz."""
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds, m=1, d=100)
+        others = ",".join(b for b in cli.DEFAULT_BOUNDS if b != "gz")
+        for name, extra in (("all", []), ("others", ["--bounds", others])):
+            args = ["certify", "--predictions", str(preds), "--out", str(tmp_path / name)]
+            assert cli.main(args + extra) == 0
+        gz = results_csv_certificates(tmp_path / "all" / "results.csv")["gz"]
+        assert (gz["value"], gz["flags"]) == (1.0, ["vacuous"])
+        lines = (tmp_path / "all" / "results.csv").read_text().splitlines()
+        assert [ln for ln in lines if ",gz," not in ln] == (
+            (tmp_path / "others" / "results.csv").read_text().splitlines())
 
     def test_subnormal_k_gives_vacuous_dirichlet_rows(self, tmp_path):
         """At K = 1e-310 the Dirichlet KL is not finite, which makes every
