@@ -504,10 +504,11 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
 
     ``values_at(lanes, x)`` maps an int array of lane indices and an array
     of ln K points, one per lane, to those lanes' values, so each golden
-    step costs one call.  The top of the range is evaluated first, then the
-    bottom and the two interior points, and the four are folded in the
-    order bottom, top, interior.  A lane stops once its bracket is no wider
-    than ``_K_REL_TOL`` (or after ``_K_MAX_ITER`` steps).
+    step costs one call; without a floor every call holds all n lanes, in
+    order.  The top of the range is evaluated first, then the bottom and
+    the two interior points, and the four are folded in the order bottom,
+    top, interior.  A lane stops once its bracket is no wider than
+    ``_K_REL_TOL`` (or after ``_K_MAX_ITER`` steps).
 
     ``floor(lanes, hi)``, if given, bounds each lane's value from below over
     every ln K <= hi.  After the top's call and before every golden step,
@@ -594,11 +595,11 @@ def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     """Deterministic-margin bound per lane, each lane at its K
     golden-sectioned over [K, K * _K_SPAN] from the posterior's K."""
 
-    def at(K, lanes=slice(None)):
-        return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
+    def at(K):
+        return _margin_formula(losses, K, gammas, post.kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda lanes, x: np.minimum(1.0, at(np.exp(x), lanes)[0]),
-                         gammas.size, post.K)
+    # No floor, so every call holds every lane.
+    x, _ = _search_log_K(lambda _, x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, post.K)
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(K), K, gammas)
 
