@@ -869,7 +869,8 @@ def stochastic_cases(draw):
     K_init = draw(st.sampled_from([1e-2, 1.0, 40.0, 1e4]))
     rng = np.random.default_rng(seed)
     P = random_matrix(seed, m, d, c, accuracy=float(rng.uniform(0.5, 0.95)))
-    if draw(st.booleans()):
+    vacuous = draw(st.booleans())
+    if vacuous:
         P = PredictionMatrix(np.tile(P.labels[:, None] % c + 1, (1, d)), P.labels, c)
     theta = uniform_theta(d) if weights == "uniform" else rng.dirichlet(np.ones(d))
     if weights == "zeros":
@@ -917,8 +918,8 @@ class TestStochasticFloor:
 
     @settings(max_examples=25, deadline=None)
     @given(case=stochastic_cases())
-    # The floor leaves one margin here, which the search keeps company:
-    # alone in a call, its loss would round apart from the search's.
+    # Here the floor would leave one margin, whose loss alone in a call
+    # rounds apart from the search's (see bounds._beta_losses).
     @example(case=(random_matrix(507, 30, 3, accuracy=0.7239834195936858),
                    WeightPosterior(np.array([0.018373442219029427, 0.14280972626364885,
                                              0.8388168315173218]), 0.01),
