@@ -236,10 +236,20 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """I_z(a, b) on lanes already in the convergent regime (see above)."""
+def _log_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b) for 1-d
+    a, b > 0, from one ``_series`` call; lanewise, and symmetric in (a, b)
+    bit for bit."""
     ln_gamma_a, ln_gamma_b, ln_gamma_ab = _series(np.concatenate([a, b, a + b]))[2].reshape(3, -1)
-    log_front = a * np.log(z) + b * np.log1p(-z) - (ln_gamma_a + ln_gamma_b - ln_gamma_ab)
+    return ln_gamma_a + ln_gamma_b - ln_gamma_ab
+
+
+def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray, log_beta=None) -> np.ndarray:
+    """I_z(a, b) on lanes already in the convergent regime (see above);
+    ``log_beta`` is ln B(a, b), computed here if not given."""
+    if log_beta is None:
+        log_beta = _log_beta(a, b)
+    log_front = a * np.log(z) + b * np.log1p(-z) - log_beta
     out = np.zeros_like(z)
     live = log_front > _LOG_UNDERFLOW
     if live.any():
@@ -255,7 +265,7 @@ def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def reg_inc_beta(z, a, b):
+def reg_inc_beta(z, a, b, log_beta=None):
     """Regularised incomplete beta I_z(a, b), the Beta(a, b) CDF at z.
 
     Continued-fraction evaluation with the symmetry swap: lanes with
@@ -272,6 +282,11 @@ def reg_inc_beta(z, a, b):
     reach max(a, b) = 2.0e5 on a desk experiment and 3.2e6 on a
     default-grid ``stochastic_margin`` certify; ROADMAP item 2 tracks the
     fix.
+
+    ``log_beta``, if given, is ln B(a, b) as ``_log_beta`` computes it,
+    broadcast with the other arguments: a caller whose lanes share few
+    (a, b) pairs computes it once per pair.  The values are those of the
+    call without it, bit for bit.
     """
     z_arr = _unit_array(z, "z")
     a_arr = _positive_array(a, "a")
@@ -281,6 +296,8 @@ def reg_inc_beta(z, a, b):
     zf = np.atleast_1d(zb).astype(float).ravel()
     af = np.atleast_1d(ab).astype(float).ravel()
     bf = np.atleast_1d(bb).astype(float).ravel()
+    if log_beta is not None:
+        log_beta = np.broadcast_to(np.asarray(log_beta, dtype=float), zb.shape).ravel()
 
     out = np.empty_like(zf)
     at_zero = zf == 0.0
@@ -293,7 +310,8 @@ def reg_inc_beta(z, a, b):
         zi, ai, bi = zf[lanes], af[lanes], bf[lanes]
         swap = zi > (ai + 1.0) / (ai + bi + 2.0)
         lower = _inc_beta_lower(np.where(swap, bi, ai), np.where(swap, ai, bi),
-                                np.where(swap, 1.0 - zi, zi))
+                                np.where(swap, 1.0 - zi, zi),
+                                None if log_beta is None else log_beta[lanes])
         out[lanes] = np.where(swap, 1.0 - lower, lower)
     out = np.clip(out, 0.0, 1.0)
     if scalar:

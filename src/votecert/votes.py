@@ -213,7 +213,7 @@ def binomial_loss(P: PredictionMatrix, theta, N: int) -> float:
     return float(np.mean(nk.binomial_tail(N, p_err, k0)))
 
 
-def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False):
+def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False, log_beta=None):
     """Per-row Beta-CDF margin-loss terms I_{1/2+gamma}(a_correct, a_wrong);
     with ``grad`` the tuple (terms, d/da_correct, d/da_wrong).
 
@@ -221,6 +221,9 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False):
     (for example one margin per row of an (n, m) stack of mass lanes).
     Degenerate rows: no mass on correct voters gives the term 1 and no mass
     on erring voters gives 0 (for gamma < 1/2), both with zero partials.
+    ``log_beta`` (without ``grad``), broadcast to the masses' shape, is
+    ln B(a_correct, a_wrong) for ``nk.reg_inc_beta`` on the regular rows;
+    its other entries are not read.
     """
     a_c = np.asarray(a_correct, dtype=float)
     a_w = np.asarray(a_wrong, dtype=float)
@@ -230,7 +233,9 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False):
     out = np.where(none_right, 1.0, 0.0)
     lanes = z[regular], a_c[regular], a_w[regular]
     if not grad:
-        out[regular] = nk.reg_inc_beta(*lanes)
+        if log_beta is not None:
+            log_beta = np.broadcast_to(log_beta, a_c.shape)[regular]
+        out[regular] = nk.reg_inc_beta(*lanes, log_beta=log_beta)
         return out
     d_c, d_w = np.zeros_like(out), np.zeros_like(out)
     out[regular], d_c[regular], d_w[regular] = nk.reg_inc_beta_with_grad(*lanes)

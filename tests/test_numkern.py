@@ -327,6 +327,31 @@ class TestOnePassIncBeta:
         assert_bitwise_equal(nk.reg_inc_beta(z[::-1], a[::-1], b[::-1]), want[::-1])
 
 
+class TestLogBetaArgument:
+    """``reg_inc_beta`` with ln B(a, b) passed in, as the Beta-CDF searches
+    pass it once per (K, row mass) for the margin lanes that share them,
+    returns what it computes on its own, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lanes=beta_lanes())
+    def test_equals_call_without_it(self, lanes):
+        z, a, b = lanes
+        log_beta = nk._log_beta(a, b)
+        assert_bitwise_equal(log_beta, nk._log_beta(b, a))
+        assert_bitwise_equal(nk.reg_inc_beta(z, a, b, log_beta=log_beta),
+                             nk.reg_inc_beta(z, a, b))
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e4, 1e6])
+    def test_once_per_pair(self, scale):
+        """400 (a, b) pairs, each at 50 margins z = 1/2 + gamma, with ln B
+        computed once per pair and broadcast over the margins."""
+        rng = np.random.default_rng(int(math.log10(scale)) + 2)
+        a, b = scale * np.exp(rng.uniform(-1.0, 1.0, (2, 400)))
+        z = 0.5 + np.geomspace(1e-4, 0.5, 50, endpoint=False)[:, None]
+        got = nk.reg_inc_beta(z, a, b, log_beta=nk._log_beta(a, b))
+        assert_bitwise_equal(got, nk.reg_inc_beta(z, a, b))
+
+
 def dIda_quadrature(z: float, a: float, b: float) -> float:
     """d/da I_z(a,b) by differentiating under the integral sign; the ln t
     factor rides in the quadrature weight to absorb the endpoint singularity."""
