@@ -33,16 +33,20 @@ first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
 
 bgplusplus minimises over T with one integer search run in lockstep across
 margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
-margin 0) optimise K by one golden-section search on ln K over every lane
-in lockstep (``_search_log_K``) whose value function is the formula itself,
-so the searched and the reported certificate come from the same code.  The
-search evaluates the top of the ln K range first.  For stochastic_margin it
-also takes a proven lower bound on each margin's value below a bracket top
+margin 0) optimise K by one search on ln K over every lane in lockstep
+(``_search_log_K``) whose value function is the formula itself, so the
+searched and the reported certificate come from the same code.  The search
+evaluates the top of the ln K range first, then a ladder of rungs
+K_init 2^j that every lane shares in one call, then refines each lane's
+best rung by Brent's method.  For stochastic_margin it also takes a proven
+lower bound on each margin's value below a bracket top
 (``_stochastic_floor``), and drops the margins whose bound exceeds the
 smallest value found; they come back as +inf, and the winning margin, its K
-and the certificate are those of the search without the bound.  The grid's
-range and the K search's span, tolerance and step limit are module
-constants; ``SearchConfig`` sets only the grid's size.
+and the certificate are those of the search without the bound.  On a rung
+every margin lane shares K, so the Beta-CDF loss computes ln B(K a_c, K a_w)
+once per rung and row mass (``_beta_losses``).  The grid's range and the K
+search's span, tolerance and step limit are module constants;
+``SearchConfig`` sets only the grid's size.
 
 Bound identifiers:
 
@@ -480,16 +484,22 @@ class SearchConfig:
 
 # -- the K search -------------------------------------------------------------
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The refinement's golden-section fraction, (3 - sqrt(5)) / 2.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-# Distinct row masses x margins per reg_inc_beta call in the Beta-CDF
-# searches.  Median seconds of five stochastic_margin certifies with
-# Dirichlet(5) weights, so every row mass distinct (2 vCPUs, one BLAS
-# thread; values bit-identical at every size): on a 766 x 27 matrix at
-# n_gamma=200, 1.69 at 2**14, 1.74 at 2**16 and 1.92 at 2**18; on a
-# 479 x 108 matrix (the desk experiment's shape) at n_gamma=100, 0.52,
-# 0.48 and 0.49.  No size wins both.
-_BETA_LANES = 1 << 16
+# Distinct row masses x searched points per reg_inc_beta call in the
+# Beta-CDF searches.  Median seconds of five stochastic_margin certifies
+# with Dirichlet(5) weights, so every row mass distinct, the sizes
+# interleaved in one process (2 vCPUs, one BLAS thread; values
+# bit-identical at every size): on a 766 x 27 matrix at n_gamma=200, 1.90
+# at 2**12, 1.16 at 2**13, 0.97 at 2**14 and 1.30 at 2**16; on a 479 x 108
+# matrix (the desk experiment's shape) at n_gamma=100, 0.44, 0.37, 0.29
+# and 0.35.  The ladder's call is wide even on small grids, so the size
+# also sets the peak memory: the traced peak of the stochastic_margin
+# certifies of a bench certify pass is 3.86 MiB at 2**13, 6.56 MiB at
+# 2**14 and 11.3 MiB at 2**16, against 3.44 MiB for the golden-section
+# search at 2**16.
+_BETA_LANES = 1 << 13
 
 # The largest K_init the K search takes: its range must end at a finite
 # K_init * _K_SPAN, which holds up to ~2.7e303.  The Beta-CDF bounds can
@@ -499,90 +509,125 @@ _K_MAX = 1e300
 
 
 def _search_log_K(values_at, n: int, K_init: float, floor=None):
-    """Golden-section minimum over ln K in [ln K_init, ln(K_init * _K_SPAN)]
-    for n independent lanes, all run in lockstep.
+    """Minimum over ln K in [ln K_init, ln(K_init * _K_SPAN)] for n
+    independent lanes, all run in lockstep.
 
     ``values_at(lanes, x)`` maps an int array of lane indices and an array
-    of ln K points, one per lane, to those lanes' values, so each golden
-    step costs one call; without a floor every call holds all n lanes, in
-    order.  The top of the range is evaluated first, then the bottom and
-    the two interior points, and the four are folded in the order bottom,
-    top, interior.  A lane stops once its bracket is no wider than
-    ``_K_REL_TOL`` (or after ``_K_MAX_ITER`` steps).
+    of ln K points of the same size to those values; a call may hold a lane
+    more than once.  The search evaluates the top of the range on every lane,
+    then, in one call, every rung ln(K_init 2^j) below it on every lane, rung
+    by rung.  Each lane's lowest rung (the smallest K on ties) and its two
+    neighbours, the range's ends at its ends, bracket its refinement by
+    Brent's method: a parabolic step through the three best points when it
+    lands inside the bracket and is shorter than half the step before last,
+    a golden-section step otherwise, with scipy's ``fminbound`` rules and its
+    tolerance fixed at tol = ``_K_REL_TOL`` / 4.  No step is shorter than
+    tol, and a lane stops once its best point lies within 2 tol of both
+    bracket ends, so that its bracket is no wider than ``_K_REL_TOL``, or
+    after ``_K_MAX_ITER`` steps.  Each step is one call over the lanes still
+    running.  A lane whose rungs all tie, as a lane clipped to 1 on the whole
+    ladder does, has no best bracket and is not refined.
 
     ``floor(lanes, hi)``, if given, bounds each lane's value from below over
-    every ln K <= hi.  After the top's call and before every golden step,
-    the search drops each lane whose floor at its bracket top exceeds the
-    smallest value found on any lane, unless the lane's own best is one of
-    the two smallest: the later points of a dropped lane lie in its bracket,
-    so it can neither reach nor tie that value.  The lanes that can are
-    evaluated as without a floor, so the smallest value, and the lanes and
-    points that reach it, are unchanged.
+    every ln K <= hi.  After the top's call and before every step, the
+    search drops each running lane whose floor at its bracket top exceeds
+    the smallest value found on any lane.  A lane's best point lies in its
+    bracket, so a dropped lane can neither reach nor tie that value; the
+    lanes that can are evaluated as without a floor, so the smallest value,
+    and the lanes and points that reach it, are unchanged.
 
-    Returns the best ln K and value per lane over every evaluation, the
-    bracket ends included; ties keep the earliest evaluation, and a dropped
-    lane's value is +inf.  Raises ValueError for a K_init outside (0,
-    ``_K_MAX``].
+    Returns the best ln K and value per lane over every evaluation, folded
+    rung by rung (the top last), then step by step; ties keep the first, and
+    a dropped lane's value is +inf.  Raises ValueError for a K_init outside
+    (0, ``_K_MAX``].
     """
     if not 0.0 < K_init <= _K_MAX:
         raise ValueError("K must lie in (0, 1e300]")
-    lo = math.log(K_init)
     hi = math.log(K_init * _K_SPAN)
-    out_x = np.full(n, hi)
-    out_val = np.full(n, np.inf)
+    powers = (2.0**j for j in range(math.ceil(math.log2(_K_SPAN)) + 1))
+    rungs = np.array([math.log(K_init * p) for p in powers if p < _K_SPAN] + [hi])
+    out_x, out_val = np.full(n, hi), np.full(n, np.inf)
     lanes = np.arange(n)
-
-    def kept(top, best):
-        """Per lane, whether it may still reach the smallest value found; the
-        two best lanes always stay, so a search of many lanes never calls
-        ``values_at`` on one (``_beta_losses`` rounds a lone lane apart)."""
-        incumbent = best.min()
-        runner_up = np.partition(best, 1)[1] if best.size > 1 else incumbent
-        return (best <= runner_up) | (floor(lanes, top) <= incumbent)
-
-    b = np.full(n, hi)
-    f_top = values_at(lanes, b)
+    top = values_at(lanes, np.full(n, hi))
     if floor is not None:
-        keep = kept(b, f_top)
-        lanes, b, f_top = lanes[keep], b[keep], f_top[keep]
-    a = np.full(lanes.size, lo)
-    best_x = a
-    best_val = values_at(lanes, a)
+        keep = floor(lanes, hi) <= top.min()
+        lanes, top = lanes[keep], top[keep]
 
-    def consider(x, fx, live=True):
-        nonlocal best_x, best_val
-        better = live & (fx < best_val)
-        best_val = np.where(better, fx, best_val)
-        best_x = np.where(better, x, best_x)
+    # The ladder: rung-major, so that the lanes of one rung, which share K,
+    # sit together in the call.
+    f = np.empty((lanes.size, rungs.size))
+    f[:, -1] = top
+    if rungs.size > 1:
+        f[:, :-1] = values_at(np.tile(lanes, rungs.size - 1),
+                              np.repeat(rungs[:-1], lanes.size)).reshape(-1, lanes.size).T
+    row, last = np.arange(lanes.size), rungs.size - 1
+    j = f.argmin(axis=1)
+    best_x, best_val = rungs[j], f[row, j]
+    # Brent's state: the bracket [a, b], the best point x and the two next
+    # best w and v (at a range end, or with a single rung, both the one
+    # neighbour), and the last two step lengths rat and e, which start at the
+    # bracket's width, so that the first two steps may be parabolic.
+    lo_j, hi_j = np.maximum(j - 1, 0), np.minimum(j + 1, last)
+    a, b, fa, fb = rungs[lo_j], rungs[hi_j], f[row, lo_j], f[row, hi_j]
+    x, fx = best_x, best_val
+    flat = fx == f.max(axis=1)  # every rung ties: the bracket shrinks to x
+    a, b = np.where(flat, x, a), np.where(flat, x, b)
+    inner = (j > 0) & (j < last)
+    low_w = (j == last) | (inner & (fa <= fb))
+    w, fw = np.where(low_w, a, b), np.where(low_w, fa, fb)
+    v, fv = np.where(inner, np.where(low_w, b, a), w), np.where(inner, np.where(low_w, fb, fa), fw)
+    e = rat = b - a
+    tol1 = _K_REL_TOL / 4.0
+    tol2 = 2.0 * tol1
+    done_min = np.inf
 
-    consider(b, f_top)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = values_at(lanes, x1)
-    f2 = values_at(lanes, x2)
-    consider(x1, f1)
-    consider(x2, f2)
-    for _ in range(_K_MAX_ITER):
-        live = (b - a) > _K_REL_TOL
-        if not live.any():
+    for step in range(_K_MAX_ITER + 1):
+        xm = 0.5 * (a + b)
+        run = (np.abs(x - xm) > tol2 - 0.5 * (b - a)) & (step < _K_MAX_ITER)
+        done = ~run
+        if floor is not None:
+            run &= floor(lanes, b) <= min(done_min, best_val.min(initial=np.inf))
+        # Finished and dropped lanes leave; a dropped lane's value stays +inf.
+        out_x[lanes[~run]] = best_x[~run]
+        out_val[lanes[done]] = best_val[done]
+        done_min = min(done_min, best_val[done].min(initial=np.inf))
+        if not run.all():
+            lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm = (
+                arr[run] for arr in (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm))
+        if not lanes.size:
             break
-        if floor is not None and not (keep := kept(b, best_val)).all():
-            out_x[lanes[~keep]] = best_x[~keep]
-            lanes, a, b, x1, x2, f1, f2, best_x, best_val, live = (
-                arr[keep] for arr in (lanes, a, b, x1, x2, f1, f2, best_x, best_val, live))
-        take_low = f1 <= f2
-        a = np.where(take_low, a, x1)
-        b = np.where(take_low, x2, b)
-        x_keep = np.where(take_low, x1, x2)
-        f_keep = np.where(take_low, f1, f2)
-        x_new = np.where(take_low, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = values_at(lanes, x_new)
-        consider(x_new, f_new, live)
-        x1 = np.where(take_low, x_new, x_keep)
-        f1 = np.where(take_low, f_new, f_keep)
-        x2 = np.where(take_low, x_keep, x_new)
-        f2 = np.where(take_low, f_keep, f_new)
-    out_x[lanes], out_val[lanes] = best_x, best_val
+        # The parabola through (x, w, v): its step p / q from x.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = np.abs(e) > tol1
+        e_before = e
+        e = np.where(parabolic, rat, e)
+        parabolic &= (np.abs(p) < np.abs(0.5 * q * e_before)) & (p > q * (a - x)) & (p < q * (b - x))
+        rat = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
+        near_end = ((x + rat - a) < tol2) | ((b - (x + rat)) < tol2)
+        rat = np.where(parabolic & near_end, tol1 * (np.sign(xm - x) + (xm == x)), rat)
+        golden = np.where(x >= xm, a - x, b - x)
+        e = np.where(parabolic, e, golden)
+        rat = np.where(parabolic, rat, _GOLDEN * golden)
+        u = x + (np.sign(rat) + (rat == 0.0)) * np.maximum(np.abs(rat), tol1)
+        fu = values_at(lanes, u)
+        better = fu < best_val
+        best_x, best_val = np.where(better, u, best_x), np.where(better, fu, best_val)
+        # Brent's update of the bracket and of x, w and v.
+        moves = fu <= fx
+        right = u >= x
+        a = np.where(moves, np.where(right, x, a), np.where(right, a, u))
+        b = np.where(moves, np.where(right, b, x), np.where(right, u, b))
+        to_w = ~moves & ((fu <= fw) | (w == x))
+        to_v = ~moves & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = np.where(moves | to_w, w, np.where(to_v, u, v)), np.where(
+            moves | to_w, fw, np.where(to_v, fu, fv))
+        w, fw = np.where(moves, x, np.where(to_w, u, w)), np.where(moves, fx, np.where(to_w, fu, fw))
+        x, fx = np.where(moves, u, x), np.where(moves, fu, fx)
     return out_x, out_val
 
 
@@ -592,39 +637,42 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
 
 
 def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
-    """Deterministic-margin bound per lane, each lane at its K
-    golden-sectioned over [K, K * _K_SPAN] from the posterior's K."""
+    """Deterministic-margin bound per lane, each lane at its K searched over
+    [K, K * _K_SPAN] from the posterior's K."""
 
-    def at(K):
-        return _margin_formula(losses, K, gammas, post.kl_of(K), spec)
+    def at(lanes, K):
+        return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
 
-    # No floor, so every call holds every lane.
-    x, _ = _search_log_K(lambda _, x: np.minimum(1.0, at(np.exp(x))[0]), gammas.size, post.K)
+    x, _ = _search_log_K(lambda lanes, x: np.minimum(1.0, at(lanes, np.exp(x))[0]), gammas.size,
+                         post.K)
     K = np.array([math.exp(xi) for xi in x])
-    return _dirichlet_result(at(K), K, gammas)
+    return _dirichlet_result(at(slice(None), K), K, gammas)
 
 
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np.ndarray):
     """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w): the CDF
-    runs once per distinct (a_c, a_w) column of ``masses``, and ``rows``
-    gathers it back into row order, so the mean is the every-row mean bit
-    for bit.
-
-    numpy sums the gathered terms of a chunk of two or more lanes column by
-    column, and those of a lone lane pairwise, which rounds differently.  So
-    no chunk of a call of two or more lanes holds one lane, and each such
-    lane's loss is the same whichever lanes share the call."""
+    runs once per distinct (a_c, a_w) column of ``masses``, with ln B(K a_c,
+    K a_w) computed once per distinct K of a chunk and column, and ``rows``
+    gathers it back into row order.  The gather is C-ordered, so numpy sums
+    each lane's terms pairwise, as for a lone lane and for the every-row
+    terms: a lane's loss is the every-row mean bit for bit, whichever lanes
+    share the call."""
     a_c, a_w = masses
+    regular = (a_c > 0.0) & (a_w > 0.0)
     out = np.empty(K.size)
     # At most _BETA_LANES CDF lanes per call, and at most 16 times as many
-    # gathered terms, which few masses standing for many rows would exceed;
-    # but two lanes at least, and a last lane left over joins the chunk before.
-    step = max(2, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
-    starts = range(0, max(K.size - 1, 1), step)
-    for s, e in zip(starts, [*starts[1:], K.size]):
-        k = K[s:e, None]
-        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:e, None])
-        out[s:e] = terms[:, rows].mean(axis=1)
+    # gathered terms, which few masses standing for many rows would exceed.
+    step = max(1, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
+    for s in range(0, K.size, step):
+        k = K[s:s + step, None]
+        shared, at_k = np.unique(k, return_inverse=True)
+        log_beta = np.zeros((shared.size, a_c.size))
+        log_beta[:, regular] = nk._log_beta(
+            (shared[:, None] * a_c[regular]).ravel(), (shared[:, None] * a_w[regular]).ravel()
+        ).reshape(shared.size, -1)
+        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None],
+                                             log_beta=log_beta[at_k.ravel()])
+        out[s:s + step] = terms.take(rows, axis=1).mean(axis=1)
     return out
 
 
@@ -757,8 +805,7 @@ def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
     whose fields hold one entry per lane (plain numbers for scalar lanes).
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
-    dirichlet_margin golden-sections its K over [K, K * 2**16] on every
-    lane.  Raises ValueError for a margin <= 0, for one where the bound does
+    dirichlet_margin searches its K over [K, K * 2**16] on every lane.  Raises ValueError for a margin <= 0, for one where the bound does
     not hold (``margin_applies``), and for a K outside (0, 1e300]."""
     bound = _lookup(bound_id, margin_grid=True)
     post = _Posterior(theta, K)
@@ -785,9 +832,9 @@ def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound
 
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as
-    do the margin-free baselines.  K is optimised per grid point by
-    golden-section on ln K over [K_init, K_init * 2**16], for K_init in
-    (0, 1e300].  Deterministic given (inputs, search_cfg); ties in the grid
+    do the margin-free baselines.  K is optimised per grid point on ln K
+    over [K_init, K_init * 2**16], for K_init in (0, 1e300], by a shared
+    ladder of K_init 2^j and Brent's method in each point's best bracket.  Deterministic given (inputs, search_cfg); ties in the grid
     keep the smallest gamma.  Every result of value 1 carries the
     ``vacuous`` flag.
     """

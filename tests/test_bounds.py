@@ -568,37 +568,70 @@ class TestSoundnessSmoke:
             assert count >= trials - 1, f"{bid} failed soundness smoke test"
 
 
-def scalar_golden(f, K_init, k_span, k_rel_tol, k_max_iter):
-    """Reference golden-section search over ln K for one lane: the best
-    (x, f(x)) over every evaluation, bracket ends included, keeping the
-    earliest evaluation on ties; stops once the bracket is no wider than
-    k_rel_tol or after k_max_iter steps."""
-    lo, hi = math.log(K_init), math.log(K_init * k_span)
-    best = [lo, f(lo)]
-
-    def see(x):
-        fx = f(x)
-        if fx < best[1]:
-            best[:] = [x, fx]
-        return fx
-
-    if k_span > 1.0:
-        see(hi)
-        a, b = lo, hi
-        x1 = b - bounds._INV_PHI * (b - a)
-        x2 = a + bounds._INV_PHI * (b - a)
-        f1, f2 = see(x1), see(x2)
-        for _ in range(k_max_iter):
-            if b - a <= k_rel_tol:
-                break
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - bounds._INV_PHI * (b - a)
-                f1 = see(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + bounds._INV_PHI * (b - a)
-                f2 = see(x2)
+def scalar_search(f, K_init, k_span, k_rel_tol, k_max_iter):
+    """Reference K search for one lane, in Python floats: the top of the
+    ln K range, the rungs ln(K_init 2^j) below it, then Brent's method in
+    the best rung's bracket, with scipy's ``fminbound`` steps and its
+    tolerance fixed at k_rel_tol / 4, unless every rung ties.  Returns the
+    best (x, f(x)) over every evaluation, folded rung by rung (the top
+    last), then step by step, keeping the first on ties."""
+    hi = math.log(K_init * k_span)
+    rungs = []
+    while 2.0**len(rungs) < k_span:
+        rungs.append(math.log(K_init * 2.0**len(rungs)))
+    rungs.append(hi)
+    top = f(hi)
+    vals = [f(x) for x in rungs[:-1]] + [top]
+    last = len(rungs) - 1
+    j = min(range(last + 1), key=lambda i: (vals[i], i))
+    best = [rungs[j], vals[j]]
+    (a, fa), (b, fb) = [(rungs[i], vals[i]) for i in (max(j - 1, 0), min(j + 1, last))]
+    x, fx = best
+    if 0 < j < last:
+        (w, fw), (v, fv) = ((a, fa), (b, fb)) if fa <= fb else ((b, fb), (a, fa))
+    else:
+        w, fw = (a, fa) if j == last else (b, fb)
+        v, fv = w, fw
+    if fx == max(vals):
+        a = b = x
+    e = rat = b - a
+    tol1 = k_rel_tol / 4.0
+    tol2 = 2.0 * tol1
+    for _ in range(k_max_iter):
+        xm = 0.5 * (a + b)
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                rat = p / q
+                if (x + rat - a) < tol2 or (b - (x + rat)) < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            rat = bounds._GOLDEN * e
+        u = x + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(u)
+        if fu < best[1]:
+            best = [u, fu]
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     return best
 
 
@@ -632,7 +665,7 @@ class TestLockstepSearch:
                 lambda rows, pts: lane_profile(pts, *(p[rows] for p in params)), len(lanes), K_init
             )
         for i, lane in enumerate(lanes):
-            want_x, want_value = scalar_golden(
+            want_x, want_value = scalar_search(
                 lambda pt: float(lane_profile(pt, *lane)), K_init, k_span, k_rel_tol, k_max_iter
             )
             assert (x[i], values[i]) == (want_x, want_value)
@@ -687,6 +720,80 @@ class TestLockstepSearch:
         for K in (np.nextafter(1e300, 2e300), 0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
                 bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=K)
+
+
+SEARCH_LOG_K = bounds._search_log_K
+
+
+@st.composite
+def weak_voter_cases(draw):
+    """(P, wp, spec) for a K search: a binary or 3-class matrix of weak
+    voters, uniform or Dirichlet(1) weights, K_init = 1."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c, m, d = draw(st.sampled_from([2, 3])), draw(st.integers(20, 60)), draw(st.integers(3, 30))
+    rng = np.random.default_rng(seed)
+    P = random_matrix(seed, m, d, c, accuracy=float(rng.uniform(0.5, 0.8)))
+    theta = uniform_theta(d) if draw(st.booleans()) else rng.dirichlet(np.ones(d))
+    return P, WeightPosterior(theta, 1.0), BoundSpec(m=m, delta=0.05)
+
+
+def searches_of(P, wp, spec, bound_id, cfg):
+    """(values_at, n, K_init, (x, values)) of each K search a certify runs."""
+    searches = []
+
+    def spy(values_at, n, K_init, floor=None):
+        got = SEARCH_LOG_K(values_at, n, K_init, floor)
+        searches.append((values_at, n, K_init, got))
+        return got
+
+    with patch.object(bounds, "_search_log_K", spy):
+        bounds.certify(P, wp, spec, bound_id, cfg)
+    return searches
+
+
+class TestSearchAgainstScan:
+    """The K search finds, on every lane, the minimum of an exhaustive scan
+    of its range."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=weak_voter_cases(),
+           bound_id=st.sampled_from(["dirichlet_margin", "stochastic_margin", "f2"]))
+    def test_every_lane_reaches_the_scanned_minimum(self, case, bound_id):
+        """Every lane's value is within 1e-8 of the smallest of 2,001
+        evenly spaced ln K in the range; a lane that the stochastic floor
+        dropped has no scanned value at or below the smallest value found."""
+        [(values_at, n, K_init, (_, values))] = searches_of(*case, bound_id, SearchConfig(6))
+        x = np.linspace(math.log(K_init), math.log(K_init * bounds._K_SPAN), 2001)
+        scan = values_at(np.repeat(np.arange(n), x.size), np.tile(x, n)).reshape(n, -1).min(axis=1)
+        kept = np.isfinite(values)
+        assert (values[kept] <= scan[kept] + 1e-8).all()
+        assert (scan[~kept] > values.min()).all()
+
+    def test_calls_against_golden_section(self):
+        """On the bench certify workload's shapes (383 x 108 binary and
+        1000 x 60 3-class, Dirichlet(5) weights, n_gamma=10) the three K
+        searches together make at most 60% of the value calls of the
+        golden-section search they replace, which made 24 each: the top,
+        the bottom, two interior points and 20 steps from a bracket of
+        16 ln 2 down to 1e-3."""
+        for seed, (m, d, c) in enumerate([(383, 108, 2), (1000, 60, 3)]):
+            P = random_matrix(seed, m, d, c, accuracy=0.7)
+            wp = WeightPosterior(np.random.default_rng(seed).dirichlet(np.full(d, 5.0)), 1.0)
+            calls = 0
+            for bound_id in ("dirichlet_margin", "stochastic_margin", "f2"):
+                counted = []
+
+                def spy(values_at, n, K_init, floor=None):
+                    def count(lanes, x):
+                        counted.append(1)
+                        return values_at(lanes, x)
+
+                    return SEARCH_LOG_K(count, n, K_init, floor)
+
+                with patch.object(bounds, "_search_log_K", spy):
+                    bounds.certify(P, wp, BoundSpec(m=m, delta=0.05), bound_id, SearchConfig(10))
+                calls += len(counted)
+            assert calls <= 0.6 * 3 * 24
 
 
 class TestDirichletKLMemo:
@@ -815,37 +922,43 @@ class TestBetaDistinctMasses:
     @given(
         seed=st.integers(0, 2**32 - 1),
         lanes_per_chunk=st.integers(1, 4),
-        size=st.integers(2, 30),
+        size=st.integers(1, 30),
+        shared_K=st.integers(1, 30),
     )
-    def test_lane_loss_ignores_the_other_lanes(self, seed, lanes_per_chunk, size):
-        """Each lane's loss is the same in a call of any two or more of the
-        lanes, chunked at any size, as in the call of all of them."""
+    def test_lane_loss_ignores_the_other_lanes(self, seed, lanes_per_chunk, size, shared_K):
+        """Each lane's loss is the same in a call of any of the lanes,
+        chunked at any size, as in the call of all of them and in a call of
+        its own, bit for bit; the lanes share at most ``shared_K`` distinct
+        K, as the rungs of the K search's ladder do."""
         rng = np.random.default_rng(seed)
         m, d = int(rng.integers(10, 41)), int(rng.integers(2, 9))
         post = bounds._Posterior(rng.dirichlet(np.ones(d)), 1.0, random_matrix(seed, m, d),
                                  SearchConfig(30).gamma_grid())
-        K = np.exp(rng.uniform(math.log(0.01), math.log(0.01 * 2.0**16), 30))
+        K = np.exp(rng.uniform(math.log(0.01), math.log(0.01 * 2.0**16), shared_K))[
+            rng.integers(0, shared_K, 30)]
         sub = np.sort(rng.permutation(30)[:size])
         want = bounds._beta_losses(K, post.gammas, *post.masses)[sub]
         with patch.object(bounds, "_BETA_LANES", lanes_per_chunk * post.masses[0].shape[1]):
             got = bounds._beta_losses(K[sub], post.gammas[sub], *post.masses)
-        assert got.tolist() == want.tolist()
+        alone = [bounds._beta_losses(K[i:i + 1], post.gammas[i:i + 1], *post.masses)[0]
+                 for i in sub]
+        assert got.tolist() == want.tolist() == alone
 
     def test_cdf_lanes_per_step(self, monkeypatch):
         """A uniform-weight stochastic_margin certify at the default grid sends
-        the CDF at most (d + 1) lanes per margin at each golden step, where
+        the CDF at most (d + 1) lanes per searched point at each step, where
         every-row evaluation sends one per row."""
         m, d = 766, 27
         steps = []
         beta_losses, cdf = bounds._beta_losses, nk.reg_inc_beta
 
-        def spy_losses(K, *args):
-            steps.append([K.size, 0])
-            return beta_losses(K, *args)
+        def spy_losses(K, gammas, *args):
+            steps.append([np.unique(gammas).size, K.size, 0])
+            return beta_losses(K, gammas, *args)
 
-        def spy_cdf(z, a, b):
-            steps[-1][1] += np.size(z)
-            return cdf(z, a, b)
+        def spy_cdf(z, a, b, log_beta=None):
+            steps[-1][2] += np.size(z)
+            return cdf(z, a, b, log_beta=log_beta)
 
         monkeypatch.setattr(bounds, "_beta_losses", spy_losses)
         monkeypatch.setattr(nk, "reg_inc_beta", spy_cdf)
@@ -853,7 +966,7 @@ class TestBetaDistinctMasses:
         bounds.certify(P, WeightPosterior(uniform_theta(d), 1.0), BoundSpec(m=m, delta=0.05),
                        "stochastic_margin")
         assert max(step[0] for step in steps) == SearchConfig().n_gamma
-        assert all(lanes <= (d + 1) * n for n, lanes in steps)
+        assert all(lanes <= (d + 1) * n for _, n, lanes in steps)
 
 
 @st.composite
@@ -876,9 +989,6 @@ def stochastic_cases(draw):
     if weights == "zeros":
         theta[rng.permutation(d)[:d // 2]] = 0.0
     return P, WeightPosterior(theta, K_init), BoundSpec(m=m, delta=0.05), SearchConfig(n_gamma)
-
-
-SEARCH_LOG_K = bounds._search_log_K
 
 
 def search_without_floor(values_at, n, K_init, floor=None):
@@ -918,37 +1028,40 @@ class TestStochasticFloor:
 
     @settings(max_examples=25, deadline=None)
     @given(case=stochastic_cases())
-    # Here the floor would leave one margin, whose loss alone in a call
-    # rounds apart from the search's (see bounds._beta_losses).
+    # Here the floor keeps 4 of the 10 margins after the top's call, and the
+    # search's last calls hold 2.
     @example(case=(random_matrix(507, 30, 3, accuracy=0.7239834195936858),
                    WeightPosterior(np.array([0.018373442219029427, 0.14280972626364885,
                                              0.8388168315173218]), 0.01),
                    BoundSpec(m=30, delta=0.05), SearchConfig(10)))
     def test_incumbent_lanes_are_never_dropped(self, case):
         """Every lane that reaches the smallest value without the floor is
-        in every evaluation with it, and ends with the same point and value;
-        every other lane ends as it would or at +inf.  No call of a search
-        of many lanes holds one."""
+        evaluated at the same points in the same order with it, and ends
+        with the same point and value; every other lane ends as it would or
+        at +inf."""
         searches = []
 
-        def both(values_at, n, K_init, floor=None):
-            calls = []
-
+        def spied(values_at, points):
             def spy(lanes, x):
-                calls.append(lanes)
+                for lane, point in zip(lanes.tolist(), x.tolist()):
+                    points[lane].append(point)
                 return values_at(lanes, x)
 
-            got = SEARCH_LOG_K(spy, n, K_init, floor)
-            searches.append((calls, got, SEARCH_LOG_K(values_at, n, K_init)))
+            return spy
+
+        def both(values_at, n, K_init, floor=None):
+            with_floor, without = [[] for _ in range(n)], [[] for _ in range(n)]
+            got = SEARCH_LOG_K(spied(values_at, with_floor), n, K_init, floor)
+            want = SEARCH_LOG_K(spied(values_at, without), n, K_init)
+            searches.append((with_floor, without, got, want))
             return got
 
         P, wp, spec, cfg = case
         with patch.object(bounds, "_search_log_K", both):
             bounds.certify(P, wp, spec, "stochastic_margin", cfg)
-        [(calls, (got_x, got_v), (want_x, want_v))] = searches
+        [(with_floor, without, (got_x, got_v), (want_x, want_v))] = searches
         best = np.flatnonzero(want_v == want_v.min())
-        assert all(np.isin(best, lanes).all() for lanes in calls)
-        assert min(lanes.size for lanes in calls) >= min(cfg.n_gamma, 2)
+        assert all(with_floor[i] == without[i] for i in best)
         kept = np.isfinite(got_v)
         assert (got_x[kept] == want_x[kept]).all() and (got_v[kept] == want_v[kept]).all()
         assert (want_v[~kept] > want_v.min()).all()
@@ -1085,8 +1198,8 @@ BETA_DRAWN_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 @pytest.fixture(scope="module")
 def drawn_beta_certify():
     """The recorded n_gamma=200 certificates of the drawn-weight case, and
-    stochastic_margin and f2 certified there now, each with the lane counts
-    of its ``_beta_losses`` calls."""
+    stochastic_margin and f2 certified there now, each with the number of
+    distinct margins in each of its ``_beta_losses`` calls."""
     with open(BETA_DRAWN_REFERENCE) as fh:
         recorded = json.load(fh)
     P = random_matrix(seed=0, m=766, d=27, accuracy=0.6)
@@ -1096,21 +1209,22 @@ def drawn_beta_certify():
     for bound_id in ("stochastic_margin", "f2"):
         sizes = lanes[bound_id] = []
 
-        def spy(K, *args):
-            sizes.append(K.size)
-            return beta_losses(K, *args)
+        def spy(K, gammas, *args):
+            sizes.append(np.unique(gammas).size)
+            return beta_losses(K, gammas, *args)
 
         with patch.object(bounds, "_beta_losses", spy):
             got[bound_id] = bounds.certify(P, wp, BoundSpec(m=766, delta=0.05), bound_id,
                                            SearchConfig(n_gamma=200))
-    return [w for w in recorded["results"] if w["n_gamma"] == 200], got, lanes
+    return ([w for w in recorded["results"] if (w["weights"], w["n_gamma"]) == ("drawn", 200)],
+            got, lanes)
 
 
 class TestBetaDrawnReference:
     """stochastic_margin and f2 with Dirichlet(5)-drawn weights, every row
     mass distinct, on the 766 x 27 matrix at n_gamma=200.  The file also
-    holds the n_gamma=1000 certificates that CI compares the CLI's
-    results.csv against."""
+    holds the n_gamma=1000 certificates, with these weights and with uniform
+    weights, that CI compares the CLI's results.csv against."""
 
     def test_matches_recorded_outputs(self, drawn_beta_certify):
         """The certificates recorded before the K search dropped margin
@@ -1123,9 +1237,10 @@ class TestBetaDrawnReference:
         assert sorted(w["bound"] for w in wants) == ["f2", "stochastic_margin"]
 
     def test_search_drops_margin_lanes(self, drawn_beta_certify):
-        """The stochastic_margin search evaluates at least 35% fewer margin
-        lanes than n_gamma per call (4,800 before it dropped any); its last
-        call is the winner's one-lane evaluation."""
+        """The stochastic_margin search's calls hold at least 35% fewer
+        distinct margins than n_gamma on average (every call held all 200
+        before the search dropped any); its last call is the winner's
+        one-lane evaluation."""
         *search, final = drawn_beta_certify[2]["stochastic_margin"]
         assert (search[0], final) == (200, 1)
         assert sum(search) <= 0.65 * 200 * len(search)
