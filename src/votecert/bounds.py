@@ -473,7 +473,8 @@ class SearchConfig:
     n_gamma: int = 1000
 
     def __post_init__(self):
-        if not isinstance(self.n_gamma, (int, np.integer)) or self.n_gamma < 1:
+        if (not isinstance(self.n_gamma, (int, np.integer)) or isinstance(self.n_gamma, bool)
+                or self.n_gamma < 1):
             raise ValueError("n_gamma must be an integer >= 1")
 
     def gamma_grid(self) -> np.ndarray:

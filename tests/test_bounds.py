@@ -452,7 +452,7 @@ class TestCertify:
             bounds.margin_bound("bg", 0.1, uniform_theta(5), np.array([0.2, 0.0]), SPEC)
 
     def test_n_gamma_must_be_a_positive_integer(self):
-        for n_gamma in (2.5, 3.0, "3", 0, -1):
+        for n_gamma in (2.5, 3.0, "3", 0, -1, True):
             with pytest.raises(ValueError, match="integer >= 1"):
                 SearchConfig(n_gamma=n_gamma)
         assert SearchConfig(n_gamma=np.int64(3)).gamma_grid().size == 3
