@@ -35,18 +35,22 @@ bgplusplus minimises over T with one integer search run in lockstep across
 margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
 margin 0) optimise K by one search on ln K over every lane in lockstep
 (``_search_log_K``) whose value function is the formula itself, so the
-searched and the reported certificate come from the same code.  The search
-evaluates the top of the ln K range first, then a ladder of rungs
-K_init 2^j that every lane shares in one call, then refines each lane's
-best rung by Brent's method.  For stochastic_margin it also takes a proven
-lower bound on each margin's value below a bracket top
-(``_stochastic_floor``), and drops the margins whose bound exceeds the
-smallest value found; they come back as +inf, and the winning margin, its K
-and the certificate are those of the search without the bound.  On a rung
-every margin lane shares K, so the Beta-CDF loss computes ln B(K a_c, K a_w)
-once per rung and row mass (``_beta_losses``).  The grid's range and the K
-search's span, tolerance and step limit are module constants;
-``SearchConfig`` sets only the grid's size.
+searched and the reported certificate come from the same code.  It compares
+the unclipped values: the clip at 1 is nondecreasing, so a point that
+minimises the formula minimises the certificate, and the formula still
+ranks the points that the clip ties at 1, where a dip narrower than the
+ladder's steps would otherwise go unseen.  The search evaluates the top of
+the ln K range first, then a ladder of rungs K_init 2^j that every lane
+shares in one call, then refines each lane's best rung by Brent's method.
+For stochastic_margin it also takes a proven lower bound on each margin's
+value below a bracket top (``_stochastic_floor``), and drops the margins
+whose bound exceeds the smallest value found; they come back as +inf, and
+the winning margin, its K and the certificate are those of the search
+without the bound.  On a rung every margin lane shares K, so the Beta-CDF
+loss computes ln B(K a_c, K a_w) once per rung and row mass
+(``_beta_losses``).  The grid's range and the K search's span, tolerance
+and step limit are module constants; ``SearchConfig`` sets only the grid's
+size.
 
 Bound identifiers:
 
@@ -526,8 +530,7 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
     tol, and a lane stops once its best point lies within 2 tol of both
     bracket ends, so that its bracket is no wider than ``_K_REL_TOL``, or
     after ``_K_MAX_ITER`` steps.  Each step is one call over the lanes still
-    running.  A lane whose rungs all tie, as a lane clipped to 1 on the whole
-    ladder does, has no best bracket and is not refined.
+    running.
 
     ``floor(lanes, hi)``, if given, bounds each lane's value from below over
     every ln K <= hi.  After the top's call and before every step, the
@@ -571,8 +574,6 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
     lo_j, hi_j = np.maximum(j - 1, 0), np.minimum(j + 1, last)
     a, b, fa, fb = rungs[lo_j], rungs[hi_j], f[row, lo_j], f[row, hi_j]
     x, fx = best_x, best_val
-    flat = fx == f.max(axis=1)  # every rung ties: the bracket shrinks to x
-    a, b = np.where(flat, x, a), np.where(flat, x, b)
     inner = (j > 0) & (j < last)
     low_w = (j == last) | (inner & (fa <= fb))
     w, fw = np.where(low_w, a, b), np.where(low_w, fa, fb)
@@ -644,8 +645,7 @@ def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     def at(lanes, K):
         return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda lanes, x: np.minimum(1.0, at(lanes, np.exp(x))[0]), gammas.size,
-                         post.K)
+    x, _ = _search_log_K(lambda lanes, x: at(lanes, np.exp(x))[0], gammas.size, post.K)
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(slice(None), K), K, gammas)
 
@@ -698,7 +698,7 @@ def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundR
     def floor(lanes, hi):
         return _stochastic_floor(hi, margins[lanes], spec)
 
-    x, values = _search_log_K(lambda lanes, x: np.minimum(1.0, at(np.exp(x), margins[lanes])[0]),
+    x, values = _search_log_K(lambda lanes, x: at(np.exp(x), margins[lanes])[0],
                               margins.size, post.K, floor if stochastic else None)
     i = _best_lane(values, margins)
     K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
