@@ -1146,11 +1146,11 @@ REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_re
 
 
 class TestCertifyReference:
-    """certify for every bound id against outputs recorded from the earlier
-    search (a scalar golden-section over K per margin for stochastic_margin
-    and f2, a Python loop for the grid losses, and a bisection kl inverse):
-    binary and 3-class matrices, uniform and Dirichlet-drawn weights,
-    n_gamma in {1, 10, 50}.  The value and its components match to 1e-12;
+    """certify for every bound id against outputs recorded from earlier code
+    (a Python loop for the grid losses and a bisection kl inverse; the
+    K-searched dirichlet_margin, stochastic_margin and f2 re-recorded from
+    the ladder and Brent K search): binary and 3-class matrices, uniform and
+    Dirichlet-drawn weights, n_gamma in {1, 10, 50}.  The value and its components match to 1e-12;
     the knobs (gamma_star, K_star, T_star) and the flags match exactly,
     except in the tied cases named in TIES."""
 
@@ -1226,8 +1226,7 @@ class TestBetaDrawnReference:
     weights, that CI compares the CLI's results.csv against."""
 
     def test_matches_recorded_outputs(self, drawn_beta_certify):
-        """The certificates recorded before the K search dropped margin
-        lanes, by TestCertifyReference's rule."""
+        """The recorded certificates, by TestCertifyReference's rule."""
         wants, got, _ = drawn_beta_certify
         mismatches = []
         for want in wants:

@@ -472,7 +472,8 @@ class TestCompareCommand:
 
     def test_reproduces_recorded_csvs(self, tmp_path):
         """``compare --points 99 --seed 0`` against the four CSVs recorded
-        from the per-bound formula functions, byte for byte."""
+        from the per-bound formula functions and re-recorded when the K
+        search changed, byte for byte."""
         out = tmp_path / "out"
         assert cli.main(["compare", "--points", "99", "--seed", "0", "--out", str(out)]) == 0
         for name in COMPARE_FILES:

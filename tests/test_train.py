@@ -360,7 +360,8 @@ class TestTrainReference:
     recorded from the earlier code (separate f2 objective, per-kind
     dispatch, a bisection kl inverse): binary and 3-class matrices, two
     margin candidates, a learning rate high enough to trip the plateau
-    schedule.  The structure of every run matches exactly (epochs, learning
+    schedule; the selection certificates were re-recorded when the K search
+    changed.  The structure of every run matches exactly (epochs, learning
     rates, gammas, failed flags, history lengths) and every other float to
     1e-9 relative, which covers the last-bit rounding of the kl inverse
     carried through twelve epochs of Adam."""
