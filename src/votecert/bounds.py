@@ -502,8 +502,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # and 0.35.  The ladder's call is wide even on small grids, so the size
 # also sets the peak memory: the traced peak of the stochastic_margin
 # certifies of a bench certify pass is 3.86 MiB at 2**13, 6.56 MiB at
-# 2**14 and 11.3 MiB at 2**16, against 3.44 MiB for the golden-section
-# search at 2**16.
+# 2**14 and 11.3 MiB at 2**16.
 _BETA_LANES = 1 << 13
 
 # The largest K_init the K search takes: its range must end at a finite
