@@ -593,8 +593,9 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
         out_val[lanes[done]] = best_val[done]
         done_min = min(done_min, best_val[done].min(initial=np.inf))
         if not run.all():
+            state = (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm)
             lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm = (
-                arr[run] for arr in (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm))
+                arr[run] for arr in state)
         if not lanes.size:
             break
         # The parabola through (x, w, v): its step p / q from x.
@@ -607,7 +608,8 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
         parabolic = np.abs(e) > tol1
         e_before = e
         e = np.where(parabolic, rat, e)
-        parabolic &= (np.abs(p) < np.abs(0.5 * q * e_before)) & (p > q * (a - x)) & (p < q * (b - x))
+        parabolic &= np.abs(p) < np.abs(0.5 * q * e_before)
+        parabolic &= (p > q * (a - x)) & (p < q * (b - x))
         rat = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
         near_end = ((x + rat - a) < tol2) | ((b - (x + rat)) < tol2)
         rat = np.where(parabolic & near_end, tol1 * (np.sign(xm - x) + (xm == x)), rat)
@@ -625,9 +627,10 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
         b = np.where(moves, np.where(right, b, x), np.where(right, u, b))
         to_w = ~moves & ((fu <= fw) | (w == x))
         to_v = ~moves & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-        v, fv = np.where(moves | to_w, w, np.where(to_v, u, v)), np.where(
-            moves | to_w, fw, np.where(to_v, fu, fv))
-        w, fw = np.where(moves, x, np.where(to_w, u, w)), np.where(moves, fx, np.where(to_w, fu, fw))
+        v, fv = (np.where(moves | to_w, w, np.where(to_v, u, v)),
+                 np.where(moves | to_w, fw, np.where(to_v, fu, fv)))
+        w, fw = (np.where(moves, x, np.where(to_w, u, w)),
+                 np.where(moves, fx, np.where(to_w, fu, fw)))
         x, fx = np.where(moves, u, x), np.where(moves, fu, fx)
     return out_x, out_val
 
@@ -805,8 +808,9 @@ def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
     whose fields hold one entry per lane (plain numbers for scalar lanes).
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
-    dirichlet_margin searches its K over [K, K * 2**16] on every lane.  Raises ValueError for a margin <= 0, for one where the bound does
-    not hold (``margin_applies``), and for a K outside (0, 1e300]."""
+    dirichlet_margin searches its K over [K, K * 2**16] on every lane.
+    Raises ValueError for a margin <= 0, for one where the bound does not
+    hold (``margin_applies``), and for a K outside (0, 1e300]."""
     bound = _lookup(bound_id, margin_grid=True)
     post = _Posterior(theta, K)
     losses, gammas = _lanes(losses, gammas)
@@ -834,9 +838,9 @@ def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound
     gz bound holds simultaneously over margins and keeps the full delta, as
     do the margin-free baselines.  K is optimised per grid point on ln K
     over [K_init, K_init * 2**16], for K_init in (0, 1e300], by a shared
-    ladder of K_init 2^j and Brent's method in each point's best bracket.  Deterministic given (inputs, search_cfg); ties in the grid
-    keep the smallest gamma.  Every result of value 1 carries the
-    ``vacuous`` flag.
+    ladder of K_init 2^j and Brent's method in each point's best bracket.
+    Deterministic given (inputs, search_cfg); ties in the grid keep the
+    smallest gamma.  Every result of value 1 carries the ``vacuous`` flag.
     """
     cfg = search_cfg or SearchConfig()
     post = _Posterior(wp.theta, wp.K, P, cfg.gamma_grid())
