@@ -529,7 +529,9 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
     tol, and a lane stops once its best point lies within 2 tol of both
     bracket ends, so that its bracket is no wider than ``_K_REL_TOL``, or
     after ``_K_MAX_ITER`` steps.  Each step is one call over the lanes still
-    running.
+    running.  A lane whose best rung ties the next rung up is flat there
+    (its value saturated, or its penalty lost below the last bit), and is
+    not refined.
 
     ``floor(lanes, hi)``, if given, bounds each lane's value from below over
     every ln K <= hi.  After the top's call and before every step, the
@@ -573,6 +575,8 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
     lo_j, hi_j = np.maximum(j - 1, 0), np.minimum(j + 1, last)
     a, b, fa, fb = rungs[lo_j], rungs[hi_j], f[row, lo_j], f[row, hi_j]
     x, fx = best_x, best_val
+    flat = (j < last) & (fb == fx)
+    a, b = np.where(flat, x, a), np.where(flat, x, b)
     inner = (j > 0) & (j < last)
     low_w = (j == last) | (inner & (fa <= fb))
     w, fw = np.where(low_w, a, b), np.where(low_w, fa, fb)

@@ -572,9 +572,9 @@ def scalar_search(f, K_init, k_span, k_rel_tol, k_max_iter):
     """Reference K search for one lane, in Python floats: the top of the
     ln K range, the rungs ln(K_init 2^j) below it, then Brent's method in
     the best rung's bracket, with scipy's ``fminbound`` steps and its
-    tolerance fixed at k_rel_tol / 4.  Returns the best (x, f(x)) over
-    every evaluation, folded rung by rung (the top last), then step by
-    step, keeping the first on ties."""
+    tolerance fixed at k_rel_tol / 4, unless the best rung ties the next
+    one up.  Returns the best (x, f(x)) over every evaluation, folded rung
+    by rung (the top last), then step by step, keeping the first on ties."""
     hi = math.log(K_init * k_span)
     rungs = []
     while 2.0**len(rungs) < k_span:
@@ -587,6 +587,8 @@ def scalar_search(f, K_init, k_span, k_rel_tol, k_max_iter):
     best = [rungs[j], vals[j]]
     (a, fa), (b, fb) = [(rungs[i], vals[i]) for i in (max(j - 1, 0), min(j + 1, last))]
     x, fx = best
+    if j < last and fb == fx:
+        a = b = x
     if 0 < j < last:
         (w, fw), (v, fv) = ((a, fa), (b, fb)) if fa <= fb else ((b, fb), (a, fa))
     else:
