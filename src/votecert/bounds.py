@@ -813,13 +813,14 @@ def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
     dirichlet_margin searches its K over [K, K * 2**16] on every lane.
-    Raises ValueError for a margin <= 0, for one where the bound does not
+    Raises ValueError for a margin outside (0, 1/2) or a margin loss outside
+    [0, 1] (NaN included) on any lane, for a margin where the bound does not
     hold (``margin_applies``), and for a K outside (0, 1e300]."""
     bound = _lookup(bound_id, margin_grid=True)
     post = _Posterior(theta, K)
     losses, gammas = _lanes(losses, gammas)
-    if np.any(gammas <= 0.0):
-        raise ValueError("gamma must be positive")
+    if not ((gammas > 0.0) & (gammas < 0.5) & (losses >= 0.0) & (losses <= 1.0)).all():
+        raise ValueError("gamma must lie in (0, 1/2) and the margin loss in [0, 1]")
     if not bound.applies(gammas, post.theta.size).all():
         raise ValueError(f"{bound_id} does not hold at every margin given")
     lanes = bound.formula(losses.ravel(), gammas.ravel(), post, spec)

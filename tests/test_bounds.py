@@ -447,9 +447,20 @@ class TestCertify:
             with pytest.raises(ValueError):
                 bounds.margin_bound(bid, 0.1, uniform_theta(5), 0.2, SPEC)
 
-    def test_margin_bound_rejects_nonpositive_margin(self):
-        with pytest.raises(ValueError):
-            bounds.margin_bound("bg", 0.1, uniform_theta(5), np.array([0.2, 0.0]), SPEC)
+    def test_margin_bound_rejects_lanes_outside_its_domain(self):
+        """For every margin-grid bound, a margin outside (0, 1/2) or a
+        margin loss outside [0, 1], NaN included, on any lane, is a
+        ValueError; the valid lanes alone certify."""
+        theta = uniform_theta(100)
+        for bound_id in ("dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"):
+            bounds.margin_bound(bound_id, np.array([0.1, 0.0, 1.0]), theta, 0.3, SPEC)
+            for gamma in (0.0, -0.1, 0.5, 0.7, math.inf, math.nan):
+                with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1/2\)"):
+                    bounds.margin_bound(bound_id, 0.1, theta, np.array([0.3, gamma]), SPEC)
+            for loss in (-0.1, 1.1, math.inf, math.nan):
+                with pytest.raises(ValueError, match=r"margin loss in \[0, 1\]"):
+                    bounds.margin_bound(bound_id, np.array([0.1, loss]), theta, 0.3, SPEC)
+
 
     def test_n_gamma_must_be_a_positive_integer(self):
         for n_gamma in (2.5, 3.0, "3", 0, -1, True):
