@@ -31,26 +31,27 @@ result can be reconstructed and audited.
 searches, and the grid's margin losses and distinct row masses computed the
 first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
 
-bgplusplus minimises over T with one integer search run in lockstep across
-margins (``_minimize_over_int``).  The Dirichlet bounds (f2 at the single
-margin 0) optimise K by one search on ln K over every lane in lockstep
-(``_search_log_K``) whose value function is the formula itself, so the
-searched and the reported certificate come from the same code.  It compares
-the unclipped values: the clip at 1 is nondecreasing, so a point that
-minimises the formula minimises the certificate, and the formula still
-ranks the points that the clip ties at 1, where a dip narrower than the
-ladder's steps would otherwise go unseen.  The search evaluates the top of
-the ln K range first, then a ladder of rungs K_init 2^j that every lane
-shares in one call, then refines each lane's best rung by Brent's method.
-For stochastic_margin it also takes a proven lower bound on each margin's
-value below a bracket top (``_stochastic_floor``), and drops the margins
-whose bound exceeds the smallest value found; they come back as +inf, and
-the winning margin, its K and the certificate are those of the search
-without the bound.  On a rung every margin lane shares K, so the Beta-CDF
-loss computes ln B(K a_c, K a_w) once per rung and row mass
-(``_beta_losses``).  The grid's range and the K search's span, tolerance
-and step limit are module constants; ``SearchConfig`` sets only the grid's
-size.
+One search serves every searched knob: the Dirichlet bounds (f2 at the
+single margin 0) optimise K over [K_init, K_init * _K_SPAN], bgplusplus its
+replication count T over {1..4 T_bgplus}, each on the log of the knob over
+every lane in lockstep (``_search_log``).  Its value function is the formula
+itself, so the searched and the reported certificate come from the same
+code.  It compares the unclipped values: the clip at 1 is nondecreasing, so
+a point that minimises the formula minimises the certificate, and the
+formula still ranks the points that the clip ties at 1, where a dip
+narrower than the ladder's steps would otherwise go unseen.  The search
+evaluates a ladder of rungs halving down from each lane's top (K_init 2^j
+for K) in one call, then refines each lane's best rung by Brent's method;
+the T search then scans the whole counts around its best point
+(``_search_counts``).  For stochastic_margin it also takes a proven lower
+bound on each margin's value below a bracket top (``_stochastic_floor``),
+evaluates the top of the range first, and drops the margins whose bound
+exceeds the smallest value found; they come back as +inf, and the winning
+margin, its K and the certificate are those of the search without the
+bound.  On a rung every margin lane shares K, so the Beta-CDF loss computes
+ln B(K a_c, K a_w) once per rung and row mass (``_beta_losses``).  The
+grid's range and the searches' K span, tolerance, step limit and T scan are
+module constants; ``SearchConfig`` sets only the grid's size.
 
 Bound identifiers:
 
@@ -365,85 +366,56 @@ def _bg(losses, gammas, post, spec) -> BoundResult:
     return _result(value, gammas, None, None, losses, comp, tail)
 
 
-# Lanes whose whole range {1..t_max} is this short are scanned exhaustively.
-_EXHAUSTIVE_T = 512
+# The T search's tolerance keeps its final bracket within this many whole
+# counts, which the whole-count finish then scans.
+_T_SCAN = 64
 
 
-def _minimize_over_int(f, t_max, forced):
-    """Deterministic near-exhaustive minimisation over {1..t_max[i]} for
-    every lane i in lockstep; ``f(lanes, T)`` maps int arrays of lane
-    indices and counts to values, one call per stage.  A range of at most
-    512 is scanned exhaustively; otherwise a geometric ladder (1, 2, 4, ...,
-    t_max) plus the forced count is evaluated, the bracket between the best
-    ladder point's neighbours is narrowed by integer trisection, and what is
-    left is scanned.  Exact for the unimodal profiles these bounds produce.
-    Returns per lane the best T and value over every evaluation: the
-    smallest value, then the smallest T.
-    """
-    best_t = np.zeros(t_max.size, dtype=np.int64)
-    best_val = np.full(t_max.size, np.inf)
-
-    def evaluate(rows, T, valid):
-        """Values over a (lanes, counts) block, inf where not valid; folds
-        each row into its lane's best and returns the values and the row's
-        best count."""
-        vals = np.full(T.shape, np.inf)
-        vals[valid] = f(np.broadcast_to(rows[:, None], T.shape)[valid], T[valid])
-        row_val = vals.min(axis=1)
-        row_t = np.where(vals == row_val[:, None], T, np.iinfo(np.int64).max).min(axis=1)
-        old_val, old_t = best_val[rows], best_t[rows]
-        better = (row_val < old_val) | ((row_val == old_val) & (row_t < old_t))
-        best_val[rows[better]], best_t[rows[better]] = row_val[better], row_t[better]
-        return vals, row_t
-
-    rows = np.flatnonzero(t_max <= _EXHAUSTIVE_T)
-    if rows.size:
-        T = np.broadcast_to(np.arange(1, _EXHAUSTIVE_T + 1), (rows.size, _EXHAUSTIVE_T))
-        evaluate(rows, T, T <= t_max[rows, None])
-
-    rows = np.flatnonzero(t_max > _EXHAUSTIVE_T)
-    if rows.size:
-        top, extra = t_max[rows, None], forced[rows, None]
-        powers = 1 << np.arange(int(top.max()).bit_length(), dtype=np.int64)
-        ladder = np.concatenate([np.broadcast_to(powers, (rows.size, powers.size)), top, extra], 1)
-        valid = np.concatenate(
-            [powers < top, np.full(top.shape, True), (extra >= 1) & (extra <= top)], 1
-        )
-        _, t = evaluate(rows, ladder, valid)
-        lo = np.where(valid & (ladder < t[:, None]), ladder, 1).max(axis=1)
-        hi = np.where(valid & (ladder > t[:, None]), ladder, top).min(axis=1)
-        while (live := np.flatnonzero(hi - lo > 3)).size:
-            third = (hi[live] - lo[live]) // 3
-            pair = np.stack([lo[live] + third, hi[live] - third], axis=1)
-            vals, _ = evaluate(rows[live], pair, np.ones(pair.shape, dtype=bool))
-            low = vals[:, 0] <= vals[:, 1]
-            hi[live] = np.where(low, pair[:, 1], hi[live])
-            lo[live] = np.where(low, lo[live], pair[:, 0])
-        scan = lo[:, None] + np.arange(4)
-        evaluate(rows, scan, scan <= hi[:, None])
-    return best_t, best_val
+def _search_counts(values_at, top):
+    """Per lane, the whole count T in {1..top} of the smallest value, and
+    that value (the smallest T on ties), for ``values_at(lanes, T)`` as in
+    ``_search_log`` on any real T in [1, top].  ``_search_log`` searches ln T
+    over [1, top] at the tolerance min(``_K_REL_TOL``, ``_T_SCAN`` / top),
+    so that the best point's bracket spans at most ``_T_SCAN`` counts; one
+    call then evaluates every count within that tolerance of the best point.
+    Exact for unimodal profiles, whose best count neighbours the real
+    minimum in the bracket, unless two rungs tie (see ``_search_log``)."""
+    top = np.asarray(top, dtype=float)
+    tol = np.minimum(_K_REL_TOL, _T_SCAN / top)
+    x, _ = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), np.ones(top.size), top,
+                       tol=tol)
+    first = np.maximum(1.0, np.floor(np.exp(x - tol)))
+    last = np.minimum(top, np.ceil(np.exp(x + tol)))
+    T = first[:, None] + np.arange(int((last - first).max()) + 1)
+    valid = T <= last[:, None]
+    values = np.full(T.shape, np.inf)
+    values[valid] = values_at(np.nonzero(valid)[0], T[valid])
+    row, j = np.arange(top.size), values.argmin(axis=1)
+    return T[row, j].astype(np.int64), values[row, j]
 
 
 def _bgplusplus(losses, gammas, post, spec) -> BoundResult:
-    """Replication bound minimised over the count T in {1..4 T_bgplus}, so
-    bgplus's choice is always in range; every lane's T search in lockstep.
-    The complexity charges T * (ln d - H(theta)), which vanishes for
-    uniform weights."""
+    """Replication bound minimised over the count T in {1..4 T_bgplus}, every
+    lane's T search in lockstep (``_search_counts``); the search compares
+    the unclipped formula, as the K searches do, and bgplus's own count
+    T_bgplus = top / 4 is one of its ladder's rungs.  The complexity charges
+    T * (ln d - H(theta)), which vanishes for uniform weights."""
     m = spec.m
-    t_plus = _bgplus_T(gammas, m)
     kl_unif = nk.categorical_kl_uniform(post.floored)
     log_term = math.log(m / spec.delta)
 
-    def candidate(lanes, T):
+    def terms(lanes, T):
         g = gammas[lanes]
         eps = np.exp(-0.5 * T * g * g)
-        u = np.minimum(1.0, losses[lanes] + eps)
-        comp = (T * kl_unif + log_term) / m
-        return np.minimum(1.0, nk.kl_inv(u, comp) + eps), u, comp, eps
+        return np.minimum(1.0, losses[lanes] + eps), (T * kl_unif + log_term) / m, eps
 
-    T_star, _ = _minimize_over_int(lambda lanes, T: candidate(lanes, T)[0], 4 * t_plus, t_plus)
-    value, u, comp, eps = candidate(np.arange(gammas.size), T_star)
-    return _result(value, gammas, None, T_star, u, comp, eps)
+    def value(lanes, T):
+        u, comp, eps = terms(lanes, T)
+        return nk.kl_inv(u, comp) + eps
+
+    T_star, best = _search_counts(value, 4 * _bgplus_T(gammas, m))
+    return _result(np.minimum(1.0, best), gammas, None, T_star,
+                   *terms(np.arange(gammas.size), T_star))
 
 
 def _gibbs(u, kl_cat, n: int, factor: float, spec: BoundSpec, grad: bool = False):
@@ -461,8 +433,9 @@ _BIN_VOTERS = 100
 
 
 # The margin grid spans [_GAMMA_MIN, _GAMMA_MAX).  Each K search spans
-# [K_init, K_init * _K_SPAN] in ln K and stops once its bracket is no wider
-# than _K_REL_TOL, or after _K_MAX_ITER steps.
+# [K_init, K_init * _K_SPAN] in ln K; every search stops once its bracket is
+# no wider than _K_REL_TOL (the T search: narrower where _T_SCAN asks), or
+# after _K_MAX_ITER steps.
 _GAMMA_MIN = 1e-4
 _GAMMA_MAX = 0.5
 _K_SPAN = 2.0**16
@@ -487,7 +460,7 @@ class SearchConfig:
                            endpoint=False)
 
 
-# -- the K search -------------------------------------------------------------
+# -- the lockstep search ------------------------------------------------------
 
 # The refinement's golden-section fraction, (3 - sqrt(5)) / 2.
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -512,68 +485,86 @@ _BETA_LANES = 1 << 13
 _K_MAX = 1e300
 
 
-def _search_log_K(values_at, n: int, K_init: float, floor=None):
-    """Minimum over ln K in [ln K_init, ln(K_init * _K_SPAN)] for n
-    independent lanes, all run in lockstep.
-
-    ``values_at(lanes, x)`` maps an int array of lane indices and an array
-    of ln K points of the same size to those values; a call may hold a lane
-    more than once.  The search evaluates the top of the range on every lane,
-    then, in one call, every rung ln(K_init 2^j) below it on every lane, rung
-    by rung.  Each lane's lowest rung (the smallest K on ties) and its two
-    neighbours, the range's ends at its ends, bracket its refinement by
-    Brent's method: a parabolic step through the three best points when it
-    lands inside the bracket and is shorter than half the step before last,
-    a golden-section step otherwise, with scipy's ``fminbound`` rules and its
-    tolerance fixed at tol = ``_K_REL_TOL`` / 4.  No step is shorter than
-    tol, and a lane stops once its best point lies within 2 tol of both
-    bracket ends, so that its bracket is no wider than ``_K_REL_TOL``, or
-    after ``_K_MAX_ITER`` steps.  Each step is one call over the lanes still
-    running.  A lane whose best rung ties the next rung up is flat there
-    (its value saturated, or its penalty lost below the last bit), and is
-    not refined.
-
-    ``floor(lanes, hi)``, if given, bounds each lane's value from below over
-    every ln K <= hi.  After the top's call and before every step, the
-    search drops each running lane whose floor at its bracket top exceeds
-    the smallest value found on any lane.  A lane's best point lies in its
-    bracket, so a dropped lane can neither reach nor tie that value; the
-    lanes that can are evaluated as without a floor, so the smallest value,
-    and the lanes and points that reach it, are unchanged.
-
-    Returns the best ln K and value per lane over every evaluation, folded
-    rung by rung (the top last), then step by step; ties keep the first, and
-    a dropped lane's value is +inf.  Raises ValueError for a K_init outside
-    (0, ``_K_MAX``].
-    """
+def _K_range(K_init: float, n: int):
+    """The K range [K_init, K_init * _K_SPAN] on n lanes, K_init in (0, _K_MAX]."""
     if not 0.0 < K_init <= _K_MAX:
         raise ValueError("K must lie in (0, 1e300]")
-    hi = math.log(K_init * _K_SPAN)
-    powers = (2.0**j for j in range(math.ceil(math.log2(_K_SPAN)) + 1))
-    rungs = np.array([math.log(K_init * p) for p in powers if p < _K_SPAN] + [hi])
-    out_x, out_val = np.full(n, hi), np.full(n, np.inf)
-    lanes = np.arange(n)
-    top = values_at(lanes, np.full(n, hi))
-    if floor is not None:
-        keep = floor(lanes, hi) <= top.min()
-        lanes, top = lanes[keep], top[keep]
+    return np.full(n, K_init), np.full(n, K_init * _K_SPAN)
 
-    # The ladder: rung-major, so that the lanes of one rung, which share K,
-    # sit together in the call.
-    f = np.empty((lanes.size, rungs.size))
-    f[:, -1] = top
-    if rungs.size > 1:
-        f[:, :-1] = values_at(np.tile(lanes, rungs.size - 1),
-                              np.repeat(rungs[:-1], lanes.size)).reshape(-1, lanes.size).T
-    row, last = np.arange(lanes.size), rungs.size - 1
+
+def _search_log(values_at, lo, hi, floor=None, tol=None):
+    """Minimum over ln t in [ln lo_i, ln hi_i] for each lane i of the arrays
+    lo and hi (0 < lo_i <= hi_i), every lane run in lockstep.
+
+    ``values_at(lanes, x)`` maps an int array of lane indices and an array
+    of ln t points of the same size to those values; a call may hold a lane
+    more than once.  A lane's ladder is its top ln hi_i, the rungs
+    ln(hi_i / 2^j) above its bottom, and its bottom ln lo_i, each by
+    ``math.log`` (at hi_i / lo_i = 2^k, the rungs ln(lo_i 2^j)); one call
+    evaluates every lane's top, then the other rungs from the bottom up,
+    rung by rung.  Each lane's lowest rung (the smallest t on ties) and its
+    two neighbours, the range's ends at its ends, bracket its refinement by
+    Brent's method: a parabolic step through the three best points when it
+    lands inside the bracket and is shorter than half the step before last,
+    a golden-section step otherwise, with scipy's ``fminbound`` rules and
+    its tolerance fixed at tol_i / 4, from the array ``tol`` (``_K_REL_TOL``
+    on every lane if None).  No step is shorter than tol_i / 4, and a lane
+    stops once its best point lies within tol_i / 2 of both bracket ends,
+    so that its bracket is no wider than tol_i, or after ``_K_MAX_ITER``
+    steps.  Each step is one call over the lanes still running.  A lane
+    whose best rung ties the next rung up is flat there (its value
+    saturated, or its penalty lost below the last bit): not refined.
+
+    ``floor(lanes, x)``, if given, bounds each lane's value from below over
+    every ln t <= x; the tops then get a call of their own.  After it and
+    before every step, the search drops each running lane whose floor at its
+    bracket top exceeds the smallest value found on any lane.  A lane's best
+    point lies in its bracket, so a dropped lane can neither reach nor tie
+    that value; the lanes that can are evaluated as without a floor, at the
+    same points in the same order, so the smallest value, and the lanes and
+    points that reach it, are unchanged.
+
+    Returns the best ln t and value per lane over every evaluation, folded
+    rung by rung from the bottom (the top last), then step by step; ties
+    keep the first, and a dropped lane's value is +inf.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    tol = np.broadcast_to(_K_REL_TOL if tol is None else tol, lo.shape).astype(float)
+    # Column k of a lane's ladder: its bottom at k = 0, then hi / 2^(last - k)
+    # up to its top at k = last.
+    halvings = 2.0 ** -np.arange(int(math.log2(np.max(hi / lo))) + 2)
+    last = (hi[:, None] * halvings > lo[:, None]).sum(axis=1)
+    col = np.arange(last.max() + 1)
+    valid = col <= last[:, None]
+    points = hi[:, None] * halvings[np.maximum(last[:, None] - col, 0)]
+    points[:, 0] = lo
+    distinct, at = np.unique(points[valid], return_inverse=True)
+    rungs = np.zeros(points.shape)
+    rungs[valid] = np.fromiter(map(math.log, distinct.tolist()), float, distinct.size)[at]
+    lanes = np.arange(lo.size)
+    out_x, out_val, f = rungs[lanes, last], np.full(lo.size, np.inf), np.full(rungs.shape, np.inf)
+    if floor is not None:
+        f[lanes, last] = values_at(lanes, out_x)
+        keep = floor(lanes, out_x) <= f[lanes, last].min()
+        lanes, tol, last, rungs, f = lanes[keep], tol[keep], last[keep], rungs[keep], f[keep]
+
+    # The ladder: the tops not yet evaluated first, then rung-major, so
+    # that the lanes of one rung, which share t when their ranges do, sit
+    # together in the call.
+    below_c, below_r = np.nonzero(col[:, None] < last)
+    tops = np.arange(0 if floor is not None else lanes.size)
+    r, c = np.concatenate([tops, below_r]), np.concatenate([last[tops], below_c])
+    if r.size:
+        f[r, c] = values_at(lanes[r], rungs[r, c])
+    row = np.arange(lanes.size)
     j = f.argmin(axis=1)
-    best_x, best_val = rungs[j], f[row, j]
+    best_x, best_val = rungs[row, j], f[row, j]
     # Brent's state: the bracket [a, b], the best point x and the two next
     # best w and v (at a range end, or with a single rung, both the one
     # neighbour), and the last two step lengths rat and e, which start at the
     # bracket's width, so that the first two steps may be parabolic.
     lo_j, hi_j = np.maximum(j - 1, 0), np.minimum(j + 1, last)
-    a, b, fa, fb = rungs[lo_j], rungs[hi_j], f[row, lo_j], f[row, hi_j]
+    a, b, fa, fb = rungs[row, lo_j], rungs[row, hi_j], f[row, lo_j], f[row, hi_j]
     x, fx = best_x, best_val
     flat = (j < last) & (fb == fx)
     a, b = np.where(flat, x, a), np.where(flat, x, b)
@@ -582,7 +573,7 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
     w, fw = np.where(low_w, a, b), np.where(low_w, fa, fb)
     v, fv = np.where(inner, np.where(low_w, b, a), w), np.where(inner, np.where(low_w, fb, fa), fw)
     e = rat = b - a
-    tol1 = _K_REL_TOL / 4.0
+    tol1 = tol / 4.0
     tol2 = 2.0 * tol1
     done_min = np.inf
 
@@ -592,20 +583,21 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
         done = ~run
         if floor is not None:
             run &= floor(lanes, b) <= min(done_min, best_val.min(initial=np.inf))
-        # Finished and dropped lanes leave; a dropped lane's value stays +inf.
-        out_x[lanes[~run]] = best_x[~run]
-        out_val[lanes[done]] = best_val[done]
-        done_min = min(done_min, best_val[done].min(initial=np.inf))
         if not run.all():
-            state = (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm)
-            lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm = (
+            # Finished and dropped lanes leave; a dropped lane's value stays +inf.
+            out_x[lanes[~run]] = best_x[~run]
+            out_val[lanes[done]] = best_val[done]
+            done_min = min(done_min, best_val[done].min(initial=np.inf))
+            state = (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm, tol1, tol2)
+            lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm, tol1, tol2 = (
                 arr[run] for arr in state)
         if not lanes.size:
             break
         # The parabola through (x, w, v): its step p / q from x.
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
+        xw, xv, ax, bx = x - w, x - v, a - x, b - x
+        r = xw * (fx - fv)
+        q = xv * (fx - fw)
+        p = xv * q - xw * r
         q = 2.0 * (q - r)
         p = np.where(q > 0.0, -p, p)
         q = np.abs(q)
@@ -613,26 +605,29 @@ def _search_log_K(values_at, n: int, K_init: float, floor=None):
         e_before = e
         e = np.where(parabolic, rat, e)
         parabolic &= np.abs(p) < np.abs(0.5 * q * e_before)
-        parabolic &= (p > q * (a - x)) & (p < q * (b - x))
+        parabolic &= (p > q * ax) & (p < q * bx)
         rat = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
-        near_end = ((x + rat - a) < tol2) | ((b - (x + rat)) < tol2)
+        u = x + rat
+        near_end = ((u - a) < tol2) | ((b - u) < tol2)
         rat = np.where(parabolic & near_end, tol1 * (np.sign(xm - x) + (xm == x)), rat)
-        golden = np.where(x >= xm, a - x, b - x)
+        golden = np.where(x >= xm, ax, bx)
         e = np.where(parabolic, e, golden)
         rat = np.where(parabolic, rat, _GOLDEN * golden)
         u = x + (np.sign(rat) + (rat == 0.0)) * np.maximum(np.abs(rat), tol1)
         fu = values_at(lanes, u)
         better = fu < best_val
         best_x, best_val = np.where(better, u, best_x), np.where(better, fu, best_val)
-        # Brent's update of the bracket and of x, w and v.
+        # Brent's update of the bracket, whose end on u's side moves to u, or
+        # on the other side to x when u is the new best, and of x, w and v.
         moves = fu <= fx
-        right = u >= x
-        a = np.where(moves, np.where(right, x, a), np.where(right, a, u))
-        b = np.where(moves, np.where(right, b, x), np.where(right, u, b))
-        to_w = ~moves & ((fu <= fw) | (w == x))
-        to_v = ~moves & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-        v, fv = (np.where(moves | to_w, w, np.where(to_v, u, v)),
-                 np.where(moves | to_w, fw, np.where(to_v, fu, fv)))
+        end, left = np.where(moves, x, u), moves == (u >= x)
+        a, b = np.where(left, end, a), np.where(left, b, end)
+        stays = ~moves
+        to_w = stays & ((fu <= fw) | (w == x))
+        to_v = stays & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+        shift = moves | to_w
+        v, fv = (np.where(shift, w, np.where(to_v, u, v)),
+                 np.where(shift, fw, np.where(to_v, fu, fv)))
         w, fw = (np.where(moves, x, np.where(to_w, u, w)),
                  np.where(moves, fx, np.where(to_w, fu, fw)))
         x, fx = np.where(moves, u, x), np.where(moves, fu, fx)
@@ -651,7 +646,7 @@ def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     def at(lanes, K):
         return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
 
-    x, _ = _search_log_K(lambda lanes, x: at(lanes, np.exp(x))[0], gammas.size, post.K)
+    x, _ = _search_log(lambda lanes, x: at(lanes, np.exp(x))[0], *_K_range(post.K, gammas.size))
     K = np.array([math.exp(xi) for xi in x])
     return _dirichlet_result(at(slice(None), K), K, gammas)
 
@@ -704,8 +699,8 @@ def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundR
     def floor(lanes, hi):
         return _stochastic_floor(hi, margins[lanes], spec)
 
-    x, values = _search_log_K(lambda lanes, x: at(np.exp(x), margins[lanes])[0],
-                              margins.size, post.K, floor if stochastic else None)
+    x, values = _search_log(lambda lanes, x: at(np.exp(x), margins[lanes])[0],
+                            *_K_range(post.K, margins.size), floor if stochastic else None)
     i = _best_lane(values, margins)
     K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
     return _lane(_dirichlet_result(at(K, g), K, g if stochastic else None), 0)
@@ -812,8 +807,9 @@ def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
     whose fields hold one entry per lane (plain numbers for scalar lanes).
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
-    dirichlet_margin searches its K over [K, K * 2**16] on every lane.
-    Raises ValueError for a margin outside (0, 1/2) or a margin loss outside
+    dirichlet_margin searches its K over [K, K * 2**16] and bgplusplus its
+    T over {1..4 T_bgplus} on every lane, as certify does.  Raises
+    ValueError for a margin outside (0, 1/2) or a margin loss outside
     [0, 1] (NaN included) on any lane, for a margin where the bound does not
     hold (``margin_applies``), and for a K outside (0, 1e300]."""
     bound = _lookup(bound_id, margin_grid=True)
@@ -841,9 +837,11 @@ def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound
 
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as
-    do the margin-free baselines.  K is optimised per grid point on ln K
-    over [K_init, K_init * 2**16], for K_init in (0, 1e300], by a shared
-    ladder of K_init 2^j and Brent's method in each point's best bracket.
+    do the margin-free baselines.  One search (``_search_log``) optimises
+    each grid point's knob: K on ln K over [K_init, K_init * 2**16], for
+    K_init in (0, 1e300], and bgplusplus's T on ln T over {1..4 T_bgplus},
+    by a ladder of rungs halving down from the top and Brent's method in
+    each point's best bracket, T then by a scan of the whole counts there.
     Deterministic given (inputs, search_cfg); ties in the grid keep the
     smallest gamma.  Every result of value 1 carries the ``vacuous`` flag.
     """
