@@ -386,7 +386,7 @@ def _search_counts(values_at, top):
                        tol=tol)
     first = np.maximum(1.0, np.floor(np.exp(x - tol)))
     last = np.minimum(top, np.ceil(np.exp(x + tol)))
-    T = first[:, None] + np.arange(int((last - first).max()) + 1)
+    T = first[:, None] + np.arange(int((last - first).max(initial=0)) + 1)
     valid = T <= last[:, None]
     values = np.full(T.shape, np.inf)
     values[valid] = values_at(np.nonzero(valid)[0], T[valid])
@@ -532,9 +532,9 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     tol = np.broadcast_to(_K_REL_TOL if tol is None else tol, lo.shape).astype(float)
     # Column k of a lane's ladder: its bottom at k = 0, then hi / 2^(last - k)
     # up to its top at k = last.
-    halvings = 2.0 ** -np.arange(int(math.log2(np.max(hi / lo))) + 2)
+    halvings = 2.0 ** -np.arange(int(math.log2(np.max(hi / lo, initial=1.0))) + 2)
     last = (hi[:, None] * halvings > lo[:, None]).sum(axis=1)
-    col = np.arange(last.max() + 1)
+    col = np.arange(last.max(initial=0) + 1)
     valid = col <= last[:, None]
     points = hi[:, None] * halvings[np.maximum(last[:, None] - col, 0)]
     points[:, 0] = lo

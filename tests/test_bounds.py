@@ -479,6 +479,12 @@ class TestCertify:
                 with pytest.raises(ValueError, match=r"margin loss in \[0, 1\]"):
                     bounds.margin_bound(bound_id, np.array([0.1, loss]), theta, 0.3, SPEC)
 
+    def test_margin_bound_takes_no_lanes(self):
+        """Every margin-grid bound returns empty lane arrays for no lanes."""
+        for bound_id in ("dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"):
+            r = bounds.margin_bound(bound_id, np.zeros(0), uniform_theta(100), np.zeros(0), SPEC)
+            assert r.value.shape == r.gamma_star.shape == (0,)
+
     def test_n_gamma_must_be_a_positive_integer(self):
         for n_gamma in (2.5, 3.0, "3", 0, -1, True):
             with pytest.raises(ValueError, match="integer >= 1"):
