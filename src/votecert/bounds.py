@@ -178,7 +178,8 @@ def _lanes(*values) -> list[np.ndarray]:
 
 def _result(value, gamma, K, T, u, comp, eps, flags=()) -> BoundResult:
     """A formula's BoundResult: floats (an int T) from 0-d lanes, arrays with
-    one entry per lane otherwise; a lane of infinite complexity is vacuous."""
+    one entry per lane otherwise (T as integer-valued floats); a lane of
+    infinite complexity is vacuous."""
 
     def out(x, kind=float):
         if x is None:
@@ -338,7 +339,9 @@ def _gz(losses, gammas, post, spec) -> BoundResult:
 
 
 def _bgplus_T(gamma, m: int):
-    return np.maximum(1, np.ceil(2.0 * math.log(m) / (gamma * gamma))).astype(np.int64)
+    """ceil(2 ln(m) / gamma^2), at least 1, as an integer-valued float: an
+    int64 would wrap for margins below ~1e-9."""
+    return np.maximum(1.0, np.ceil(2.0 * math.log(m) / (gamma * gamma)))
 
 
 def _bgplus(losses, gammas, post, spec) -> BoundResult:
@@ -374,24 +377,26 @@ _T_SCAN = 64
 def _search_counts(values_at, top):
     """Per lane, the whole count T in {1..top} of the smallest value, and
     that value (the smallest T on ties), for ``values_at(lanes, T)`` as in
-    ``_search_log`` on any real T in [1, top].  ``_search_log`` searches ln T
-    over [1, top] at the tolerance min(``_K_REL_TOL``, ``_T_SCAN`` / top),
-    so that the best point's bracket spans at most ``_T_SCAN`` counts; one
-    call then evaluates every count within that tolerance of the best point.
-    Exact for unimodal profiles, whose best count neighbours the real
-    minimum in the bracket, unless two rungs tie (see ``_search_log``)."""
+    ``_search_log`` on any real T in [1, top]; counts are integer-valued
+    floats.  ``_search_log`` searches ln T over [1, top] at the tolerance
+    min(``_K_REL_TOL``, ``_T_SCAN`` / top), so that the best point's bracket
+    spans at most ``_T_SCAN`` counts (past ~1e15 counts, where no step that
+    short moves ln T, at four float spacings of ln top); one call then
+    evaluates every count within that tolerance of the best point.  Exact
+    for unimodal profiles, whose best count neighbours the real minimum in
+    the bracket, unless two rungs tie (see ``_search_log``)."""
     top = np.asarray(top, dtype=float)
     tol = np.minimum(_K_REL_TOL, _T_SCAN / top)
     x, _ = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), np.ones(top.size), top,
-                       tol=tol)
-    first = np.maximum(1.0, np.floor(np.exp(x - tol)))
+                       tol=np.maximum(tol, 4.0 * np.spacing(np.log(top))))
     last = np.minimum(top, np.ceil(np.exp(x + tol)))
+    first = np.minimum(last, np.maximum(1.0, np.floor(np.exp(x - tol))))
     T = first[:, None] + np.arange(int((last - first).max(initial=0)) + 1)
     valid = T <= last[:, None]
     values = np.full(T.shape, np.inf)
     values[valid] = values_at(np.nonzero(valid)[0], T[valid])
     row, j = np.arange(top.size), values.argmin(axis=1)
-    return T[row, j].astype(np.int64), values[row, j]
+    return T[row, j], values[row, j]
 
 
 def _bgplusplus(losses, gammas, post, spec) -> BoundResult:

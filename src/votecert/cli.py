@@ -239,11 +239,8 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
                 raise data.DataError("stump voters support binary tasks only")
             ensemble = voters.make_stumps(ds_std.features[plan.train_idx])
         else:
-            fc = voters.ForestConfig(seed=seed)
             ensemble = voters.train_forest(
-                ds_std.features[plan.voter_half_idx],
-                ds_std.labels[plan.voter_half_idx],
-                fc,
+                ds_std.features[plan.voter_half_idx], ds_std.labels[plan.voter_half_idx], seed
             )
         P_bound = voters.predict_matrix(
             ensemble, ds_std.features[plan.bound_half_idx], ds_std.labels[plan.bound_half_idx]
@@ -375,39 +372,43 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-def _id_list(ids):
-    """argparse type: a comma-separated list drawn from ids (kept as text)."""
-    return _checked(str, lambda v: set(v.split(",")) <= set(ids),
-                    "a comma-separated list of " + ", ".join(ids))
+def _list_of(convert, ok, entries: str):
+    """argparse type: a comma-separated list of distinct entries, each
+    converted and checked as ``_checked`` does.  The list is kept as text:
+    the manifest records it as given."""
+
+    def ok_list(text):
+        items = [convert(item) for item in text.split(",")]
+        return len(set(items)) == len(items) and all(map(ok, items))
+
+    return _checked(str, ok_list, "a comma-separated list of distinct " + entries)
 
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _concentration = _checked(float, lambda v: 0.0 < v <= bounds._K_MAX,
                           f"a positive number <= {bounds._K_MAX:g}")
 _confidence = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_bound_ids = _id_list(bounds.BOUND_IDS)
-_objectives = _id_list(train.OBJECTIVES)
+_bound_ids = _list_of(str, bounds.BOUND_IDS.__contains__, "ids of " + ", ".join(bounds.BOUND_IDS))
+_objectives = _list_of(str, train.OBJECTIVES.__contains__, "ids of " + ", ".join(train.OBJECTIVES))
 _natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
 # A Monte Carlo standard error needs at least two samples.
 _samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
-# Comma-separated lists kept as text: the manifest records them as given.
-_gammas = _checked(str, lambda v: all(0.0 < float(g) < 0.5 for g in v.split(",")),
-                   "a comma-separated list of margins in (0, 1/2)")
-_seeds = _checked(str, lambda v: all(int(s) >= 0 for s in v.split(",")),
-                  "a comma-separated list of integers >= 0")
+_gammas = _list_of(float, lambda g: 0.0 < g < 0.5, "margins in (0, 1/2)")
+_seeds = _list_of(int, lambda v: v >= 0, "integers >= 0")
 
 
 def _add_certificate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=_confidence, default=0.05, help="confidence parameter")
-    p.add_argument("--n-gamma", type=_count, default=1000, dest="n_gamma",
+    p.add_argument("--n-gamma", type=_count, default=SearchConfig.n_gamma, dest="n_gamma",
                    help="margin grid size for the certificate search")
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-candidates", type=_gammas, default="0.005,0.01,0.025,0.05,0.1",
-                   dest="gamma_candidates")
-    p.add_argument("--max-epochs", type=_natural, default=100, dest="max_epochs")
-    p.add_argument("--batch-size", type=_count, default=100, dest="batch_size")
+    cfg = train.TrainConfig
+    p.add_argument("--gamma-candidates", type=_gammas,
+                   default=",".join(map(str, cfg.gamma_candidates)), dest="gamma_candidates")
+    p.add_argument("--max-epochs", type=_natural, default=cfg.max_epochs, dest="max_epochs")
+    p.add_argument("--batch-size", type=_count, default=cfg.batch_size, dest="batch_size")
 
 
 def build_parser() -> argparse.ArgumentParser:

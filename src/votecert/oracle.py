@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numkern as nk
+from . import numkern as nk, votes
 from .votes import PredictionMatrix
 
 __all__ = [
@@ -249,15 +249,13 @@ def verify_beta_sharpness(P: PredictionMatrix, alpha, gamma: float,
     direct Monte Carlo estimate: two-sided equality for binary labels,
     one-sided (closed form is an upper bound) otherwise.  The standard error
     needs n >= 2 samples."""
-    from . import votes as votes_mod
-
     _check_samples(n)
     a = np.asarray(alpha, dtype=float)
     samples = sample_dirichlet(a, n, seed, stream)
     per_sample = _per_sample_margin_losses(P.preds, P.labels, P.num_classes, samples, gamma)
     est = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1)) / math.sqrt(n)
-    closed = votes_mod.expected_margin_loss_beta(P, a, gamma)
+    closed = votes.expected_margin_loss_beta(P, a, gamma)
     direction = "two_sided" if P.num_classes == 2 else "mc_lower"
     return McReport.build("beta_sharpness", est, stderr, n, closed, direction)
 
@@ -271,17 +269,21 @@ def _random_matrix(rng: np.random.Generator, m: int, d: int, c: int,
     return PredictionMatrix(preds, labels, c)
 
 
+# Configurations per battery, and rows per random prediction matrix.
+_DERANDOMISATION_CONFIGS = 30
+_MARCHAL_ARBEL_CONFIGS = 50
+_SHARPNESS_CONFIGS = 10
 _DERANDOMISATION_ROWS = 32
 _SHARPNESS_ROWS = 24
 
 
-def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30) -> list:
-    """Randomised de-randomisation configs of ``_DERANDOMISATION_ROWS`` rows
-    over d in {5,20,100}, c in {2,3}, K in {5,50,500}, gamma in
-    {0.02,0.05,0.1}; two reports per config."""
+def derandomisation_battery(seed: int = 0, n: int = 100_000) -> list:
+    """``_DERANDOMISATION_CONFIGS`` randomised de-randomisation configs of
+    ``_DERANDOMISATION_ROWS`` rows over d in {5,20,100}, c in {2,3}, K in
+    {5,50,500}, gamma in {0.02,0.05,0.1}; two reports per config."""
     rng = np.random.default_rng(seed)
     reports = []
-    for k in range(n_configs):
+    for k in range(_DERANDOMISATION_CONFIGS):
         d = int(rng.choice([5, 20, 100]))
         c = int(rng.choice([2, 3]))
         K = float(rng.choice([5.0, 50.0, 500.0]))
@@ -294,11 +296,12 @@ def derandomisation_battery(seed: int = 0, n: int = 100_000, n_configs: int = 30
     return reports
 
 
-def marchal_arbel_battery(seed: int = 0, n: int = 100_000, n_configs: int = 50) -> list:
-    """Randomised (alpha, u, t) sub-Gaussian tail configs."""
+def marchal_arbel_battery(seed: int = 0, n: int = 100_000) -> list:
+    """``_MARCHAL_ARBEL_CONFIGS`` randomised (alpha, u, t) sub-Gaussian tail
+    configs."""
     rng = np.random.default_rng(seed)
     reports = []
-    for k in range(n_configs):
+    for k in range(_MARCHAL_ARBEL_CONFIGS):
         d = int(rng.integers(2, 21))
         alpha = rng.uniform(0.5, 5.0, size=d)
         u = rng.normal(size=d)
@@ -309,12 +312,12 @@ def marchal_arbel_battery(seed: int = 0, n: int = 100_000, n_configs: int = 50) 
     return reports
 
 
-def sharpness_battery(seed: int = 0, n: int = 1_000_000, n_configs: int = 10) -> list:
-    """Binary equality checks of the Beta-CDF expected margin loss on
-    ``_SHARPNESS_ROWS`` rows."""
+def sharpness_battery(seed: int = 0, n: int = 1_000_000) -> list:
+    """``_SHARPNESS_CONFIGS`` binary equality checks of the Beta-CDF expected
+    margin loss on ``_SHARPNESS_ROWS`` rows."""
     rng = np.random.default_rng(seed)
     reports = []
-    for k in range(n_configs):
+    for k in range(_SHARPNESS_CONFIGS):
         d = int(rng.integers(5, 31))
         P = _random_matrix(rng, _SHARPNESS_ROWS, d, 2)
         alpha = rng.uniform(0.5, 8.0, size=d)

@@ -50,7 +50,12 @@ _ALPHA_SHIFT = 1e-6
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_LEARNING_RATE = 0.1
 _LR_REDUCE_FACTOR = 10.0
+_LR_REDUCE_PATIENCE = 2
+_MIN_LR = 1e-6
+_EARLY_STOP_PATIENCE = 25
+_K_INIT = 2.0
 
 
 class TrainingError(RuntimeError):
@@ -59,30 +64,26 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimisation hyperparameters; defaults follow the reference protocol:
-    learning rate 0.1, batches of 100, up to 100 epochs with 25-epoch early
-    stopping and a plateau schedule with patience 2, uniform initial weights
-    at concentration K_init = 2.  Fixed by module constants: Adam's
-    ``_ADAM_BETA1`` = 0.9, ``_ADAM_BETA2`` = 0.999 and ``_ADAM_EPS`` = 1e-8,
-    and the plateau divisor ``_LR_REDUCE_FACTOR`` = 10."""
+    """The settings a training command chooses: the seed, the margin
+    candidates (one run each), the epoch budget and the batch size.  The
+    rest of the reference protocol is fixed by module constants: uniform
+    initial weights at concentration ``_K_INIT`` = 2; Adam at learning rate
+    ``_LEARNING_RATE`` = 0.1 with ``_ADAM_BETA1`` = 0.9, ``_ADAM_BETA2`` =
+    0.999 and ``_ADAM_EPS`` = 1e-8; the rate divided by
+    ``_LR_REDUCE_FACTOR`` = 10 after ``_LR_REDUCE_PATIENCE`` = 2 epochs in a
+    row without a better bound; a run stopped after ``_EARLY_STOP_PATIENCE``
+    = 25 of those or once its rate falls below ``_MIN_LR`` = 1e-6."""
 
-    learning_rate: float = 0.1
-    batch_size: int = 100
-    max_epochs: int = 100
-    early_stop_patience: int = 25
-    lr_reduce_patience: int = 2
-    min_lr: float = 1e-6
     seed: int = 0
     gamma_candidates: tuple = (0.005, 0.01, 0.025, 0.05, 0.1)
-    K_init: float = 2.0
+    max_epochs: int = 100
+    batch_size: int = 100
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("batch_size must be >= 1 and max_epochs >= 0")
         if not all(0.0 < g < 0.5 for g in self.gamma_candidates):
             raise ValueError("gamma candidates must lie in (0, 1/2)")
-        if self.K_init <= 0.0 or self.learning_rate <= 0.0:
-            raise ValueError("K_init and learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -268,15 +269,15 @@ def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
 
 @dataclass(frozen=True)
 class _Objective:
-    """How one objective kind is trained: ``init(num_voters, cfg)`` gives
-    the starting parameters, ``gammas(cfg)`` the margin candidates (one run
+    """How one objective kind is trained: ``init(num_voters)`` gives the
+    starting parameters, ``gammas(cfg)`` the margin candidates (one run
     each; None for the margin-free kinds), ``evaluate(P, omega, rows, gamma,
     spec, grad)`` the objective over stacked runs (omega (R, d), rows (R, B)
     or None for the full sample, gamma R margins or None), as values or as
     (values, gradients), and ``posterior(omega)`` the weights one run's
     parameters stand for."""
 
-    init: Callable[[int, TrainConfig], np.ndarray]
+    init: Callable[[int], np.ndarray]
     gammas: Callable[[TrainConfig], tuple]
     evaluate: Callable[..., tuple]
     posterior: Callable[[np.ndarray], WeightPosterior]
@@ -286,9 +287,9 @@ class _Objective:
 # table is built, so a wrapper installed on the module sees every call.
 def _dirichlet(gammas) -> _Objective:
     """A kind trained through ``objective``: Dirichlet weights from uniform
-    theta at K_init; the kinds differ only in their margin candidates."""
+    theta at ``_K_INIT``; the kinds differ only in their margin candidates."""
     return _Objective(
-        lambda d, cfg: _uniform_omega(d, cfg.K_init),
+        lambda d: _uniform_omega(d, _K_INIT),
         gammas,
         lambda P, omega, rows, gamma, spec, grad: objective(P, omega, rows, gamma, spec, grad),
         _dirichlet_posterior,
@@ -298,7 +299,7 @@ def _dirichlet(gammas) -> _Objective:
 _OBJECTIVES = {
     "stochastic_margin": _dirichlet(lambda cfg: cfg.gamma_candidates),
     "fo": _Objective(
-        lambda d, cfg: np.zeros(d),
+        np.zeros,
         lambda cfg: (None,),
         lambda P, omega, rows, gamma, spec, grad: fo_objective(P, omega, rows, spec, grad),
         lambda omega: WeightPosterior(_softmax(omega), 1.0),
@@ -374,11 +375,11 @@ def _train_runs(
     each minibatch step is one objective call over R runs x B rows and one
     Adam step.  Each run keeps its own permutation stream (seed, run index),
     learning rate, stall counters, best parameters and history, and leaves
-    the stack when it stops early, its learning rate falls below min_lr or
-    it diverges; the rows left behind step exactly as they would alone.
+    the stack when it stops early, its learning rate falls below ``_MIN_LR``
+    or it diverges; the rows left behind step exactly as they would alone.
     """
     m = P.num_examples
-    init = obj.init(P.num_voters, cfg)
+    init = obj.init(P.num_voters)
     margins = None if gammas[0] is None else np.array(gammas)
     bound0 = obj.evaluate(P, np.tile(init, (len(gammas), 1)), None, margins, spec, False)
     results: list = [None] * len(gammas)
@@ -387,9 +388,8 @@ def _train_runs(
         if not math.isfinite(bound):
             results[idx] = RunResult(gamma, None, (), math.inf, failed=True)
             continue
-        lr = cfg.learning_rate
-        history = [EpochRecord(gamma, 0, bound, bound, obj.posterior(init).K, lr)]
-        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, idx)), lr,
+        history = [EpochRecord(gamma, 0, bound, bound, obj.posterior(init).K, _LEARNING_RATE)]
+        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, idx)), _LEARNING_RATE,
                            history, bound, init.copy()))
     state = AdamState.init(np.tile(init, (len(active), 1)))
 
@@ -447,11 +447,11 @@ def _train_runs(
                 run.stall_stop += 1
                 run.stall_lr += 1
             stopped = False
-            if run.stall_lr >= cfg.lr_reduce_patience:
+            if run.stall_lr >= _LR_REDUCE_PATIENCE:
                 run.lr /= _LR_REDUCE_FACTOR
                 run.stall_lr = 0
-                stopped = run.lr < cfg.min_lr
-            if stopped or run.stall_stop >= cfg.early_stop_patience:
+                stopped = run.lr < _MIN_LR
+            if stopped or run.stall_stop >= _EARLY_STOP_PATIENCE:
                 results[run.index] = run.result(obj.posterior(run.best_params))
             else:
                 stay.append(row)

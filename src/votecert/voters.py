@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .votes import PredictionMatrix
 __all__ = [
     "Stump",
     "StumpEnsemble",
-    "ForestConfig",
     "Forest",
     "make_stumps",
     "train_forest",
@@ -83,21 +82,6 @@ def make_stumps(train_features) -> StumpEnsemble:
 
 
 @dataclass(frozen=True)
-class ForestConfig:
-    """Forest hyperparameters: 10 trees, sqrt(p) features per tree.  Fixed
-    by module constant: bags of ``_BAG_FRACTION`` = 1/2 of the rows.  Trees
-    grow Gini splits to unbounded depth."""
-
-    num_trees: int = 10
-    features_per_tree: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_trees < 1:
-            raise ValueError("num_trees must be >= 1")
-
-
-@dataclass(frozen=True)
 class _Node:
     feature: int = -1
     threshold: float = 0.0
@@ -120,6 +104,7 @@ def _majority(y: np.ndarray, num_classes: int) -> int:
 
 
 _GAIN_EPS = 1e-12
+_NUM_TREES = 10
 _BAG_FRACTION = 0.5
 
 
@@ -184,12 +169,13 @@ class Forest:
         return np.stack([_predict_tree(t, X) for t in self.trees], axis=1)
 
 
-def train_forest(features, labels, cfg: ForestConfig) -> Forest:
-    """Bagged Gini trees: each draws floor(_BAG_FRACTION * n) rows with
-    replacement and floor(sqrt(p)) feature indices without replacement, then
-    grows greedily while some split has positive gain.  Split candidates are
-    midpoints of consecutive sorted unique values; ties break toward the
-    lowest feature index, then the lowest threshold.
+def train_forest(features, labels, seed: int) -> Forest:
+    """``_NUM_TREES`` bagged Gini trees: each draws floor(_BAG_FRACTION * n)
+    rows with replacement and floor(sqrt(p)) feature indices without
+    replacement, then grows to unbounded depth while some split has positive
+    gain.  Split candidates are midpoints of consecutive sorted unique
+    values; ties break toward the lowest feature index, then the lowest
+    threshold.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
@@ -200,13 +186,11 @@ def train_forest(features, labels, cfg: ForestConfig) -> Forest:
     if bag_size < 1:
         raise ValueError("dataset too small to draw a bag")
     num_classes = int(y.max())
-    n_feats = cfg.features_per_tree or max(1, int(math.isqrt(p)))
-    n_feats = min(n_feats, p)
     trees = []
-    for i in range(cfg.num_trees):
-        rng = np.random.default_rng((cfg.seed, i))
+    for i in range(_NUM_TREES):
+        rng = np.random.default_rng((seed, i))
         bag = rng.integers(0, n, size=bag_size)
-        feats = np.sort(rng.choice(p, size=n_feats, replace=False))
+        feats = np.sort(rng.choice(p, size=math.isqrt(p), replace=False))
         trees.append(_grow(X[bag], y[bag], feats, num_classes))
     return Forest(tuple(trees), num_classes)
 

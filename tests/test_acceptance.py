@@ -193,7 +193,7 @@ def test_criterion_05_derandomisation_battery():
     """30 randomised de-randomisation configs at n = 1e5 all satisfy both
     one-sided 3-stderr inequalities, in under two minutes."""
     t0 = time.perf_counter()
-    reports = oracle.derandomisation_battery(seed=0, n=100_000, n_configs=30)
+    reports = oracle.derandomisation_battery(seed=0, n=100_000)
     elapsed = time.perf_counter() - t0
     failures = [r.label for r in reports if not r.verdict]
     _verdict(
@@ -208,7 +208,7 @@ def test_criterion_06_binary_sharpness():
     """10 binary configs at n = 1e6: the Beta-CDF closed form matches Monte
     Carlo two-sided at 3 stderr, pinning the (correct, erring) argument
     order of the Beta CDF."""
-    reports = oracle.sharpness_battery(seed=0, n=1_000_000, n_configs=10)
+    reports = oracle.sharpness_battery(seed=0, n=1_000_000)
     failures = [r.label for r in reports if not r.verdict]
     _verdict(6, f"binary sharpness, 10 configs ({len(failures)} failures)",
              not failures)
@@ -216,7 +216,7 @@ def test_criterion_06_binary_sharpness():
 
 def test_criterion_07_marchal_arbel_battery():
     """50 randomised sub-Gaussian tail configs pass one-sided."""
-    reports = oracle.marchal_arbel_battery(seed=0, n=100_000, n_configs=50)
+    reports = oracle.marchal_arbel_battery(seed=0, n=100_000)
     failures = [r.label for r in reports if not r.verdict]
     _verdict(7, f"tail-bound battery, 50 configs ({len(failures)} failures)",
              not failures)

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -246,6 +247,29 @@ class TestBGFamily:
         r, values = self.bgplusplus_and_scan(0.0, uniform_theta(12), 0.25)
         assert r.value == pytest.approx(min(values), abs=1e-12)
         assert values.index(min(values)) + 1 == r.T_star == len(values)
+
+    def test_counts_past_int64_stay_whole(self):
+        """Far below the grid's 1e-4 floor, bgplus's count passes 2^63 (near
+        gamma = 1e-9 at m = 100) and bgplusplus's range four times sooner.
+        Two uniform voters have a categorical KL of exactly 0, so bgplusplus
+        falls to the top of its range, where its penalty is about m^-4 at
+        every margin: the value stays the gamma = 1e-4 one.  bgplus stays
+        vacuous, without a wrapped count."""
+        spec = BoundSpec(m=100, delta=0.05)
+        gammas = (1e-4, 1e-6, 1e-8, 1e-9, 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plusplus = [bounds.margin_bound("bgplusplus", 0.1, uniform_theta(2), g, spec)
+                        for g in gammas]
+            plus = [bounds.margin_bound("bgplus", 0.1, uniform_theta(d), g, spec)
+                    for d in (2, 6) for g in gammas]
+        for r, gamma in zip(plusplus, gammas):
+            assert r.value == pytest.approx(plusplus[0].value, abs=1e-12)
+            top = 4 * math.ceil(2 * math.log(100) / gamma**2)
+            assert r.T_star == pytest.approx(top, rel=1e-9)
+        assert [r.value for r in plus] == [1.0] * len(plus)
+        assert [r.T_star for r in plus[-5:]] == [math.ceil(2 * math.log(100) / g**2)
+                                                 for g in gammas]
 
     def test_ordering_bg_bgplus_bgplusplus(self):
         """bg >= bgplus >= bgplusplus on a randomised configuration grid."""
@@ -1180,6 +1204,23 @@ class TestLockstepTSearch:
         t, value = bounds._search_counts(profile, np.array([5600, 4096]))
         assert (t[0], value[0]) == (1500, 0.5)
         assert (t[1], value[1]) == (1, 1.0)
+
+    def test_stops_short_of_its_step_limit_past_1e15_counts(self):
+        """Past ~1e15 counts the tolerance ``_T_SCAN`` / top lies below the
+        float spacing of ln T, where no step that short moves.  On a profile
+        that falls to the top of {1..2^70} and is flat there to the last bit
+        (as bgplusplus is on two uniform voters), the search stops at a few
+        spacings instead of stepping on to ``_K_MAX_ITER``."""
+        top, calls = 2.0**70, []
+
+        def falling(rows, T):
+            calls.append(rows.size)
+            return 0.25 + 1e-8 * np.exp(-18.0 * T / top)
+
+        t, value = bounds._search_counts(falling, np.array([top]))
+        assert t[0] == pytest.approx(top, rel=1e-12)
+        assert value[0] == pytest.approx(0.25, abs=1e-15)
+        assert len(calls) < bounds._K_MAX_ITER / 2
 
 
 class TestGridFormulas:

@@ -79,17 +79,6 @@ class TestCertifyCommand:
         rows = read_results(out)
         assert [r["bound"] for r in rows] == ["fo", "f2"]
 
-    def test_repeated_bound_id_writes_a_row_each(self, tmp_path):
-        preds = tmp_path / "preds.csv"
-        write_predictions(preds)
-        out = tmp_path / "out"
-        rc = cli.main(["certify", "--predictions", str(preds), "--bounds", "fo,so,fo",
-                       "--out", str(out), "--n-gamma", "10"])
-        assert rc == 0
-        rows = read_results(out)
-        assert [r["bound"] for r in rows] == ["fo", "so", "fo"]
-        assert rows[0] == rows[2]
-
     def test_one_row_gz_is_vacuous(self, tmp_path):
         """One row and 100 voters: gz's ln(2 m^2 / ln d) is negative there,
         and its tail ln(d) / m alone exceeds 1.  The default run exits 0 with
@@ -152,12 +141,18 @@ class TestCertifyCommand:
     (["verify", "--samples", "1"], 2),
     (["verify", "--sharpness-samples", "1"], 2),
     (["certify", "--k", "1e305"], 2),
+    (["certify", "--bounds", "gz,gz,fo"], 2),
+    (["experiment", "--objectives", "fo,stochastic_margin,fo"], 2),
+    (["train", "--seeds", "0,0"], 2),
+    (["experiment", "--seeds", "1,01"], 2),
+    (["train", "--gamma-candidates", "0.05,0.1,0.050"], 2),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
-    """Bad flag or manifest values are usage errors (2) and a malformed
-    weights or manifest file is a data error (3): each reported in one line,
-    without a traceback, and no manifest is written.  Each command otherwise
-    gets the inputs it needs to run."""
+    """Bad flag or manifest values, a repeated entry of a list flag among
+    them, are usage errors (2) and a malformed weights or manifest file is
+    a data error (3): each reported in one line, without a traceback, and no
+    manifest is written.  Each command otherwise gets the inputs it needs to
+    run."""
     preds = tmp_path / "preds.csv"
     write_predictions(preds)
     bad_theta = tmp_path / "theta.txt"

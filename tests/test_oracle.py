@@ -97,8 +97,9 @@ class TestMarchalArbel:
             oracle.verify_marchal_arbel(np.ones(2), np.array([1.0, 1.0]), 0.1,
                                         100, seed=0)
 
-    def test_small_battery_passes(self):
-        reports = oracle.marchal_arbel_battery(seed=1, n=20_000, n_configs=8)
+    def test_small_battery_passes(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MARCHAL_ARBEL_CONFIGS", 8)
+        reports = oracle.marchal_arbel_battery(seed=1, n=20_000)
         assert len(reports) == 8
         assert all(r.verdict for r in reports)
 
@@ -132,8 +133,9 @@ class TestDerandomisation:
         lower, upper = oracle.verify_derandomisation(P, np.full(5, 0.2), 10.0, 0.1, 2, seed=12)
         assert math.isfinite(lower.stderr) and math.isfinite(upper.stderr)
 
-    def test_small_battery_passes(self):
-        reports = oracle.derandomisation_battery(seed=2, n=20_000, n_configs=6)
+    def test_small_battery_passes(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_DERANDOMISATION_CONFIGS", 6)
+        reports = oracle.derandomisation_battery(seed=2, n=20_000)
         assert len(reports) == 12
         assert all(r.verdict for r in reports)
 

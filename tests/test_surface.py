@@ -1,7 +1,8 @@
 """Each module's ``__all__`` names exactly its public functions and classes,
-and every function a module exports has a caller in the package or the
-benchmark."""
+every function a module exports has a caller in the package or the
+benchmark, and every field of a ``*Config`` dataclass is set by one."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -70,3 +71,35 @@ def test_every_export_has_a_caller(name):
         and not re.search(rf"\b{name}\.{attr}\b|[\"']{attr}[\"']", bench)
     }
     assert uncalled == set()
+
+
+def _keywords_passed(path: pathlib.Path, cls_name: str) -> set:
+    """Keyword names that one file passes to a call of ``cls_name``, as a
+    bare name or as an attribute (``module.cls_name``)."""
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == cls_name:
+                passed |= {kw.arg for kw in node.keywords}
+    return passed
+
+
+def test_every_config_field_has_a_caller():
+    """Every field of a ``*Config`` dataclass in the package is passed by
+    keyword by some other package module or by the benchmark: a value that
+    no caller sets is a module constant, not a knob.  Tests do not count."""
+    package = pathlib.Path(importlib.import_module("votecert").__file__).parent
+    bench = list((package.parents[1] / "bench").glob("*.py"))
+    unset = set()
+    for path in package.glob("[!_]*.py"):
+        module = importlib.import_module(f"votecert.{path.stem}")
+        callers = [p for p in package.glob("*.py") if p != path] + bench
+        for cls_name, cls in vars(module).items():
+            if (cls_name.endswith("Config") and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                passed = set().union(*(_keywords_passed(p, cls_name) for p in callers))
+                unset |= {f"{path.stem}.{cls_name}.{f.name}" for f in dataclasses.fields(cls)
+                          if f.name not in passed}
+    assert unset == set()

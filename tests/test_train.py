@@ -279,14 +279,16 @@ class TestTrainPosterior:
         res = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
         assert res.posterior.theta[3] > 0.9
 
-    def test_plateau_stops_after_patience_epochs(self):
+    def test_plateau_stops_after_patience_epochs(self, monkeypatch):
         """A flat bound trajectory (forced by a vanishing learning rate)
         trips early stopping after exactly `patience` stalled epochs; the
         log keeps the initial evaluation row, so it has patience + 1 rows."""
         P = random_matrix(seed=20, m=30, d=4)
-        cfg = TrainConfig(seed=0, gamma_candidates=(0.05,), max_epochs=50,
-                          learning_rate=1e-300, early_stop_patience=3,
-                          lr_reduce_patience=100, min_lr=0.0)
+        monkeypatch.setattr(train, "_LEARNING_RATE", 1e-300)
+        monkeypatch.setattr(train, "_EARLY_STOP_PATIENCE", 3)
+        monkeypatch.setattr(train, "_LR_REDUCE_PATIENCE", 100)
+        monkeypatch.setattr(train, "_MIN_LR", 0.0)
+        cfg = TrainConfig(seed=0, gamma_candidates=(0.05,), max_epochs=50)
         spec = BoundSpec(m=30, delta=0.05)
         res = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
         assert len(res.runs[0].history) == 3 + 1
@@ -366,14 +368,14 @@ class TestTrainReference:
     1e-9 relative, which covers the last-bit rounding of the kl inverse
     carried through twelve epochs of Adam."""
 
-    def test_matches_recorded_trajectories(self):
+    def test_matches_recorded_trajectories(self, monkeypatch):
         with open(REFERENCE) as fh:
             recorded = json.load(fh)
         conf = recorded["config"]
+        monkeypatch.setattr(train, "_LEARNING_RATE", conf["learning_rate"])
         cfg = TrainConfig(
             seed=conf["seed"], gamma_candidates=tuple(conf["gamma_candidates"]),
             max_epochs=conf["max_epochs"], batch_size=conf["batch_size"],
-            learning_rate=conf["learning_rate"],
         )
         search = SearchConfig(n_gamma=recorded["n_gamma"])
         close = functools.partial(pytest.approx, rel=1e-9, abs=0.0)
@@ -446,13 +448,15 @@ class TestStackedObjective:
 
 
 class TestLockstepRuns:
-    def test_runs_independent_of_a_run_that_leaves(self):
+    def test_runs_independent_of_a_run_that_leaves(self, monkeypatch):
         """Replacing the first margin by one whose run stops at another epoch
         leaves the other runs' trajectories unchanged bit for bit."""
         P = random_matrix(seed=31, m=90, d=6, accuracy=0.7)
         spec = BoundSpec(m=90, delta=0.05)
+        monkeypatch.setattr(train, "_LEARNING_RATE", 0.5)
+        monkeypatch.setattr(train, "_EARLY_STOP_PATIENCE", 4)
         cfg = TrainConfig(seed=5, gamma_candidates=(0.01, 0.03, 0.08), max_epochs=25,
-                          batch_size=40, learning_rate=0.5, early_stop_patience=4)
+                          batch_size=40)
         first = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
         cfg = replace(cfg, gamma_candidates=(0.3, 0.03, 0.08))
         second = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
@@ -489,9 +493,10 @@ class TestLockstepRuns:
 
         monkeypatch.setattr(train, "objective", counting_objective)
         monkeypatch.setattr(train, "adam_step", counting_step)
+        monkeypatch.setattr(train, "_EARLY_STOP_PATIENCE", 2)
         P = random_matrix(seed=32, m=90, d=5, accuracy=0.7)
         cfg = TrainConfig(seed=1, gamma_candidates=(0.02, 0.05, 0.3), max_epochs=6,
-                          batch_size=40, early_stop_patience=2)
+                          batch_size=40)
         res = train.train_posterior(P, cfg, BoundSpec(m=90, delta=0.05), kind, FAST_SEARCH)
         steps = math.ceil(90 / 40)
         epochs = [len(run.history) - 1 for run in res.runs]

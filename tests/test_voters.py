@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from votecert import voters
-from votecert.voters import ForestConfig, PredictionFileError, Stump
+from votecert.voters import PredictionFileError, Stump
 
 from conftest import export_predictions, random_matrix
 
@@ -61,10 +61,11 @@ def xor_data(n_per_cell=10):
 
 
 class TestForest:
-    def test_pure_labels_give_single_leaves(self):
+    def test_pure_labels_give_single_leaves(self, monkeypatch):
+        monkeypatch.setattr(voters, "_NUM_TREES", 3)
         X = np.random.default_rng(2).normal(size=(30, 3))
         y = np.ones(30, dtype=int)
-        forest = voters.train_forest(X, y, ForestConfig(num_trees=3, seed=0))
+        forest = voters.train_forest(X, y, 0)
         for tree in forest.trees:
             assert tree.feature < 0  # root is a leaf
         np.testing.assert_array_equal(forest.predict_all(X), 1)
@@ -72,27 +73,28 @@ class TestForest:
     def test_xor_tree_fits_its_bag(self):
         """A single unbounded tree with both features resolves the XOR
         pattern to zero error on its own bag (bag imbalance breaks the
-        first-split gain tie)."""
+        first-split gain tie).  A forest tree draws floor(sqrt(2)) = 1 of
+        the two features, so the tree is grown directly on the bag that
+        seed 3's first tree draws."""
         X, y = xor_data()
-        cfg = ForestConfig(num_trees=1, features_per_tree=2, seed=3)
-        forest = voters.train_forest(X, y, cfg)
         rng = np.random.default_rng((3, 0))
         bag = rng.integers(0, X.shape[0], size=X.shape[0] // 2)
-        preds = forest.predict_all(X[bag])
+        tree = voters._grow(X[bag], y[bag], np.array([0, 1]), 2)
+        preds = voters.Forest((tree,), 2).predict_all(X[bag])
         assert np.mean(preds[:, 0] != y[bag]) == 0.0
 
     def test_seeded_reproducibility(self):
         X = np.random.default_rng(5).normal(size=(80, 4))
         y = np.random.default_rng(6).integers(1, 3, 80)
-        a = voters.train_forest(X, y, ForestConfig(seed=11))
-        b = voters.train_forest(X, y, ForestConfig(seed=11))
+        a = voters.train_forest(X, y, 11)
+        b = voters.train_forest(X, y, 11)
         np.testing.assert_array_equal(a.predict_all(X), b.predict_all(X))
 
-    def test_tree_no_worse_than_single_leaf_on_bag(self):
+    def test_tree_no_worse_than_single_leaf_on_bag(self, monkeypatch):
+        monkeypatch.setattr(voters, "_NUM_TREES", 5)
         X = np.random.default_rng(7).normal(size=(100, 4))
         y = (X[:, 0] + X[:, 1] > 0).astype(int) + 1
-        cfg = ForestConfig(num_trees=5, seed=13)
-        forest = voters.train_forest(X, y, cfg)
+        forest = voters.train_forest(X, y, 13)
         for i, tree in enumerate(forest.trees):
             rng = np.random.default_rng((13, i))
             bag = rng.integers(0, 100, size=50)
@@ -104,7 +106,7 @@ class TestForest:
 
     def test_empty_bag_rejected(self):
         with pytest.raises(ValueError):
-            voters.train_forest(np.ones((1, 2)), np.array([1]), ForestConfig())
+            voters.train_forest(np.ones((1, 2)), np.array([1]), 0)
 
 
 class TestPredictMatrix:
@@ -116,10 +118,11 @@ class TestPredictMatrix:
         np.testing.assert_array_equal(P.preds[:, 0], 2)
         np.testing.assert_array_equal(P.preds[:, 1], 1)
 
-    def test_forest_training_error_matches_per_tree_count(self):
+    def test_forest_training_error_matches_per_tree_count(self, monkeypatch):
+        monkeypatch.setattr(voters, "_NUM_TREES", 4)
         X = np.random.default_rng(8).normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(int) + 1
-        forest = voters.train_forest(X, y, ForestConfig(num_trees=4, seed=1))
+        forest = voters.train_forest(X, y, 1)
         P = voters.predict_matrix(forest, X, y)
         direct = forest.predict_all(X)
         for j in range(4):
