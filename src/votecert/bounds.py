@@ -9,22 +9,21 @@ builds its terms in one place:
   through ``_dirichlet_kl_of``, training from its Dirichlet parameters;
 - the Gibbs baselines fo, so and bin in ``_gibbs``, from one (loss, KL
   multiple, kl factor) triple each.
-The Dirichlet and Gibbs formulas return the unclipped value, and with
-``grad`` its partials (``_kl_bound``), so ``train`` minimises the formula
-that ``certify`` reports.
+One function, ``_kl_bound``, computes every formula's unclipped value,
+factor None standing for bg's closed form, and with ``grad`` its partials,
+so ``train`` minimises the formula that ``certify`` reports.  ``_result``
+clips the value to 1; ``reconstruct_value`` rebuilds a result's value from
+its components through the same two functions, bit for bit.
 
 The table ``_BOUNDS`` is the one place a bound is defined: per bound id it
-holds how a result's value is rebuilt from its components (a kl factor, or
-bg's closed form), whether the delta/n_gamma union correction over the
+holds its kl factor, whether the delta/n_gamma union correction over the
 margin grid applies, and how it is evaluated.  A margin-grid bound
 (dirichlet_margin, gz, bgplus, bg, bgplusplus) also holds its formula, with
 one signature for all five and lanewise over (margin loss, gamma), and the
 rule of the margins where it holds; ``_on_grid`` evaluates it in a single
 formula call over every applicable grid margin, the winner picked by
 ``_best_lane``.  ``margin_bound`` calls a formula on the caller's lanes, as
-the comparison sweep does, and ``margin_applies`` reads the rule.  All
-certified values are clipped to 1 and carry their additive components so a
-result can be reconstructed and audited.
+the comparison sweep does, and ``margin_applies`` reads the rule.
 
 ``certify_all`` evaluates any bound ids on one posterior through one context
 (``_Posterior``): theta floored once, one K -> KL memo for the three K
@@ -32,11 +31,11 @@ searches, and the grid's margin losses and distinct row masses computed the
 first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
 
 One search serves every searched knob: the Dirichlet bounds (f2 at the
-single margin 0) optimise K over [K_init, K_init * _K_SPAN], bgplusplus its
-replication count T over {1..4 T_bgplus}, each on the log of the knob over
-every lane in lockstep (``_search_log``).  Its value function is the formula
-itself, so the searched and the reported certificate come from the same
-code.  It compares the unclipped values: the clip at 1 is nondecreasing, so
+single margin 0) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
+bgplusplus its replication count T over {1..4 T_bgplus}, each on the log of
+the knob over every lane in lockstep (``_search_log``).  Its value function
+is the formula itself, so the searched and the reported certificate come
+from the same code.  It compares the unclipped values: the clip at 1 is nondecreasing, so
 a point that minimises the formula minimises the certificate, and the
 formula still ranks the points that the clip ties at 1, where a dip
 narrower than the ladder's steps would otherwise go unseen.  The search
@@ -176,8 +175,9 @@ def _lanes(*values) -> list[np.ndarray]:
     return [arr.astype(float) for arr in np.broadcast_arrays(*values)]
 
 
-def _result(value, gamma, K, T, u, comp, eps, flags=()) -> BoundResult:
-    """A formula's BoundResult: floats (an int T) from 0-d lanes, arrays with
+def _result(value, u, comp, eps, gamma=None, K=None, T=None, flags=()) -> BoundResult:
+    """A formula's BoundResult from its value (clipped to 1 here), its
+    components and its knobs: floats (an int T) from 0-d lanes, arrays with
     one entry per lane otherwise (T as integer-valued floats); a lane of
     infinite complexity is vacuous."""
 
@@ -190,14 +190,15 @@ def _result(value, gamma, K, T, u, comp, eps, flags=()) -> BoundResult:
     comp = out(comp)
     if isinstance(comp, float) and comp == math.inf:
         flags = tuple(sorted(set(flags) | {"infinite_complexity", "vacuous"}))
-    return BoundResult(out(value), out(gamma), out(K), out(T, int), out(u), comp, out(eps), flags)
+    return BoundResult(out(np.minimum(1.0, value)), out(gamma), out(K), out(T, int), out(u),
+                       comp, out(eps), flags)
 
 
 def _per_lane(r: BoundResult, f) -> BoundResult:
     """A lanewise BoundResult with f applied to each of its lane arrays."""
     return _result(*(f(x) if isinstance(x, np.ndarray) else x for x in (
-        r.value, r.gamma_star, r.K_star, r.T_star, r.empirical_term, r.complexity_term,
-        r.derandomisation_term)), r.flags)
+        r.value, r.empirical_term, r.complexity_term, r.derandomisation_term, r.gamma_star,
+        r.K_star, r.T_star)), r.flags)
 
 
 def _lane(r: BoundResult, i: int) -> BoundResult:
@@ -227,11 +228,14 @@ def _dirichlet_kl_of(theta: np.ndarray):
     return kl_of
 
 
-def _kl_bound(u, comp, factor, eps, grad: bool):
-    """The kl-family certificate, lanewise and unclipped: (factor kl_inv(u,
-    comp) + eps,), and with ``grad`` also factor dv/du and factor dv/dc for
-    v = kl_inv(u, comp), from one ``kl_inv_with_grad`` call (which needs
-    0 < u < 1 and comp > 0)."""
+def _kl_bound(u, comp, factor, eps, grad: bool = False):
+    """Every certificate's value, lanewise and unclipped: (factor kl_inv(u,
+    comp) + eps,), or for factor None bg's closed form (u + sqrt(comp u) +
+    eps,); with ``grad`` (kl factors only) also factor dv/du and factor
+    dv/dc for v = kl_inv(u, comp), from one ``kl_inv_with_grad`` call (which
+    needs 0 < u < 1 and comp > 0)."""
+    if factor is None:
+        return (u + np.sqrt(comp * u) + eps,)
     if not grad:
         return (factor * nk.kl_inv(u, comp) + eps,)
     v, dv_du, dv_dc = nk.kl_inv_with_grad(u, comp)
@@ -290,12 +294,6 @@ def _f2_formula(expected_loss, kl, spec, grad=False):
     return out + (0.0,) if grad else out
 
 
-def _dirichlet_result(terms, K, gamma) -> BoundResult:
-    """A Dirichlet formula's lanes as a BoundResult, the value clipped to 1."""
-    value, u, comp, eps = terms[:4]
-    return _result(np.minimum(1.0, value), gamma, K, None, u, comp, eps)
-
-
 def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray:
     """dc/dalpha per row of an (R, d) alpha, c the Dirichlet complexity of
     ``_dirichlet`` at K theta = alpha.  The digamma terms of the KL cancel,
@@ -334,8 +332,7 @@ def _gz(losses, gammas, post, spec) -> BoundResult:
         + math.log(d * m / spec.delta)
     ) / m)
     tail = log_d / m
-    value = np.minimum(1.0, nk.kl_inv(losses, comp) + tail)
-    return _result(value, gammas, None, None, losses, comp, tail)
+    return _result(_kl_bound(losses, comp, 1.0, tail)[0], losses, comp, tail, gammas)
 
 
 def _bgplus_T(gamma, m: int):
@@ -354,8 +351,7 @@ def _bgplus(losses, gammas, post, spec) -> BoundResult:
     T = _bgplus_T(gammas, m)
     u = np.minimum(1.0, losses + 1.0 / m)
     comp = (T * math.log(post.theta.size) + spec.log_confidence()) / m
-    value = np.minimum(1.0, nk.kl_inv(u, comp) + 1.0 / m)
-    return _result(value, gammas, None, T, u, comp, 1.0 / m)
+    return _result(_kl_bound(u, comp, 1.0, 1.0 / m)[0], u, comp, 1.0 / m, gammas, T=T)
 
 
 def _bg(losses, gammas, post, spec) -> BoundResult:
@@ -365,8 +361,7 @@ def _bg(losses, gammas, post, spec) -> BoundResult:
          + 4.75 * math.log(post.theta.size) * math.log(m) / (gammas * gammas))
     comp = C / m
     tail = (C + np.sqrt(C) + 2.0) / m
-    value = np.minimum(1.0, losses + np.sqrt(comp * losses) + tail)
-    return _result(value, gammas, None, None, losses, comp, tail)
+    return _result(_kl_bound(losses, comp, None, tail)[0], losses, comp, tail, gammas)
 
 
 # The T search's tolerance keeps its final bracket within this many whole
@@ -416,11 +411,10 @@ def _bgplusplus(losses, gammas, post, spec) -> BoundResult:
 
     def value(lanes, T):
         u, comp, eps = terms(lanes, T)
-        return nk.kl_inv(u, comp) + eps
+        return _kl_bound(u, comp, 1.0, eps)[0]
 
     T_star, best = _search_counts(value, 4 * _bgplus_T(gammas, m))
-    return _result(np.minimum(1.0, best), gammas, None, T_star,
-                   *terms(np.arange(gammas.size), T_star))
+    return _result(best, *terms(np.arange(gammas.size), T_star), gammas, T=T_star)
 
 
 def _gibbs(u, kl_cat, n: int, factor: float, spec: BoundSpec, grad: bool = False):
@@ -495,6 +489,15 @@ def _K_range(K_init: float, n: int):
     if not 0.0 < K_init <= _K_MAX:
         raise ValueError("K must lie in (0, 1e300]")
     return np.full(n, K_init), np.full(n, K_init * _K_SPAN)
+
+
+def _search_K(values_at, K_init: float, n: int, floor=None):
+    """Per lane of n, the best K over [K_init, K_init * _K_SPAN] and its
+    value: ``_search_log`` on ln K, for ``values_at(lanes, K)`` and its
+    ``floor(lanes, ln K)``."""
+    x, values = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), *_K_range(K_init, n),
+                            floor)
+    return np.array([math.exp(xi) for xi in x]), values
 
 
 def _search_log(values_at, lo, hi, floor=None, tol=None):
@@ -651,9 +654,8 @@ def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
     def at(lanes, K):
         return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
 
-    x, _ = _search_log(lambda lanes, x: at(lanes, np.exp(x))[0], *_K_range(post.K, gammas.size))
-    K = np.array([math.exp(xi) for xi in x])
-    return _dirichlet_result(at(slice(None), K), K, gammas)
+    K, _ = _search_K(lambda lanes, K: at(lanes, K)[0], post.K, gammas.size)
+    return _result(*at(slice(None), K), gammas, K)
 
 
 def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np.ndarray):
@@ -704,11 +706,11 @@ def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundR
     def floor(lanes, hi):
         return _stochastic_floor(hi, margins[lanes], spec)
 
-    x, values = _search_log(lambda lanes, x: at(np.exp(x), margins[lanes])[0],
-                            *_K_range(post.K, margins.size), floor if stochastic else None)
+    K, values = _search_K(lambda lanes, K: at(K, margins[lanes])[0], post.K, margins.size,
+                          floor if stochastic else None)
     i = _best_lane(values, margins)
-    K, g = np.array([math.exp(x[i])]), margins[i:i + 1]
-    return _lane(_dirichlet_result(at(K, g), K, g if stochastic else None), 0)
+    K, g = K[i:i + 1], margins[i:i + 1]
+    return _lane(_result(*at(K, g), g if stochastic else None, K), 0)
 
 
 def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult:
@@ -717,7 +719,7 @@ def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult
     losses there, keeping the smallest value (the smallest gamma on ties)."""
     keep = applies(post.gammas, post.theta.size)
     if not keep.any():
-        return _result(1.0, None, None, None, 1.0, math.inf, 0.0, ("inapplicable_margin",))
+        return _result(1.0, 1.0, math.inf, 0.0, flags=("inapplicable_margin",))
     gammas = post.gammas[keep]
     lanes = formula(post.margin_losses[keep], gammas, post, spec)
     return _lane(lanes, _best_lane(lanes.value, gammas))
@@ -728,13 +730,13 @@ def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult
 
 @dataclass(frozen=True)
 class _Bound:
-    """How a bound's value is rebuilt from its components and how it is
-    evaluated: ``evaluate(post, spec)`` returns its result on a posterior
-    context.  A margin-grid bound also holds its ``formula`` and the rule
-    ``applies(gammas, d)`` of the margins where it holds (see
-    ``_margin_grid``)."""
+    """A bound's kl factor and how it is evaluated: ``evaluate(post, spec)``
+    returns its result on a posterior context, whose value is ``_kl_bound`` of
+    the factor and the result's components.  A margin-grid bound also holds
+    its ``formula`` and the rule ``applies(gammas, d)`` of the margins where
+    it holds (see ``_margin_grid``)."""
 
-    rebuild: Callable[[BoundResult], float]  # unclipped value
+    factor: float | None  # None: bg's closed form
     union: bool  # fixed-margin statement: searched at delta / n_gamma
     evaluate: Callable[[_Posterior, BoundSpec], BoundResult]
     formula: Callable[..., BoundResult] | None = None
@@ -742,16 +744,10 @@ class _Bound:
     floored: bool = True  # reads the floored weights, so carries their flag
 
 
-def _margin_grid(rebuild, formula, union: bool = True, applies=_everywhere) -> _Bound:
+def _margin_grid(formula, factor=1.0, union: bool = True, applies=_everywhere) -> _Bound:
     """A margin-grid bound's entry: certify evaluates ``formula`` by
     ``_on_grid``, and ``margin_bound`` calls it on the caller's lanes."""
-    return _Bound(rebuild, union, partial(_on_grid, formula, applies), formula, applies)
-
-
-def _kl(factor: float) -> Callable[[BoundResult], float]:
-    """factor * kl_inv(empirical, complexity) + derandomisation."""
-    return lambda r: _kl_bound(
-        r.empirical_term, r.complexity_term, factor, r.derandomisation_term, False)[0]
+    return _Bound(factor, union, partial(_on_grid, formula, applies), formula, applies)
 
 
 def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
@@ -761,32 +757,24 @@ def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
     def evaluate(post, spec):
         u = loss(post.P, post.theta)
         value, comp = _gibbs(u, nk.categorical_kl_uniform(post.theta), n, factor, spec)
-        return _result(min(1.0, value), None, None, None, u, comp, 0.0)
+        return _result(value, u, comp, 0.0)
 
-    return _Bound(_kl(factor), False, evaluate, floored=False)
-
-
-def _bg_closed_form(r: BoundResult) -> float:
-    return (
-        r.empirical_term
-        + math.sqrt(r.complexity_term * r.empirical_term)
-        + r.derandomisation_term
-    )
+    return _Bound(factor, False, evaluate, floored=False)
 
 
 _BOUNDS = {
-    "dirichlet_margin": _margin_grid(_kl(1.0), _margin_best_K),
-    "stochastic_margin": _Bound(_kl(1.0), True, partial(_certify_beta, True)),
-    "gz": _margin_grid(_kl(1.0), _gz, union=False, applies=_gz_applies),
-    "bgplus": _margin_grid(_kl(1.0), _bgplus),
-    "bg": _margin_grid(_bg_closed_form, _bg),
-    "bgplusplus": _margin_grid(_kl(1.0), _bgplusplus),
+    "dirichlet_margin": _margin_grid(_margin_best_K),
+    "stochastic_margin": _Bound(1.0, True, partial(_certify_beta, True)),
+    "gz": _margin_grid(_gz, union=False, applies=_gz_applies),
+    "bgplus": _margin_grid(_bgplus),
+    "bg": _margin_grid(_bg, factor=None),
+    "bgplusplus": _margin_grid(_bgplusplus),
     # The losses are looked up when called, so a wrapper installed on votes
     # sees the calls.
     "fo": _gibbs_bound(lambda P, th: votes.gibbs_loss(P, th), 1, 2.0),
     "so": _gibbs_bound(lambda P, th: votes.tandem_loss(P, th), 2, 4.0),
     "bin": _gibbs_bound(lambda P, th: votes.binomial_loss(P, th, _BIN_VOTERS), _BIN_VOTERS, 2.0),
-    "f2": _Bound(_kl(2.0), False, partial(_certify_beta, False)),
+    "f2": _Bound(2.0, False, partial(_certify_beta, False)),
 }
 
 BOUND_IDS = tuple(_BOUNDS)
@@ -805,20 +793,19 @@ def margin_applies(bound_id: str, gammas, d: int) -> np.ndarray:
     return _lookup(bound_id, margin_grid=True).applies(gammas, d)
 
 
-def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
-                 K: float = 1.0) -> BoundResult:
+def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec) -> BoundResult:
     """A margin-grid bound (dirichlet_margin, gz, bgplus, bg, bgplusplus) on
     lanes of (margin loss, gamma), which broadcast together: one result
     whose fields hold one entry per lane (plain numbers for scalar lanes).
     Formula-level: takes the margin loss values and ``spec`` as given (no
     union correction).  theta is floored as certify floors it;
-    dirichlet_margin searches its K over [K, K * 2**16] and bgplusplus its
-    T over {1..4 T_bgplus} on every lane, as certify does.  Raises
-    ValueError for a margin outside (0, 1/2) or a margin loss outside
-    [0, 1] (NaN included) on any lane, for a margin where the bound does not
-    hold (``margin_applies``), and for a K outside (0, 1e300]."""
+    dirichlet_margin searches its K over [1, 2**16] and bgplusplus its T
+    over {1..4 T_bgplus} on every lane, as certify does.  Raises ValueError
+    for a margin outside (0, 1/2) or a margin loss outside [0, 1] (NaN
+    included) on any lane, and for a margin where the bound does not hold
+    (``margin_applies``)."""
     bound = _lookup(bound_id, margin_grid=True)
-    post = _Posterior(theta, K)
+    post = _Posterior(theta)
     losses, gammas = _lanes(losses, gammas)
     if not ((gammas > 0.0) & (gammas < 0.5) & (losses >= 0.0) & (losses <= 1.0)).all():
         raise ValueError("gamma must lie in (0, 1/2) and the margin loss in [0, 1]")
@@ -829,8 +816,10 @@ def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec,
 
 
 def reconstruct_value(bound_id: str, r: BoundResult) -> float:
-    """Recompute a certified value from its stored components."""
-    return min(1.0, _lookup(bound_id).rebuild(r))
+    """Recompute a certified value from its stored components, by the value
+    function that computed it (``_kl_bound``), clipped as ``_result`` clips."""
+    u, comp, eps = r.empirical_term, r.complexity_term, r.derandomisation_term
+    return _result(_kl_bound(u, comp, _lookup(bound_id).factor, eps)[0], u, comp, eps).value
 
 
 def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound_ids,

@@ -207,10 +207,16 @@ def _per_sample_margin_losses(preds, labels, num_classes, samples, gamma: float)
     return counts / m
 
 
-def _check_samples(n: int) -> None:
-    """The sample standard deviation (ddof=1) is undefined below 2 samples."""
+def _mc_margin_loss(P: PredictionMatrix, alpha, gamma: float, n: int, seed: int,
+                    stream: int) -> tuple[float, float]:
+    """The mean of L_gamma(xi) over n samples xi ~ Dirichlet(alpha), and its
+    standard error, from the sample standard deviation (ddof=1), which is
+    undefined below 2 samples."""
     if n < 2:
         raise ValueError("n must be at least 2 samples")
+    samples = sample_dirichlet(alpha, n, seed, stream)
+    per_sample = _per_sample_margin_losses(P.preds, P.labels, P.num_classes, samples, gamma)
+    return float(per_sample.mean()), float(per_sample.std(ddof=1)) / math.sqrt(n)
 
 
 def verify_derandomisation(P: PredictionMatrix, theta, K: float, gamma: float,
@@ -225,12 +231,8 @@ def verify_derandomisation(P: PredictionMatrix, theta, K: float, gamma: float,
     th = np.asarray(theta, dtype=float)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    _check_samples(n)
+    est, stderr = _mc_margin_loss(P, K * th, gamma, n, seed, stream)
     preds, labels, c = P.preds, P.labels, P.num_classes
-    samples = sample_dirichlet(K * th, n, seed, stream)
-    per_sample = _per_sample_margin_losses(preds, labels, c, samples, gamma)
-    est = float(per_sample.mean())
-    stderr = float(per_sample.std(ddof=1)) / math.sqrt(n)
     eps = math.exp(-4.0 * (K + 1.0) * gamma * gamma)
     l0 = _margin_loss_direct(preds, labels, c, th, 0.0)
     l2g = _margin_loss_direct(preds, labels, c, th, 2.0 * gamma)
@@ -249,12 +251,8 @@ def verify_beta_sharpness(P: PredictionMatrix, alpha, gamma: float,
     direct Monte Carlo estimate: two-sided equality for binary labels,
     one-sided (closed form is an upper bound) otherwise.  The standard error
     needs n >= 2 samples."""
-    _check_samples(n)
     a = np.asarray(alpha, dtype=float)
-    samples = sample_dirichlet(a, n, seed, stream)
-    per_sample = _per_sample_margin_losses(P.preds, P.labels, P.num_classes, samples, gamma)
-    est = float(per_sample.mean())
-    stderr = float(per_sample.std(ddof=1)) / math.sqrt(n)
+    est, stderr = _mc_margin_loss(P, a, gamma, n, seed, stream)
     closed = votes.expected_margin_loss_beta(P, a, gamma)
     direction = "two_sided" if P.num_classes == 2 else "mc_lower"
     return McReport.build("beta_sharpness", est, stderr, n, closed, direction)

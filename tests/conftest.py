@@ -40,7 +40,7 @@ def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
     post = bounds._Posterior(theta)
     kl = post.kl_of(K)
     terms = formula(loss, K, *gamma, kl, spec) if gamma else formula(loss, kl, spec)
-    return bounds._dirichlet_result(terms, K, gamma[0] if gamma else None).with_flags(post.flags)
+    return bounds._result(*terms, gamma[0] if gamma else None, K).with_flags(post.flags)
 
 
 # The rule a certificate meets against a recorded one: the value and its

@@ -64,9 +64,7 @@ class TestDirichletMargin:
         comp = (dkl + math.log(2 * math.sqrt(2000) / 0.5)) / 2000
         want = min(1.0, nk.kl_inv(min(1.0, 0.0 + eps), comp) + eps)
         assert r.value == pytest.approx(want, abs=1e-12)
-        assert bounds.reconstruct_value("dirichlet_margin", r) == pytest.approx(
-            r.value, abs=1e-9
-        )
+        assert bounds.reconstruct_value("dirichlet_margin", r) == r.value
 
     def test_zero_kl_configuration(self):
         """With the all-ones prior and K = d (uniform weights), alpha equals
@@ -530,10 +528,30 @@ class TestCertify:
         cfg = SearchConfig(n_gamma=40)
         for bid in bounds.BOUND_IDS:
             r = bounds.certify(toy_matrix, wp, spec, bid, cfg)
-            if "vacuous" not in r.flags:
-                assert bounds.reconstruct_value(bid, r) == pytest.approx(
-                    r.value, abs=1e-9
-                )
+            assert bounds.reconstruct_value(bid, r) == r.value
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_every_certificate_reconstructs_exactly(self, classes):
+        """reconstruct_value rebuilds every certified value bit for bit,
+        vacuous ones included: binary and 3-class matrices, uniform,
+        Dirichlet(5) and Dirichlet(0.3) weights, K_init from 1e-3 to 1e12,
+        grids of 1, 10 and 50 margins, every bound id."""
+        m, d = 80, 9
+        P = random_matrix(seed=classes, m=m, d=d, c=classes, accuracy=0.65)
+        rng = np.random.default_rng(classes)
+        spec = BoundSpec(m=m, delta=0.05)
+        mismatches, count = [], 0
+        for weights in (uniform_theta(d), rng.dirichlet(np.full(d, 5.0)),
+                        rng.dirichlet(np.full(d, 0.3))):
+            for K in (1e-3, 1.0, 30.0, 1e12):
+                for n_gamma in (1, 10, 50):
+                    results = bounds.certify_all(P, WeightPosterior(weights, K), spec,
+                                                 bounds.BOUND_IDS, SearchConfig(n_gamma))
+                    for bid, r in results.items():
+                        count += 1
+                        if bounds.reconstruct_value(bid, r) != r.value:
+                            mismatches.append((K, n_gamma, bid, r))
+        assert mismatches == [] and count == 3 * 4 * 3 * len(bounds.BOUND_IDS)
 
 
 class TestCertifyAll:
@@ -774,9 +792,9 @@ class TestLockstepSearch:
         spec = BoundSpec(m=500, delta=0.1)
         gammas = np.linspace(0.01, 0.49, 17)
         losses = rng.uniform(0.0, 0.3, gammas.size)
-        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec, 2.0)
+        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec)
         singles = [
-            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec, 2.0)
+            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec)
             for loss, g in zip(losses, gammas)
         ]
         assert [bounds._lane(lanes, i) for i in range(gammas.size)] == singles
@@ -796,12 +814,19 @@ class TestLockstepSearch:
                 bounds._K_range(K, 1)
 
     def test_K_limit_is_inclusive(self):
-        theta = uniform_theta(6)
-        r = bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=1e300)
+        """K_init = 1e300 certifies, the next float up does not; 0, below 0
+        and NaN are refused by the K range itself."""
+        P = random_matrix(seed=0, m=60, d=6, accuracy=0.75)
+        spec, cfg = BoundSpec(m=60, delta=0.05), SearchConfig(n_gamma=5)
+        r = bounds.certify(P, WeightPosterior(uniform_theta(6), 1e300), spec, "dirichlet_margin",
+                           cfg)
         assert 0.0 <= r.value <= 1.0
+        wp = WeightPosterior(uniform_theta(6), np.nextafter(1e300, 2e300))
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
+            bounds.certify(P, wp, spec, "dirichlet_margin", cfg)
         for K in (np.nextafter(1e300, 2e300), 0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
-                bounds.margin_bound("dirichlet_margin", 0.1, theta, 0.2, SPEC, K=K)
+                bounds._K_range(K, 1)
 
 
 SEARCH_LOG = bounds._search_log
@@ -1281,7 +1306,7 @@ class TestCertifyReference:
             case = (want["matrix"], want["weights"], want["n_gamma"], want["bound"])
             mismatches += reference_mismatches(case, vars(got), want)
             rebuilt = bounds.reconstruct_value(want["bound"], got)
-            if not abs(rebuilt - got.value) <= 1e-9:
+            if rebuilt != got.value:
                 mismatches.append((case, "reconstruct", rebuilt, got.value))
         assert mismatches == []
         assert len(recorded["results"]) == 2 * 2 * 3 * len(bounds.BOUND_IDS)

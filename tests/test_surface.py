@@ -1,6 +1,7 @@
 """Each module's ``__all__`` names exactly its public functions and classes,
 every function a module exports has a caller in the package or the
-benchmark, and every field of a ``*Config`` dataclass is set by one."""
+benchmark, and every field of a ``*Config`` dataclass and every defaulted
+parameter of an exported function is set by one."""
 import ast
 import dataclasses
 import importlib
@@ -73,17 +74,16 @@ def test_every_export_has_a_caller(name):
     assert uncalled == set()
 
 
-def _keywords_passed(path: pathlib.Path, cls_name: str) -> set:
-    """Keyword names that one file passes to a call of ``cls_name``, as a
-    bare name or as an attribute (``module.cls_name``)."""
-    passed = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called == cls_name:
-                passed |= {kw.arg for kw in node.keywords}
-    return passed
+def _calls(paths, name: str):
+    """The calls of ``name`` in the files ``paths``, as a bare name or as an
+    attribute (``module.name``)."""
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None)) == name:
+                    yield node
 
 
 def test_every_config_field_has_a_caller():
@@ -99,7 +99,34 @@ def test_every_config_field_has_a_caller():
         for cls_name, cls in vars(module).items():
             if (cls_name.endswith("Config") and dataclasses.is_dataclass(cls)
                     and cls.__module__ == module.__name__):
-                passed = set().union(*(_keywords_passed(p, cls_name) for p in callers))
+                passed = {kw.arg for call in _calls(callers, cls_name) for kw in call.keywords}
                 unset |= {f"{path.stem}.{cls_name}.{f.name}" for f in dataclasses.fields(cls)
                           if f.name not in passed}
+    assert unset == set()
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Every parameter with a default of a function in a module's
+    ``__all__`` is passed, by position or by keyword, by some call in the
+    package (the module's own included: the oracle batteries pass
+    ``stream``) or in the benchmark: a value that no caller sets is a
+    constant, not a knob.  Tests do not count."""
+    package = pathlib.Path(importlib.import_module("votecert").__file__).parent
+    callers = list(package.glob("*.py")) + list((package.parents[1] / "bench").glob("*.py"))
+    unset = set()
+    for name in MODULES:
+        module = importlib.import_module(f"votecert.{name}")
+        for attr in module.__all__:
+            func = getattr(module, attr)
+            if not inspect.isfunction(func):
+                continue
+            params = inspect.signature(func).parameters
+            passed = set()
+            for call in _calls(callers, attr):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(kw.arg is None for kw in call.keywords)):
+                    passed |= set(params)  # *args or **kwargs may pass any
+                passed |= set(list(params)[:len(call.args)]) | {kw.arg for kw in call.keywords}
+            unset |= {f"{name}.{attr}.{p.name}" for p in params.values()
+                      if p.default is not p.empty and p.name not in passed}
     assert unset == set()
