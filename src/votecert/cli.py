@@ -75,7 +75,8 @@ def _write_json(path, payload) -> None:
 
 
 def _load_theta(path, num_voters: int) -> np.ndarray:
-    """Voting weights, one value per line; malformed files are data errors."""
+    """Voting weights, one value per line; malformed files are data errors.
+    Weights whose sum overflows are divided by their largest first."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -88,9 +89,11 @@ def _load_theta(path, num_voters: int) -> np.ndarray:
     theta = np.asarray(values)
     if theta.size != num_voters:
         raise data.DataError(f"{path}: {theta.size} weights for {num_voters} voters")
-    if not np.all(np.isfinite(theta)) or np.any(theta < 0.0) or theta.sum() <= 0.0:
+    if not np.all(np.isfinite(theta)) or np.any(theta < 0.0) or not theta.any():
         raise data.DataError(f"{path}: weights must be finite, non-negative, not all zero")
-    return theta
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(theta.sum())
+    return theta / theta.max() if overflows else theta
 
 
 def _result_row(dataset, seed, posterior_name, bound_id, result, test_error, m_bound):

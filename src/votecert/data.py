@@ -44,7 +44,7 @@ class Dataset:
         if y.shape != (X.shape[0],):
             raise ValueError("labels length must match feature rows")
         if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
+            raise DataError("features must be finite")
         if y.size and (y.min() < 1 or y.max() > self.num_classes):
             raise ValueError("labels must lie in [1..num_classes]")
         X.setflags(write=False)
@@ -73,9 +73,13 @@ def _remap_labels(raw: list) -> tuple[np.ndarray, int]:
     return labels, len(distinct)
 
 
+_LIBSVM_MAX_INDEX = 100_000
+
+
 def parse_libsvm(path) -> Dataset:
     """Parse sparse ``label idx:val ...`` lines with 1-based strictly
-    increasing indices; absent indices are 0.0."""
+    increasing indices; absent indices are 0.0.  The matrix is dense, so an
+    index above 100,000 is a DataError, raised before allocating it."""
     raw_labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     width = 0
@@ -102,6 +106,8 @@ def parse_libsvm(path) -> Dataset:
                     raise DataError(
                         f"line {lineno}: indices must be 1-based strictly increasing"
                     )
+                if idx > _LIBSVM_MAX_INDEX:
+                    raise DataError(f"line {lineno}: feature index {idx} above {_LIBSVM_MAX_INDEX}")
                 last_idx = idx
                 pairs.append((idx, val))
             width = max(width, last_idx)

@@ -210,8 +210,10 @@ def predict_matrix(ensemble, features, labels) -> PredictionMatrix:
 def ingest_predictions(path) -> PredictionMatrix:
     """Load a prediction CSV with header ``label,v1,...,vd``.
 
-    Entries are integer class indices >= 1; ragged or malformed rows raise a
-    PredictionFileError naming the data row (1-based).
+    Entries are integer class indices >= 1 of any size; margins and
+    majority votes depend only on their order, so the distinct indices of
+    labels and votes together become 1..C in sorted order (C >= 2).  A
+    ragged or malformed row raises a PredictionFileError naming it (1-based).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -237,6 +239,6 @@ def ingest_predictions(path) -> PredictionMatrix:
             rows.append(values)
     if not rows:
         raise PredictionFileError("prediction file has no data rows")
-    table = np.asarray(rows, dtype=np.int64)
-    num_classes = max(2, int(table.max()))
-    return PredictionMatrix(table[:, 1:], table[:, 0], num_classes)
+    classes = {k: c for c, k in enumerate(sorted(set().union(*rows)), start=1)}
+    table = np.array([[classes[k] for k in row] for row in rows], dtype=np.int64)
+    return PredictionMatrix(table[:, 1:], table[:, 0], max(2, len(classes)))

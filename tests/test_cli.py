@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,62 @@ class TestCertifyCommand:
         for r in rows:
             assert float(r["value"]) == 1.0
             assert "vacuous" in r["flags"].split("|")
+
+
+class TestOutOfRangeInputs:
+    """Input files holding numbers far outside the usual range: each run
+    exits 0 with the results of an in-range twin, or exits 3."""
+
+    @pytest.mark.parametrize("index", [1_000_000, 99999999999999999999])
+    def test_class_index_counts_only_by_order(self, tmp_path, index):
+        """A binary 41 x 3 file with one vote for class ``index``: only the
+        order of the class indices matters, so results.csv is that of the
+        twin with 3 there (the file name is part of it, so both share
+        one), and the run stays small (at 1,000,000 the one-hot masks once
+        took 773 MB)."""
+        P = random_matrix(seed=4, m=41, d=3, accuracy=0.6)
+        outputs = []
+        for vote in (index, 3):
+            preds = tmp_path / str(vote) / "preds.csv"
+            preds.parent.mkdir()
+            export_predictions(P, preds)
+            lines = preds.read_text().splitlines()
+            label, v1, v2, v3 = lines[6].split(",")
+            lines[6] = ",".join([label, v1, str(vote), v3])
+            preds.write_text("\n".join(lines) + "\n")
+            tracemalloc.start()
+            try:
+                assert cli.main(["certify", "--predictions", str(preds), "--n-gamma", "50",
+                                 "--out", str(tmp_path / f"out{vote}")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+            outputs.append((tmp_path / f"out{vote}" / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_theta_whose_sum_overflows(self, tmp_path):
+        """Three weights of 1e308 certify as three weights of 1.0."""
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds, d=3)
+        outputs = []
+        for weight in ("1e308", "1.0"):
+            theta = tmp_path / f"theta{weight}.txt"
+            theta.write_text(f"{weight}\n" * 3)
+            out = tmp_path / f"out{weight}"
+            assert cli.main(["certify", "--predictions", str(preds), "--theta", str(theta),
+                             "--n-gamma", "20", "--out", str(out)]) == 0
+            outputs.append((out / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys, value):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("f1,f2,label\n" + "".join(
+            f"{value if i == 3 else i},{2 * i},{i % 2}\n" for i in range(12)))
+        assert cli.main(["experiment", "--dataset", str(dataset), "--seeds", "0",
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "features must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,4 +1,6 @@
 """Parsers, standardisation, and the split protocol."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ class TestParseLibsvm:
         with pytest.raises(DataError, match="line 2"):
             data.parse_libsvm(path)
 
+    def test_index_above_limit_rejected_before_allocating(self, tmp_path):
+        """The dense matrix has one column per index up to the largest: an
+        index of 10^8 is a DataError naming its line, raised before a
+        1.6 GB matrix is asked for; the limit itself is accepted."""
+        path = tmp_path / "f.libsvm"
+        path.write_text("1 1:1.0\n-1 2:0.5 100000000:1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="line 2"):
+                data.parse_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        path.write_text(f"1 1:1.0\n-1 2:0.5 {data._LIBSVM_MAX_INDEX}:1.0\n")
+        assert data.parse_libsvm(path).features.shape == (2, data._LIBSVM_MAX_INDEX)
+
 
 class TestParseCsv:
     def test_ordinal_encoding_sorted(self, tmp_path):
@@ -75,6 +94,13 @@ class TestParseCsv:
         path = tmp_path / "i.csv"
         path.write_text("f,label\n1.0,1\n,2\n")
         with pytest.raises(DataError, match="row 2"):
+            data.parse_csv(path, "label")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_is_data_error(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,label\n1.0,x\n{value},y\n")
+        with pytest.raises(DataError, match="finite"):
             data.parse_csv(path, "label")
 
     def test_label_column_by_index(self, tmp_path):
