@@ -26,9 +26,10 @@ formula call over every applicable grid margin, the winner picked by
 the comparison sweep does, and ``margin_applies`` reads the rule.
 
 ``certify_all`` evaluates any bound ids on one posterior through one context
-(``_Posterior``): theta floored once, one K -> KL memo for the three K
-searches, and the grid's margin losses and distinct row masses computed the
-first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
+(``_Posterior``): theta floored once, one K -> KL closure for the three K
+searches (its prior terms computed once, each call's distinct K one kernel
+row each), and the grid's margin losses and distinct row masses computed
+the first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
 
 One search serves every searched knob: the Dirichlet bounds (f2 at the
 single margin 0) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
@@ -136,7 +137,7 @@ class BoundResult:
 class _Posterior:
     """What the certificates of one posterior share: theta as given (for the
     Gibbs baselines), theta floored and its flags, K, the margin grid, and
-    a K -> KL memo, margin losses and row masses made when first read, so
+    a K -> KL closure, margin losses and row masses made when first read, so
     that fo, so and bin pay for none of them.
 
     Flooring clamps zero weights before forming Dirichlet parameters:
@@ -209,21 +210,15 @@ def _lane(r: BoundResult, i: int) -> BoundResult:
 def _dirichlet_kl_of(theta: np.ndarray):
     """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once.
 
-    The KL depends on K alone, so the closure keeps every value it computes,
-    keyed by K: the searches of one posterior that send one K on many lanes,
-    or come back to it, pay the d-voter KL once.  The K values it has not
-    seen go through one kernel call, each as its own row, so every lane
+    The KL depends on K alone, so each call sends the kernel one row per
+    distinct K among its lanes and gathers the values back: every lane
     equals ``nk.dirichlet_kl(K * theta, ones)`` bit for bit."""
     kl = nk._dirichlet_kl_to(np.ones(theta.size))
-    known: dict[float, float] = {}
 
     def kl_of(K):
         K = np.asarray(K, dtype=float)
-        keys = K.ravel().tolist()
-        new = [k for k in dict.fromkeys(keys) if k not in known]
-        if new:
-            known.update(zip(new, kl(np.array(new)[:, None] * theta).tolist()))
-        return np.array([known[k] for k in keys]).reshape(K.shape)
+        distinct, lane = np.unique(K, return_inverse=True)
+        return kl(distinct[:, None] * theta)[lane].reshape(K.shape)
 
     return kl_of
 
@@ -827,7 +822,8 @@ def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound
     """Search the margin grid (and K where applicable) for the tightest
     certificate of each distinct id in ``bound_ids``, in order, all on one
     posterior context: theta is floored once, the grid's margins are sorted
-    at most once, and no K's Dirichlet KL is computed twice.
+    at most once, and each search call computes the Dirichlet KL once per
+    distinct K among its lanes.
 
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as

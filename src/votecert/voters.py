@@ -1,8 +1,10 @@
-"""Base classifier ensembles: decision stumps, a small random forest, and
+"""Base classifier ensembles: a decision-stump grid held as three arrays
+(feature, threshold, above class), a small random forest, and
 prediction-matrix ingestion for externally trained voters.
 
-Ensembles are immutable after construction; training is deterministic under
-a fixed seed, so prediction matrices are reproducible bit-exactly.
+Ensembles are immutable after construction (the stump arrays are
+read-only); training is deterministic under a fixed seed, so prediction
+matrices are reproducible bit-exactly.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 from .votes import PredictionMatrix
 
 __all__ = [
-    "Stump",
     "StumpEnsemble",
     "Forest",
     "make_stumps",
@@ -31,30 +32,25 @@ class PredictionFileError(ValueError):
 
 
 @dataclass(frozen=True)
-class Stump:
-    """Axis-aligned threshold voter: predicts above_class when x > threshold."""
-
-    feature: int
-    threshold: float
-    above_class: int
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        below = 3 - self.above_class  # binary labels {1, 2}
-        return np.where(features[:, self.feature] > self.threshold, self.above_class, below)
-
-
-@dataclass(frozen=True)
 class StumpEnsemble:
-    stumps: tuple
-    num_classes: int = 2
+    """Axis-aligned threshold voters on the binary labels {1, 2}: voter j
+    predicts above_class[j] where x[feature[j]] > threshold[j] and the other
+    class elsewhere.  The three arrays are held as read-only copies."""
 
-    def __len__(self) -> int:
-        return len(self.stumps)
+    feature: np.ndarray
+    threshold: np.ndarray
+    above_class: np.ndarray
+    num_classes = 2
+
+    def __post_init__(self):
+        for name, dtype in (("feature", np.int64), ("threshold", float), ("above_class", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def predict_all(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        cols = [s.predict(features) for s in self.stumps]
-        return np.stack(cols, axis=1)
+        X = np.asarray(features, dtype=float)
+        return np.where(X[:, self.feature] > self.threshold, self.above_class, 3 - self.above_class)
 
 
 _STUMP_THRESHOLDS = 6
@@ -70,15 +66,12 @@ def make_stumps(train_features) -> StumpEnsemble:
     X = np.asarray(train_features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("train_features must be a non-empty 2-d matrix")
-    stumps = []
-    for j in range(X.shape[1]):
-        lo = float(X[:, j].min())
-        hi = float(X[:, j].max())
-        for i in range(1, _STUMP_THRESHOLDS + 1):
-            t = lo + (hi - lo) * i / (_STUMP_THRESHOLDS + 1)
-            stumps.append(Stump(j, t, above_class=1))
-            stumps.append(Stump(j, t, above_class=2))
-    return StumpEnsemble(tuple(stumps))
+    lo, hi = X.min(axis=0)[:, None], X.max(axis=0)[:, None]
+    i = np.arange(1, _STUMP_THRESHOLDS + 1)
+    with np.errstate(over="ignore"):  # a span past the float range is inf, as in Python
+        thresholds = lo + (hi - lo) * i / (_STUMP_THRESHOLDS + 1)
+    return StumpEnsemble(np.arange(X.shape[1]).repeat(2 * _STUMP_THRESHOLDS),
+                         thresholds.repeat(2), np.tile([1, 2], thresholds.size))
 
 
 @dataclass(frozen=True)

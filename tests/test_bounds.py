@@ -576,9 +576,10 @@ class TestCertifyAll:
             assert got[bid] == bounds.certify(P, wp, spec, bid, cfg)
         assert ("theta_floored" in got["f2"].flags) == (weights == "zeros")
 
-    def test_one_sort_and_each_K_once(self, monkeypatch):
+    def test_one_sort_and_distinct_K_rows_per_call(self, monkeypatch):
         """Over every bound id of a Dirichlet(5) posterior at n_gamma=100:
-        one votes.margins call, one KL kernel, and no K row sent to it twice."""
+        one votes.margins call, one KL closure, and no K row sent twice in
+        one kernel call."""
         sorts, kernels, sent = [], [], []
         margins, kernel = votes.margins, nk._dirichlet_kl_to
 
@@ -591,7 +592,7 @@ class TestCertifyAll:
             kl = kernel(beta)
 
             def spied(alpha):
-                sent.extend(row.tobytes() for row in alpha.reshape(-1, alpha.shape[-1]))
+                sent.append([row.tobytes() for row in alpha.reshape(-1, alpha.shape[-1])])
                 return kl(alpha)
 
             return spied
@@ -604,11 +605,11 @@ class TestCertifyAll:
         bounds.certify_all(P, wp, BoundSpec(m=300, delta=0.05), bounds.BOUND_IDS,
                            SearchConfig(n_gamma=100))
         assert len(sorts) == 1 and len(kernels) == 1
-        assert len(sent) == len(set(sent)) > 0
+        assert all(len(rows) == len(set(rows)) for rows in sent) and sum(map(len, sent)) > 0
 
     def test_gibbs_ids_skip_the_shared_work(self, monkeypatch):
         """fo, so and bin sort no margins, find no distinct masses and build
-        no KL memo."""
+        no KL closure."""
         spy = []
         monkeypatch.setattr(votes, "margins", lambda *a: spy.append("margins"))
         monkeypatch.setattr(bounds, "_dirichlet_kl_of", lambda *a: spy.append("kl"))
@@ -907,8 +908,8 @@ class TestSearchAgainstScan:
 
 
 class TestDirichletKLMemo:
-    """The searches' K -> KL closure keeps each K's KL and computes only the
-    K values it has not seen."""
+    """The searches' K -> KL closure sends the kernel one row per distinct K
+    of each call and gathers the values back to the call's lanes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -937,9 +938,10 @@ class TestDirichletKLMemo:
                     assert got.shape == (len(picks),)
                     assert got.tolist() == [want[K] for K in picks]
 
-    def test_search_sends_each_K_once(self, monkeypatch):
-        """A dirichlet_margin certify at n_gamma=100 sends the kernel no more
-        rows than the search holds distinct K, though its lanes repeat K."""
+    def test_each_call_sends_each_K_once(self, monkeypatch):
+        """A dirichlet_margin certify at n_gamma=100 sends the kernel, on each
+        call, one row per distinct K of the call's lanes, though its lanes
+        repeat K."""
         asked, rows = [], []
         closure, kernel = bounds._dirichlet_kl_of, nk._dirichlet_kl_to
 
@@ -947,7 +949,7 @@ class TestDirichletKLMemo:
             kl_of = closure(theta)
 
             def spied(K):
-                asked.extend(np.ravel(K).tolist())
+                asked.append(np.ravel(K).tolist())
                 return kl_of(K)
 
             return spied
@@ -967,7 +969,8 @@ class TestDirichletKLMemo:
         wp = WeightPosterior(np.random.default_rng(3).dirichlet(np.ones(40)), 1.0)
         bounds.certify(P, wp, BoundSpec(m=300, delta=0.05), "dirichlet_margin",
                        SearchConfig(n_gamma=100))
-        assert sum(rows) <= len(set(asked)) < len(asked)
+        assert rows == [len(set(K)) for K in asked]
+        assert sum(rows) < sum(map(len, asked))
 
 
 def every_row_beta_losses(a_c, a_w):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from votecert import voters
-from votecert.voters import PredictionFileError, Stump
+from votecert.voters import PredictionFileError
 
 from conftest import export_predictions, random_matrix
 
@@ -12,9 +12,18 @@ class TestStumps:
     def test_even_threshold_spacing(self):
         X = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
         ens = voters.make_stumps(X)
-        assert len(ens) == 12
-        thresholds = sorted({s.threshold for s in ens.stumps})
+        assert ens.feature.size == ens.threshold.size == ens.above_class.size == 12
+        thresholds = sorted(set(ens.threshold.tolist()))
         np.testing.assert_allclose(thresholds, [k / 7 for k in range(1, 7)], atol=1e-12)
+
+    def test_arrays_are_read_only_copies(self):
+        feature, threshold = np.array([0, 0]), np.array([0.5, 0.5])
+        ens = voters.StumpEnsemble(feature, threshold, [1, 2])
+        feature[0], threshold[0] = 1, 9.0
+        assert ens.feature.tolist() == [0, 0] and ens.threshold.tolist() == [0.5, 0.5]
+        for arr in (ens.feature, ens.threshold, ens.above_class):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_orientation_twins_complement(self):
         rng = np.random.default_rng(0)
@@ -26,7 +35,7 @@ class TestStumps:
 
     def test_count_scales_with_features(self):
         X = np.random.default_rng(1).normal(size=(30, 5))
-        assert len(voters.make_stumps(X)) == 2 * 6 * 5
+        assert voters.make_stumps(X).threshold.size == 2 * 6 * 5
 
     def test_two_feature_enumeration(self):
         """Every column equals the hand construction x_j > lo + k (hi-lo)/7."""
@@ -113,7 +122,7 @@ class TestPredictMatrix:
     def test_constant_stump_column(self):
         # x > 0.5 never fires, so each stump constantly predicts its below-class
         X = np.zeros((5, 1))
-        ens = voters.StumpEnsemble((Stump(0, 0.5, 1), Stump(0, 0.5, 2)))
+        ens = voters.StumpEnsemble([0, 0], [0.5, 0.5], [1, 2])
         P = voters.predict_matrix(ens, X, np.array([1, 1, 2, 2, 1]))
         np.testing.assert_array_equal(P.preds[:, 0], 2)
         np.testing.assert_array_equal(P.preds[:, 1], 1)
@@ -129,7 +138,7 @@ class TestPredictMatrix:
             assert np.mean(P.preds[:, j] != y) == np.mean(direct[:, j] != y)
 
     def test_empty_examples_rejected(self):
-        ens = voters.StumpEnsemble((Stump(0, 0.0, 1), Stump(0, 0.0, 2)))
+        ens = voters.StumpEnsemble([0, 0], [0.0, 0.0], [1, 2])
         with pytest.raises(ValueError):
             voters.predict_matrix(ens, np.zeros((0, 1)), np.zeros(0, dtype=int))
 
