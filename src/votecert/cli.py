@@ -136,14 +136,8 @@ def _train_config(args, seed: int) -> train.TrainConfig:
 
 
 def _log_rows(seed, objective_kind, result):
-    rows = []
-    for rec in result.history:
-        rows.append((
-            seed, objective_kind,
-            rec.gamma if rec.gamma is not None else "",
-            rec.epoch, rec.objective, rec.bound, rec.K, rec.lr,
-        ))
-    return rows
+    return [(seed, objective_kind, rec.gamma, rec.epoch, rec.objective, rec.bound, rec.K, rec.lr)
+            for rec in result.history]
 
 
 _LOG_COLUMNS = ("seed", "objective", "gamma", "epoch", "batch_objective", "bound", "K", "lr")

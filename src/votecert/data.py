@@ -122,15 +122,6 @@ def parse_libsvm(path) -> Dataset:
     return Dataset(X, labels, num_classes)
 
 
-def _column_is_numeric(values: list[str]) -> bool:
-    for v in values:
-        try:
-            float(v)
-        except ValueError:
-            return False
-    return True
-
-
 def parse_csv(path, label_column) -> Dataset:
     """Parse a headed CSV; non-numeric columns are ordinal-encoded.
 
@@ -167,18 +158,19 @@ def parse_csv(path, label_column) -> Dataset:
     columns = []
     for j in feature_pos:
         values = [rec[j] for rec in records]
-        if _column_is_numeric(values):
+        try:
             columns.append(np.array([float(v) for v in values]))
-        else:
+        except ValueError:
             codes = {v: k for k, v in enumerate(sorted(set(values)))}
             columns.append(np.array([float(codes[v]) for v in values]))
     X = np.column_stack(columns) if columns else np.zeros((len(records), 0))
 
     raw = [rec[label_pos] for rec in records]
-    if _column_is_numeric(raw):
-        labels, num_classes = _remap_labels([float(v) for v in raw])
-    else:
-        labels, num_classes = _remap_labels(raw)
+    try:
+        raw = [float(v) for v in raw]
+    except ValueError:  # non-numeric labels remap in string order
+        pass
+    labels, num_classes = _remap_labels(raw)
     return Dataset(X, labels, num_classes)
 
 

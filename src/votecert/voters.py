@@ -154,9 +154,6 @@ class Forest:
     trees: tuple
     num_classes: int
 
-    def __len__(self) -> int:
-        return len(self.trees)
-
     def predict_all(self, features: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=float)
         return np.stack([_predict_tree(t, X) for t in self.trees], axis=1)

@@ -52,14 +52,6 @@ class WeightPosterior:
             raise ValueError("K must be positive and finite")
         object.__setattr__(self, "K", K)
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.K * self.theta
-
-    @property
-    def num_voters(self) -> int:
-        return self.theta.size
-
     @staticmethod
     def uniform(num_voters: int, K: float = 1.0) -> "WeightPosterior":
         return WeightPosterior(np.full(num_voters, 1.0 / num_voters), K)

@@ -100,7 +100,7 @@ class TestStochasticMargin:
         P = PredictionMatrix(np.full((40, 6), 1), np.full(40, 1), 2)
         wp = WeightPosterior(uniform_theta(6), 50000.0)
         spec = BoundSpec(m=40, delta=0.05)
-        loss = votes.expected_margin_loss_beta(P, wp.alpha, 0.1)
+        loss = votes.expected_margin_loss_beta(P, wp.K * wp.theta, 0.1)
         r = stochastic_from_loss(loss, wp.theta, wp.K, 0.1, spec)
         eps = math.exp(-4 * 50001 * 0.01)
         want = nk.kl_inv(0.0, r.complexity_term) + eps
@@ -341,7 +341,7 @@ class TestBaselines:
         wp = WeightPosterior(uniform_theta(7), 30.0)
         spec = BoundSpec(m=60, delta=0.05)
         r = f2_from_loss(
-            votes.expected_margin_loss_beta(P, wp.alpha, 0.0), wp.theta, wp.K, spec
+            votes.expected_margin_loss_beta(P, wp.K * wp.theta, 0.0), wp.theta, wp.K, spec
         )
         assert r.value >= min(1.0, 2 * r.empirical_term) - 1e-12
 
@@ -422,7 +422,7 @@ class TestCertify:
         grid_and_span(monkeypatch, 0.1, 0.1, 1.0)
         cfg = SearchConfig(n_gamma=1)
         l_g = votes.empirical_margin_loss(toy_matrix, wp.theta, 0.1)
-        expected = votes.expected_margin_loss_beta(toy_matrix, wp.alpha, 0.1)
+        expected = votes.expected_margin_loss_beta(toy_matrix, wp.K * wp.theta, 0.1)
         for bid, direct in (
             ("dirichlet_margin",
              lambda: margin_from_loss(l_g, wp.theta, wp.K, 0.1, spec)),

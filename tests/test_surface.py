@@ -1,13 +1,16 @@
 """Each module's ``__all__`` names exactly its public functions and classes,
 every function a module exports has a caller in the package or the
-benchmark, and every field of a ``*Config`` dataclass and every defaulted
-parameter of an exported function is set by one."""
+benchmark, every field of a ``*Config`` dataclass and every defaulted
+parameter of an exported function is set by one, and every method or
+property of an exported class is read by one."""
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pathlib
 import re
+import types
 
 import pytest
 
@@ -130,3 +133,29 @@ def test_every_defaulted_parameter_has_a_caller():
             unset |= {f"{name}.{attr}.{p.name}" for p in params.values()
                       if p.default is not p.empty and p.name not in passed}
     assert unset == set()
+
+
+def test_every_class_member_has_a_reader():
+    """Every method or property (dunders aside) of a class in a module's
+    ``__all__`` is read as ``.name`` somewhere in the package, the class's
+    own module included, or in the benchmark: a member that nothing reads
+    is dead code.  Tests do not count.  The scan matches names only, so a
+    member shares its readers with any other attribute of that name."""
+    package = pathlib.Path(importlib.import_module("votecert").__file__).parent
+    read = set()
+    for path in list(package.glob("*.py")) + list((package.parents[1] / "bench").glob("*.py")):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+    unread = set()
+    for name in MODULES:
+        module = importlib.import_module(f"votecert.{name}")
+        for attr in module.__all__:
+            cls = getattr(module, attr)
+            if not inspect.isclass(cls):
+                continue
+            unread |= {f"{name}.{attr}.{member}" for member, obj in vars(cls).items()
+                       if not (member.startswith("__") and member.endswith("__"))
+                       and isinstance(obj, (types.FunctionType, property, staticmethod,
+                                            classmethod, functools.cached_property))
+                       and member not in read}
+    assert unread == set()

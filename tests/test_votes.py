@@ -36,7 +36,7 @@ class TestConstruction:
     def test_posterior_normalises(self):
         wp = WeightPosterior(np.array([2.0, 2.0, 4.0]), 3.0)
         assert wp.theta.sum() == pytest.approx(1.0, abs=1e-12)
-        assert wp.alpha.sum() == pytest.approx(3.0, abs=1e-12)
+        assert (wp.K * wp.theta).sum() == pytest.approx(3.0, abs=1e-12)
 
     def test_posterior_rejects_bad(self):
         with pytest.raises(ValueError):
