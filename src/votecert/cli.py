@@ -234,6 +234,8 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
         if args.voter_mode == "stumps":
             if ds.num_classes != 2:
                 raise data.DataError("stump voters support binary tasks only")
+            if ds.features.shape[1] == 0:
+                raise data.DataError("stump voters need at least one feature column")
             ensemble = voters.make_stumps(ds_std.features[plan.train_idx])
         else:
             ensemble = voters.train_forest(

@@ -170,6 +170,19 @@ class TestOutOfRangeInputs:
                          "--out", str(tmp_path / "out")]) == 3
         assert "features must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_stump_voters_need_a_feature(self, tmp_path, capsys, fmt):
+        """A dataset of labels alone: stump voters exit 3, and the forest,
+        whose trees are then single leaves, exits 0."""
+        dataset = tmp_path / f"data.{fmt}"
+        header = "label\n" if fmt == "csv" else ""
+        dataset.write_text(header + "".join(f"{i % 2}\n" for i in range(12)))
+        argv = ["experiment", "--dataset", str(dataset), "--format", fmt, "--seeds", "0",
+                "--max-epochs", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "stumps")]) == 3
+        assert "stump voters need at least one feature column" in capsys.readouterr().err
+        assert cli.main(argv + ["--voter-mode", "rf", "--out", str(tmp_path / "rf")]) == 0
+
 
 @pytest.mark.parametrize("argv, code", [
     (["certify", "--bounds", "fo,foo"], 2),
