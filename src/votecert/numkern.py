@@ -514,8 +514,11 @@ def _simplex_array(theta, name: str, tol: float = 1e-9) -> np.ndarray:
 
 def categorical_kl_uniform(theta) -> float:
     """KL(Categorical(theta) || uniform) = ln d - H(theta) >= 0, with
-    H(theta) = -sum_i theta_i ln theta_i and 0 ln 0 := 0."""
+    H(theta) = -sum_i theta_i ln theta_i and 0 ln 0 := 0.  Equal weights
+    give exactly 0, where the difference would leave a rounding residue."""
     arr = _simplex_array(theta, "theta")
+    if (arr == arr[0]).all():
+        return 0.0
     pos = arr[arr > 0.0]
     return max(0.0, math.log(arr.size) + float(np.sum(pos * np.log(pos))))
 

@@ -202,12 +202,20 @@ class TestBGFamily:
         )
 
     def test_bgplusplus_uniform_collapses_complexity(self):
-        """Uniform weights zero out the per-replication complexity charge."""
+        """Uniform weights zero out the per-replication complexity charge:
+        the value is the formula without it, and on 6 or 7 voters it equals
+        the 2-voter value, also at margins whose T runs to 1e10 and past."""
         r = bounds.margin_bound("bgplusplus", 0.05, uniform_theta(30), 0.15, SPEC)
         T = r.T_star
         eps = math.exp(-0.5 * T * 0.15**2)
         want = nk.kl_inv(min(1.0, 0.05 + eps), math.log(2000 / 0.05) / 2000) + eps
         assert r.value == pytest.approx(min(1.0, want), abs=1e-12)
+        spec = BoundSpec(100, 0.05)
+        for gamma in (1e-4, 1e-8, 1e-9):
+            two = bounds.margin_bound("bgplusplus", 0.1, np.full(2, 0.5), gamma, spec).value
+            for d in (6, 7):
+                got = bounds.margin_bound("bgplusplus", 0.1, np.full(d, 1 / d), gamma, spec)
+                assert got.value == pytest.approx(two, abs=1e-12)
 
     @staticmethod
     def bgplusplus_and_scan(loss, theta, gamma):

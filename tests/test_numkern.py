@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from votecert import numkern as nk
+from votecert.votes import WeightPosterior
 
 from conftest import mpmath_dirichlet_kl, small_kl
 
@@ -705,9 +706,13 @@ class TestCategoricalEntropy:
     """H(theta), with 0 ln 0 := 0, read through ``categorical_kl_uniform``."""
 
     def test_uniform(self):
+        """Equal weights read exactly 0, as given and as WeightPosterior
+        renormalises them, though ln d - H(theta) would leave a residue."""
         theta = np.full(7, 1.0 / 7.0)
         assert entropy(theta) == pytest.approx(math.log(7), abs=1e-12)
-        assert nk.categorical_kl_uniform(theta) == pytest.approx(0.0, abs=1e-12)
+        for d in range(2, 1001):
+            assert nk.categorical_kl_uniform(np.full(d, 1.0 / d)) == 0.0
+            assert nk.categorical_kl_uniform(WeightPosterior.uniform(d).theta) == 0.0
 
     def test_one_hot(self):
         theta = np.zeros(5)
