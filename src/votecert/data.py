@@ -176,11 +176,22 @@ def parse_csv(path, label_column) -> Dataset:
 
 def standardize(ds: Dataset, plan: SplitPlan) -> Dataset:
     """Per-feature (x - mean) / std using train-row statistics only; the
-    std is floored at 1e-12 so constant features map to zeros."""
-    train = ds.features[plan.train_idx]
-    mu = train.mean(axis=0)
-    sigma = np.maximum(train.std(axis=0), 1e-12)
-    return Dataset((ds.features - mu) / sigma, ds.labels, ds.num_classes)
+    std is floored at 1e-12 so constant features map to zeros.
+
+    A column whose train mean or std overflows is first scaled by 2^-e, e
+    the binary exponent of its largest train magnitude.  Scaling by a power
+    of two is exact, so the column standardises as its in-range twin does."""
+    X = ds.features
+    train = X[plan.train_idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = train.mean(axis=0), train.std(axis=0)
+    wide = ~(np.isfinite(mu) & np.isfinite(sd))
+    if wide.any():
+        X = X.copy()
+        X[:, wide] = np.ldexp(X[:, wide], -np.frexp(abs(train[:, wide]).max(axis=0))[1])
+        train = X[plan.train_idx]
+        mu, sd = train.mean(axis=0), train.std(axis=0)
+    return Dataset((X - mu) / np.maximum(sd, 1e-12), ds.labels, ds.num_classes)
 
 
 def split_indices(m: int, seed: int, strong_voters: bool) -> SplitPlan:

@@ -2,9 +2,11 @@
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,22 @@ class TestOutOfRangeInputs:
         assert cli.main(["experiment", "--dataset", str(dataset), "--seeds", "0",
                          "--out", str(tmp_path / "out")]) == 3
         assert "features must be finite" in capsys.readouterr().err
+
+    def test_feature_near_the_float_limit(self, tmp_path):
+        """A feature of +-1e308, whose train statistics overflow, runs as
+        its twin scaled by 2^-1024, with no RuntimeWarning."""
+        outputs = []
+        for name, value in (("huge", 1e308), ("twin", math.ldexp(1e308, -1024))):
+            dataset = tmp_path / name / "data.csv"
+            dataset.parent.mkdir()
+            dataset.write_text("f1,f2,label\n" + "".join(
+                f"{value if i % 3 else -value!r},{i},{i % 2}\n" for i in range(20)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["experiment", "--dataset", str(dataset), "--seeds", "0",
+                                 "--max-epochs", "2", "--out", str(tmp_path / f"out{name}")]) == 0
+            outputs.append((tmp_path / f"out{name}" / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
     def test_stump_voters_need_a_feature(self, tmp_path, capsys, fmt):

@@ -1,5 +1,6 @@
 """Parsers, standardisation, and the split protocol."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,27 @@ class TestStandardize:
                               np.arange(30), seed=0)
         out = data.standardize(ds, plan)
         assert abs(out.features[:30].mean()) < 1e-12
+
+    def test_overflowing_column_standardises_as_its_twin(self):
+        """Columns near the float limit, whose train sum or squares
+        overflow, standardise bit for bit as their twins scaled by the
+        power of two 2^-1024, without a warning; in-range data takes the
+        plain formula."""
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.where(rng.random(40) < 0.5, 1e308, -1e308),
+                             rng.uniform(1e307, 1.7e308, 40), rng.normal(size=40)])
+        twin = X.copy()
+        twin[:, :2] = np.ldexp(X[:, :2], -1024)
+        plan = data.split_indices(40, 0, strong_voters=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, want = (data.standardize(data.Dataset(x, np.ones(40, dtype=int), 1), plan)
+                         for x in (X, twin))
+        assert np.isfinite(out.features).all()
+        assert out.features.tobytes() == want.features.tobytes()
+        train = twin[plan.train_idx]
+        plain = (twin - train.mean(axis=0)) / np.maximum(train.std(axis=0), 1e-12)
+        assert want.features.tobytes() == plain.tobytes()
 
 
 class TestMakeSplit:
