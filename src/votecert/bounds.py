@@ -45,13 +45,15 @@ for K) in one call, then refines each lane's best rung by Brent's method;
 the T search then scans the whole counts around its best point
 (``_search_counts``).  For stochastic_margin it also takes a proven lower
 bound on each margin's value below a bracket top (``_stochastic_floor``),
-evaluates the top of the range first, and drops the margins whose bound
-exceeds the smallest value found; they come back as +inf, and the winning
-margin, its K and the certificate are those of the search without the
-bound.  On a rung every margin lane shares K, so the Beta-CDF loss computes
-ln B(K a_c, K a_w) once per rung and row mass (``_beta_losses``).  The
-grid's range and the searches' K span, tolerance, step limit and T scan are
-module constants; ``SearchConfig`` sets only the grid's size.
+evaluates the top of the range first, drops the margins whose bound
+exceeds the smallest value found, and leaves out of the ladder the rungs
+below one whose bound exceeds the margin's own top value; dropped margins
+come back as +inf, and the winning margin, its K and the certificate are
+those of the search without the bound.  On a rung every margin lane
+shares K, so the Beta-CDF loss computes ln B(K a_c, K a_w) once per rung
+and row mass (``_beta_losses``).  The grid's range and the searches' K
+span, tolerance, step limit and T scan are module constants;
+``SearchConfig`` sets only the grid's size.
 
 Bound identifiers:
 
@@ -523,9 +525,17 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     before every step, the search drops each running lane whose floor at its
     bracket top exceeds the smallest value found on any lane.  A lane's best
     point lies in its bracket, so a dropped lane can neither reach nor tie
-    that value; the lanes that can are evaluated as without a floor, at the
-    same points in the same order, so the smallest value, and the lanes and
-    points that reach it, are unchanged.
+    that value.  The ladder call also leaves out each lane's rung k whose
+    floor at rung k + 1 exceeds the lane's top value: every rung up to
+    k + 1 then lies above that value, so the best rung j is at least k + 2,
+    and rung k is none of j - 1, j and j + 1 that set the bracket, x, w, v
+    and the flat test.  The rung just below the top always stays, as a kept
+    lane's floor at its top is at most the smallest top value.  A NaN top
+    leaves out no rung.  So every kept lane takes the same Brent steps to
+    the same point and value, and the lanes that can reach the smallest
+    value are evaluated as without a floor, at the same points in the same
+    order but for a bottom run of ladder rungs; the smallest value, and the
+    lanes and points that reach it, are unchanged.
 
     Returns the best ln t and value per lane over every evaluation, folded
     rung by rung from the bottom (the top last), then step by step; ties
@@ -553,8 +563,11 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
 
     # The ladder: the tops not yet evaluated first, then rung-major, so
     # that the lanes of one rung, which share t when their ranges do, sit
-    # together in the call.
+    # together in the call; with a floor, less the rungs that it rules out.
     below_c, below_r = np.nonzero(col[:, None] < last)
+    if floor is not None:
+        need = ~(floor(lanes[below_r], rungs[below_r, below_c + 1]) > f[below_r, last[below_r]])
+        below_c, below_r = below_c[need], below_r[need]
     tops = np.arange(0 if floor is not None else lanes.size)
     r, c = np.concatenate([tops, below_r]), np.concatenate([last[tops], below_c])
     if r.size:
@@ -688,8 +701,8 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np
 
 def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundResult:
     """stochastic_margin over the grid margins, or the f2 baseline at the
-    single margin 0; the stochastic search drops the margins that
-    ``_stochastic_floor`` rules out."""
+    single margin 0; the stochastic search drops the margins, and the
+    ladder rungs of a margin, that ``_stochastic_floor`` rules out."""
     masses, rows = post.masses
     margins = post.gammas if stochastic else np.zeros(1)
 

@@ -180,7 +180,9 @@ def standardize(ds: Dataset, plan: SplitPlan) -> Dataset:
 
     A column whose train mean or std overflows is first scaled by 2^-e, e
     the binary exponent of its largest train magnitude.  Scaling by a power
-    of two is exact, so the column standardises as its in-range twin does."""
+    of two is exact, so the column standardises as its in-range twin does.
+    A row far from the train rows, whose standardised value overflows, is
+    clipped to the largest finite float of its sign."""
     X = ds.features
     train = X[plan.train_idx]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +193,10 @@ def standardize(ds: Dataset, plan: SplitPlan) -> Dataset:
         X[:, wide] = np.ldexp(X[:, wide], -np.frexp(abs(train[:, wide]).max(axis=0))[1])
         train = X[plan.train_idx]
         mu, sd = train.mean(axis=0), train.std(axis=0)
-    return Dataset((X - mu) / np.maximum(sd, 1e-12), ds.labels, ds.num_classes)
+    with np.errstate(over="ignore"):
+        Z = (X - mu) / np.maximum(sd, 1e-12)
+    big = np.finfo(float).max
+    return Dataset(np.clip(Z, -big, big), ds.labels, ds.num_classes)
 
 
 def split_indices(m: int, seed: int, strong_voters: bool) -> SplitPlan:

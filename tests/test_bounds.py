@@ -1155,37 +1155,78 @@ class TestStochasticFloor:
                    WeightPosterior(np.array([0.018373442219029427, 0.14280972626364885,
                                              0.8388168315173218]), 0.01),
                    BoundSpec(m=30, delta=0.05), SearchConfig(10)))
+    # Here the floor leaves the winning margin's 14 lowest rungs out of the
+    # ladder.
+    @example(case=(random_matrix(299, 21, 7, 3, accuracy=0.8203948935413525),
+                   WeightPosterior(uniform_theta(7), 0.01), BoundSpec(m=21, delta=0.05),
+                   SearchConfig(10)))
     def test_incumbent_lanes_are_never_dropped(self, case):
         """Every lane that reaches the smallest value without the floor is
-        evaluated at the same points in the same order with it, and ends
-        with the same point and value; every other lane ends as it would or
-        at +inf."""
+        evaluated with it at the same points in the same order, but for a
+        bottom run of ladder rungs, each below a rung whose floor exceeds
+        the lane's top value; it ends with the same point and value.  Every
+        other lane ends as it would or at +inf."""
         searches = []
 
-        def spied(values_at, points):
+        def spied(values_at, calls):
             def spy(lanes, x):
-                for lane, point in zip(lanes.tolist(), x.tolist()):
-                    points[lane].append(point)
+                calls.append((lanes.tolist(), x.tolist()))
                 return values_at(lanes, x)
 
             return spy
 
         def both(values_at, lo, hi, floor=None, tol=None):
-            with_floor, without = [[] for _ in range(lo.size)], [[] for _ in range(lo.size)]
+            with_floor, without = [], []
             got = SEARCH_LOG(spied(values_at, with_floor), lo, hi, floor, tol)
             want = SEARCH_LOG(spied(values_at, without), lo, hi, tol=tol)
-            searches.append((with_floor, without, got, want))
+            searches.append((values_at, floor, with_floor, without, got, want))
             return got
+
+        def points_of(lane, calls):
+            return [[x for i, x in zip(*call) if i == lane] for call in calls]
 
         P, wp, spec, cfg = case
         with patch.object(bounds, "_search_log", both):
             bounds.certify(P, wp, spec, "stochastic_margin", cfg)
-        [(with_floor, without, (got_x, got_v), (want_x, want_v))] = searches
-        best = np.flatnonzero(want_v == want_v.min())
-        assert all(with_floor[i] == without[i] for i in best)
+        [(values_at, floor, with_floor, without, (got_x, got_v), (want_x, want_v))] = searches
+        for i in np.flatnonzero(want_v == want_v.min()):
+            [[top]], [ladder, *steps] = points_of(i, with_floor[:1]), points_of(i, with_floor[1:])
+            want_ladder, *want_steps = points_of(i, without)
+            assert want_ladder[0] == top and steps == want_steps
+            rungs = want_ladder[1:] + [top]
+            skipped = len(rungs) - 1 - len(ladder)
+            assert ladder == rungs[skipped:-1]
+            top_value = values_at(np.array([i]), np.array([top]))
+            lane = np.full(skipped, i)
+            assert (floor(lane, np.array(rungs[1:skipped + 1])) > top_value).all()
         kept = np.isfinite(got_v)
         assert (got_x[kept] == want_x[kept]).all() and (got_v[kept] == want_v[kept]).all()
         assert (want_v[~kept] > want_v.min()).all()
+
+    def test_floor_skips_ladder_rungs(self):
+        """On a 300 x 20 matrix with Dirichlet(5) weights at n_gamma=50, the
+        stochastic_margin search sends 513 points to the value function
+        (755 when the floor drops whole margins only, 1,201 without it), and
+        its certificate is that of the search without the floor."""
+        P = random_matrix(0, 300, 20)
+        wp = WeightPosterior(np.random.default_rng(0).dirichlet(np.full(20, 5.0)), 1.0)
+        spec, cfg = BoundSpec(m=300, delta=0.05), SearchConfig(50)
+        results, points = [], []
+        for search in (SEARCH_LOG, search_without_floor):
+            sent = []
+
+            def counted(values_at, lo, hi, floor=None, tol=None):
+                def count(lanes, x):
+                    sent.append(lanes.size)
+                    return values_at(lanes, x)
+
+                return search(count, lo, hi, floor, tol)
+
+            with patch.object(bounds, "_search_log", counted):
+                results.append(repr(bounds.certify(P, wp, spec, "stochastic_margin", cfg)))
+            points.append(sum(sent))
+        assert points == [513, 1201]
+        assert results[0] == results[1]
 
 
 def int_profile(a, b, centre2, T):

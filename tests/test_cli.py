@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from votecert import cli, oracle
+from votecert import cli, data, oracle
 
 from conftest import (
     export_predictions, random_matrix, results_csv_certificates, write_board_csv,
@@ -181,6 +181,25 @@ class TestOutOfRangeInputs:
             dataset.parent.mkdir()
             dataset.write_text("f1,f2,label\n" + "".join(
                 f"{value if i % 3 else -value!r},{i},{i % 2}\n" for i in range(20)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["experiment", "--dataset", str(dataset), "--seeds", "0",
+                                 "--max-epochs", "2", "--out", str(tmp_path / f"out{name}")]) == 0
+            outputs.append((tmp_path / f"out{name}" / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_far_test_row(self, tmp_path):
+        """A feature that is 0 on every row but test row 6 (seed 0), where
+        it is 1e300: the train std is floored at 1e-12, so that row's
+        standardised value overflows and is clipped.  The run exits 0 with
+        no RuntimeWarning and the results of its twin with 1.0 there."""
+        assert 6 in data.split_indices(20, 0, strong_voters=False).test_idx
+        outputs = []
+        for name, value in (("far", 1e300), ("twin", 1.0)):
+            dataset = tmp_path / name / "data.csv"
+            dataset.parent.mkdir()
+            dataset.write_text("f1,label\n" + "".join(
+                f"{value if i == 6 else 0.0!r},{i % 2}\n" for i in range(20)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert cli.main(["experiment", "--dataset", str(dataset), "--seeds", "0",
