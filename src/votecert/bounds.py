@@ -465,13 +465,19 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Beta-CDF searches.  Median seconds of five stochastic_margin certifies
 # with Dirichlet(5) weights, so every row mass distinct, the sizes
 # interleaved in one process (2 vCPUs, one BLAS thread; values
-# bit-identical at every size): on a 766 x 27 matrix at n_gamma=200, 1.90
-# at 2**12, 1.16 at 2**13, 0.97 at 2**14 and 1.30 at 2**16; on a 479 x 108
-# matrix (the desk experiment's shape) at n_gamma=100, 0.44, 0.37, 0.29
-# and 0.35.  The ladder's call is wide even on small grids, so the size
-# also sets the peak memory: the traced peak of the stochastic_margin
-# certifies of a bench certify pass is 3.86 MiB at 2**13, 6.56 MiB at
-# 2**14 and 11.3 MiB at 2**16.
+# bit-identical at every size), and the traced peak of the
+# stochastic_margin certifies of a bench certify pass:
+#
+#   lanes   766 x 27, n_gamma=200   479 x 108, n_gamma=100   traced peak
+#   2**13   0.644                   0.170                    3.54 MiB
+#   2**14   0.597                   0.168                    6.16 MiB
+#   2**15   0.625                   0.187                    7.80 MiB
+#
+# (479 x 108 is the desk experiment's shape.)  The peak is reached inside
+# the Lentz loop, whose own footprint is ~18 floats per lane, on top of
+# its callers' lane arrays; both grow with the size.  2**14 is 7% faster
+# on the first matrix and level on the second, but its peak is 1.7 times
+# as high, so the size stays 2**13.
 _BETA_LANES = 1 << 13
 
 # The largest K_init the K search takes: its range must end at a finite

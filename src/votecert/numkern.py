@@ -153,17 +153,6 @@ def _fpmin_guard(x: np.ndarray) -> None:
     np.copyto(x, _FPMIN, where=np.abs(x) < _FPMIN)
 
 
-def _lentz_step(dc: np.ndarray, aa: np.ndarray) -> None:
-    """One modified-Lentz step on the rows (d, c) of dc, in place:
-    d = 1 / (1 + aa d) and c = 1 + aa / c, each guarded before use."""
-    d, c = dc
-    d *= aa
-    np.divide(aa, c, out=c)
-    dc += 1.0
-    _fpmin_guard(dc)
-    np.divide(1.0, d, out=d)
-
-
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Modified Lentz continued fraction for the incomplete beta.
 
@@ -171,68 +160,143 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     which is the rapidly-converging regime.  A lane returns h at the first
     iteration whose step d c lies within ``_BETACF_EPS`` of 1, or, still
     unconverged after ``_BETACF_MAX_ITER`` iterations, its last iterate.
-
-    The loop runs in blocks of up to ``_BETACF_BLOCK_ROWS`` iterations.  A
-    block's two Lentz numerators per iteration are computed up front as
-    (rows, lanes) arrays, rows x lanes capped at ``_BETACF_BLOCK_SIZE``
-    elements so that a wide lane array takes fewer rows and no large
-    temporary.  d, c and h are updated in place.  At each block end the lanes
-    that have converged leave the working arrays, so later blocks cost what
-    the lanes still running need and not what the slowest lane needs for all.
     Each lane's arithmetic is that of the lane run alone, so an array call
     equals its one-lane calls bit for bit.
+
+    Lentz's guard raises a denominator 1 + y below ``_FPMIN`` in magnitude
+    to ``_FPMIN``.  For finite y that happens only when 1 + y is exactly 0:
+    a nonzero 1 + y near 0 is exact and at least 2**-53.  Left unguarded, a
+    zero denominator makes d infinite or c zero, and h is zero or not
+    finite from that step on, since h takes d and c as factors.  So the
+    loop runs without the guard, division by zero and invalid operations
+    silenced, and every lane whose value comes back zero or not finite
+    runs again through the guarded loop, with numpy's warnings as they are.
+    Overflow warns in both passes.
+
+    The loop runs in blocks of iterations (see ``_lentz``), and reads
+    convergence at each block end, where the lanes that have converged
+    leave.  The first block has ``_BETACF_BLOCK_ROWS`` iterations; later
+    blocks start at 2 and double up to that cap, so few iterations run past
+    a lane's convergence, while a lane that runs all ``_BETACF_MAX_ITER``
+    iterations pays the per-block cost as often as with full blocks.
     """
-    qab = a + b
-    qap = a + 1.0
-    d = 1.0 - qab * z / qap
-    _fpmin_guard(d)
-    d = 1.0 / d
-    lane = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _lentz(a, b, z, guard=False)
+        redo = np.flatnonzero(out / out != 1.0)  # 0, +-inf or NaN
+    if redo.size:
+        out[redo] = _lentz(a[redo], b[redo], z[redo], guard=True)
+    return out
+
+
+def _lentz(a: np.ndarray, b: np.ndarray, z: np.ndarray, guard: bool) -> np.ndarray:
+    """The Lentz loop of ``_beta_cont_frac``, with Lentz's ``_FPMIN`` guard
+    on every denominator if ``guard``.  Without it a lane also leaves at the
+    first block end where its h is zero or not finite, its value that h.
+
+    A block's Lentz numerators are computed up front as (rows, lanes)
+    arrays, rows x lanes at most ``_BETACF_BLOCK_SIZE`` elements, the odd
+    ones with their sign flipped: 1 + aa d is computed as 1 - (-aa) d, which
+    rounds the same.  Once an iteration has used its row of numerators, the
+    row holds that iteration's h (even) or step d c (odd), and at the block
+    end one argmax over the rows finds each lane's first converged
+    iteration.  Every buffer is allocated once per call: the blocks, and two
+    flat buffers for the live lanes' a, b, z, d, c and h as the rows of a
+    (6, lanes) view; converged lanes leave by one ``np.take`` from one into
+    the other (``np.compress`` with ``out`` would copy through a temporary).
+    """
+    k = z.size
     out = np.empty_like(z)
-    # The working lanes' parameters, Lentz's d and c, and h (d at the start)
-    # as the rows of one array, so that converged lanes leave in one call
-    # and d and c share the calls for 1 + ... and the _FPMIN guard.
-    work = np.stack([a, b, z, qab, qap, a - 1.0, d, np.ones_like(z), d])
-    m = 1
-    while lane.size and m <= _BETACF_MAX_ITER:
-        a, b, z, qab, qap, qam, d, c, h = work
-        dc = work[6:8]
-        rows = min(_BETACF_BLOCK_ROWS, max(1, _BETACF_BLOCK_SIZE // lane.size),
-                   _BETACF_MAX_ITER + 1 - m)
+    lane = np.arange(k)
+    flat, spare = np.empty(6 * k), np.empty(6 * k)
+    state = flat.reshape(6, k)
+    for row, x in zip(state, (a, b, z)):
+        np.copyto(row, x)
+    d, c, h = state[3:]
+    s = spare[:k]
+    np.add(a, b, out=s)
+    np.multiply(s, z, out=d)
+    np.add(a, 1.0, out=s)
+    d /= s
+    np.subtract(1.0, d, out=d)  # 1 - (a + b) z / (a + 1)
+    if guard:
+        _fpmin_guard(d)
+    np.divide(1.0, d, out=d)
+    c.fill(1.0)
+    np.copyto(h, d)
+    blocks = np.empty((3, max(k, min(_BETACF_BLOCK_ROWS * k, _BETACF_BLOCK_SIZE))))
+    m, sched = 1, _BETACF_BLOCK_ROWS
+    while lane.size:
+        n = lane.size
+        rows = min(sched, max(1, _BETACF_BLOCK_SIZE // n), _BETACF_MAX_ITER + 1 - m)
+        even, odd, tmp = (blk[:rows * n].reshape(rows, n) for blk in blocks)
+        a, b, z, d, c, h = state
+        dc = state[3:5]
+        s = spare[:n]
         mm = np.arange(m, m + rows, dtype=float)[:, None]
         m2 = 2.0 * mm
-        even = mm * (b - mm) * z / ((qam + m2) * (a + m2))
-        odd = -(a + mm) * (qab + mm) * z / ((a + m2) * (qap + m2))
-        delta = np.empty_like(h)
-        res = np.empty_like(h)
-        done = np.zeros(h.shape, dtype=bool)
-        newly = np.empty_like(done)
-        n_done = 0
-        for r in range(rows):
-            _lentz_step(dc, even[r])
-            h *= d
-            h *= c
-            _lentz_step(dc, odd[r])
-            np.multiply(d, c, out=delta)
-            h *= delta
-            delta -= 1.0
-            np.abs(delta, out=delta)
-            np.greater(delta < _BETACF_EPS, done, out=newly)  # converged & ~done
-            k = np.count_nonzero(newly)
-            if k:
-                # res keeps h from each lane's first convergence: the steps
-                # a lane takes after it, up to the block end, must not count.
-                np.copyto(res, h, where=newly)
-                done |= newly
-                n_done += k
-                if n_done == lane.size:
-                    break
+        # odd: (a + m)(a + b + m) z / ((a + 2m)(a + 1 + 2m))
+        np.add(a, mm, out=odd)
+        np.add(a, b, out=s)
+        np.add(s, mm, out=tmp)
+        odd *= tmp
+        odd *= z
+        np.add(a, m2, out=tmp)
+        np.add(a, 1.0, out=s)
+        np.add(s, m2, out=even)
+        even *= tmp
+        odd /= even
+        # even: m (b - m) z / ((a - 1 + 2m)(a + 2m))
+        np.subtract(a, 1.0, out=s)
+        np.add(s, m2, out=even)
+        tmp *= even
+        np.subtract(b, mm, out=even)
+        even *= mm
+        even *= z
+        even /= tmp
+        h_last = h
+        # e and o hold one iteration's numerators; once used, its h and d c.
+        for e, o in zip(even, odd):
+            d *= e
+            np.divide(e, c, out=c)
+            dc += 1.0
+            if guard:
+                _fpmin_guard(dc)
+            np.divide(1.0, d, out=d)
+            np.multiply(h_last, d, out=e)
+            e *= c
+            d *= o
+            np.divide(o, c, out=c)
+            np.subtract(1.0, dc, out=dc)
+            if guard:
+                _fpmin_guard(dc)
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=o)
+            e *= o
+            h_last = e
+        sched = 2 if m == 1 else min(2 * sched, _BETACF_BLOCK_ROWS)
         m += rows
-        if n_done:
-            out[lane[done]] = res[done]
-            live = ~done
-            lane, work = lane[live], work.compress(live, axis=1)
-    out[lane] = work[8]
+        odd -= 1.0
+        np.abs(odd, out=odd)
+        hit = odd < _BETACF_EPS
+        if not guard:
+            # h / h is 1 exactly where h is finite and nonzero.
+            np.divide(h_last, h_last, out=odd[-1])
+            hit[-1] |= odd[-1] != 1.0
+        if m > _BETACF_MAX_ITER:
+            hit[-1] = True
+        first = hit.argmax(axis=0)
+        left = hit.any(axis=0)
+        gone = np.flatnonzero(left)
+        out[lane[gone]] = even[first[gone], gone]
+        if gone.size == n:
+            break
+        np.copyto(h, h_last)
+        if gone.size:
+            keep = np.flatnonzero(~left)
+            live = spare[:6 * keep.size].reshape(6, -1)
+            np.take(state, keep, axis=1, out=live, mode="clip")
+            state, flat, spare = live, spare, flat
+            lane = lane[keep]
     return out
 
 
@@ -270,8 +334,11 @@ def reg_inc_beta(z, a, b, log_beta=None):
 
     Continued-fraction evaluation with the symmetry swap: lanes with
     z > (a + 1)/(a + b + 2) evaluate 1 - I_{1-z}(b, a).  Both kinds of lane
-    go through one prefactor pass and one continued-fraction loop (see
-    ``_beta_cont_frac``), in chunks of at most ``_LANE_CHUNK`` lanes.
+    go through one prefactor pass and one continued-fraction loop, in chunks
+    of at most ``_LANE_CHUNK`` lanes.  The loop (see ``_beta_cont_frac``)
+    runs without Lentz's guard and reruns guarded the rare lane that needs
+    it, reads convergence once per block of iterations, and allocates its
+    buffers once per call.
     Array-capable, and an array call equals its one-lane calls bit for bit;
     absolute error <= 1e-10 for a, b <= 1e4.
     Beyond that the prefactor's cancellation grows with the parameters: the

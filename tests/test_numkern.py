@@ -1,5 +1,6 @@
 """Numeric kernel tests: closed forms, independent oracles, and invariants."""
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -261,12 +262,22 @@ def assert_bitwise_equal(x, y):
 
 @st.composite
 def beta_lanes(draw):
-    """1 to 12 (z, a, b) lanes: a, b at a scale in [1e-3, 1e6] or in the
-    subnormal-prefactor band (<= 1e-315), z on either side of the swap line
-    (a + 1)/(a + b + 2) or at 0 or 1."""
+    """1 to 12 (z, a, b) lanes of four kinds: a, b at a scale in [1e-3, 1e6];
+    in the subnormal-prefactor band (<= 1e-315); integers in [1, 60], where
+    the Lentz numerator m (b - m) is exactly 0 at m = b; or a = b in
+    [1e7, 1e8] with z within 1e-6 of 1/2, a straggler that runs
+    1,000 to 2,000 iterations (about one lane in 32).  z lies on either side of
+    the swap line (a + 1)/(a + b + 2), or at 0 or 1."""
     lanes = []
     for _ in range(draw(st.integers(1, 12))):
-        if draw(st.booleans()):
+        kind = draw(st.integers(0, 31))
+        if kind == 31:
+            a = b = 10.0 ** draw(st.floats(7.0, 8.0))
+            lanes.append((0.5 + 1e-6 * draw(st.floats(-1.0, 1.0)), a, b))
+            continue
+        if kind < 8:
+            a, b = (float(draw(st.integers(1, 60))) for _ in range(2))
+        elif kind < 20:
             scale = 10.0 ** draw(st.floats(-3.0, 6.0))
             a, b = (scale * math.exp(draw(st.floats(-1.0, 1.0))) for _ in range(2))
         else:
@@ -326,6 +337,52 @@ class TestOnePassIncBeta:
         assert len(blocks) >= 7  # the others leave at different block ends
         assert_bitwise_equal(nk.reg_inc_beta(z, a, b), want)
         assert_bitwise_equal(nk.reg_inc_beta(z[::-1], a[::-1], b[::-1]), want[::-1])
+
+    def test_zero_or_nonfinite_lanes_run_guarded(self, monkeypatch):
+        """A lane whose guard-free value is zero or not finite, as an exact
+        zero Lentz denominator leaves it, runs again through the guarded
+        loop.  Here the guard-free pass returns 0, NaN and +-inf on chosen
+        lanes; those lanes alone run guarded, and every lane must equal the
+        lockstep reference."""
+        rng = np.random.default_rng(7)
+        n = 40
+        a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e4), (2, n)))
+        z = rng.uniform(0.0, 1.0, n) * (a + 1.0) / (a + b + 2.0)
+        broken = {3: 0.0, 17: math.nan, 29: math.inf, 30: -math.inf}
+        lentz, guarded = nk._lentz, []
+
+        def guard_free_breaks(a, b, z, guard):
+            out = lentz(a, b, z, guard)
+            if guard:
+                guarded.append(z.copy())
+            else:
+                out[list(broken)] = list(broken.values())
+            return out
+
+        monkeypatch.setattr(nk, "_lentz", guard_free_breaks)
+        got = nk._beta_cont_frac(a, b, z)
+        assert len(guarded) == 1
+        assert_bitwise_equal(guarded[0], z[sorted(broken)])
+        assert_bitwise_equal(got, lockstep_cont_frac(a, b, z)[0])
+
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_footprint(self, n):
+        """The traced peak of one continued-fraction call is at most 20
+        float64 per lane beside the three numerator blocks of
+        ``_BETACF_BLOCK_SIZE`` elements: 2.0 MiB at 8,192 lanes and 3.25 MiB
+        at 16,384, where the loop that copied its nine working rows at each
+        compaction peaked at 2.19 and 3.55 MiB."""
+        rng = np.random.default_rng(n)
+        a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e4), (2, n)))
+        z = rng.uniform(0.0, 1.0, n) * (a + 1.0) / (a + b + 2.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nk._beta_cont_frac(a, b, z)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (20 * n + 3 * nk._BETACF_BLOCK_SIZE)
 
 
 class TestLogBetaArgument:
