@@ -178,7 +178,7 @@ def _beta_cont_frac(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     leave.  The first block has ``_BETACF_BLOCK_ROWS`` iterations; later
     blocks start at 2 and double up to that cap, so few iterations run past
     a lane's convergence, while a lane that runs all ``_BETACF_MAX_ITER``
-    iterations pays the per-block cost as often as with full blocks.
+    iterations still runs nearly all of them in full blocks.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _lentz(a, b, z, guard=False)
@@ -223,6 +223,7 @@ def _lentz(a: np.ndarray, b: np.ndarray, z: np.ndarray, guard: bool) -> np.ndarr
     np.divide(1.0, d, out=d)
     c.fill(1.0)
     np.copyto(h, d)
+    # even, odd and a scratch block, each of the most rows x lanes a block takes
     blocks = np.empty((3, max(k, min(_BETACF_BLOCK_ROWS * k, _BETACF_BLOCK_SIZE))))
     m, sched = 1, _BETACF_BLOCK_ROWS
     while lane.size:

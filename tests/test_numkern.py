@@ -338,6 +338,22 @@ class TestOnePassIncBeta:
         assert_bitwise_equal(nk.reg_inc_beta(z, a, b), want)
         assert_bitwise_equal(nk.reg_inc_beta(z[::-1], a[::-1], b[::-1]), want[::-1])
 
+    def test_lanes_that_need_the_guard(self):
+        """Lanes on which Lentz's guard fires: 1 + aa d or 1 + aa / c is
+        exactly 0 within a few iterations.  No lane of the convergent regime
+        was found to do that (none of its 914,675 lanes with a and b
+        multiples of 1/2 up to 60 and z a multiple of 1/128), so these lie
+        above it, where small a, b and dyadic z hit exact zeros.  The guard-free pass returns them NaN, and
+        the guarded pass must give the lockstep reference's finite values."""
+        a = np.array([1.0, 1.0, 2.0, 0.5, 1.0, 1.5])
+        b = np.array([4.0, 7.0, 8.0, 2.5, 2.0, 7.5])
+        z = np.array([0.5, 0.5, 0.5, 0.625, 0.75, 0.5])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(nk._lentz(a, b, z, guard=False)).all()
+        want = lockstep_cont_frac(a, b, z)[0]
+        assert np.isfinite(want).all()
+        assert_bitwise_equal(nk._beta_cont_frac(a, b, z), want)
+
     def test_zero_or_nonfinite_lanes_run_guarded(self, monkeypatch):
         """A lane whose guard-free value is zero or not finite, as an exact
         zero Lentz denominator leaves it, runs again through the guarded
