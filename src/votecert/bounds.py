@@ -372,11 +372,18 @@ def _search_counts(values_at, top):
     ``_search_log`` on any real T in [1, top]; counts are integer-valued
     floats.  ``_search_log`` searches ln T over [1, top] at the tolerance
     min(``_K_REL_TOL``, ``_T_SCAN`` / top), so that the best point's bracket
-    spans at most ``_T_SCAN`` counts (past ~1e15 counts, where no step that
-    short moves ln T, at four float spacings of ln top); one call then
-    evaluates every count within that tolerance of the best point.  Exact
-    for unimodal profiles, whose best count neighbours the real minimum in
-    the bracket, unless two rungs tie (see ``_search_log``)."""
+    spans at most ``_T_SCAN`` counts; one call then evaluates every count
+    within that tolerance of the best point.  Exact for unimodal profiles,
+    whose best count neighbours the real minimum in the bracket, unless two
+    rungs tie (see ``_search_log``).
+
+    Past ~2e15 counts no step that short moves ln T, so the search's
+    tolerance is raised to four float spacings of ln top, while the scan
+    keeps ``_T_SCAN`` / top: its counts no longer cover the bracket, and
+    the count returned can miss the best.  On (T - floor(0.3 top))^2 it is
+    30000000000000032 (value 1024) at top = 1e17, and 384 counts off at
+    1e18.  certify's margins (>= ``_GAMMA_MIN``) keep top far below that;
+    ``margin_bound`` reaches it at margins below ~1e-7."""
     top = np.asarray(top, dtype=float)
     tol = np.minimum(_K_REL_TOL, _T_SCAN / top)
     x, _ = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), np.ones(top.size), top,
@@ -469,15 +476,15 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # stochastic_margin certifies of a bench certify pass:
 #
 #   lanes   766 x 27, n_gamma=200   479 x 108, n_gamma=100   traced peak
-#   2**13   0.644                   0.170                    3.54 MiB
-#   2**14   0.597                   0.168                    6.16 MiB
-#   2**15   0.625                   0.187                    7.80 MiB
+#   2**13   0.644                   0.170                    2.98 MiB
+#   2**14   0.597                   0.168                    5.03 MiB
+#   2**15   0.625                   0.187                    6.02 MiB
 #
 # (479 x 108 is the desk experiment's shape.)  The peak is reached inside
 # the Lentz loop, whose own footprint is ~18 floats per lane, on top of
-# its callers' lane arrays; both grow with the size.  2**14 is 7% faster
-# on the first matrix and level on the second, but its peak is 1.7 times
-# as high, so the size stays 2**13.
+# its callers' lane arrays, ~17 floats per lane at 2**14; both grow with
+# the size.  2**14 is 7% faster on the first matrix and level on the
+# second, but its peak is 1.7 times as high, so the size stays 2**13.
 _BETA_LANES = 1 << 13
 
 # The largest K_init the K search takes: its range must end at a finite

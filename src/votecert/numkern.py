@@ -131,7 +131,7 @@ def trigamma(x):
     call equals its one-lane calls bit for bit; exact Dirichlet-KL gradients
     need it.  Array-capable."""
     arr = _positive_array(x, "x")
-    x = np.atleast_1d(arr).astype(float).ravel()
+    x = arr.ravel()
     z, lift = _lift(x)
     inv = 1.0 / z
     inv2 = inv * inv
@@ -310,11 +310,13 @@ def _log_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _inc_beta_lower(a: np.ndarray, b: np.ndarray, z: np.ndarray, log_beta=None) -> np.ndarray:
-    """I_z(a, b) on lanes already in the convergent regime (see above);
-    ``log_beta`` is ln B(a, b), computed here if not given."""
+    """I_z(a, b) on lanes already in the convergent regime (see above) or at
+    z = 0, where the prefactor underflows to 0; ``log_beta`` is ln B(a, b),
+    computed here if not given."""
     if log_beta is None:
         log_beta = _log_beta(a, b)
-    log_front = a * np.log(z) + b * np.log1p(-z) - log_beta
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: z = 0 gives 0
+        log_front = a * np.log(z) + b * np.log1p(-z) - log_beta
     out = np.zeros_like(z)
     live = log_front > _LOG_UNDERFLOW
     if live.any():
@@ -336,10 +338,13 @@ def reg_inc_beta(z, a, b, log_beta=None):
     Continued-fraction evaluation with the symmetry swap: lanes with
     z > (a + 1)/(a + b + 2) evaluate 1 - I_{1-z}(b, a).  Both kinds of lane
     go through one prefactor pass and one continued-fraction loop, in chunks
-    of at most ``_LANE_CHUNK`` lanes.  The loop (see ``_beta_cont_frac``)
-    runs without Lentz's guard and reruns guarded the rare lane that needs
-    it, reads convergence once per block of iterations, and allocates its
-    buffers once per call.
+    of at most ``_LANE_CHUNK`` lanes.  The boundary takes the same path: at
+    z = 0 the prefactor z^a (1 - z)^b underflows, so the lane is exactly 0
+    without entering the loop, and every z = 1 lane is swapped, so it is
+    exactly 1 - I_0(b, a) = 1, also where (a + 1)/(a + b + 2) rounds to 1.
+    The loop (see ``_beta_cont_frac``) runs without Lentz's guard and reruns
+    guarded the rare lane that needs it, reads convergence once per block
+    of iterations, and allocates its buffers once per call.
     Array-capable, and an array call equals its one-lane calls bit for bit;
     absolute error <= 1e-10 for a, b <= 1e4.
     Beyond that the prefactor's cancellation grows with the parameters: the
@@ -356,35 +361,23 @@ def reg_inc_beta(z, a, b, log_beta=None):
     (a, b) pairs computes it once per pair.  The values are those of the
     call without it, bit for bit.
     """
-    z_arr = _unit_array(z, "z")
-    a_arr = _positive_array(a, "a")
-    b_arr = _positive_array(b, "b")
-    zb, ab, bb = np.broadcast_arrays(z_arr, a_arr, b_arr)
-    scalar = zb.ndim == 0
-    zf = np.atleast_1d(zb).astype(float).ravel()
-    af = np.atleast_1d(ab).astype(float).ravel()
-    bf = np.atleast_1d(bb).astype(float).ravel()
+    zb, ab, bb = np.broadcast_arrays(
+        _unit_array(z, "z"), _positive_array(a, "a"), _positive_array(b, "b"))
+    zf, af, bf = zb.ravel(), ab.ravel(), bb.ravel()
     if log_beta is not None:
         log_beta = np.broadcast_to(np.asarray(log_beta, dtype=float), zb.shape).ravel()
 
     out = np.empty_like(zf)
-    at_zero = zf == 0.0
-    at_one = zf == 1.0
-    out[at_zero] = 0.0
-    out[at_one] = 1.0
-    interior = np.flatnonzero(~(at_zero | at_one))
-    for start in range(0, interior.size, _LANE_CHUNK):
-        lanes = interior[start:start + _LANE_CHUNK]
+    for start in range(0, zf.size, _LANE_CHUNK):
+        lanes = slice(start, start + _LANE_CHUNK)
         zi, ai, bi = zf[lanes], af[lanes], bf[lanes]
-        swap = zi > (ai + 1.0) / (ai + bi + 2.0)
+        swap = (zi > (ai + 1.0) / (ai + bi + 2.0)) | (zi == 1.0)
         lower = _inc_beta_lower(np.where(swap, bi, ai), np.where(swap, ai, bi),
                                 np.where(swap, 1.0 - zi, zi),
                                 None if log_beta is None else log_beta[lanes])
         out[lanes] = np.where(swap, 1.0 - lower, lower)
-    out = np.clip(out, 0.0, 1.0)
-    if scalar:
-        return float(out[0])
-    return out.reshape(zb.shape)
+    np.clip(out, 0.0, 1.0, out=out)
+    return float(out[0]) if zb.ndim == 0 else out.reshape(zb.shape)
 
 
 def reg_inc_beta_with_grad(z, a, b):
@@ -395,26 +388,19 @@ def reg_inc_beta_with_grad(z, a, b):
     partials are zero.  The five required CDF evaluations run as one stacked
     call.  Array-capable.
     """
-    z_arr = _unit_array(z, "z")
-    a_arr = _positive_array(a, "a")
-    b_arr = _positive_array(b, "b")
-    zb, ab, bb = np.broadcast_arrays(z_arr, a_arr, b_arr)
-    scalar = zb.ndim == 0
-    zf = np.atleast_1d(zb).astype(float)
-    af = np.atleast_1d(ab).astype(float)
-    bf = np.atleast_1d(bb).astype(float)
-    ha = np.minimum(1e-5 * np.maximum(1.0, af), af / 2.0)
-    hb = np.minimum(1e-5 * np.maximum(1.0, bf), bf / 2.0)
-    A = np.stack([af, af + ha, af - ha, af, af])
-    B = np.stack([bf, bf, bf, bf + hb, bf - hb])
-    vals = reg_inc_beta(np.broadcast_to(zf, A.shape), A, B)
+    zb, ab, bb = np.broadcast_arrays(
+        _unit_array(z, "z"), _positive_array(a, "a"), _positive_array(b, "b"))
+    ha = np.minimum(1e-5 * np.maximum(1.0, ab), ab / 2.0)
+    hb = np.minimum(1e-5 * np.maximum(1.0, bb), bb / 2.0)
+    A = np.stack([ab, ab + ha, ab - ha, ab, ab])
+    B = np.stack([bb, bb, bb, bb + hb, bb - hb])
+    vals = reg_inc_beta(np.broadcast_to(zb, A.shape), A, B)
     value = vals[0]
     d_a = (vals[1] - vals[2]) / (2.0 * ha)
     d_b = (vals[3] - vals[4]) / (2.0 * hb)
-    if scalar:
-        return float(value[0]), float(d_a[0]), float(d_b[0])
-    shape = zb.shape
-    return value.reshape(shape), d_a.reshape(shape), d_b.reshape(shape)
+    if zb.ndim == 0:
+        return float(value), float(d_a), float(d_b)
+    return value, d_a, d_b
 
 
 _TINY = 5e-324  # the smallest positive float64

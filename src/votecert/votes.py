@@ -211,27 +211,22 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False, log_be
 
     ``gamma`` is a scalar or an array broadcast to the shape of the masses
     (for example one margin per row of an (n, m) stack of mass lanes).
-    Degenerate rows: no mass on correct voters gives the term 1 and no mass
-    on erring voters gives 0 (for gamma < 1/2), both with zero partials.
+    Degenerate rows go to the kernel as boundary lanes with a = b = 1: no
+    mass on correct voters as z = 1, whose term is 1, and otherwise no mass
+    on erring voters as z = 0, whose term is 0; both partials are +0.0.
     ``log_beta`` (without ``grad``), broadcast to the masses' shape, is
-    ln B(a_correct, a_wrong) for ``nk.reg_inc_beta`` on the regular rows;
-    its other entries are not read.
+    ln B(a_correct, a_wrong) for ``nk.reg_inc_beta``; its entries on
+    degenerate rows are not used.
     """
     a_c = np.asarray(a_correct, dtype=float)
     a_w = np.asarray(a_wrong, dtype=float)
-    z = np.broadcast_to(0.5 + np.asarray(gamma, dtype=float), a_c.shape)
     none_right = a_c <= 0.0
-    regular = ~none_right & ~(a_w <= 0.0)
-    out = np.where(none_right, 1.0, 0.0)
-    lanes = z[regular], a_c[regular], a_w[regular]
-    if not grad:
-        if log_beta is not None:
-            log_beta = np.broadcast_to(log_beta, a_c.shape)[regular]
-        out[regular] = nk.reg_inc_beta(*lanes, log_beta=log_beta)
-        return out
-    d_c, d_w = np.zeros_like(out), np.zeros_like(out)
-    out[regular], d_c[regular], d_w[regular] = nk.reg_inc_beta_with_grad(*lanes)
-    return out, d_c, d_w
+    regular = ~none_right & ~(a_w <= 0.0)  # a NaN or inf mass reaches the kernel's check
+    z = np.where(regular, 0.5 + np.asarray(gamma, dtype=float), none_right)
+    lanes = z, np.where(regular, a_c, 1.0), np.where(regular, a_w, 1.0)
+    if grad:
+        return nk.reg_inc_beta_with_grad(*lanes)
+    return nk.reg_inc_beta(*lanes, log_beta=log_beta)
 
 
 def expected_margin_loss_beta(P: PredictionMatrix, alpha, gamma: float) -> float:

@@ -382,6 +382,32 @@ class TestOnePassIncBeta:
         assert_bitwise_equal(guarded[0], z[sorted(broken)])
         assert_bitwise_equal(got, lockstep_cont_frac(a, b, z)[0])
 
+    def test_boundary_lanes_across_a_chunk(self):
+        """z = 0 and z = 1 lanes among interior lanes, on both sides of a
+        ``_LANE_CHUNK`` boundary, take the kernel's own path: z = 0 through
+        the prefactor's underflow, z = 1 through the swap, also at
+        a = 1e17, b = 1, where (a + 1)/(a + b + 2) rounds to 1.  Each is
+        exactly 0.0 or 1.0, equals its one-lane call bit for bit, and warns
+        nothing; the interior lanes equal the call without them."""
+        edge = [(1.0, 1e17, 1.0), (0.0, 1e-300, 1.0), (0.0, 1e17, 1.0), (1.0, 1e-300, 2.0),
+                (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.0, 3.0, 1e17), (1.0, 2.0, 3.0)]
+        assert (1e17 + 1.0) / (1e17 + 1.0 + 2.0) == 1.0
+        n = nk._LANE_CHUNK + 64
+        rng = np.random.default_rng(11)
+        a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e4), (2, n)))
+        z = rng.uniform(0.01, 0.99, n)
+        at = nk._LANE_CHUNK + np.arange(-4, 4)
+        z[at], a[at], b[at] = np.array(edge).T
+        inner = np.setdiff1d(np.arange(n), at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = nk.reg_inc_beta(z, a, b)
+            assert_bitwise_equal(got[inner], nk.reg_inc_beta(z[inner], a[inner], b[inner]))
+            for i, (zi, ai, bi) in zip(at, edge):
+                one = nk.reg_inc_beta(zi, ai, bi)
+                assert one == zi and got[i] == zi
+                assert_bitwise_equal(np.float64(one), got[i])
+
     @pytest.mark.parametrize("n", [8192, 16384])
     def test_footprint(self, n):
         """The traced peak of one continued-fraction call is at most 20

@@ -1,5 +1,6 @@
 """Prediction-matrix and loss-functional tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,7 +257,8 @@ class TestExpectedBetaLoss:
     def test_per_lane_gamma_with_degenerate_rows(self):
         """A (lanes, rows) stack of masses with one margin per lane: every
         lane equals a scalar-gamma call, and the degenerate rows (no correct
-        mass, no erring mass) keep their fixed terms."""
+        mass, no erring mass) keep their fixed terms, with partials +0.0 and
+        whatever ln B is passed for them; a NaN or infinite mass raises."""
         a_correct = np.array([0.0, 0.3, 0.5, 1.0, 0.7])
         a_wrong = np.array([1.0, 0.7, 0.5, 0.0, 0.3])
         K = np.array([[0.5], [3.0], [40.0]])
@@ -270,6 +272,57 @@ class TestExpectedBetaLoss:
             assert np.array_equal(got[i], want)
         assert np.all(got[:, 0] == 1.0) and np.all(got[:, 3] == 0.0)
         assert len(set(got[:, 2])) == 3  # each lane used its own margin
+
+        # With partials: the same terms, and +0.0 partials on degenerate rows.
+        regular = [1, 2, 4]
+        terms, d_c, d_w = votes.beta_margin_loss_terms(K * a_correct, K * a_wrong, gammas,
+                                                       grad=True)
+        assert np.array_equal(terms.view(np.int64), got.view(np.int64))
+        for d in (d_c, d_w):
+            assert not np.signbit(d[:, [0, 3]]).any() and np.all(d[:, [0, 3]] == 0.0)
+            assert np.all(d[:, regular] != 0.0)
+
+        # ln B on the degenerate rows is never used: any value there leaves
+        # every term unchanged.
+        log_beta = np.empty((3, 5))
+        log_beta[:, regular] = nk._log_beta(
+            (K * a_correct[regular]).ravel(), (K * a_wrong[regular]).ravel()).reshape(3, 3)
+        log_beta[:, 0] = [-1e300, 7.5, math.nan]
+        log_beta[:, 3] = [1e300, -2.0, 0.0]
+        with_log_beta = votes.beta_margin_loss_terms(
+            K * a_correct, K * a_wrong, gammas, log_beta=log_beta)
+        assert np.array_equal(with_log_beta.view(np.int64), got.view(np.int64))
+
+        # A mass that is NaN or infinite is no degenerate row: the kernel rejects it.
+        for bad in (math.nan, math.inf):
+            for masses in ((np.array([bad, 0.5]), np.array([0.5, 0.5])),
+                           (np.array([0.5, 0.5]), np.array([bad, 0.5]))):
+                with pytest.raises(ValueError):
+                    votes.beta_margin_loss_terms(*masses, 0.1)
+                with pytest.raises(ValueError):
+                    votes.beta_margin_loss_terms(*masses, 0.1, grad=True)
+
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_footprint(self, n):
+        """The traced peak of one call on n lanes, a few of them degenerate
+        rows, is at most 31 float64 per lane beside the Lentz loop's three
+        numerator blocks of ``nk._BETACF_BLOCK_SIZE`` elements.  Sending the
+        degenerate rows to the kernel as boundary lanes, with no gather,
+        peaks at 25.2 and 28.5 per lane at 8,192 and 16,384 lanes; masking
+        them out and gathering the rest peaked at 34.4 and 37.7."""
+        rng = np.random.default_rng(n)
+        a_c, a_w = np.exp(rng.uniform(math.log(0.5), math.log(1e4), (2, n)))
+        a_c[::n // 4] = 0.0
+        a_w[5::n // 4] = 0.0
+        gamma = rng.uniform(0.0, 0.5, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            votes.beta_margin_loss_terms(a_c, a_w, gamma)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (31 * n + 3 * nk._BETACF_BLOCK_SIZE)
 
     def test_monotone_in_gamma(self):
         P = random_matrix(seed=14, m=60, d=8, accuracy=0.6)
