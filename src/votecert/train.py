@@ -17,8 +17,9 @@ which margins it tries and which posterior its parameters stand for, so all
 kinds share one optimiser and their certificates compare directly.
 
 The candidate runs of a kind train in lockstep: their parameters and Adam
-moments are the rows of (R, d) arrays, both objectives are lanewise over
-those rows, and a run that stops or diverges leaves the stack.
+moments are the rows of (R, d) arrays, and a run that stops or diverges
+leaves the stack.  Both objectives take such stacks only, one run being a
+stack of one, and are lanewise over their rows.
 """
 from __future__ import annotations
 
@@ -147,29 +148,16 @@ def _clip_loss(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
-def _as_runs(omega):
-    """(R, d) parameters from one run's (d,) or stacked (R, d) ones, and
-    whether one run was given."""
-    omega = np.asarray(omega, dtype=float)
-    return np.atleast_2d(omega), omega.ndim == 1
-
-
-def _batch_correct(P: PredictionMatrix, batch_rows, runs: int) -> np.ndarray:
-    """(runs, B, d) correctness masks of the batch rows: one row set shared by
-    every run ((B,) or None for every row) or one per run ((runs, B))."""
+def _batch_correct(P: PredictionMatrix, batch_rows) -> np.ndarray:
+    """Correctness masks of the batch rows: (1, B, d) for one row set shared
+    by every run ((B,), or None for every row), (R, B, d) for one per run
+    ((R, B)).  The shared form broadcasts in the stacked products instead of
+    being copied once per run."""
     rows = np.arange(P.num_examples) if batch_rows is None else np.asarray(batch_rows)
     if rows.size == 0:
         raise ValueError("batch must be non-empty")
     corr = P.correct_mask[rows]
-    return np.broadcast_to(corr, (runs,) + corr.shape[-2:])
-
-
-def _unstack(one: bool, value, grad):
-    """The one-run shapes (float, (d,)) back from the stacked ones."""
-    if one:
-        value = float(value[0])
-        grad = None if grad is None else grad[0]
-    return value if grad is None else (value, grad)
+    return corr.reshape((-1,) + corr.shape[-2:])
 
 
 def objective(
@@ -180,7 +168,7 @@ def objective(
     spec: BoundSpec,
     grad: bool = True,
 ):
-    """Dirichlet training objective and its gradient in omega.
+    """Dirichlet training objective of stacked runs and its gradient in omega.
 
     The objective is the certificate ``certify`` evaluates, unclipped, at
     K = alpha_0 and theta = alpha / alpha_0: at a margin gamma the
@@ -192,22 +180,22 @@ def objective(
     the full-sample m.  Matches central finite differences to ~1e-4
     relative away from the kl-inverse singularity.
 
-    Lanewise over stacked runs: an (R, d) omega with (R, B) batch rows (or
-    one row set, or None, shared by all) and R margins (or one) gives (R,)
-    values and (R, d) gradients, each row equal bit for bit to the one-run
-    call on that row.  ``grad=False`` returns the values alone, skipping the
-    finite-difference stacks and the pullbacks.
+    omega is (R, d); batch_rows is (R, B), one (B,) row set shared by every
+    run, or None for the full sample; gamma is R margins (or one) or None.
+    Returns (R,) values and (R, d) gradients, lanewise over the runs: each
+    row equals bit for bit the R = 1 call on that row.  ``grad=False``
+    returns the values alone, skipping the finite-difference stacks and the
+    pullbacks.
     """
-    omega, one = _as_runs(omega)
     runs, d = omega.shape
     alpha = _alpha_from(omega)
-    corr = _batch_correct(P, batch_rows, runs)
+    corr = _batch_correct(P, batch_rows)
     wrong = ~corr
     margin = np.zeros(runs) if gamma is None else np.broadcast_to(np.asarray(gamma, float), (runs,))
-    # Per-run products keep each run's BLAS summation order.
-    a_c = np.stack([c @ a for c, a in zip(corr, alpha)])
-    a_w = np.stack([w @ a for w, a in zip(wrong, alpha)])
-    lanes = a_c, a_w, margin[:, None]
+    # A stacked matmul calls BLAS once per run's 2-D slice, so each run sums
+    # in the order of its own call; shared (1, B, d) masks broadcast uncopied.
+    col = alpha[:, :, None]
+    lanes = (corr @ col)[..., 0], (wrong @ col)[..., 0], margin[:, None]
     kl = nk.dirichlet_kl(alpha, np.ones(d))
 
     def certificate(terms):
@@ -218,17 +206,16 @@ def objective(
         return bounds._stochastic_formula(u, alpha.sum(axis=1), margin, kl, spec, grad)
 
     if not grad:
-        return _unstack(one, certificate(votes.beta_margin_loss_terms(*lanes))[0], None)
+        return certificate(votes.beta_margin_loss_terms(*lanes))[0]
 
     terms, d_c, d_w = votes.beta_margin_loss_terms(*lanes, grad=True)
-    width = terms.shape[1]
-    dE = np.stack([(cr.T @ dc_r + wr.T @ dw_r) / width
-                   for cr, wr, dc_r, dw_r in zip(corr, wrong, d_c, d_w)])
+    corr_t, wrong_t = np.swapaxes(corr, 1, 2), np.swapaxes(wrong, 1, 2)
+    dE = (corr_t @ d_c[..., None] + wrong_t @ d_w[..., None])[..., 0] / terms.shape[1]
     v, *_, dv_du, dv_dc, deps_dK = certificate(terms)
     dc = bounds._dirichlet_complexity_grad(alpha, spec)
     # d alpha_0 / d alpha_i = 1: the penalty's partial in K is its partial in each alpha_i.
     grad_alpha = dv_du[:, None] * dE + dv_dc[:, None] * dc + np.reshape(deps_dK, (-1, 1))
-    return _unstack(one, v, grad_alpha * _sigmoid(omega))
+    return v, grad_alpha * _sigmoid(omega)
 
 
 def _softmax(omega: np.ndarray) -> np.ndarray:
@@ -238,28 +225,27 @@ def _softmax(omega: np.ndarray) -> np.ndarray:
 
 def fo_objective(P: PredictionMatrix, omega: np.ndarray, batch_rows, spec: BoundSpec,
                  grad: bool = True):
-    """First-order objective: the fo certificate 2 kl_inv(u, c), unclipped,
-    with u the batch Gibbs loss clipped to [1e-12, 1 - 1e-12] and c the
-    categorical complexity.
+    """First-order objective of R stacked runs: the fo certificate
+    2 kl_inv(u, c), unclipped, with u the batch Gibbs loss clipped to
+    [1e-12, 1 - 1e-12] and c the categorical complexity.
 
     Weights are parameterised by softmax, so the gradient pulls back through
-    the simplex Jacobian.  Stacked runs and ``grad`` as in ``objective``.
+    the simplex Jacobian.  Shapes, the row rule and ``grad`` as in
+    ``objective``.
     """
-    omega, one = _as_runs(omega)
     theta = _softmax(omega)
-    err_rates = (~_batch_correct(P, batch_rows, omega.shape[0])).mean(axis=1)
-    u = _clip_loss(np.array([float(e @ t) for e, t in zip(err_rates, theta)]))
+    err_rates = (~_batch_correct(P, batch_rows)).mean(axis=1)
+    u = _clip_loss((err_rates[:, None, :] @ theta[:, :, None])[:, 0, 0])
     kl_cat = np.array([nk.categorical_kl_uniform(t) for t in theta])
     if not grad:
-        return _unstack(one, bounds._gibbs(u, kl_cat, 1, 2.0, spec)[0], None)
+        return bounds._gibbs(u, kl_cat, 1, 2.0, spec)[0]
     v, _, dv_du, dv_dc = bounds._gibbs(u, kl_cat, 1, 2.0, spec, True)
     # d KL(theta || uniform) / d theta_i is ln theta_i + 1 + ln d; the softmax
     # pullback cancels the ln d that every voter shares.
     dc_dtheta = (np.log(theta) + 1.0) / spec.m
     grad_theta = dv_du[:, None] * err_rates + dv_dc[:, None] * dc_dtheta
-    pull = np.array([float(t @ g) for t, g in zip(theta, grad_theta)])
-    grad_omega = theta * (grad_theta - pull[:, None])
-    return _unstack(one, v, grad_omega)
+    pull = (theta[:, None, :] @ grad_theta[:, :, None])[:, 0]
+    return v, theta * (grad_theta - pull)
 
 
 def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
@@ -490,10 +476,10 @@ def train_posterior(
     if not survivors:
         raise TrainingError("all candidate runs produced non-finite objectives")
     spec_sel = replace(spec, delta=spec.delta / len(gammas))
-    best_pair = None
-    for run in survivors:
-        cert = bounds.certify(P, run.posterior, spec_sel, "dirichlet_margin", search_cfg)
-        if best_pair is None or cert.value < best_pair[1].value:
-            best_pair = (run, cert)
-    run, cert = best_pair
+    # min keeps the first of equal certificates.
+    run, cert = min(
+        ((run, bounds.certify(P, run.posterior, spec_sel, "dirichlet_margin", search_cfg))
+         for run in survivors),
+        key=lambda pair: pair[1].value,
+    )
     return TrainResult(run.posterior, cert, objective_kind, tuple(runs))

@@ -210,7 +210,8 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False, log_be
     with ``grad`` the tuple (terms, d/da_correct, d/da_wrong).
 
     ``gamma`` is a scalar or an array broadcast to the shape of the masses
-    (for example one margin per row of an (n, m) stack of mass lanes).
+    (for example one margin per row of an (n, m) stack of mass lanes); it
+    must lie in [-1/2, 1/2] on every lane, degenerate rows included.
     Degenerate rows go to the kernel as boundary lanes with a = b = 1: no
     mass on correct voters as z = 1, whose term is 1, and otherwise no mass
     on erring voters as z = 0, whose term is 0; both partials are +0.0.
@@ -220,9 +221,12 @@ def beta_margin_loss_terms(a_correct, a_wrong, gamma, grad: bool = False, log_be
     """
     a_c = np.asarray(a_correct, dtype=float)
     a_w = np.asarray(a_wrong, dtype=float)
+    margin = np.asarray(gamma, dtype=float)
+    if not np.all(np.abs(margin) <= 0.5):  # NaN fails the test too
+        raise ValueError("gamma must lie in [-1/2, 1/2]")
     none_right = a_c <= 0.0
     regular = ~none_right & ~(a_w <= 0.0)  # a NaN or inf mass reaches the kernel's check
-    z = np.where(regular, 0.5 + np.asarray(gamma, dtype=float), none_right)
+    z = np.where(regular, 0.5 + margin, none_right)
     lanes = z, np.where(regular, a_c, 1.0), np.where(regular, a_w, 1.0)
     if grad:
         return nk.reg_inc_beta_with_grad(*lanes)

@@ -135,15 +135,16 @@ def test_criterion_04_gradient_suite():
     for _ in range(4):
         omega = rng.normal(-2.5, 0.6, 10)
         gamma = float(rng.uniform(0.02, 0.15))
-        _, grad = train.objective(P, omega, None, gamma, spec)
+        margin = np.array([gamma])
+        grad = train.objective(P, omega[None], None, margin, spec)[1][0]
         for i in range(10):
             h = 1e-6 * max(1.0, abs(omega[i]))
             up, down = omega.copy(), omega.copy()
             up[i] += h
             down[i] -= h
             fd = (
-                train.objective(P, up, None, gamma, spec)[0]
-                - train.objective(P, down, None, gamma, spec)[0]
+                train.objective(P, up[None], None, margin, spec)[0][0]
+                - train.objective(P, down[None], None, margin, spec)[0][0]
             ) / (2 * h)
             if abs(fd) > 1e-8:
                 checked += 1

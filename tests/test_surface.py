@@ -77,16 +77,23 @@ def test_every_export_has_a_caller(name):
     assert uncalled == set()
 
 
+@functools.lru_cache(maxsize=None)
+def _call_nodes(path: pathlib.Path) -> tuple:
+    """Every call in the file ``path``, parsed once however many names are
+    looked up in it."""
+    return tuple(node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call))
+
+
 def _calls(paths, name: str):
     """The calls of ``name`` in the files ``paths``, as a bare name or as an
     attribute (``module.name``)."""
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (func.attr if isinstance(func, ast.Attribute)
-                        else getattr(func, "id", None)) == name:
-                    yield node
+        for node in _call_nodes(path):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None)) == name:
+                yield node
 
 
 def test_every_config_field_has_a_caller():

@@ -76,7 +76,8 @@ class TestAdam:
 
 class TestObjectiveGradients:
     def _fd_check(self, fn, omega, rel_tol=1e-4):
-        _, grad = fn(omega)
+        """``fn`` is an objective over a one-run stack; omega is that run's (d,)."""
+        grad = fn(omega[None])[1][0]
         checked = 0
         for i in range(omega.size):
             h = 1e-6 * max(1.0, abs(omega[i]))
@@ -84,7 +85,7 @@ class TestObjectiveGradients:
             up[i] += h
             down = omega.copy()
             down[i] -= h
-            fd = (fn(up)[0] - fn(down)[0]) / (2 * h)
+            fd = (fn(up[None])[0][0] - fn(down[None])[0][0]) / (2 * h)
             if abs(fd) > 1e-8:
                 assert grad[i] == pytest.approx(fd, rel=rel_tol)
                 checked += 1
@@ -97,7 +98,7 @@ class TestObjectiveGradients:
         spec = BoundSpec(m=10, delta=0.05)
         omega = np.full(4, 0.3)
         gamma = 0.1
-        _, grad = train.objective(P, omega, None, gamma, spec)
+        grad = train.objective(P, omega[None], None, np.array([gamma]), spec)[1][0]
         alpha = train._alpha_from(omega)
         # all-correct rows freeze the empirical term, kl_inv(0, c) has no
         # alpha-dependence through u; remaining signal is penalty + complexity
@@ -118,7 +119,7 @@ class TestObjectiveGradients:
             omega = rng.normal(-2.5, 0.6, 10)
             gamma = float(rng.uniform(0.02, 0.15))
             checked += self._fd_check(
-                lambda w: train.objective(P, w, None, gamma, spec), omega
+                lambda w: train.objective(P, w, None, np.array([gamma]), spec), omega
             )
         assert checked >= 20
 
@@ -129,7 +130,7 @@ class TestObjectiveGradients:
         spec = BoundSpec(m=40, delta=0.05)
         omega = np.full(6, train._inv_softplus(1.0 - train._ALPHA_SHIFT))
         assert self._fd_check(
-            lambda w: train.objective(P, w, None, 0.05, spec), omega
+            lambda w: train.objective(P, w, None, np.array([0.05]), spec), omega
         ) >= 3
 
     def test_fo_objective_matches_finite_differences(self):
@@ -159,20 +160,21 @@ class TestObjectiveGradients:
     def test_batch_must_be_non_empty(self):
         P = random_matrix(seed=7, m=20, d=4)
         with pytest.raises(ValueError):
-            train.objective(P, np.zeros(4), np.array([], dtype=int), 0.05,
-                            BoundSpec(m=20, delta=0.05))
+            train.objective(P, np.zeros((1, 4)), np.zeros((1, 0), dtype=int),
+                            np.array([0.05]), BoundSpec(m=20, delta=0.05))
 
     def test_full_batch_objective_decreases_over_first_epoch(self):
         P = random_matrix(seed=8, m=80, d=8, accuracy=0.8)
         spec = BoundSpec(m=80, delta=0.05)
-        omega = train._uniform_omega(8, 2.0)
+        omega = train._uniform_omega(8, 2.0)[None]
         state = AdamState.init(omega)
-        v0, g = train.objective(P, state.params, None, 0.05, spec)
+        margin = np.array([0.05])
+        v0, g = train.objective(P, state.params, None, margin, spec)
         for _ in range(8):
-            _, g = train.objective(P, state.params, None, 0.05, spec)
+            _, g = train.objective(P, state.params, None, margin, spec)
             state = adam_step(state, g, lr=0.1)
-        v1, _ = train.objective(P, state.params, None, 0.05, spec)
-        assert v1 < v0
+        v1, _ = train.objective(P, state.params, None, margin, spec)
+        assert v1[0] < v0[0]
 
 
 class TestObjectiveIsTheCertificate:
@@ -214,8 +216,10 @@ class TestObjectiveIsTheCertificate:
                 return bounds._f2_formula(u, kl, spec, grad)
             return bounds._stochastic_formula(u, np.array([K]), np.array([g]), kl, spec, grad)
 
-        value, grad = train.objective(P, omega, None, gamma, spec)
-        assert train.objective(P, omega, None, gamma, spec, grad=False) == formula(kl)[0][0]
+        margin = None if gamma is None else np.array([gamma])
+        value, grad = (out[0] for out in train.objective(P, omega[None], None, margin, spec))
+        value_only = train.objective(P, omega[None], None, margin, spec, grad=False)
+        assert value_only[0] == formula(kl)[0][0]
 
         theta = alpha / K
         kl_cert = bounds._dirichlet_kl_of(theta)(np.array([K]))
@@ -239,8 +243,8 @@ class TestObjectiveIsTheCertificate:
         u = np.clip(err @ theta, 1e-12, 1.0 - 1e-12)
         kl = nk.categorical_kl_uniform(theta)
 
-        value, grad = train.fo_objective(P, omega, None, spec)
-        assert train.fo_objective(P, omega, None, spec, grad=False) == bounds._gibbs(
+        value, grad = (out[0] for out in train.fo_objective(P, omega[None], None, spec))
+        assert train.fo_objective(P, omega[None], None, spec, grad=False)[0] == bounds._gibbs(
             np.array([u]), np.array([kl]), 1, 2.0, spec)[0][0]
 
         certificate = bounds.certify(P, WeightPosterior(theta, 1.0), spec, "fo").value
@@ -401,7 +405,7 @@ class TestTrainReference:
 
 class TestStackedObjective:
     """An objective call over (R, d) parameters, with per-run rows and
-    margins, is R one-run calls: every row equal bit for bit."""
+    margins, is R calls over one-run stacks: every row equal bit for bit."""
 
     RUNS, D = 3, 7
 
@@ -413,38 +417,41 @@ class TestStackedObjective:
         omega = rng.normal(centre, 0.7, (self.RUNS, self.D))
         rows = (np.stack([rng.permutation(90)[:40] for _ in range(self.RUNS)])
                 if batched else None)
-        gammas = [0.02, 0.07, 0.15] if kind == "stochastic_margin" else [None] * self.RUNS
+        margins = np.array([0.02, 0.07, 0.15]) if kind == "stochastic_margin" else None
 
         def call(w, r, g, grad=True):
             if kind == "fo":
                 return train.fo_objective(P, w, r, spec, grad=grad)
             return train.objective(P, w, r, g, spec, grad=grad)
 
-        stacked_g = None if gammas[0] is None else np.array(gammas)
-        return omega, rows, gammas, stacked_g, call
+        def one_run(r):
+            """Run r's parameters, rows and margin as a one-run stack."""
+            pick = slice(r, r + 1)
+            return (omega[pick], None if rows is None else rows[pick],
+                    None if margins is None else margins[pick])
+
+        return omega, rows, margins, call, one_run
 
     @pytest.mark.parametrize("kind", ["stochastic_margin", "f2", "fo"])
     @pytest.mark.parametrize("batched", [False, True])
     def test_rows_equal_one_run_calls(self, kind, batched):
-        omega, rows, gammas, stacked_g, call = self._case(kind, batched)
-        vals, grads = call(omega, rows, stacked_g)
+        omega, rows, margins, call, one_run = self._case(kind, batched)
+        vals, grads = call(omega, rows, margins)
         assert vals.shape == (self.RUNS,) and grads.shape == (self.RUNS, self.D)
         for r in range(self.RUNS):
-            one_val, one_grad = call(omega[r], None if rows is None else rows[r], gammas[r])
-            assert isinstance(one_val, float)
-            assert vals[r] == one_val
-            np.testing.assert_array_equal(grads[r], one_grad)
+            one_val, one_grad = call(*one_run(r))
+            assert one_val.shape == (1,) and one_grad.shape == (1, self.D)
+            assert vals[r] == one_val[0]
+            np.testing.assert_array_equal(grads[r], one_grad[0])
 
     @pytest.mark.parametrize("kind", ["stochastic_margin", "f2", "fo"])
     @pytest.mark.parametrize("batched", [False, True])
     def test_value_path_equals_gradient_path(self, kind, batched):
-        omega, rows, gammas, stacked_g, call = self._case(kind, batched)
-        np.testing.assert_array_equal(call(omega, rows, stacked_g, grad=False),
-                                      call(omega, rows, stacked_g)[0])
+        omega, rows, margins, call, one_run = self._case(kind, batched)
+        np.testing.assert_array_equal(call(omega, rows, margins, grad=False),
+                                      call(omega, rows, margins)[0])
         for r in range(self.RUNS):
-            one_rows = None if rows is None else rows[r]
-            assert call(omega[r], one_rows, gammas[r], grad=False) == call(
-                omega[r], one_rows, gammas[r])[0]
+            assert call(*one_run(r), grad=False)[0] == call(*one_run(r))[0][0]
 
 
 class TestLockstepRuns:

@@ -258,7 +258,9 @@ class TestExpectedBetaLoss:
         """A (lanes, rows) stack of masses with one margin per lane: every
         lane equals a scalar-gamma call, and the degenerate rows (no correct
         mass, no erring mass) keep their fixed terms, with partials +0.0 and
-        whatever ln B is passed for them; a NaN or infinite mass raises."""
+        whatever ln B is passed for them; a NaN or infinite mass raises, and
+        so does a margin outside [-1/2, 1/2] or NaN, even when every row is
+        degenerate."""
         a_correct = np.array([0.0, 0.3, 0.5, 1.0, 0.7])
         a_wrong = np.array([1.0, 0.7, 0.5, 0.0, 0.3])
         K = np.array([[0.5], [3.0], [40.0]])
@@ -301,6 +303,17 @@ class TestExpectedBetaLoss:
                     votes.beta_margin_loss_terms(*masses, 0.1)
                 with pytest.raises(ValueError):
                     votes.beta_margin_loss_terms(*masses, 0.1, grad=True)
+
+        # The margin is checked on every lane, not only where a row reaches
+        # the Beta CDF; the ends of [-1/2, 1/2] are margins like any other.
+        degenerate = np.array([0.0, 1.0]), np.array([0.0, 0.0])
+        for edge in (-0.5, 0.5):
+            assert np.array_equal(votes.beta_margin_loss_terms(*degenerate, edge), [1.0, 0.0])
+        for margin in (0.7, -0.7, math.nan, np.array([[0.1], [0.7], [0.1]])):
+            for masses in (degenerate, (K * a_correct, K * a_wrong)):
+                for grad in (False, True):
+                    with pytest.raises(ValueError, match="gamma"):
+                        votes.beta_margin_loss_terms(*masses, margin, grad=grad)
 
     @pytest.mark.parametrize("n", [8192, 16384])
     def test_footprint(self, n):
