@@ -19,17 +19,20 @@ The table ``_BOUNDS`` is the one place a bound is defined: per bound id it
 holds its kl factor, whether the delta/n_gamma union correction over the
 margin grid applies, and how it is evaluated.  A margin-grid bound
 (dirichlet_margin, gz, bgplus, bg, bgplusplus) also holds its formula, with
-one signature for all five and lanewise over (margin loss, gamma), and the
-rule of the margins where it holds; ``_on_grid`` evaluates it in a single
-formula call over every applicable grid margin, the winner picked by
-``_best_lane``.  ``margin_bound`` calls a formula on the caller's lanes, as
-the comparison sweep does, and ``margin_applies`` reads the rule.
+one signature for all five and lanewise over (weight row, margin loss,
+gamma), and the rule of the margins where it holds; ``_on_grid`` evaluates
+it in a single formula call over every applicable grid margin, the winner
+picked by ``_best_lane``.  ``margin_bound`` calls a formula on the caller's
+lanes for every row of a stack of weight vectors, in one search, as the
+comparison sweep does, and ``margin_applies`` reads the rule.
 
-``certify_all`` evaluates any bound ids on one posterior through one context
-(``_Posterior``): theta floored once, one K -> KL closure for the three K
-searches (its prior terms computed once, each call's distinct K one kernel
-row each), and the grid's margin losses and distinct row masses computed
-the first time a bound reads them.  ``certify`` is ``certify_all`` of one id.
+The context ``_Posterior`` holds an (R, d) stack of weight vectors: each row
+floored once, and one (row, K) -> KL closure for the K searches (its prior
+terms computed once, each call's distinct (row, K) pairs one kernel row
+each).  ``certify_all`` evaluates any bound ids on one posterior, a stack of
+one, through one context, whose grid margin losses and distinct row masses
+are computed the first time a bound reads them.  ``certify`` is
+``certify_all`` of one id.
 
 One search serves every searched knob: the Dirichlet bounds (f2 at the
 single margin 0) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
@@ -137,24 +140,27 @@ class BoundResult:
 
 
 class _Posterior:
-    """What the certificates of one posterior share: theta as given (for the
-    Gibbs baselines), theta floored and its flags, K, the margin grid, and
-    a K -> KL closure, margin losses and row masses made when first read, so
-    that fo, so and bin pay for none of them.
+    """What the certificates of an (R, d) stack of weight vectors share:
+    the rows as given (for the Gibbs baselines), floored and each row's
+    flags, K, the margin grid, and a (K, row) -> KL closure, margin losses
+    and row masses made when first read, so that fo, so and bin pay for
+    none of them.  The margin losses and row masses are certify's, of its
+    stack of one.
 
     Flooring clamps zero weights before forming Dirichlet parameters:
     trained posteriors can hit the simplex boundary numerically, where the
     Dirichlet KL diverges; flooring keeps the certificate finite and is
-    flagged for audit.
+    flagged for audit.  A row without a weight below the floor keeps its bits.
     """
 
-    def __init__(self, theta, K: float = 1.0, P: PredictionMatrix | None = None, gammas=None):
+    def __init__(self, thetas, K: float = 1.0, P: PredictionMatrix | None = None, gammas=None):
         self.P, self.K, self.gammas = P, K, gammas
-        self.theta = self.floored = np.asarray(theta, dtype=float)
-        self.flags = ()
-        if float(self.theta.min()) < _THETA_FLOOR:
+        self.theta = self.floored = np.asarray(thetas, dtype=float)
+        low = self.theta.min(axis=1) < _THETA_FLOOR
+        self.flags = [("theta_floored",) * bool(x) for x in low]
+        if low.any():
             th = np.maximum(self.theta, _THETA_FLOOR)
-            self.floored, self.flags = th / th.sum(), ("theta_floored",)
+            self.floored = np.where(low[:, None], th / th.sum(axis=1, keepdims=True), self.theta)
 
     @cached_property
     def kl_of(self):
@@ -163,12 +169,12 @@ class _Posterior:
     @cached_property
     def margin_losses(self) -> np.ndarray:
         """The empirical margin loss at every grid margin."""
-        return votes.empirical_margin_loss(self.P, self.floored, self.gammas)
+        return votes.empirical_margin_loss(self.P, self.floored[0], self.gammas)
 
     @cached_property
     def masses(self):
         """The distinct (a_c, a_w) row masses, and each row's column among them."""
-        th = self.floored
+        th = self.floored[0]
         return np.unique(np.stack([self.P.correct_mass(th), self.P.wrong_mass(th)]), axis=1,
                          return_inverse=True)
 
@@ -209,18 +215,25 @@ def _lane(r: BoundResult, i: int) -> BoundResult:
     return _per_lane(r, lambda x: x[i])
 
 
-def _dirichlet_kl_of(theta: np.ndarray):
-    """Lanewise K -> KL(Dir(K theta) || Dir(1, ..., 1)), prior terms computed once.
+def _dirichlet_kl_of(thetas: np.ndarray):
+    """Lanewise (K, rows) -> KL(Dir(K thetas[row]) || Dir(1, ..., 1)) on an
+    (R, d) stack, prior terms computed once; rows broadcasts to K's shape.
 
-    The KL depends on K alone, so each call sends the kernel one row per
-    distinct K among its lanes and gathers the values back: every lane
-    equals ``nk.dirichlet_kl(K * theta, ones)`` bit for bit."""
-    kl = nk._dirichlet_kl_to(np.ones(theta.size))
+    The KL depends on the (row, K) pair alone, so each call sends the kernel
+    one row per distinct pair among its lanes and gathers the values back:
+    every lane equals ``nk.dirichlet_kl(K * thetas[row], ones)`` bit for
+    bit."""
+    kl, R = nk._dirichlet_kl_to(np.ones(thetas.shape[1])), len(thetas)
 
-    def kl_of(K):
+    def kl_of(K, rows):
         K = np.asarray(K, dtype=float)
-        distinct, lane = np.unique(K, return_inverse=True)
-        return kl(distinct[:, None] * theta)[lane].reshape(K.shape)
+        distinct, at = np.unique(K, return_inverse=True)
+        # Each lane's slot in a (distinct K, row) table, and the slots in use.
+        slot = at.reshape(K.shape) * R + rows
+        used = np.zeros(distinct.size * R, dtype=bool)
+        used[slot] = True
+        k, row = np.divmod(used.nonzero()[0], R)
+        return kl(distinct[k, None] * thetas[row])[used.cumsum()[slot] - 1]
 
     return kl_of
 
@@ -303,9 +316,10 @@ def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray
     return ((alpha - 1.0) * tri[:, :-1] - tri[:, -1:] * (a0 - float(d))) / spec.m
 
 
-# The margin-grid formulas: one signature, (losses, gammas, post, spec) ->
-# BoundResult, lanewise over flat (margin loss, gamma) lanes, on the
-# posterior context ``post``; each reads the parts it needs.
+# The margin-grid formulas: one signature, (losses, gammas, rows, post, spec)
+# -> BoundResult, lanewise over flat (margin loss, gamma, row) lanes, each
+# lane on the row ``rows`` names of the weight stack of the context
+# ``post``; each reads the parts it needs.
 
 
 def _everywhere(gammas, d: int):
@@ -317,12 +331,12 @@ def _gz_applies(gammas, d: int):
     return (d >= 3) & (np.asarray(gammas) > math.sqrt(2.0 / d))
 
 
-def _gz(losses, gammas, post, spec) -> BoundResult:
+def _gz(losses, gammas, rows, post, spec) -> BoundResult:
     """kth-margin bound, holding simultaneously over the margins where
     ``_gz_applies``.  ln(2 m^2 / ln d) is negative only for m < sqrt(ln(d) /
     2), where the tail ln(d) / m alone exceeds 1; the complexity is clamped
     at 0, so the value there is 1."""
-    d, m = post.theta.size, spec.m
+    d, m = post.theta.shape[1], spec.m
     log_d = math.log(d)
     comp = np.maximum(0.0, (
         2.0 * math.log(2.0 * d) / (gammas * gammas) * math.log(2.0 * m * m / log_d)
@@ -338,7 +352,7 @@ def _bgplus_T(gamma, m: int):
     return np.maximum(1.0, np.ceil(2.0 * math.log(m) / (gamma * gamma)))
 
 
-def _bgplus(losses, gammas, post, spec) -> BoundResult:
+def _bgplus(losses, gammas, rows, post, spec) -> BoundResult:
     """Sharpened fixed-margin bound; T = ceil(2 ln(m) / gamma^2) replications.
 
     The sampling penalty exp(-T gamma^2 / 2) <= 1/m by construction, so both
@@ -347,15 +361,15 @@ def _bgplus(losses, gammas, post, spec) -> BoundResult:
     m = spec.m
     T = _bgplus_T(gammas, m)
     u = np.minimum(1.0, losses + 1.0 / m)
-    comp = (T * math.log(post.theta.size) + spec.log_confidence()) / m
+    comp = (T * math.log(post.theta.shape[1]) + spec.log_confidence()) / m
     return _result(_kl_bound(u, comp, 1.0, 1.0 / m)[0], u, comp, 1.0 / m, gammas, T=T)
 
 
-def _bg(losses, gammas, post, spec) -> BoundResult:
+def _bg(losses, gammas, rows, post, spec) -> BoundResult:
     """Original closed-form relaxation; strictly looser than bgplus."""
     m = spec.m
     C = (2.0 * math.log(2.0 / spec.delta)
-         + 4.75 * math.log(post.theta.size) * math.log(m) / (gammas * gammas))
+         + 4.75 * math.log(post.theta.shape[1]) * math.log(m) / (gammas * gammas))
     comp = C / m
     tail = (C + np.sqrt(C) + 2.0) / m
     return _result(_kl_bound(losses, comp, None, tail)[0], losses, comp, tail, gammas)
@@ -398,20 +412,21 @@ def _search_counts(values_at, top):
     return T[row, j], values[row, j]
 
 
-def _bgplusplus(losses, gammas, post, spec) -> BoundResult:
+def _bgplusplus(losses, gammas, rows, post, spec) -> BoundResult:
     """Replication bound minimised over the count T in {1..4 T_bgplus}, every
     lane's T search in lockstep (``_search_counts``); the search compares
     the unclipped formula, as the K searches do, and bgplus's own count
     T_bgplus = top / 4 is one of its ladder's rungs.  The complexity charges
-    T * (ln d - H(theta)), which vanishes for uniform weights."""
+    T * (ln d - H(theta)), which vanishes for uniform weights, at each
+    lane's row."""
     m = spec.m
-    kl_unif = nk.categorical_kl_uniform(post.floored)
+    kl_unif = np.array([nk.categorical_kl_uniform(th) for th in post.floored])[rows]
     log_term = math.log(m / spec.delta)
 
     def terms(lanes, T):
         g = gammas[lanes]
         eps = np.exp(-0.5 * T * g * g)
-        return np.minimum(1.0, losses[lanes] + eps), (T * kl_unif + log_term) / m, eps
+        return np.minimum(1.0, losses[lanes] + eps), (T * kl_unif[lanes] + log_term) / m, eps
 
     def value(lanes, T):
         u, comp, eps = terms(lanes, T)
@@ -668,12 +683,12 @@ def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
     return int(np.lexsort((gammas, values))[0])
 
 
-def _margin_best_K(losses, gammas, post, spec) -> BoundResult:
+def _margin_best_K(losses, gammas, rows, post, spec) -> BoundResult:
     """Deterministic-margin bound per lane, each lane at its K searched over
     [K, K * _K_SPAN] from the posterior's K."""
 
     def at(lanes, K):
-        return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K), spec)
+        return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K, rows[lanes]), spec)
 
     K, _ = _search_K(lambda lanes, K: at(lanes, K)[0], post.K, gammas.size)
     return _result(*at(slice(None), K), gammas, K)
@@ -721,8 +736,9 @@ def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundR
 
     def at(K, g):
         u = _beta_losses(K, g, masses, rows)
-        return (_stochastic_formula(u, K, g, post.kl_of(K), spec) if stochastic
-                else _f2_formula(u, post.kl_of(K), spec))
+        kl = post.kl_of(K, 0)
+        return (_stochastic_formula(u, K, g, kl, spec) if stochastic
+                else _f2_formula(u, kl, spec))
 
     def floor(lanes, hi):
         return _stochastic_floor(hi, margins[lanes], spec)
@@ -738,11 +754,11 @@ def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult
     """A margin-grid bound's evaluator: ``formula`` in one call over the grid
     margins where ``applies(gammas, d)`` holds, on the posterior's margin
     losses there, keeping the smallest value (the smallest gamma on ties)."""
-    keep = applies(post.gammas, post.theta.size)
+    keep = applies(post.gammas, post.theta.shape[1])
     if not keep.any():
         return _result(1.0, 1.0, math.inf, 0.0, flags=("inapplicable_margin",))
     gammas = post.gammas[keep]
-    lanes = formula(post.margin_losses[keep], gammas, post, spec)
+    lanes = formula(post.margin_losses[keep], gammas, np.zeros(gammas.size, int), post, spec)
     return _lane(lanes, _best_lane(lanes.value, gammas))
 
 
@@ -776,8 +792,8 @@ def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
     factor on the empirical ``loss(P, theta)``, for the weights as given."""
 
     def evaluate(post, spec):
-        u = loss(post.P, post.theta)
-        value, comp = _gibbs(u, nk.categorical_kl_uniform(post.theta), n, factor, spec)
+        u = loss(post.P, post.theta[0])
+        value, comp = _gibbs(u, nk.categorical_kl_uniform(post.theta[0]), n, factor, spec)
         return _result(value, u, comp, 0.0)
 
     return _Bound(factor, False, evaluate, floored=False)
@@ -814,26 +830,38 @@ def margin_applies(bound_id: str, gammas, d: int) -> np.ndarray:
     return _lookup(bound_id, margin_grid=True).applies(gammas, d)
 
 
-def margin_bound(bound_id: str, losses, theta, gammas, spec: BoundSpec) -> BoundResult:
-    """A margin-grid bound (dirichlet_margin, gz, bgplus, bg, bgplusplus) on
-    lanes of (margin loss, gamma), which broadcast together: one result
-    whose fields hold one entry per lane (plain numbers for scalar lanes).
-    Formula-level: takes the margin loss values and ``spec`` as given (no
-    union correction).  theta is floored as certify floors it;
-    dirichlet_margin searches its K over [1, 2**16] and bgplusplus its T
-    over {1..4 T_bgplus} on every lane, as certify does.  Raises ValueError
-    for a margin outside (0, 1/2) or a margin loss outside [0, 1] (NaN
-    included) on any lane, and for a margin where the bound does not hold
-    (``margin_applies``)."""
+def margin_bound(bound_id: str, losses, thetas, gammas, spec: BoundSpec) -> list[BoundResult]:
+    """A margin-grid bound (dirichlet_margin, gz, bgplus, bg, bgplusplus) for
+    each row of an (R, d) stack of weight vectors, on lanes of (margin loss,
+    gamma), which broadcast together: one result per row, with that row's
+    flags, whose fields hold one entry per lane (plain numbers for scalar
+    lanes).  One formula call, so one search, covers every row's lanes, and
+    each row's result equals its stack of one's bit for bit.  Formula-level:
+    takes the margin loss values and ``spec`` as given (no union
+    correction).  Each row is floored as certify floors it; dirichlet_margin
+    searches its K over [1, 2**16] and bgplusplus its T over {1..4 T_bgplus}
+    on every lane, as certify does.  Raises ValueError for a stack of no
+    rows, for a row that is not a probability vector (finite, non-negative,
+    summing to 1 within 1e-9), for a margin outside (0, 1/2) or a margin
+    loss outside [0, 1] (NaN included) on any lane, and for a margin where
+    the bound does not hold (``margin_applies``)."""
     bound = _lookup(bound_id, margin_grid=True)
-    post = _Posterior(theta)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or not thetas.shape[0]:
+        raise ValueError("thetas must be an (R, d) stack of R >= 1 weight vectors")
+    for theta in thetas:
+        nk._simplex_array(theta, "theta")
     losses, gammas = _lanes(losses, gammas)
     if not ((gammas > 0.0) & (gammas < 0.5) & (losses >= 0.0) & (losses <= 1.0)).all():
         raise ValueError("gamma must lie in (0, 1/2) and the margin loss in [0, 1]")
-    if not bound.applies(gammas, post.theta.size).all():
+    if not bound.applies(gammas, thetas.shape[1]).all():
         raise ValueError(f"{bound_id} does not hold at every margin given")
-    lanes = bound.formula(losses.ravel(), gammas.ravel(), post, spec)
-    return _per_lane(lanes, lambda x: x.reshape(gammas.shape)).with_flags(post.flags)
+    post, R = _Posterior(thetas), len(thetas)
+    # Row-major (row, margin) lanes: row i holds lanes i n .. (i + 1) n - 1.
+    lanes = bound.formula(np.tile(losses.ravel(), R), np.tile(gammas.ravel(), R),
+                          np.repeat(np.arange(R), gammas.size), post, spec)
+    return [_per_lane(lanes, lambda x: x.reshape((R,) + gammas.shape)[i]).with_flags(flags)
+            for i, flags in enumerate(post.flags)]
 
 
 def reconstruct_value(bound_id: str, r: BoundResult) -> float:
@@ -862,13 +890,13 @@ def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound
     smallest gamma.  Every result of value 1 carries the ``vacuous`` flag.
     """
     cfg = search_cfg or SearchConfig()
-    post = _Posterior(wp.theta, wp.K, P, cfg.gamma_grid())
+    post = _Posterior(wp.theta[None], wp.K, P, cfg.gamma_grid())
     union_spec = replace(spec, delta=spec.delta / cfg.n_gamma)
     out = {}
     for bound_id in dict.fromkeys(bound_ids):
         bound = _lookup(bound_id)
         result = bound.evaluate(post, union_spec if bound.union else spec)
-        result = result.with_flags(post.flags if bound.floored else ())
+        result = result.with_flags(post.flags[0] if bound.floored else ())
         out[bound_id] = result.with_flags(("vacuous",)) if result.value >= 1.0 else result
     return out
 

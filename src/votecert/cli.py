@@ -328,13 +328,14 @@ def cmd_compare(args, out: str) -> int:
     """Formula-level margin sweep reproducing the bound-comparison figure:
     d = 100, delta = 0.5, panels over m in {2000, 10000} and fixed margin
     loss in {0, 0.1}, with three uniform-simplex weight draws.  One
-    ``margin_bound`` call per column covers every margin; a margin where the
-    bound does not hold is left empty."""
+    ``margin_bound`` call per (panel, bound) covers every margin and every
+    draw the bound reads, so a searched bound runs one search for its three
+    draws; a margin where the bound does not hold is left empty."""
     gammas = np.linspace(0.005, 0.495, args.points)
-    thetas = [
+    thetas = np.stack([
         np.random.default_rng((args.seed, i)).dirichlet(np.ones(_COMPARE_D))
         for i in range(3)
-    ]
+    ])
     header = ["gamma", "margin_error"]
     for name, _, draws in _COMPARE_COLUMNS:
         header += [name] if draws == 1 else [f"{name}_{i + 1}" for i in range(draws)]
@@ -343,9 +344,9 @@ def cmd_compare(args, out: str) -> int:
         columns = []
         for _, bid, draws in _COMPARE_COLUMNS:
             ok = bounds.margin_applies(bid, gammas, _COMPARE_D)
-            for theta in thetas[:draws]:
+            for r in bounds.margin_bound(bid, loss, thetas[:draws], gammas[ok], spec):
                 column = np.full(gammas.size, math.nan)
-                column[ok] = bounds.margin_bound(bid, loss, theta, gammas[ok], spec).value
+                column[ok] = r.value
                 columns.append(column)
         rows = [(float(g), loss, *(None if math.isnan(c[i]) else float(c[i]) for c in columns))
                 for i, g in enumerate(gammas)]

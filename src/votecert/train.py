@@ -209,7 +209,11 @@ def objective(
         return certificate(votes.beta_margin_loss_terms(*lanes))[0]
 
     terms, d_c, d_w = votes.beta_margin_loss_terms(*lanes, grad=True)
-    corr_t, wrong_t = np.swapaxes(corr, 1, 2), np.swapaxes(wrong, 1, 2)
+    # Float copies of the transposed masks, cast from a contiguous bool
+    # transpose: numpy would cast the strided bool view element by element
+    # before each BLAS call.  The products are the same bit for bit.
+    corr_t = np.swapaxes(corr, 1, 2).copy()
+    corr_t, wrong_t = corr_t.astype(float), (~corr_t).astype(float)
     dE = (corr_t @ d_c[..., None] + wrong_t @ d_w[..., None])[..., 0] / terms.shape[1]
     v, *_, dv_du, dv_dc, deps_dK = certificate(terms)
     dc = bounds._dirichlet_complexity_grad(alpha, spec)

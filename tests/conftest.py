@@ -37,10 +37,10 @@ def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
     and ``_stochastic_formula`` take gamma, ``_f2_formula`` does not) on the
     caller's lanes of loss, K and gamma, theta floored as certify floors it."""
     loss, K, *gamma = bounds._lanes(loss, K, *gamma)
-    post = bounds._Posterior(theta)
-    kl = post.kl_of(K)
+    post = bounds._Posterior(np.asarray(theta)[None])
+    kl = post.kl_of(K, 0)
     terms = formula(loss, K, *gamma, kl, spec) if gamma else formula(loss, kl, spec)
-    return bounds._result(*terms, gamma[0] if gamma else None, K).with_flags(post.flags)
+    return bounds._result(*terms, gamma[0] if gamma else None, K).with_flags(post.flags[0])
 
 
 # The rule a certificate meets against a recorded one: the value and its

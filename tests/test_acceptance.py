@@ -236,7 +236,7 @@ def test_criterion_08_bg_family_ordering():
         l_g = float(rng.uniform(0.0, 0.5))
         theta = rng.dirichlet(np.ones(d))
         spec = BoundSpec(m=m, delta=delta)
-        v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta, gamma, spec).value
+        v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta[None], gamma, spec)[0].value
                            for bid in ("bg", "bgplus", "bgplusplus"))
         if v_bg < v_p - 1e-12 or v_p < v_pp - 1e-12:
             ok = False

@@ -124,30 +124,31 @@ class TestStochasticMargin:
 class TestGZ:
     def test_margin_precondition(self):
         with pytest.raises(ValueError, match="does not hold"):
-            bounds.margin_bound("gz", 0.1, uniform_theta(100), math.sqrt(2 / 100), SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(100)[None], math.sqrt(2 / 100), SPEC)[0]
 
     def test_small_margin_rejected(self):
         with pytest.raises(ValueError, match="does not hold"):
-            bounds.margin_bound("gz", 0.1, uniform_theta(100), 0.1, SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(100)[None], 0.1, SPEC)[0]
 
     def test_too_few_voters_rejected(self):
         with pytest.raises(ValueError, match="does not hold"):
-            bounds.margin_bound("gz", 0.1, uniform_theta(2), 0.3, SPEC)
+            bounds.margin_bound("gz", 0.1, uniform_theta(2)[None], 0.3, SPEC)[0]
 
     def test_full_loss_clips(self):
-        assert bounds.margin_bound("gz", 1.0, uniform_theta(100), 0.3, SPEC).value == 1.0
+        assert bounds.margin_bound("gz", 1.0, uniform_theta(100)[None], 0.3, SPEC)[0].value == 1.0
 
     def test_one_example_is_vacuous(self):
         """At m = 1 and d = 100, ln(2 m^2 / ln d) < 0 and the complexity is
         clamped at 0; the tail ln(d) / m alone exceeds 1."""
-        r = bounds.margin_bound("gz", 0.0, uniform_theta(100), 0.15, BoundSpec(m=1, delta=0.05))
+        r = bounds.margin_bound("gz", 0.0, uniform_theta(100)[None], 0.15,
+                                BoundSpec(m=1, delta=0.05))[0]
         assert (r.value, r.complexity_term) == (1.0, 0.0)
         assert bounds.reconstruct_value("gz", r) == r.value
 
     def test_formula_recomputation(self):
         d, m, delta, l_g, gamma = 100, 10000, 0.5, 0.1, 0.3
         spec = BoundSpec(m=m, delta=delta)
-        r = bounds.margin_bound("gz", l_g, uniform_theta(d), gamma, spec)
+        r = bounds.margin_bound("gz", l_g, uniform_theta(d)[None], gamma, spec)[0]
         comp = (
             2 * math.log(2 * d) / gamma**2 * math.log(2 * m * m / math.log(d))
             + math.log(d * m / delta)
@@ -159,7 +160,8 @@ class TestGZ:
 
 class TestBGFamily:
     def test_bgplus_full_loss_clips(self):
-        assert bounds.margin_bound("bgplus", 1.0, uniform_theta(50), 0.2, SPEC).value == 1.0
+        r = bounds.margin_bound("bgplus", 1.0, uniform_theta(50)[None], 0.2, SPEC)[0]
+        assert r.value == 1.0
 
     def test_bgplus_replication_boundary(self):
         """The replication count T steps across integers as m moves, and the
@@ -175,25 +177,26 @@ class TestBGFamily:
                 break
             prev_T = T
         assert jump_at is not None
-        lo, hi = (bounds.margin_bound("bgplus", 0.1, uniform_theta(50), gamma,
-                                      BoundSpec(m=m, delta=0.05)) for m in (jump_at - 1, jump_at))
+        lo, hi = (bounds.margin_bound("bgplus", 0.1, uniform_theta(50)[None], gamma,
+                                      BoundSpec(m=m, delta=0.05))[0]
+                  for m in (jump_at - 1, jump_at))
         assert lo.T_star != hi.T_star
 
     def test_bg_zero_loss_tail(self):
         d, gamma = 50, 0.2
-        r = bounds.margin_bound("bg", 0.0, uniform_theta(d), gamma, SPEC)
+        r = bounds.margin_bound("bg", 0.0, uniform_theta(d)[None], gamma, SPEC)[0]
         C = 2 * math.log(2 / 0.05) + 4.75 / gamma**2 * math.log(d) * math.log(2000)
         assert r.value == pytest.approx(
             min(1.0, (C + math.sqrt(C) + 2) / 2000), abs=1e-12
         )
 
     def test_bg_vacuous_for_tiny_margin(self):
-        assert bounds.margin_bound("bg", 0.0, uniform_theta(50), 0.001, SPEC).value == 1.0
+        assert bounds.margin_bound("bg", 0.0, uniform_theta(50)[None], 0.001, SPEC)[0].value == 1.0
 
     def test_bgplusplus_single_T(self):
         """The reported value is the formula at the reported T_star."""
         theta = np.random.default_rng(3).dirichlet(np.ones(10))
-        r = bounds.margin_bound("bgplusplus", 0.1, theta, 0.2, SPEC)
+        r = bounds.margin_bound("bgplusplus", 0.1, theta[None], 0.2, SPEC)[0]
         T = r.T_star
         eps = math.exp(-0.5 * T * 0.04)
         comp = (T * nk.categorical_kl_uniform(theta) + math.log(2000 / 0.05)) / 2000
@@ -205,16 +208,17 @@ class TestBGFamily:
         """Uniform weights zero out the per-replication complexity charge:
         the value is the formula without it, and on 6 or 7 voters it equals
         the 2-voter value, also at margins whose T runs to 1e10 and past."""
-        r = bounds.margin_bound("bgplusplus", 0.05, uniform_theta(30), 0.15, SPEC)
+        r = bounds.margin_bound("bgplusplus", 0.05, uniform_theta(30)[None], 0.15, SPEC)[0]
         T = r.T_star
         eps = math.exp(-0.5 * T * 0.15**2)
         want = nk.kl_inv(min(1.0, 0.05 + eps), math.log(2000 / 0.05) / 2000) + eps
         assert r.value == pytest.approx(min(1.0, want), abs=1e-12)
         spec = BoundSpec(100, 0.05)
         for gamma in (1e-4, 1e-8, 1e-9):
-            two = bounds.margin_bound("bgplusplus", 0.1, np.full(2, 0.5), gamma, spec).value
+            two = bounds.margin_bound("bgplusplus", 0.1, np.full((1, 2), 0.5), gamma, spec)[0].value
             for d in (6, 7):
-                got = bounds.margin_bound("bgplusplus", 0.1, np.full(d, 1 / d), gamma, spec)
+                got = bounds.margin_bound("bgplusplus", 0.1, np.full((1, d), 1 / d), gamma,
+                                          spec)[0]
                 assert got.value == pytest.approx(two, abs=1e-12)
 
     @staticmethod
@@ -230,7 +234,7 @@ class TestBGFamily:
                 + math.exp(-0.5 * T * gamma**2))
             for T in range(1, T_max + 1)
         ]
-        return bounds.margin_bound("bgplusplus", loss, theta, gamma, spec), values
+        return bounds.margin_bound("bgplusplus", loss, theta[None], gamma, spec)[0], values
 
     def test_T_search_matches_full_scan_small_range(self):
         """The T search over {1..4 T_bgplus} (680 counts) finds the
@@ -265,9 +269,9 @@ class TestBGFamily:
         gammas = (1e-4, 1e-6, 1e-8, 1e-9, 1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            plusplus = [bounds.margin_bound("bgplusplus", 0.1, uniform_theta(2), g, spec)
+            plusplus = [bounds.margin_bound("bgplusplus", 0.1, uniform_theta(2)[None], g, spec)[0]
                         for g in gammas]
-            plus = [bounds.margin_bound("bgplus", 0.1, uniform_theta(d), g, spec)
+            plus = [bounds.margin_bound("bgplus", 0.1, uniform_theta(d)[None], g, spec)[0]
                     for d in (2, 6) for g in gammas]
         for r, gamma in zip(plusplus, gammas):
             assert r.value == pytest.approx(plusplus[0].value, abs=1e-12)
@@ -288,7 +292,7 @@ class TestBGFamily:
             l_g = float(rng.uniform(0.0, 0.5))
             theta = rng.dirichlet(np.ones(d))
             spec = BoundSpec(m=m, delta=delta)
-            v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta, gamma, spec).value
+            v_bg, v_p, v_pp = (bounds.margin_bound(bid, l_g, theta[None], gamma, spec)[0].value
                                for bid in ("bg", "bgplus", "bgplusplus"))
             assert v_bg >= v_p - 1e-12
             assert v_p >= v_pp - 1e-12
@@ -365,10 +369,10 @@ class TestMonotonicityInSpec:
         theta = uniform_theta(15)
         for make in (
             lambda s: margin_from_loss(0.1, theta, 60.0, 0.1, s).value,
-            lambda s: bounds.margin_bound("gz", 0.1, theta, 0.4, s).value,
-            lambda s: bounds.margin_bound("bgplus", 0.1, theta, 0.3, s).value,
-            lambda s: bounds.margin_bound("bgplusplus", 0.1, theta, 0.3, s).value,
-            lambda s: bounds.margin_bound("bg", 0.1, theta, 0.3, s).value,
+            lambda s: bounds.margin_bound("gz", 0.1, theta[None], 0.4, s)[0].value,
+            lambda s: bounds.margin_bound("bgplus", 0.1, theta[None], 0.3, s)[0].value,
+            lambda s: bounds.margin_bound("bgplusplus", 0.1, theta[None], 0.3, s)[0].value,
+            lambda s: bounds.margin_bound("bg", 0.1, theta[None], 0.3, s)[0].value,
         ):
             deltas = [0.01, 0.05, 0.2, 0.5]
             vals = [make(BoundSpec(m=5000, delta=dlt)) for dlt in deltas]
@@ -437,7 +441,7 @@ class TestCertify:
             ("stochastic_margin",
              lambda: stochastic_from_loss(expected, wp.theta, wp.K, 0.1, spec)),
             ("bgplus",
-             lambda: bounds.margin_bound("bgplus", l_g, wp.theta, 0.1, spec)),
+             lambda: bounds.margin_bound("bgplus", l_g, wp.theta[None], 0.1, spec)[0]),
         ):
             got = bounds.certify(toy_matrix, wp, spec, bid, cfg)
             assert got.value == pytest.approx(direct().value, abs=1e-12)
@@ -453,7 +457,7 @@ class TestCertify:
         manual = min(
             (bounds.margin_bound("bgplus",
                                  votes.empirical_margin_loss(toy_matrix, wp.theta, float(g)),
-                                 wp.theta, float(g), spec_half)
+                                 wp.theta[None], float(g), spec_half)[0]
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -469,7 +473,7 @@ class TestCertify:
         got = bounds.certify(P, wp, spec, "gz", cfg)
         manual = min(
             (bounds.margin_bound("gz", votes.empirical_margin_loss(P, wp.theta, float(g)),
-                                 wp.theta, float(g), spec)
+                                 wp.theta[None], float(g), spec)[0]
              for g in cfg.gamma_grid()),
             key=lambda r: r.value,
         )
@@ -493,7 +497,7 @@ class TestCertify:
     def test_margin_bound_rejects_a_bound_off_the_grid(self):
         for bid in ("stochastic_margin", "fo", "f2", "nope"):
             with pytest.raises(ValueError):
-                bounds.margin_bound(bid, 0.1, uniform_theta(5), 0.2, SPEC)
+                bounds.margin_bound(bid, 0.1, uniform_theta(5)[None], 0.2, SPEC)[0]
 
     def test_margin_bound_rejects_lanes_outside_its_domain(self):
         """For every margin-grid bound, a margin outside (0, 1/2) or a
@@ -501,18 +505,19 @@ class TestCertify:
         ValueError; the valid lanes alone certify."""
         theta = uniform_theta(100)
         for bound_id in ("dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"):
-            bounds.margin_bound(bound_id, np.array([0.1, 0.0, 1.0]), theta, 0.3, SPEC)
+            bounds.margin_bound(bound_id, np.array([0.1, 0.0, 1.0]), theta[None], 0.3, SPEC)[0]
             for gamma in (0.0, -0.1, 0.5, 0.7, math.inf, math.nan):
                 with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1/2\)"):
-                    bounds.margin_bound(bound_id, 0.1, theta, np.array([0.3, gamma]), SPEC)
+                    bounds.margin_bound(bound_id, 0.1, theta[None], np.array([0.3, gamma]), SPEC)[0]
             for loss in (-0.1, 1.1, math.inf, math.nan):
                 with pytest.raises(ValueError, match=r"margin loss in \[0, 1\]"):
-                    bounds.margin_bound(bound_id, np.array([0.1, loss]), theta, 0.3, SPEC)
+                    bounds.margin_bound(bound_id, np.array([0.1, loss]), theta[None], 0.3, SPEC)[0]
 
     def test_margin_bound_takes_no_lanes(self):
         """Every margin-grid bound returns empty lane arrays for no lanes."""
         for bound_id in ("dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"):
-            r = bounds.margin_bound(bound_id, np.zeros(0), uniform_theta(100), np.zeros(0), SPEC)
+            r = bounds.margin_bound(bound_id, np.zeros(0), uniform_theta(100)[None], np.zeros(0),
+                                    SPEC)[0]
             assert r.value.shape == r.gamma_star.shape == (0,)
 
     def test_n_gamma_must_be_a_positive_integer(self):
@@ -801,9 +806,9 @@ class TestLockstepSearch:
         spec = BoundSpec(m=500, delta=0.1)
         gammas = np.linspace(0.01, 0.49, 17)
         losses = rng.uniform(0.0, 0.3, gammas.size)
-        lanes = bounds.margin_bound("dirichlet_margin", losses, theta, gammas, spec)
+        lanes = bounds.margin_bound("dirichlet_margin", losses, theta[None], gammas, spec)[0]
         singles = [
-            bounds.margin_bound("dirichlet_margin", loss, theta, g, spec)
+            bounds.margin_bound("dirichlet_margin", loss, theta[None], g, spec)[0]
             for loss, g in zip(losses, gammas)
         ]
         assert [bounds._lane(lanes, i) for i in range(gammas.size)] == singles
@@ -916,49 +921,56 @@ class TestSearchAgainstScan:
 
 
 class TestDirichletKLMemo:
-    """The searches' K -> KL closure sends the kernel one row per distinct K
-    of each call and gathers the values back to the call's lanes."""
+    """The searches' (K, row) -> KL closure sends the kernel one row per
+    distinct (row, K) pair of each call and gathers the values back to the
+    call's lanes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(2, 120),
         seed=st.integers(0, 2**32 - 1),
         pool=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=6, unique=True),
-        calls=st.lists(st.lists(st.integers(0, 5), min_size=0, max_size=12), min_size=1,
+        calls=st.lists(st.lists(st.integers(0, 17), min_size=0, max_size=12), min_size=1,
                        max_size=6),
         scalar=st.lists(st.booleans(), min_size=6, max_size=6),
     )
     def test_equals_dirichlet_kl_on_every_lane(self, d, seed, pool, calls, scalar):
-        theta = np.random.default_rng(seed).dirichlet(np.ones(d))
+        """On a stack of three weight rows, every lane equals the kernel's
+        value at its own row and K."""
+        thetas = np.random.default_rng(seed).dirichlet(np.ones(d), size=3)
         ones = np.ones(d)
-        want = {K: nk.dirichlet_kl(K * theta, ones) for K in pool}
-        calls = [[pool[i % len(pool)] for i in picks] for picks in calls]
+        want = {(r, K): nk.dirichlet_kl(K * thetas[r], ones) for r in range(3) for K in pool}
+        calls = [[(i % 3, pool[i // 3 % len(pool)]) for i in picks] for picks in calls]
         # The same calls in order and reversed, each order on its own closure,
-        # with a call of one lane sent as a 0-d K where ``scalar`` says so.
+        # with a call of one lane sent as a 0-d K and row where ``scalar`` says so.
         for order in (calls, calls[::-1]):
-            kl_of = bounds._dirichlet_kl_of(theta)
+            kl_of = bounds._dirichlet_kl_of(thetas)
             for picks, as_scalar in zip(order, scalar):
                 if as_scalar and len(picks) == 1:
-                    got = kl_of(np.float64(picks[0]))
-                    assert got.shape == () and got == want[picks[0]]
+                    (r, K), = picks
+                    got = kl_of(np.float64(K), r)
+                    assert got.shape == () and got == want[r, K]
                 else:
-                    got = kl_of(np.array(picks, dtype=float))
+                    rows = np.array([r for r, _ in picks], dtype=int)
+                    got = kl_of(np.array([K for _, K in picks], dtype=float), rows)
                     assert got.shape == (len(picks),)
-                    assert got.tolist() == [want[K] for K in picks]
+                    assert got.tolist() == [want[pick] for pick in picks]
 
     def test_each_call_sends_each_K_once(self, monkeypatch):
-        """A dirichlet_margin certify at n_gamma=100 sends the kernel, on each
-        call, one row per distinct K of the call's lanes, though its lanes
-        repeat K."""
+        """A dirichlet_margin certify at n_gamma=100, and margin_bound on a
+        stack of three rows, send the kernel, on each call, one row per
+        distinct (row, K) pair of the call's lanes, though its lanes repeat
+        them."""
         asked, rows = [], []
         closure, kernel = bounds._dirichlet_kl_of, nk._dirichlet_kl_to
 
-        def spy_closure(theta):
-            kl_of = closure(theta)
+        def spy_closure(thetas):
+            kl_of = closure(thetas)
 
-            def spied(K):
-                asked.append(np.ravel(K).tolist())
-                return kl_of(K)
+            def spied(K, row):
+                K, row = np.broadcast_arrays(K, row)
+                asked.append(list(zip(row.ravel().tolist(), K.ravel().tolist())))
+                return kl_of(K, row)
 
             return spied
 
@@ -974,10 +986,16 @@ class TestDirichletKLMemo:
         monkeypatch.setattr(bounds, "_dirichlet_kl_of", spy_closure)
         monkeypatch.setattr(nk, "_dirichlet_kl_to", spy_kernel)
         P = random_matrix(seed=3, m=300, d=40, accuracy=0.6)
-        wp = WeightPosterior(np.random.default_rng(3).dirichlet(np.ones(40)), 1.0)
+        rng = np.random.default_rng(3)
+        wp = WeightPosterior(rng.dirichlet(np.ones(40)), 1.0)
         bounds.certify(P, wp, BoundSpec(m=300, delta=0.05), "dirichlet_margin",
                        SearchConfig(n_gamma=100))
-        assert rows == [len(set(K)) for K in asked]
+        certify_calls = len(asked)
+        bounds.margin_bound("dirichlet_margin", 0.1, rng.dirichlet(np.ones(40), size=3),
+                            np.linspace(0.05, 0.45, 9), BoundSpec(m=300, delta=0.05))
+        assert certify_calls < len(asked)
+        assert {r for call in asked[certify_calls:] for r, _ in call} == {0, 1, 2}
+        assert rows == [len(set(pairs)) for pairs in asked]
         assert sum(rows) < sum(map(len, asked))
 
 
@@ -1033,7 +1051,7 @@ class TestBetaDistinctMasses:
         spec = BoundSpec(m=P.num_examples, delta=0.05)
         cfg = SearchConfig(n_gamma=n_gamma)
         got = bounds.certify(P, wp, spec, bound_id, cfg)
-        th = bounds._Posterior(wp.theta).floored
+        th = bounds._Posterior(wp.theta[None]).floored[0]
         with patch.object(bounds, "_beta_losses",
                           every_row_beta_losses(P.correct_mass(th), P.wrong_mass(th))):
             want = bounds.certify(P, wp, spec, bound_id, cfg)
@@ -1053,7 +1071,7 @@ class TestBetaDistinctMasses:
         K, as the rungs of the K search's ladder do."""
         rng = np.random.default_rng(seed)
         m, d = int(rng.integers(10, 41)), int(rng.integers(2, 9))
-        post = bounds._Posterior(rng.dirichlet(np.ones(d)), 1.0, random_matrix(seed, m, d),
+        post = bounds._Posterior(rng.dirichlet(np.ones(d))[None], 1.0, random_matrix(seed, m, d),
                                  SearchConfig(30).gamma_grid())
         K = np.exp(rng.uniform(math.log(0.01), math.log(0.01 * 2.0**16), shared_K))[
             rng.integers(0, shared_K, 30)]
@@ -1128,12 +1146,12 @@ class TestStochasticFloor:
         """On every lane, the clipped value at every point of a dense ln K
         grid is at least the floor at that point and at every point above."""
         P, wp, spec, cfg = case
-        post = bounds._Posterior(wp.theta, wp.K, P, cfg.gamma_grid())
+        post = bounds._Posterior(wp.theta[None], wp.K, P, cfg.gamma_grid())
         union = replace(spec, delta=spec.delta / cfg.n_gamma)
         x = np.linspace(math.log(wp.K), math.log(wp.K * bounds._K_SPAN), 193)
         K, g = (arr.ravel() for arr in np.meshgrid(np.exp(x), post.gammas))
         u = bounds._beta_losses(K, g, *post.masses)
-        values = np.minimum(1.0, bounds._stochastic_formula(u, K, g, post.kl_of(K), union)[0])
+        values = np.minimum(1.0, bounds._stochastic_formula(u, K, g, post.kl_of(K, 0), union)[0])
         lowest = np.minimum.accumulate(values.reshape(cfg.n_gamma, x.size), axis=1)
         floors = bounds._stochastic_floor(x, post.gammas[:, None], union)
         assert (lowest >= floors).all()
@@ -1183,7 +1201,12 @@ class TestStochasticFloor:
             return got
 
         def points_of(lane, calls):
-            return [[x for i, x in zip(*call) if i == lane] for call in calls]
+            """The lane's points in each call up to its last: the search
+            without the floor may go on for lanes that the floor drops."""
+            points = [[x for i, x in zip(*call) if i == lane] for call in calls]
+            while points and not points[-1]:
+                points.pop()
+            return points
 
         P, wp, spec, cfg = case
         with patch.object(bounds, "_search_log", both):
@@ -1323,11 +1346,81 @@ class TestGridFormulas:
             if bound_id == "f2":
                 return f2_from_loss(loss, theta, K, spec)
             # a margin-grid bound; dirichlet_margin searches K from 1
-            return bounds.margin_bound(bound_id, loss, theta, g, spec)
+            return bounds.margin_bound(bound_id, loss, theta[None], g, spec)[0]
 
         lanes = formula(losses, Ks, gammas)
         for i, lane in enumerate(zip(losses, Ks, gammas)):
             assert bounds._lane(lanes, i) == formula(*map(float, lane))
+
+
+def result_bits(r):
+    """Every field of a BoundResult as (shape, bytes), None as None, and its flags."""
+    return [None if x is None else (np.shape(x), np.asarray(x, dtype=float).tobytes())
+            for x in (r.value, r.gamma_star, r.K_star, r.T_star, r.empirical_term,
+                      r.complexity_term, r.derandomisation_term)] + [r.flags]
+
+
+class TestWeightStacks:
+    """margin_bound on an (R, d) stack of weight vectors: one formula call,
+    and one search, over every row's lanes; each row's result is that of its
+    stack of one, bit for bit."""
+
+    @staticmethod
+    def stack(d):
+        """Four rows: Dirichlet(1) weights, uniform weights (bgplusplus's
+        complexity vanishes), and two rows with zero weights, floored each
+        by its own sum: Dirichlet(1) with every fourth weight zero, and
+        Dirichlet(0.2) with every fifth."""
+        rng = np.random.default_rng(12)
+        sparse = rng.dirichlet(np.ones(d))
+        sparse[::4] = 0.0
+        sparser = rng.dirichlet(np.full(d, 0.2))
+        sparser[::5] = 0.0
+        return np.stack([rng.dirichlet(np.ones(d)), uniform_theta(d), sparse / sparse.sum(),
+                         sparser / sparser.sum()])
+
+    @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"])
+    def test_rows_equal_stacks_of_one(self, bound_id):
+        d, spec = 100, BoundSpec(m=2000, delta=0.5)
+        thetas = self.stack(d)
+        gammas = np.linspace(0.005, 0.495, 12)
+        # gz does not hold below sqrt(2 / d): those margins are left out, as
+        # compare leaves them out, and a stack with them is rejected.
+        ok = bounds.margin_applies(bound_id, gammas, d)
+        assert ok.all() != (bound_id == "gz")
+        if not ok.all():
+            with pytest.raises(ValueError, match="does not hold"):
+                bounds.margin_bound(bound_id, 0.1, thetas, gammas, spec)
+        losses = np.linspace(0.0, 0.3, gammas.size)[ok]
+        rows = bounds.margin_bound(bound_id, losses, thetas, gammas[ok], spec)
+        scalar = bounds.margin_bound(bound_id, 0.1, thetas, 0.3, spec)
+        assert len(rows) == len(scalar) == len(thetas)
+        for theta, got, got_scalar in zip(thetas, rows, scalar):
+            assert result_bits(got) == result_bits(
+                bounds.margin_bound(bound_id, losses, theta[None], gammas[ok], spec)[0])
+            assert got_scalar == bounds.margin_bound(bound_id, 0.1, theta[None], 0.3, spec)[0]
+        assert [r.flags for r in rows] == [(), ()] + [("theta_floored",)] * 2
+        # The rows' searches end at different knobs.
+        knob = {"dirichlet_margin": "K_star", "bgplusplus": "T_star"}.get(bound_id)
+        if knob:
+            assert len({tuple(getattr(r, knob)) for r in rows}) > 1
+
+    @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "gz", "bgplus", "bg", "bgplusplus"])
+    def test_rows_must_be_probability_vectors(self, bound_id):
+        """Every row is checked as nk._simplex_array checks a vector, for
+        every bound id; nothing is renormalised."""
+        spec = BoundSpec(m=1000, delta=0.05)
+        good = uniform_theta(3)
+        for bad, match in (([2.0, 3.0, 5.0], "sum to 1"),
+                           ([math.nan, 0.5, 0.5], "non-negative and finite"),
+                           ([0.7, 0.7, -0.4], "non-negative and finite"),
+                           ([math.inf, 0.5, 0.5], "non-negative and finite")):
+            for thetas in ([bad], [good, bad]):
+                with pytest.raises(ValueError, match=match):
+                    bounds.margin_bound(bound_id, 0.1, np.array(thetas), 0.4, spec)
+        for thetas in (good, np.zeros((0, 3)), [[1.0]]):
+            with pytest.raises(ValueError, match="theta"):
+                bounds.margin_bound(bound_id, 0.1, np.array(thetas), 0.4, spec)
 
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_reference.json")

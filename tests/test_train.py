@@ -222,7 +222,7 @@ class TestObjectiveIsTheCertificate:
         assert value_only[0] == formula(kl)[0][0]
 
         theta = alpha / K
-        kl_cert = bounds._dirichlet_kl_of(theta)(np.array([K]))
+        kl_cert = bounds._dirichlet_kl_of(theta[None])(np.array([K]), 0)
         certificate = min(1.0, formula(kl_cert)[0][0])
         if certificate < 1.0:
             assert value == pytest.approx(certificate, rel=4 * np.finfo(float).eps, abs=0.0)
