@@ -21,18 +21,20 @@ margin grid applies, and how it is evaluated.  A margin-grid bound
 (dirichlet_margin, gz, bgplus, bg, bgplusplus) also holds its formula, with
 one signature for all five and lanewise over (weight row, margin loss,
 gamma), and the rule of the margins where it holds; ``_on_grid`` evaluates
-it in a single formula call over every applicable grid margin, the winner
-picked by ``_best_lane``.  ``margin_bound`` calls a formula on the caller's
-lanes for every row of a stack of weight vectors, in one search, as the
-comparison sweep does, and ``margin_applies`` reads the rule.
+it in a single formula call over every applicable grid margin of every
+row, each row's winner picked by ``_best_lanes``.  ``margin_bound`` calls a
+formula on the caller's lanes for every row of a stack of weight vectors,
+in one search, as the comparison sweep does, and ``margin_applies`` reads
+the rule.
 
 The context ``_Posterior`` holds an (R, d) stack of weight vectors: each row
 floored once, and one (row, K) -> KL closure for the K searches (its prior
 terms computed once, each call's distinct (row, K) pairs one kernel row
-each).  ``certify_all`` evaluates any bound ids on one posterior, a stack of
-one, through one context, whose grid margin losses and distinct row masses
-are computed the first time a bound reads them.  ``certify`` is
-``certify_all`` of one id.
+each).  ``certify_all`` evaluates any bound ids on a stack of posteriors,
+each with its own K, through one context, whose grid margin losses and
+distinct example masses are computed per row the first time a bound reads
+them; each searched bound runs one search over the lanes of every row.
+``certify`` is ``certify_all`` of one id on a stack of one.
 
 One search serves every searched knob: the Dirichlet bounds (f2 at the
 single margin 0) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
@@ -52,9 +54,10 @@ evaluates the top of the range first, drops the margins whose bound
 exceeds the smallest value found, and leaves out of the ladder the rungs
 below one whose bound exceeds the margin's own top value; dropped margins
 come back as +inf, and the winning margin, its K and the certificate are
-those of the search without the bound.  On a rung every margin lane
-shares K, so the Beta-CDF loss computes ln B(K a_c, K a_w) once per rung
-and row mass (``_beta_losses``).  The grid's range and the searches' K
+those of the search without the bound; in a stack, a margin is dropped
+against the smallest value of its own row.  On a rung every margin lane
+of a row shares K, so the Beta-CDF loss computes ln B(K a_c, K a_w) once
+per rung, row and example mass (``_beta_losses``).  The grid's range and the searches' K
 span, tolerance, step limit and T scan are module constants;
 ``SearchConfig`` sets only the grid's size.
 
@@ -142,10 +145,9 @@ class BoundResult:
 class _Posterior:
     """What the certificates of an (R, d) stack of weight vectors share:
     the rows as given (for the Gibbs baselines), floored and each row's
-    flags, K, the margin grid, and a (K, row) -> KL closure, margin losses
-    and row masses made when first read, so that fo, so and bin pay for
-    none of them.  The margin losses and row masses are certify's, of its
-    stack of one.
+    flags, each row's K, the margin grid, and a (K, row) -> KL closure,
+    margin losses and example masses made when first read, so that fo, so
+    and bin pay for none of them.
 
     Flooring clamps zero weights before forming Dirichlet parameters:
     trained posteriors can hit the simplex boundary numerically, where the
@@ -153,9 +155,10 @@ class _Posterior:
     flagged for audit.  A row without a weight below the floor keeps its bits.
     """
 
-    def __init__(self, thetas, K: float = 1.0, P: PredictionMatrix | None = None, gammas=None):
-        self.P, self.K, self.gammas = P, K, gammas
+    def __init__(self, thetas, K=1.0, P: PredictionMatrix | None = None, gammas=None):
+        self.P, self.gammas = P, gammas
         self.theta = self.floored = np.asarray(thetas, dtype=float)
+        self.K = np.full(len(self.theta), K, dtype=float)
         low = self.theta.min(axis=1) < _THETA_FLOOR
         self.flags = [("theta_floored",) * bool(x) for x in low]
         if low.any():
@@ -168,15 +171,20 @@ class _Posterior:
 
     @cached_property
     def margin_losses(self) -> np.ndarray:
-        """The empirical margin loss at every grid margin."""
-        return votes.empirical_margin_loss(self.P, self.floored[0], self.gammas)
+        """(R, n_gamma): each row's empirical margin loss at every grid margin."""
+        return np.array([votes.empirical_margin_loss(self.P, th, self.gammas)
+                         for th in self.floored])
 
     @cached_property
-    def masses(self):
-        """The distinct (a_c, a_w) row masses, and each row's column among them."""
-        th = self.floored[0]
-        return np.unique(np.stack([self.P.correct_mass(th), self.P.wrong_mass(th)]), axis=1,
-                         return_inverse=True)
+    def masses(self) -> list:
+        """Per row, its distinct (a_c, a_w) example masses, each example's
+        column among them, and the columns where both masses are positive."""
+        out = []
+        for th in self.floored:
+            cols, column = np.unique(np.stack([self.P.correct_mass(th), self.P.wrong_mass(th)]),
+                                     axis=1, return_inverse=True)
+            out.append((cols, column, (cols > 0.0).all(axis=0)))
+        return out
 
 
 def _lanes(*values) -> list[np.ndarray]:
@@ -509,23 +517,32 @@ _BETA_LANES = 1 << 13
 _K_MAX = 1e300
 
 
-def _K_range(K_init: float, n: int):
-    """The K range [K_init, K_init * _K_SPAN] on n lanes, K_init in (0, _K_MAX]."""
-    if not 0.0 < K_init <= _K_MAX:
+def _K_range(K_init):
+    """Per lane, the K range [K_init, K_init * _K_SPAN], each K_init in (0, _K_MAX]."""
+    K_init = np.atleast_1d(np.asarray(K_init, dtype=float))
+    if not ((0.0 < K_init) & (K_init <= _K_MAX)).all():
         raise ValueError("K must lie in (0, 1e300]")
-    return np.full(n, K_init), np.full(n, K_init * _K_SPAN)
+    return K_init, K_init * _K_SPAN
 
 
-def _search_K(values_at, K_init: float, n: int, floor=None):
-    """Per lane of n, the best K over [K_init, K_init * _K_SPAN] and its
+def _search_K(values_at, K_init, floor=None, rows=None):
+    """Per lane, the best K over [K_init_i, K_init_i * _K_SPAN] and its
     value: ``_search_log`` on ln K, for ``values_at(lanes, K)`` and its
-    ``floor(lanes, ln K)``."""
-    x, values = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), *_K_range(K_init, n),
-                            floor)
+    ``floor(lanes, ln K)`` over the lanes' ``rows``."""
+    x, values = _search_log(lambda lanes, x: values_at(lanes, np.exp(x)), *_K_range(K_init),
+                            floor, rows=rows)
     return np.array([math.exp(xi) for xi in x]), values
 
 
-def _search_log(values_at, lo, hi, floor=None, tol=None):
+def _row_min(values, rows, n: int):
+    """Per row of n, the smallest of its lanes' values (+inf for a row of
+    none, NaN for a row holding a NaN), as ``values.min()`` on each row."""
+    out = np.full(n, np.inf)
+    np.minimum.at(out, rows, values)
+    return out
+
+
+def _search_log(values_at, lo, hi, floor=None, tol=None, rows=None):
     """Minimum over ln t in [ln lo_i, ln hi_i] for each lane i of the arrays
     lo and hi (0 < lo_i <= hi_i), every lane run in lockstep.
 
@@ -551,7 +568,9 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     ``floor(lanes, x)``, if given, bounds each lane's value from below over
     every ln t <= x; the tops then get a call of their own.  After it and
     before every step, the search drops each running lane whose floor at its
-    bracket top exceeds the smallest value found on any lane.  A lane's best
+    bracket top exceeds the smallest value found on any lane of its own row,
+    ``rows`` naming each lane's row (one row for every lane if None), so
+    that the lanes of one row never drop another row's.  A lane's best
     point lies in its bracket, so a dropped lane can neither reach nor tie
     that value.  The ladder call also leaves out each lane's rung k whose
     floor at rung k + 1 exceeds the lane's top value: every rung up to
@@ -560,10 +579,10 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     and the flat test.  The rung just below the top always stays, as a kept
     lane's floor at its top is at most the smallest top value.  A NaN top
     leaves out no rung.  So every kept lane takes the same Brent steps to
-    the same point and value, and the lanes that can reach the smallest
-    value are evaluated as without a floor, at the same points in the same
-    order but for a bottom run of ladder rungs; the smallest value, and the
-    lanes and points that reach it, are unchanged.
+    the same point and value, and the lanes that can reach their row's
+    smallest value are evaluated as without a floor, at the same points in
+    the same order but for a bottom run of ladder rungs; each row's smallest
+    value, and the lanes and points that reach it, are unchanged.
 
     Returns the best ln t and value per lane over every evaluation, folded
     rung by rung from the bottom (the top last), then step by step; ties
@@ -585,8 +604,12 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     lanes = np.arange(lo.size)
     out_x, out_val, f = rungs[lanes, last], np.full(lo.size, np.inf), np.full(rungs.shape, np.inf)
     if floor is not None:
+        rows = np.zeros(lo.size, dtype=int) if rows is None else np.asarray(rows)
+        n_rows = int(rows.max(initial=0)) + 1
+        # Per row, the smallest value of its finished lanes.
+        done_min = np.full(n_rows, np.inf)
         f[lanes, last] = values_at(lanes, out_x)
-        keep = floor(lanes, out_x) <= f[lanes, last].min()
+        keep = floor(lanes, out_x) <= _row_min(f[lanes, last], rows, n_rows)[rows]
         lanes, tol, last, rungs, f = lanes[keep], tol[keep], last[keep], rungs[keep], f[keep]
 
     # The ladder: the tops not yet evaluated first, then rung-major, so
@@ -619,19 +642,22 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     e = rat = b - a
     tol1 = tol / 4.0
     tol2 = 2.0 * tol1
-    done_min = np.inf
 
     for step in range(_K_MAX_ITER + 1):
         xm = 0.5 * (a + b)
         run = (np.abs(x - xm) > tol2 - 0.5 * (b - a)) & (step < _K_MAX_ITER)
         done = ~run
         if floor is not None:
-            run &= floor(lanes, b) <= min(done_min, best_val.min(initial=np.inf))
+            # Per row, fmin leaves the finished lanes' min where a running
+            # lane is NaN.
+            smallest = np.fmin(done_min, _row_min(best_val, rows[lanes], n_rows))
+            run &= floor(lanes, b) <= smallest[rows[lanes]]
         if not run.all():
             # Finished and dropped lanes leave; a dropped lane's value stays +inf.
             out_x[lanes[~run]] = best_x[~run]
             out_val[lanes[done]] = best_val[done]
-            done_min = min(done_min, best_val[done].min(initial=np.inf))
+            if floor is not None:
+                done_min = np.fmin(done_min, _row_min(best_val[done], rows[lanes[done]], n_rows))
             state = (lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm, tol1, tol2)
             lanes, a, b, x, fx, w, fw, v, fv, e, rat, best_x, best_val, xm, tol1, tol2 = (
                 arr[run] for arr in state)
@@ -678,88 +704,117 @@ def _search_log(values_at, lo, hi, floor=None, tol=None):
     return out_x, out_val
 
 
-def _best_lane(values: np.ndarray, gammas: np.ndarray) -> int:
-    """Lane of the smallest value; ties keep the smallest margin."""
-    return int(np.lexsort((gammas, values))[0])
+def _best_lanes(values: np.ndarray, gammas: np.ndarray, rows: np.ndarray, R: int) -> np.ndarray:
+    """Per row of R, in order, the lane of the row's smallest value, for
+    lanes that hold the R rows' blocks of equal size one after another
+    (``rows`` naming each lane's row); ties keep the smallest margin, then
+    the first lane."""
+    return np.lexsort((gammas, values, rows)).reshape(R, -1)[:, 0]
 
 
 def _margin_best_K(losses, gammas, rows, post, spec) -> BoundResult:
     """Deterministic-margin bound per lane, each lane at its K searched over
-    [K, K * _K_SPAN] from the posterior's K."""
+    [K, K * _K_SPAN] from the K of its row."""
 
     def at(lanes, K):
         return _margin_formula(losses[lanes], K, gammas[lanes], post.kl_of(K, rows[lanes]), spec)
 
-    K, _ = _search_K(lambda lanes, K: at(lanes, K)[0], post.K, gammas.size)
+    K, _ = _search_K(lambda lanes, K: at(lanes, K)[0], post.K[rows])
     return _result(*at(slice(None), K), gammas, K)
 
 
-def _beta_losses(K: np.ndarray, gammas: np.ndarray, masses: np.ndarray, rows: np.ndarray):
-    """Per lane, the mean over rows of I_{1/2+gamma}(K a_c, K a_w): the CDF
-    runs once per distinct (a_c, a_w) column of ``masses``, with ln B(K a_c,
-    K a_w) computed once per distinct K of a chunk and column, and ``rows``
-    gathers it back into row order.  The gather is C-ordered, so numpy sums
-    each lane's terms pairwise, as for a lone lane and for the every-row
-    terms: a lane's loss is the every-row mean bit for bit, whichever lanes
-    share the call."""
-    a_c, a_w = masses
-    regular = (a_c > 0.0) & (a_w > 0.0)
+def _beta_losses(K: np.ndarray, gammas: np.ndarray, rows: np.ndarray, masses) -> np.ndarray:
+    """Per (weight row, margin) lane, the mean over the examples of
+    I_{1/2+gamma}(K a_c, K a_w) at the example masses of the lane's row,
+    ``masses[row]`` holding the row's distinct (a_c, a_w) columns, each
+    example's column among them and the columns where both masses are
+    positive (``_Posterior.masses``): one CDF call per chunk runs each lane's
+    row's columns, with ln B(K a_c, K a_w) computed once per run of lanes
+    of equal K in a chunk and row and per column of the row, and the row's
+    example columns gather it back into example order.  The gather is
+    C-ordered, so numpy sums each lane's terms pairwise, as for a lone lane
+    and for the every-example terms: a lane's loss is the every-example
+    mean bit for bit, whichever lanes share the call."""
     out = np.empty(K.size)
     # At most _BETA_LANES CDF lanes per call, and at most 16 times as many
-    # gathered terms, which few masses standing for many rows would exceed.
-    step = max(1, min(_BETA_LANES // a_c.size, 16 * _BETA_LANES // rows.size))
+    # gathered terms, which few masses standing for many examples would exceed.
+    width = max(cols.shape[1] for cols, *_ in masses)
+    step = max(1, min(_BETA_LANES // width, 16 * _BETA_LANES // masses[0][1].size))
     for s in range(0, K.size, step):
-        k = K[s:s + step, None]
-        shared, at_k = np.unique(k, return_inverse=True)
-        log_beta = np.zeros((shared.size, a_c.size))
-        log_beta[:, regular] = nk._log_beta(
-            (shared[:, None] * a_c[regular]).ravel(), (shared[:, None] * a_w[regular]).ravel()
-        ).reshape(shared.size, -1)
-        terms = votes.beta_margin_loss_terms(k * a_c, k * a_w, gammas[s:s + step, None],
-                                             log_beta=log_beta[at_k.ravel()])
-        out[s:s + step] = terms.take(rows, axis=1).mean(axis=1)
+        k, g, row = K[s:s + step], gammas[s:s + step], rows[s:s + step]
+        # Each row's lanes of the chunk, and their CDF lanes, (lane, column) flat.
+        groups = [((row == r).nonzero()[0], *masses[r]) for r in np.bincount(row).nonzero()[0]]
+        cdf = []
+        for at, (a_c, a_w), _, regular in groups:
+            # ln B once per run of lanes of equal K: the ladder's calls are
+            # rung-major, so each rung's lanes sit side by side.
+            k_at = k[at]
+            new = np.empty(at.size, dtype=bool)
+            new[0] = True
+            np.not_equal(k_at[1:], k_at[:-1], out=new[1:])
+            shared, at_k = k_at[new], new.cumsum() - 1
+            log_beta = np.zeros((shared.size, a_c.size))
+            log_beta[:, regular] = nk._log_beta(
+                (shared[:, None] * a_c[regular]).ravel(), (shared[:, None] * a_w[regular]).ravel()
+            ).reshape(shared.size, -1)
+            k_at = k_at[:, None]
+            cdf.append(((k_at * a_c).ravel(), (k_at * a_w).ravel(), g[at].repeat(a_c.size),
+                        log_beta[at_k].ravel()))
+        a, b, margin, log_beta = map(np.concatenate, zip(*cdf))
+        terms = votes.beta_margin_loss_terms(a, b, margin, log_beta=log_beta)
+        done = 0
+        for at, (a_c, _), column, _ in groups:
+            lane_terms = terms[done:done + at.size * a_c.size].reshape(at.size, a_c.size)
+            done += lane_terms.size
+            out[s + at] = lane_terms.take(column, axis=1).mean(axis=1)
     return out
 
 
 # -- certify: one evaluator per table entry -------------------------------------
 #
-# An evaluator returns its result on a posterior context with the flags of
+# An evaluator returns one result per row it is given (an ascending int
+# array of rows of the posterior context's stack), each with the flags of
 # its own search; ``certify_all`` adds ``theta_floored`` and ``vacuous``.
 
 
-def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec) -> BoundResult:
+def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec, rows) -> list:
     """stochastic_margin over the grid margins, or the f2 baseline at the
-    single margin 0; the stochastic search drops the margins, and the
-    ladder rungs of a margin, that ``_stochastic_floor`` rules out."""
-    masses, rows = post.masses
+    single margin 0, on (row, margin) lanes in one search; the stochastic
+    search drops the margins, and the ladder rungs of a margin, that
+    ``_stochastic_floor`` rules out, each against its own row's values."""
     margins = post.gammas if stochastic else np.zeros(1)
+    lane_row, lane_g = np.repeat(rows, margins.size), np.tile(margins, rows.size)
 
-    def at(K, g):
-        u = _beta_losses(K, g, masses, rows)
-        kl = post.kl_of(K, 0)
+    def at(K, g, r):
+        u = _beta_losses(K, g, r, post.masses)
+        kl = post.kl_of(K, r)
         return (_stochastic_formula(u, K, g, kl, spec) if stochastic
                 else _f2_formula(u, kl, spec))
 
     def floor(lanes, hi):
-        return _stochastic_floor(hi, margins[lanes], spec)
+        return _stochastic_floor(hi, lane_g[lanes], spec)
 
-    K, values = _search_K(lambda lanes, K: at(K, margins[lanes])[0], post.K, margins.size,
-                          floor if stochastic else None)
-    i = _best_lane(values, margins)
-    K, g = K[i:i + 1], margins[i:i + 1]
-    return _lane(_result(*at(K, g), g if stochastic else None, K), 0)
+    K, values = _search_K(lambda lanes, K: at(K, lane_g[lanes], lane_row[lanes])[0],
+                          post.K[lane_row], floor if stochastic else None, lane_row)
+    best = _best_lanes(values, lane_g, lane_row, rows.size)
+    K, g = K[best], lane_g[best]
+    lanes = _result(*at(K, g, lane_row[best]), g if stochastic else None, K)
+    return [_lane(lanes, i) for i in range(best.size)]
 
 
-def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult:
-    """A margin-grid bound's evaluator: ``formula`` in one call over the grid
-    margins where ``applies(gammas, d)`` holds, on the posterior's margin
-    losses there, keeping the smallest value (the smallest gamma on ties)."""
-    keep = applies(post.gammas, post.theta.shape[1])
-    if not keep.any():
-        return _result(1.0, 1.0, math.inf, 0.0, flags=("inapplicable_margin",))
-    gammas = post.gammas[keep]
-    lanes = formula(post.margin_losses[keep], gammas, np.zeros(gammas.size, int), post, spec)
-    return _lane(lanes, _best_lane(lanes.value, gammas))
+def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec, rows) -> list:
+    """A margin-grid bound's evaluator: ``formula`` in one call over each
+    row's grid margins where ``applies(gammas, d)`` holds, on the row's
+    margin losses there, keeping each row's smallest value (the smallest
+    gamma on ties)."""
+    keep = applies(post.gammas, post.theta.shape[1]).nonzero()[0]
+    if not keep.size:
+        return [_result(1.0, 1.0, math.inf, 0.0, flags=("inapplicable_margin",))] * rows.size
+    # Row-major (row, margin) lanes.
+    lane_row = rows.repeat(keep.size)
+    gammas = post.gammas[keep][None].repeat(rows.size, 0).ravel()
+    lanes = formula(post.margin_losses[rows[:, None], keep].ravel(), gammas, lane_row, post, spec)
+    return [_lane(lanes, i) for i in _best_lanes(lanes.value, gammas, lane_row, rows.size)]
 
 
 # -- the bound table ------------------------------------------------------------
@@ -767,15 +822,16 @@ def _on_grid(formula, applies, post: _Posterior, spec: BoundSpec) -> BoundResult
 
 @dataclass(frozen=True)
 class _Bound:
-    """A bound's kl factor and how it is evaluated: ``evaluate(post, spec)``
-    returns its result on a posterior context, whose value is ``_kl_bound`` of
-    the factor and the result's components.  A margin-grid bound also holds
+    """A bound's kl factor and how it is evaluated: ``evaluate(post, spec,
+    rows)`` returns its result on each of the given rows of a posterior
+    context, whose value is ``_kl_bound`` of the factor and the result's
+    components.  A margin-grid bound also holds
     its ``formula`` and the rule ``applies(gammas, d)`` of the margins where
     it holds (see ``_margin_grid``)."""
 
     factor: float | None  # None: bg's closed form
     union: bool  # fixed-margin statement: searched at delta / n_gamma
-    evaluate: Callable[[_Posterior, BoundSpec], BoundResult]
+    evaluate: Callable[[_Posterior, BoundSpec, np.ndarray], list]
     formula: Callable[..., BoundResult] | None = None
     applies: Callable[..., np.ndarray] = _everywhere
     floored: bool = True  # reads the floored weights, so carries their flag
@@ -791,10 +847,13 @@ def _gibbs_bound(loss, n: int, factor: float) -> _Bound:
     """A Gibbs baseline's entry: ``_gibbs`` with this KL multiple n and kl
     factor on the empirical ``loss(P, theta)``, for the weights as given."""
 
-    def evaluate(post, spec):
-        u = loss(post.P, post.theta[0])
-        value, comp = _gibbs(u, nk.categorical_kl_uniform(post.theta[0]), n, factor, spec)
-        return _result(value, u, comp, 0.0)
+    def evaluate(post, spec, rows):
+        out = []
+        for theta in post.theta[rows]:
+            u = loss(post.P, theta)
+            value, comp = _gibbs(u, nk.categorical_kl_uniform(theta), n, factor, spec)
+            out.append(_result(value, u, comp, 0.0))
+        return out
 
     return _Bound(factor, False, evaluate, floored=False)
 
@@ -871,37 +930,50 @@ def reconstruct_value(bound_id: str, r: BoundResult) -> float:
     return _result(_kl_bound(u, comp, _lookup(bound_id).factor, eps)[0], u, comp, eps).value
 
 
-def certify_all(P: PredictionMatrix, wp: WeightPosterior, spec: BoundSpec, bound_ids,
-                search_cfg: SearchConfig | None = None) -> dict[str, BoundResult]:
+def certify_all(P: PredictionMatrix, posteriors, spec: BoundSpec, bound_ids,
+                search_cfg: SearchConfig | None = None) -> list[dict[str, BoundResult]]:
     """Search the margin grid (and K where applicable) for the tightest
-    certificate of each distinct id in ``bound_ids``, in order, all on one
-    posterior context: theta is floored once, the grid's margins are sorted
-    at most once, and each search call computes the Dirichlet KL once per
-    distinct K among its lanes.
+    certificate of each distinct id in ``bound_ids[i]``, in order, for each
+    posterior ``posteriors[i]`` of a stack of R >= 1 (one list of ids per
+    posterior), all on one P and spec: one result dict per posterior.  One
+    posterior context serves the stack: each row is floored once, each row's
+    grid margins are sorted at most once, and each search call computes the
+    Dirichlet KL once per distinct (row, K) pair among its lanes.  Each
+    searched bound runs one search over the lanes of every row that asks
+    for it, and each row's results equal those of its stack of one bit for
+    bit.
 
     Fixed-margin bounds get the delta/N union correction over the grid; the
     gz bound holds simultaneously over margins and keeps the full delta, as
     do the margin-free baselines.  One search (``_search_log``) optimises
     each grid point's knob: K on ln K over [K_init, K_init * 2**16], for
-    K_init in (0, 1e300], and bgplusplus's T on ln T over {1..4 T_bgplus},
-    by a ladder of rungs halving down from the top and Brent's method in
-    each point's best bracket, T then by a scan of the whole counts there.
-    Deterministic given (inputs, search_cfg); ties in the grid keep the
-    smallest gamma.  Every result of value 1 carries the ``vacuous`` flag.
+    each posterior's K_init in (0, 1e300], and bgplusplus's T on ln T over
+    {1..4 T_bgplus}, by a ladder of rungs halving down from the top and
+    Brent's method in each point's best bracket, T then by a scan of the
+    whole counts there.  Deterministic given (inputs, search_cfg); ties in
+    the grid keep the smallest gamma.  Every result of value 1 carries the
+    ``vacuous`` flag.  Raises ValueError for an empty stack, for a list of
+    ids per posterior of another length, and for an unknown id.
     """
+    if not posteriors or len(bound_ids) != len(posteriors):
+        raise ValueError("certify_all needs R >= 1 posteriors and one list of bound ids each")
     cfg = search_cfg or SearchConfig()
-    post = _Posterior(wp.theta[None], wp.K, P, cfg.gamma_grid())
+    post = _Posterior(np.array([wp.theta for wp in posteriors]), [wp.K for wp in posteriors],
+                      P, cfg.gamma_grid())
     union_spec = replace(spec, delta=spec.delta / cfg.n_gamma)
-    out = {}
-    for bound_id in dict.fromkeys(bound_ids):
+    out = [dict.fromkeys(ids) for ids in bound_ids]
+    for bound_id in dict.fromkeys(b for got in out for b in got):
         bound = _lookup(bound_id)
-        result = bound.evaluate(post, union_spec if bound.union else spec)
-        result = result.with_flags(post.flags[0] if bound.floored else ())
-        out[bound_id] = result.with_flags(("vacuous",)) if result.value >= 1.0 else result
+        rows = [i for i, got in enumerate(out) if bound_id in got]
+        results = bound.evaluate(post, union_spec if bound.union else spec, np.array(rows))
+        for i, result in zip(rows, results):
+            extra = (post.flags[i] if bound.floored else ()) + ("vacuous",) * (result.value >= 1.0)
+            out[i][bound_id] = result.with_flags(extra) if extra else result
     return out
 
 
 def certify(P: PredictionMatrix, wp_init: WeightPosterior, spec: BoundSpec, bound_id: str,
             search_cfg: SearchConfig | None = None) -> BoundResult:
-    """The tightest certificate of one bound id (see ``certify_all``)."""
-    return certify_all(P, wp_init, spec, (bound_id,), search_cfg)[bound_id]
+    """The tightest certificate of one bound id for one posterior: a stack
+    of one of ``certify_all``."""
+    return certify_all(P, [wp_init], spec, [(bound_id,)], search_cfg)[0][bound_id]

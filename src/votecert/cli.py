@@ -120,8 +120,9 @@ def cmd_certify(args, out: str) -> int:
     )
     wp = WeightPosterior(theta, args.k)
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
-    rows = _certify_rows((os.path.basename(args.predictions), "", "given"), None, P, wp, spec,
-                         SearchConfig(n_gamma=args.n_gamma), args.bounds.split(","))
+    rows = _certify_rows(P, spec, SearchConfig(n_gamma=args.n_gamma),
+                         [((os.path.basename(args.predictions), "", "given"), None, wp, None)],
+                         args.bounds.split(","))
     _write_csv(os.path.join(out, "results.csv"), RESULT_COLUMNS, rows)
     return 0
 
@@ -175,17 +176,19 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _certify_rows(key, test_error, P, wp, spec, cfg_search, ids=DEFAULT_BOUNDS,
-                  trained_cert=None) -> list:
-    """One result row per bound id in ``ids``, each led by ``key`` (dataset,
-    seed, posterior), from one ``certify_all`` pass over wp.  A trained
-    posterior passes the dirichlet_margin certificate train_posterior
-    selected it by: that search already paid the delta/(#candidates) union,
-    so it is reused."""
-    skip = () if trained_cert is None else ("dirichlet_margin",)
-    certs = bounds.certify_all(P, wp, spec, [b for b in ids if b not in skip], cfg_search)
-    return [_result_row(*key, bid, certs.get(bid, trained_cert), test_error, spec.m)
-            for bid in ids]
+def _certify_rows(P, spec, cfg_search, posteriors, ids=DEFAULT_BOUNDS) -> list:
+    """One result row per posterior and bound id in ``ids``, from one
+    ``certify_all`` pass over every posterior on P.  ``posteriors`` holds
+    (key, test_error, wp, trained_cert) per posterior, key being the row's
+    (dataset, seed, posterior) lead.  A trained posterior passes the
+    dirichlet_margin certificate train_posterior selected it by: that
+    search already paid the delta/(#candidates) union, so it is reused, and
+    the pass leaves that bound out of the posterior's row."""
+    wanted = [[b for b in ids if trained is None or b != "dirichlet_margin"]
+              for *_, trained in posteriors]
+    certs = bounds.certify_all(P, [wp for _, _, wp, _ in posteriors], spec, wanted, cfg_search)
+    return [_result_row(*key, bid, got.get(bid, trained), test_error, spec.m)
+            for (key, test_error, _, trained), got in zip(posteriors, certs) for bid in ids]
 
 
 def _write_run_csvs(out, result_rows, log_rows, posterior_rows) -> None:
@@ -201,15 +204,16 @@ def cmd_train(args, out: str) -> int:
     spec = BoundSpec(m=P.num_examples, delta=args.delta)
     cfg_search = SearchConfig(n_gamma=args.n_gamma)
     name = os.path.basename(args.predictions)
-    result_rows, log_rows, posterior_rows = [], [], []
+    log_rows, posterior_rows, trained = [], [], []
     for seed in map(int, args.seeds.split(",")):
         tr = train.train_posterior(
             P, _train_config(args, seed), spec, args.objective, cfg_search
         )
         log_rows.extend(_log_rows(seed, args.objective, tr))
         posterior_rows.extend(_posterior_rows(seed, args.objective, tr.posterior))
-        result_rows.extend(_certify_rows((name, seed, args.objective), None, P, tr.posterior,
-                                         spec, cfg_search, trained_cert=tr.certificate))
+        trained.append(((name, seed, args.objective), None, tr.posterior, tr.certificate))
+    # Every seed's posterior is on P: one certify pass for all of them.
+    result_rows = _certify_rows(P, spec, cfg_search, trained)
     _write_run_csvs(out, result_rows, log_rows, posterior_rows)
     return 0
 
@@ -259,12 +263,12 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
         log_rows.extend(_log_rows(seed, kind, tr))
 
     dataset_name = os.path.basename(args.dataset)
-    rows, posterior_rows = [], []
-    for pname, wp in posteriors.items():
-        test_error = votes.majority_vote_error(P_test, wp.theta)
-        posterior_rows.extend(_posterior_rows(seed, pname, wp))
-        rows.extend(_certify_rows((dataset_name, seed, pname), test_error, P_bound, wp, spec,
-                                  cfg_search, trained_cert=trained_certs.get(pname)))
+    posterior_rows = [row for pname, wp in posteriors.items()
+                      for row in _posterior_rows(seed, pname, wp)]
+    # Every posterior of the trial is on P_bound: one certify pass for all.
+    rows = _certify_rows(P_bound, spec, cfg_search, [
+        ((dataset_name, seed, pname), votes.majority_vote_error(P_test, wp.theta), wp,
+         trained_certs.get(pname)) for pname, wp in posteriors.items()])
     return rows, log_rows, posterior_rows
 
 
@@ -315,7 +319,8 @@ def cmd_verify(args, out: str) -> int:
     return 4 if failed else 0
 
 
-_COMPARE_PANELS = ((2000, 0.0), (2000, 0.1), (10000, 0.0), (10000, 0.1))
+_COMPARE_SIZES = (2000, 10000)
+_COMPARE_LOSSES = (0.0, 0.1)
 _COMPARE_D = 100
 _COMPARE_DELTA = 0.5
 # (column, bound id, weight draws): a bound that reads the weights gets one
@@ -328,9 +333,11 @@ def cmd_compare(args, out: str) -> int:
     """Formula-level margin sweep reproducing the bound-comparison figure:
     d = 100, delta = 0.5, panels over m in {2000, 10000} and fixed margin
     loss in {0, 0.1}, with three uniform-simplex weight draws.  One
-    ``margin_bound`` call per (panel, bound) covers every margin and every
-    draw the bound reads, so a searched bound runs one search for its three
-    draws; a margin where the bound does not hold is left empty."""
+    ``margin_bound`` call per (m, bound) covers both margin losses, every
+    margin and every draw the bound reads, as (loss, margin) lanes of each
+    draw, so a searched bound runs one search for its two panels at that m
+    and its three draws; a margin where the bound does not hold is left
+    empty."""
     gammas = np.linspace(0.005, 0.495, args.points)
     thetas = np.stack([
         np.random.default_rng((args.seed, i)).dirichlet(np.ones(_COMPARE_D))
@@ -339,20 +346,23 @@ def cmd_compare(args, out: str) -> int:
     header = ["gamma", "margin_error"]
     for name, _, draws in _COMPARE_COLUMNS:
         header += [name] if draws == 1 else [f"{name}_{i + 1}" for i in range(draws)]
-    for m, loss in _COMPARE_PANELS:
+    losses = np.array(_COMPARE_LOSSES)[:, None]
+    for m in _COMPARE_SIZES:
         spec = BoundSpec(m=m, delta=_COMPARE_DELTA)
+        # columns[j][i]: column j of the panel at loss i.
         columns = []
         for _, bid, draws in _COMPARE_COLUMNS:
             ok = bounds.margin_applies(bid, gammas, _COMPARE_D)
-            for r in bounds.margin_bound(bid, loss, thetas[:draws], gammas[ok], spec):
-                column = np.full(gammas.size, math.nan)
-                column[ok] = r.value
+            for r in bounds.margin_bound(bid, losses, thetas[:draws], gammas[ok], spec):
+                column = np.full((losses.size, gammas.size), math.nan)
+                column[:, ok] = r.value
                 columns.append(column)
-        rows = [(float(g), loss, *(None if math.isnan(c[i]) else float(c[i]) for c in columns))
-                for i, g in enumerate(gammas)]
-        _write_csv(
-            os.path.join(out, f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"), header, rows
-        )
+        for i, loss in enumerate(_COMPARE_LOSSES):
+            rows = [(float(g), loss, *(None if math.isnan(c[i, k]) else float(c[i, k])
+                                       for c in columns))
+                    for k, g in enumerate(gammas)]
+            _write_csv(os.path.join(out, f"compare_m{m}_loss{int(round(loss * 100)):02d}.csv"),
+                       header, rows)
     return 0
 
 

@@ -467,7 +467,10 @@ def train_posterior(
     stopping and the plateau schedule track the full-sample bound (a
     value-only evaluation), and the parameters from the best epoch are kept.  The final posterior is
     selected by its deterministic-margin certificate computed at
-    delta / (#candidates), so the candidate union is accounted for; the
+    delta / (#candidates), so the candidate union is accounted for: one
+    ``certify_all`` pass over the stack of every surviving candidate's
+    posterior, whose one K search covers them all, each certificate that of
+    the candidate alone; the first of equal certificates wins.  The
     certificate returned is never the minibatch surrogate.
     """
     try:
@@ -480,10 +483,10 @@ def train_posterior(
     if not survivors:
         raise TrainingError("all candidate runs produced non-finite objectives")
     spec_sel = replace(spec, delta=spec.delta / len(gammas))
+    # One certify pass, so one K search, over every survivor's posterior;
     # min keeps the first of equal certificates.
-    run, cert = min(
-        ((run, bounds.certify(P, run.posterior, spec_sel, "dirichlet_margin", search_cfg))
-         for run in survivors),
-        key=lambda pair: pair[1].value,
-    )
-    return TrainResult(run.posterior, cert, objective_kind, tuple(runs))
+    certs = [got["dirichlet_margin"] for got in bounds.certify_all(
+        P, [run.posterior for run in survivors], spec_sel,
+        [("dirichlet_margin",)] * len(survivors), search_cfg)]
+    best = min(range(len(survivors)), key=lambda i: certs[i].value)
+    return TrainResult(survivors[best].posterior, certs[best], objective_kind, tuple(runs))

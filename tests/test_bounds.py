@@ -558,8 +558,8 @@ class TestCertify:
                         rng.dirichlet(np.full(d, 0.3))):
             for K in (1e-3, 1.0, 30.0, 1e12):
                 for n_gamma in (1, 10, 50):
-                    results = bounds.certify_all(P, WeightPosterior(weights, K), spec,
-                                                 bounds.BOUND_IDS, SearchConfig(n_gamma))
+                    [results] = bounds.certify_all(P, [WeightPosterior(weights, K)], spec,
+                                                   [bounds.BOUND_IDS], SearchConfig(n_gamma))
                     for bid, r in results.items():
                         count += 1
                         if bounds.reconstruct_value(bid, r) != r.value:
@@ -583,7 +583,7 @@ class TestCertifyAll:
         wp = WeightPosterior(theta, 1.0)
         spec = BoundSpec(m=P.num_examples, delta=0.05)
         cfg = SearchConfig(n_gamma=20)
-        got = bounds.certify_all(P, wp, spec, bounds.BOUND_IDS + ("fo", "gz"), cfg)
+        [got] = bounds.certify_all(P, [wp], spec, [bounds.BOUND_IDS + ("fo", "gz")], cfg)
         assert tuple(got) == bounds.BOUND_IDS
         for bid in bounds.BOUND_IDS:
             assert got[bid] == bounds.certify(P, wp, spec, bid, cfg)
@@ -615,7 +615,7 @@ class TestCertifyAll:
         d = 27
         P = random_matrix(seed=6, m=300, d=d, c=3, accuracy=0.6)
         wp = WeightPosterior(np.random.default_rng(6).dirichlet(np.full(d, 5.0)), 1.0)
-        bounds.certify_all(P, wp, BoundSpec(m=300, delta=0.05), bounds.BOUND_IDS,
+        bounds.certify_all(P, [wp], BoundSpec(m=300, delta=0.05), [bounds.BOUND_IDS],
                            SearchConfig(n_gamma=100))
         assert len(sorts) == 1 and len(kernels) == 1
         assert all(len(rows) == len(set(rows)) for rows in sent) and sum(map(len, sent)) > 0
@@ -628,8 +628,8 @@ class TestCertifyAll:
         monkeypatch.setattr(bounds, "_dirichlet_kl_of", lambda *a: spy.append("kl"))
         monkeypatch.setattr(np, "unique", lambda *a, **k: spy.append("unique"))
         P = random_matrix(seed=2, m=60, d=6)
-        bounds.certify_all(P, WeightPosterior.uniform(6), BoundSpec(m=60, delta=0.05),
-                           ("fo", "so", "bin"))
+        bounds.certify_all(P, [WeightPosterior.uniform(6)], BoundSpec(m=60, delta=0.05),
+                           [("fo", "so", "bin")])
         assert spy == []
 
 
@@ -756,7 +756,7 @@ class TestLockstepSearch:
         with patch.multiple(bounds, _K_SPAN=k_span, _K_REL_TOL=k_rel_tol, _K_MAX_ITER=k_max_iter):
             x, values = bounds._search_log(
                 lambda rows, pts: lane_profile(pts, *(p[rows] for p in params)),
-                *bounds._K_range(K_init, len(lanes)))
+                *bounds._K_range(np.full(len(lanes), K_init)))
         for i, lane in enumerate(lanes):
             want_x, want_value = scalar_search(
                 lambda pt: float(lane_profile(pt, *lane)), K_init, K_init * k_span, k_rel_tol,
@@ -825,7 +825,7 @@ class TestLockstepSearch:
             bounds.certify(P, wp, BoundSpec(m=60, delta=0.05), bound_id, SearchConfig(n_gamma=5))
         for K in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
-                bounds._K_range(K, 1)
+                bounds._K_range(K)
 
     def test_K_limit_is_inclusive(self):
         """K_init = 1e300 certifies, the next float up does not; 0, below 0
@@ -840,7 +840,7 @@ class TestLockstepSearch:
             bounds.certify(P, wp, spec, "dirichlet_margin", cfg)
         for K in (np.nextafter(1e300, 2e300), 0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1e300\]"):
-                bounds._K_range(K, 1)
+                bounds._K_range(K)
 
 
 SEARCH_LOG = bounds._search_log
@@ -862,8 +862,8 @@ def searches_of(P, wp, spec, bound_id, cfg):
     """(values_at, lo, hi, (x, values)) of each search a certify runs."""
     searches = []
 
-    def spy(values_at, lo, hi, floor=None, tol=None):
-        got = SEARCH_LOG(values_at, lo, hi, floor, tol)
+    def spy(values_at, lo, hi, floor=None, tol=None, rows=None):
+        got = SEARCH_LOG(values_at, lo, hi, floor, tol, rows)
         searches.append((values_at, lo, hi, got))
         return got
 
@@ -907,12 +907,12 @@ class TestSearchAgainstScan:
             for bound_id in ("dirichlet_margin", "stochastic_margin", "f2"):
                 counted = []
 
-                def spy(values_at, lo, hi, floor=None, tol=None):
+                def spy(values_at, lo, hi, floor=None, tol=None, rows=None):
                     def count(lanes, x):
                         counted.append(1)
                         return values_at(lanes, x)
 
-                    return SEARCH_LOG(count, lo, hi, floor, tol)
+                    return SEARCH_LOG(count, lo, hi, floor, tol, rows)
 
                 with patch.object(bounds, "_search_log", spy):
                     bounds.certify(P, wp, BoundSpec(m=m, delta=0.05), bound_id, SearchConfig(10))
@@ -1000,12 +1000,12 @@ class TestDirichletKLMemo:
 
 
 def every_row_beta_losses(a_c, a_w):
-    """A stand-in for ``bounds._beta_losses`` that ignores the distinct
-    masses it is given and runs the CDF on every row of (a_c, a_w), as the
-    search did before rows were collapsed: the reference for the searches'
-    Beta-CDF loss."""
+    """A stand-in for ``bounds._beta_losses`` on a stack of one that
+    ignores the weight rows and the distinct masses it is given and runs the
+    CDF on every example of (a_c, a_w), as the search did before examples
+    were collapsed: the reference for the searches' Beta-CDF loss."""
 
-    def losses(K, gammas, masses, rows):
+    def losses(K, gammas, rows, masses):
         out = np.empty(K.size)
         step = max(1, bounds._BETA_LANES // a_c.size)
         for s in range(0, K.size, step):
@@ -1066,22 +1066,30 @@ class TestBetaDistinctMasses:
     )
     def test_lane_loss_ignores_the_other_lanes(self, seed, lanes_per_chunk, size, shared_K):
         """Each lane's loss is the same in a call of any of the lanes,
-        chunked at any size, as in the call of all of them and in a call of
-        its own, bit for bit; the lanes share at most ``shared_K`` distinct
-        K, as the rungs of the K search's ladder do."""
+        chunked at any size, as in the call of all of them, in a call of its
+        own and in a call on its weight row's stack of one, bit for bit; the
+        lanes share at most ``shared_K`` distinct K, as the rungs of the K
+        search's ladder do, and come from three weight rows, one of them
+        uniform (few distinct masses)."""
         rng = np.random.default_rng(seed)
         m, d = int(rng.integers(10, 41)), int(rng.integers(2, 9))
-        post = bounds._Posterior(rng.dirichlet(np.ones(d))[None], 1.0, random_matrix(seed, m, d),
-                                 SearchConfig(30).gamma_grid())
+        P, gammas = random_matrix(seed, m, d), SearchConfig(30).gamma_grid()
+        thetas = np.stack([rng.dirichlet(np.ones(d)), uniform_theta(d), rng.dirichlet(np.ones(d))])
+        post = bounds._Posterior(thetas, 1.0, P, gammas)
         K = np.exp(rng.uniform(math.log(0.01), math.log(0.01 * 2.0**16), shared_K))[
             rng.integers(0, shared_K, 30)]
+        row = rng.integers(0, 3, 30)
         sub = np.sort(rng.permutation(30)[:size])
-        want = bounds._beta_losses(K, post.gammas, *post.masses)[sub]
-        with patch.object(bounds, "_BETA_LANES", lanes_per_chunk * post.masses[0].shape[1]):
-            got = bounds._beta_losses(K[sub], post.gammas[sub], *post.masses)
-        alone = [bounds._beta_losses(K[i:i + 1], post.gammas[i:i + 1], *post.masses)[0]
+        want = bounds._beta_losses(K, gammas, row, post.masses)[sub]
+        width = max(cols.shape[1] for cols, *_ in post.masses)
+        with patch.object(bounds, "_BETA_LANES", lanes_per_chunk * width):
+            got = bounds._beta_losses(K[sub], gammas[sub], row[sub], post.masses)
+        alone = [bounds._beta_losses(K[i:i + 1], gammas[i:i + 1], row[i:i + 1], post.masses)[0]
                  for i in sub]
-        assert got.tolist() == want.tolist() == alone
+        own = [bounds._beta_losses(K[i:i + 1], gammas[i:i + 1], np.zeros(1, dtype=int),
+                                   bounds._Posterior(thetas[row[i]][None], 1.0, P).masses)[0]
+               for i in sub]
+        assert got.tolist() == want.tolist() == alone == own
 
     def test_cdf_lanes_per_step(self, monkeypatch):
         """A uniform-weight stochastic_margin certify at the default grid sends
@@ -1130,7 +1138,7 @@ def stochastic_cases(draw):
     return P, WeightPosterior(theta, K_init), BoundSpec(m=m, delta=0.05), SearchConfig(n_gamma)
 
 
-def search_without_floor(values_at, lo, hi, floor=None, tol=None):
+def search_without_floor(values_at, lo, hi, floor=None, tol=None, rows=None):
     """``bounds._search_log`` with the floor left out."""
     return SEARCH_LOG(values_at, lo, hi, tol=tol)
 
@@ -1150,7 +1158,7 @@ class TestStochasticFloor:
         union = replace(spec, delta=spec.delta / cfg.n_gamma)
         x = np.linspace(math.log(wp.K), math.log(wp.K * bounds._K_SPAN), 193)
         K, g = (arr.ravel() for arr in np.meshgrid(np.exp(x), post.gammas))
-        u = bounds._beta_losses(K, g, *post.masses)
+        u = bounds._beta_losses(K, g, np.zeros(K.size, dtype=int), post.masses)
         values = np.minimum(1.0, bounds._stochastic_formula(u, K, g, post.kl_of(K, 0), union)[0])
         lowest = np.minimum.accumulate(values.reshape(cfg.n_gamma, x.size), axis=1)
         floors = bounds._stochastic_floor(x, post.gammas[:, None], union)
@@ -1193,9 +1201,9 @@ class TestStochasticFloor:
 
             return spy
 
-        def both(values_at, lo, hi, floor=None, tol=None):
+        def both(values_at, lo, hi, floor=None, tol=None, rows=None):
             with_floor, without = [], []
-            got = SEARCH_LOG(spied(values_at, with_floor), lo, hi, floor, tol)
+            got = SEARCH_LOG(spied(values_at, with_floor), lo, hi, floor, tol, rows)
             want = SEARCH_LOG(spied(values_at, without), lo, hi, tol=tol)
             searches.append((values_at, floor, with_floor, without, got, want))
             return got
@@ -1238,12 +1246,12 @@ class TestStochasticFloor:
         for search in (SEARCH_LOG, search_without_floor):
             sent = []
 
-            def counted(values_at, lo, hi, floor=None, tol=None):
+            def counted(values_at, lo, hi, floor=None, tol=None, rows=None):
                 def count(lanes, x):
                     sent.append(lanes.size)
                     return values_at(lanes, x)
 
-                return search(count, lo, hi, floor, tol)
+                return search(count, lo, hi, floor, tol, rows)
 
             with patch.object(bounds, "_search_log", counted):
                 results.append(repr(bounds.certify(P, wp, spec, "stochastic_margin", cfg)))
@@ -1421,6 +1429,97 @@ class TestWeightStacks:
         for thetas in (good, np.zeros((0, 3)), [[1.0]]):
             with pytest.raises(ValueError, match="theta"):
                 bounds.margin_bound(bound_id, 0.1, np.array(thetas), 0.4, spec)
+
+
+class TestPosteriorStacks:
+    """certify_all on a stack of posteriors: one search per searched bound
+    over every row's lanes; each row's results are those of its stack of
+    one, bit for bit."""
+
+    @staticmethod
+    def stack(d):
+        """Posteriors (weights, K) of six kinds: Dirichlet(1) at K = 1, a
+        row that asks for no bound, uniform at K = 30, Dirichlet(5) at K =
+        50, Dirichlet(1) with every fourth weight zero (floored), and 0.94
+        of the weight on a voter that is always wrong (vacuous)."""
+        rng = np.random.default_rng(5)
+        sparse = rng.dirichlet(np.ones(d))
+        sparse[::4] = 0.0
+        wrong = np.full(d, 0.06 / (d - 1))
+        wrong[0] = 0.94
+        return [WeightPosterior(rng.dirichlet(np.ones(d)), 1.0),
+                WeightPosterior(rng.dirichlet(np.ones(d)), 5.0),
+                WeightPosterior(uniform_theta(d), 30.0),
+                WeightPosterior(rng.dirichlet(np.full(d, 5.0)), 50.0),
+                WeightPosterior(sparse / sparse.sum(), 1.0),
+                WeightPosterior(wrong, 1.0)]
+
+    @pytest.mark.parametrize("bound_id", bounds.BOUND_IDS)
+    def test_rows_equal_stacks_of_one(self, bound_id):
+        d, m = 12, 200
+        P = random_matrix(seed=8, m=m, d=d, accuracy=0.7)
+        P = PredictionMatrix(np.column_stack([P.labels % 2 + 1, P.preds[:, 1:]]), P.labels, 2)
+        spec, cfg = BoundSpec(m=m, delta=0.05), SearchConfig(n_gamma=20)
+        wps = self.stack(d)
+        ids = [(bound_id,)] * len(wps)
+        ids[1] = ()
+        searches = []
+
+        def spy(*args, **kwargs):
+            searches.append(1)
+            return SEARCH_LOG(*args, **kwargs)
+
+        with patch.object(bounds, "_search_log", spy):
+            got = bounds.certify_all(P, wps, spec, ids, cfg)
+        searched = bound_id in ("dirichlet_margin", "stochastic_margin", "f2", "bgplusplus")
+        assert len(searches) == searched and got[1] == {}
+        for wp, want_ids, results in zip(wps, ids, got):
+            assert tuple(results) == want_ids
+            if want_ids:
+                assert result_bits(results[bound_id]) == result_bits(
+                    bounds.certify(P, wp, spec, bound_id, cfg))
+        rows = [results[bound_id] for results in got if results]
+        assert "vacuous" in rows[-1].flags
+        assert [r.flags.count("theta_floored") for r in rows] == (
+            [0, 0, 0, 1, 0] if bounds._BOUNDS[bound_id].floored else [0] * 5)
+        # The rows' searches end at different knobs.
+        knob = {"bgplusplus": "T_star"}.get(bound_id, "K_star")
+        if searched:
+            assert len({getattr(r, knob) for r in rows}) > 1
+
+    def test_floor_drop_is_per_row(self):
+        """stochastic_margin's search drops a lane against the smallest value
+        of its own row only.  Next to a posterior certified at 0.175, one
+        certified at 0.445 keeps its best lane, although that lane's floor
+        lies above 0.175: against the smallest value of every row, the
+        search drops it and certifies 0.473."""
+        d, m = 8, 120
+        P = random_matrix(seed=7, m=m, d=d, accuracy=0.75)
+        spec, cfg = BoundSpec(m=m, delta=0.05), SearchConfig(n_gamma=10)
+        high = WeightPosterior(np.random.default_rng(7).dirichlet(np.ones(d)), 1e-3)
+        low = WeightPosterior(uniform_theta(d), 30.0)
+        alone = [bounds.certify(P, wp, spec, "stochastic_margin", cfg) for wp in (high, low)]
+        union = replace(spec, delta=spec.delta / cfg.n_gamma)
+        top = math.log(high.K * bounds._K_SPAN)
+        assert bounds._stochastic_floor(top, alone[0].gamma_star, union) > alone[1].value
+        ids = [("stochastic_margin",)] * 2
+        got = bounds.certify_all(P, [high, low], spec, ids, cfg)
+        assert [r["stochastic_margin"] for r in got] == alone
+
+        def one_row(values_at, lo, hi, floor=None, tol=None, rows=None):
+            return SEARCH_LOG(values_at, lo, hi, floor, tol)
+
+        with patch.object(bounds, "_search_log", one_row):
+            shared = bounds.certify_all(P, [high, low], spec, ids, cfg)
+        assert shared[0]["stochastic_margin"].value > alone[0].value
+        assert shared[1]["stochastic_margin"] == alone[1]
+
+    def test_rejects_a_stack_without_one_id_list_per_row(self):
+        P = random_matrix(seed=2, m=60, d=6)
+        spec, wp = BoundSpec(m=60, delta=0.05), WeightPosterior.uniform(6)
+        for posteriors, ids in (([], []), ([wp], []), ([wp, wp], [("fo",)])):
+            with pytest.raises(ValueError, match="one list of bound ids each"):
+                bounds.certify_all(P, posteriors, spec, ids)
 
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certify_reference.json")

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from votecert import cli, data, oracle
+from votecert import bounds, cli, data, oracle
 
 from conftest import (
     export_predictions, random_matrix, results_csv_certificates, write_board_csv,
@@ -25,6 +25,18 @@ def write_predictions(path, seed=0, m=80, d=6, accuracy=0.75):
     P = random_matrix(seed=seed, m=m, d=d, accuracy=accuracy)
     export_predictions(P, path)
     return P
+
+
+def count_searches(monkeypatch) -> list:
+    """A list that gains one entry per ``bounds._search_log`` call."""
+    searches, search = [], bounds._search_log
+
+    def spy(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_search_log", spy)
+    return searches
 
 
 def read_results(out_dir):
@@ -373,6 +385,20 @@ class TestExperimentCommand:
         rows = read_results(out)
         assert all(r["m_bound"] == "766" for r in rows)
 
+    def test_certifies_a_trial_in_six_searches(self, tmp_path, board_csv, monkeypatch):
+        """A stump trial of three objectives runs six K/T searches: one per
+        objective to select among its candidates, then one certify pass over
+        the trial's four posteriors, with one search each for
+        dirichlet_margin (the uniform posterior alone: the trained ones
+        reuse their selection certificates), bgplusplus and f2."""
+        searches = count_searches(monkeypatch)
+        rc = cli.main([
+            "experiment", "--dataset", board_csv, "--voter-mode", "stumps",
+            "--seeds", "0", "--objectives", "stochastic_margin,fo,f2", "--max-epochs", "1",
+            "--out", str(tmp_path / "out"), "--n-gamma", "10",
+        ])
+        assert rc == 0 and len(searches) == 6
+
     def test_explicit_flag_overrides_manifest_value(self, tmp_path):
         """A manifest value passes the flag's checks only when no explicit
         flag replaces it: here the explicit --delta wins over a bad one, and
@@ -543,6 +569,13 @@ def compare_dir(tmp_path_factory):
 
 
 class TestCompareCommand:
+    def test_sweeps_in_four_searches(self, tmp_path, monkeypatch):
+        """One search per (m, searched bound): both margin losses and all
+        three weight draws share it."""
+        searches = count_searches(monkeypatch)
+        assert cli.main(["compare", "--points", "3", "--out", str(tmp_path / "out")]) == 0
+        assert len(searches) == 4
+
     def test_emits_one_csv_per_panel(self, compare_dir):
         names = sorted(p.name for p in compare_dir.glob("compare_*.csv"))
         assert names == [
