@@ -260,12 +260,13 @@ def _kl_bound(u, comp, factor, eps, grad: bool = False):
     return factor * v + eps, factor * dv_du, factor * dv_dc
 
 
-def _dirichlet(u, kl, eps, factor: float, spec: BoundSpec, grad: bool):
+def _dirichlet(u, kl, eps, factor, spec: BoundSpec, grad: bool):
     """The Dirichlet certificates' core on each lane's KL D(K theta, beta) to
     the prior, computed by the caller: (value, u, c, eps, *partials) with the
-    unclipped value factor kl_inv(u, c) + eps, c = max(0, D + ln(2 sqrt(m) /
-    delta)) / m, and c = inf (so kl_inv is 1) on lanes whose KL is not
-    finite; the partials are ``_kl_bound``'s."""
+    unclipped value factor kl_inv(u, c) + eps (factor one float, or one per
+    lane), c = max(0, D + ln(2 sqrt(m) / delta)) / m, and c = inf (so kl_inv
+    is 1) on lanes whose KL is not finite; the partials are
+    ``_kl_bound``'s."""
     comp = np.where(np.isfinite(kl), np.maximum(0.0, kl + spec.log_confidence()) / spec.m,
                     np.inf)
     value, *partials = _kl_bound(u, comp, factor, eps, grad)
@@ -273,17 +274,22 @@ def _dirichlet(u, kl, eps, factor: float, spec: BoundSpec, grad: bool):
 
 
 # The three Dirichlet formulas on lanes of loss, K (the concentration) and
-# gamma, given each lane's KL, as ``_dirichlet`` returns them; with ``grad``
-# the stochastic and f2 formulas append d eps / dK.
+# gamma, given each lane's KL, as ``_dirichlet`` returns them.
 def _margin_formula(l_gamma, K, gamma, kl, spec):
     eps = np.exp(-(K + 1.0) * gamma * gamma)
     return _dirichlet(np.minimum(1.0, l_gamma + eps), kl, eps, 1.0, spec, False)
 
 
 def _stochastic_formula(expected_loss, K, gamma, kl, spec, grad=False):
-    eps = np.exp(-4.0 * (K + 1.0) * gamma * gamma)
-    out = _dirichlet(np.minimum(1.0, expected_loss), kl, eps, 1.0, spec, grad)
-    return out + (-4.0 * gamma * gamma * eps,) if grad else out
+    """The stochastic-margin formula, with penalty exp(-4 (K + 1) gamma^2);
+    a lane whose gamma is NaN takes the f2 formula instead (kl factor 2, no
+    penalty), so one call serves both kinds' lanes.  With ``grad`` it
+    appends d eps / dK (0 on f2 lanes)."""
+    f2 = np.isnan(gamma)
+    gamma = np.where(f2, 0.0, gamma)
+    eps = np.where(f2, 0.0, np.exp(-4.0 * (K + 1.0) * gamma * gamma))
+    out = _dirichlet(np.minimum(1.0, expected_loss), kl, eps, np.where(f2, 2.0, 1.0), spec, grad)
+    return out + (np.where(f2, 0.0, -4.0 * gamma * gamma * eps),) if grad else out
 
 
 # Slack under the stochastic floor for the 1e-9 of kl_inv's contract and
@@ -307,9 +313,9 @@ def _stochastic_floor(hi, gamma, spec):
     return np.minimum(1.0, -math.expm1(-spec.log_confidence() / spec.m) + eps_top) - _FLOOR_SLACK
 
 
-def _f2_formula(expected_loss, kl, spec, grad=False):
-    out = _dirichlet(np.minimum(1.0, expected_loss), kl, 0.0, 2.0, spec, grad)
-    return out + (0.0,) if grad else out
+def _f2_formula(expected_loss, kl, spec):
+    """The f2 formula: the stochastic one at a NaN margin, where K is unread."""
+    return _stochastic_formula(expected_loss, 0.0, math.nan, kl, spec)
 
 
 def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray:

@@ -256,11 +256,11 @@ def _experiment_seed(args, ds, P_full, seed: int, cfg_search):
     posteriors = {"uniform": WeightPosterior.uniform(P_bound.num_voters, 1.0)}
     trained_certs = {}
     log_rows = []
-    for kind in args.objectives.split(","):
-        tr = train.train_posterior(P_bound, _train_config(args, seed), spec, kind, cfg_search)
-        posteriors[kind] = tr.posterior
-        trained_certs[kind] = tr.certificate
-        log_rows.extend(_log_rows(seed, kind, tr))
+    for tr in train.train_all(P_bound, _train_config(args, seed), spec,
+                              args.objectives.split(","), cfg_search):
+        posteriors[tr.objective] = tr.posterior
+        trained_certs[tr.objective] = tr.certificate
+        log_rows.extend(_log_rows(seed, tr.objective, tr))
 
     dataset_name = os.path.basename(args.dataset)
     posterior_rows = [row for pname, wp in posteriors.items()

@@ -10,16 +10,21 @@ gradients are assembled by the chain rule through the incomplete-beta
 partials, the formula's partials (implicit differentiation of the kl
 inverse) and the trigamma form of the Dirichlet KL's gradient.
 
-One Dirichlet objective serves the stochastic-margin certificate and, with
-no margin, the factor-two (f2) baseline; the first-order (fo) baseline keeps
-softmax weights.  The table ``_OBJECTIVES`` says per kind how a run starts,
-which margins it tries and which posterior its parameters stand for, so all
-kinds share one optimiser and their certificates compare directly.
+One Dirichlet objective serves the stochastic-margin certificate and, on
+rows with no margin, the factor-two (f2) baseline; the first-order (fo)
+baseline keeps softmax weights.  The table ``_OBJECTIVES`` says per kind
+which objective its runs train on (how a run starts, how it is evaluated
+and which posterior its parameters stand for) and which margins it tries,
+so all kinds share one optimiser and their certificates compare directly.
 
-The candidate runs of a kind train in lockstep: their parameters and Adam
-moments are the rows of (R, d) arrays, and a run that stops or diverges
-leaves the stack.  Both objectives take such stacks only, one run being a
-stack of one, and are lanewise over their rows.
+The candidate runs of every kind that shares an objective train in one
+lockstep: their parameters and Adam moments are the rows of (R, d) arrays,
+and a run that stops or diverges leaves the stack.  Both objectives take
+such stacks only, one run being a stack of one, and are lanewise over their
+rows, so a stack mixing stochastic-margin and f2 rows gives each row its
+own kind's value.  ``train_all`` trains a list of kinds this way and selects
+each kind's posterior among its own candidates; ``train_posterior`` is
+``train_all`` on one kind.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ __all__ = [
     "RunResult",
     "TrainResult",
     "TrainingError",
+    "train_all",
     "train_posterior",
     "OBJECTIVES",
 ]
@@ -173,7 +179,7 @@ def objective(
     The objective is the certificate ``certify`` evaluates, unclipped, at
     K = alpha_0 and theta = alpha / alpha_0: at a margin gamma the
     stochastic-margin formula kl_inv(u, c) + exp(-4 (alpha_0 + 1) gamma^2),
-    with u the batch mean of I_{1/2+gamma}(a_y, a_wrong); gamma=None selects
+    with u the batch mean of I_{1/2+gamma}(a_y, a_wrong); at a NaN margin
     the factor-two (f2) formula 2 kl_inv(u, c), with u the expected 0-1 loss
     (the margin loss at gamma = 0) and no de-randomisation penalty.  u is
     clipped to [1e-12, 1 - 1e-12] first, and the complexity c always uses
@@ -181,29 +187,29 @@ def objective(
     relative away from the kl-inverse singularity.
 
     omega is (R, d); batch_rows is (R, B), one (B,) row set shared by every
-    run, or None for the full sample; gamma is R margins (or one) or None.
-    Returns (R,) values and (R, d) gradients, lanewise over the runs: each
-    row equals bit for bit the R = 1 call on that row.  ``grad=False``
-    returns the values alone, skipping the finite-difference stacks and the
+    run, or None for the full sample; gamma is R margins (or one), NaN on
+    the f2 rows, or None for every row f2.  Returns (R,) values and (R, d)
+    gradients, lanewise over the runs, whatever their kinds: each row
+    equals bit for bit the R = 1 call on that row.  ``grad=False`` returns
+    the values alone, skipping the finite-difference stacks and the
     pullbacks.
     """
     runs, d = omega.shape
     alpha = _alpha_from(omega)
     corr = _batch_correct(P, batch_rows)
     wrong = ~corr
-    margin = np.zeros(runs) if gamma is None else np.broadcast_to(np.asarray(gamma, float), (runs,))
+    gamma = np.broadcast_to(np.nan if gamma is None else np.asarray(gamma, float), (runs,))
     # A stacked matmul calls BLAS once per run's 2-D slice, so each run sums
     # in the order of its own call; shared (1, B, d) masks broadcast uncopied.
     col = alpha[:, :, None]
-    lanes = (corr @ col)[..., 0], (wrong @ col)[..., 0], margin[:, None]
+    # f2 rows take the margin loss at margin 0.
+    lanes = (corr @ col)[..., 0], (wrong @ col)[..., 0], np.nan_to_num(gamma)[:, None]
     kl = nk.dirichlet_kl(alpha, np.ones(d))
 
     def certificate(terms):
         """The certify formula at K = alpha_0 on the batch's mean loss."""
         u = _clip_loss(terms.mean(axis=1))
-        if gamma is None:
-            return bounds._f2_formula(u, kl, spec, grad)
-        return bounds._stochastic_formula(u, alpha.sum(axis=1), margin, kl, spec, grad)
+        return bounds._stochastic_formula(u, alpha.sum(axis=1), gamma, kl, spec, grad)
 
     if not grad:
         return certificate(votes.beta_margin_loss_terms(*lanes))[0]
@@ -218,7 +224,7 @@ def objective(
     v, *_, dv_du, dv_dc, deps_dK = certificate(terms)
     dc = bounds._dirichlet_complexity_grad(alpha, spec)
     # d alpha_0 / d alpha_i = 1: the penalty's partial in K is its partial in each alpha_i.
-    grad_alpha = dv_du[:, None] * dE + dv_dc[:, None] * dc + np.reshape(deps_dK, (-1, 1))
+    grad_alpha = dv_du[:, None] * dE + dv_dc[:, None] * dc + deps_dK[:, None]
     return v, grad_alpha * _sigmoid(omega)
 
 
@@ -259,42 +265,40 @@ def _dirichlet_posterior(omega: np.ndarray) -> WeightPosterior:
 
 @dataclass(frozen=True)
 class _Objective:
-    """How one objective kind is trained: ``init(num_voters)`` gives the
-    starting parameters, ``gammas(cfg)`` the margin candidates (one run
-    each; None for the margin-free kinds), ``evaluate(P, omega, rows, gamma,
-    spec, grad)`` the objective over stacked runs (omega (R, d), rows (R, B)
-    or None for the full sample, gamma R margins or None), as values or as
+    """How a run of one objective is trained: ``init(num_voters)`` gives the
+    starting parameters, ``evaluate(P, omega, rows, gamma, spec, grad)`` the
+    objective over stacked runs (omega (R, d), rows (R, B) or None for the
+    full sample, gamma R margins, NaN where a run has none), as values or as
     (values, gradients), and ``posterior(omega)`` the weights one run's
     parameters stand for."""
 
     init: Callable[[int], np.ndarray]
-    gammas: Callable[[TrainConfig], tuple]
     evaluate: Callable[..., tuple]
     posterior: Callable[[np.ndarray], WeightPosterior]
 
 
 # The callables look objective/fo_objective up when called, not when the
 # table is built, so a wrapper installed on the module sees every call.
-def _dirichlet(gammas) -> _Objective:
-    """A kind trained through ``objective``: Dirichlet weights from uniform
-    theta at ``_K_INIT``; the kinds differ only in their margin candidates."""
-    return _Objective(
-        lambda d: _uniform_omega(d, _K_INIT),
-        gammas,
-        lambda P, omega, rows, gamma, spec, grad: objective(P, omega, rows, gamma, spec, grad),
-        _dirichlet_posterior,
-    )
+_DIRICHLET = _Objective(
+    lambda d: _uniform_omega(d, _K_INIT),
+    lambda P, omega, rows, gamma, spec, grad: objective(P, omega, rows, gamma, spec, grad),
+    _dirichlet_posterior,
+)
 
-
+# Per kind: the objective its runs train on and its candidates (one run
+# each, None for no margin).  stochastic_margin and f2 differ only in their
+# candidates, so their runs share one lockstep.
 _OBJECTIVES = {
-    "stochastic_margin": _dirichlet(lambda cfg: cfg.gamma_candidates),
-    "fo": _Objective(
-        np.zeros,
+    "stochastic_margin": (_DIRICHLET, lambda cfg: cfg.gamma_candidates),
+    "fo": (
+        _Objective(
+            np.zeros,
+            lambda P, omega, rows, gamma, spec, grad: fo_objective(P, omega, rows, spec, grad),
+            lambda omega: WeightPosterior(_softmax(omega), 1.0),
+        ),
         lambda cfg: (None,),
-        lambda P, omega, rows, gamma, spec, grad: fo_objective(P, omega, rows, spec, grad),
-        lambda omega: WeightPosterior(_softmax(omega), 1.0),
     ),
-    "f2": _dirichlet(lambda cfg: (None,)),
+    "f2": (_DIRICHLET, lambda cfg: (None,)),
 }
 
 OBJECTIVES = tuple(_OBJECTIVES)
@@ -356,31 +360,35 @@ def _train_runs(
     cfg: TrainConfig,
     spec: BoundSpec,
     obj: _Objective,
-    gammas: tuple,
+    candidates: list,
 ) -> list:
-    """Train every candidate run of one kind in lockstep, one RunResult per
-    gamma in order.
+    """Train candidate runs of one objective in lockstep, one RunResult per
+    (gamma, stream) candidate in order; the candidates may come from several
+    kinds that share the objective.
 
     The active runs' parameters and Adam moments are stacked (R, d) rows, so
     each minibatch step is one objective call over R runs x B rows and one
-    Adam step.  Each run keeps its own permutation stream (seed, run index),
-    learning rate, stall counters, best parameters and history, and leaves
-    the stack when it stops early, its learning rate falls below ``_MIN_LR``
-    or it diverges; the rows left behind step exactly as they would alone.
+    Adam step.  Each run keeps its own permutation stream (seed, stream),
+    stream being its index among its kind's candidates, and its own learning
+    rate, stall counters, best parameters and history, and leaves the stack
+    when it stops early, its learning rate falls below ``_MIN_LR`` or it
+    diverges; the rows left behind step exactly as they would alone, and
+    each run exactly as in its own kind's lockstep.
     """
     m = P.num_examples
     init = obj.init(P.num_voters)
-    margins = None if gammas[0] is None else np.array(gammas)
-    bound0 = obj.evaluate(P, np.tile(init, (len(gammas), 1)), None, margins, spec, False)
-    results: list = [None] * len(gammas)
+    margins = np.array([math.nan if gamma is None else gamma for gamma, _ in candidates])
+    bound0 = obj.evaluate(P, np.tile(init, (len(candidates), 1)), None, margins, spec, False)
+    results: list = [None] * len(candidates)
     active = []
-    for idx, (gamma, bound) in enumerate(zip(gammas, bound0.tolist())):
+    for idx, ((gamma, stream), bound) in enumerate(zip(candidates, bound0.tolist())):
         if not math.isfinite(bound):
             results[idx] = RunResult(gamma, None, (), math.inf, failed=True)
             continue
         history = [EpochRecord(gamma, 0, bound, bound, obj.posterior(init).K, _LEARNING_RATE)]
-        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, idx)), _LEARNING_RATE,
-                           history, bound, init.copy()))
+        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, stream)),
+                           _LEARNING_RATE, history, bound, init.copy()))
+    margins = margins[[run.index for run in active]]
     state = AdamState.init(np.tile(init, (len(active), 1)))
 
     def keep(rows):
@@ -389,8 +397,7 @@ def _train_runs(
         active = [active[r] for r in rows]
         state = AdamState(state.params[rows], state.step,
                           state.exp_avg[rows], state.exp_avg_sq[rows])
-        if margins is not None:
-            margins = np.array([run.gamma for run in active])
+        margins = margins[rows]
 
     for epoch in range(1, cfg.max_epochs + 1):
         if not active:
@@ -452,6 +459,65 @@ def _train_runs(
     return results
 
 
+def _select(P, spec, kind, runs, search_cfg) -> TrainResult:
+    """A kind's TrainResult: the winner among its runs by the
+    dirichlet_margin certificate at delta / len(runs)."""
+    survivors = [r for r in runs if not r.failed]
+    if not survivors:
+        raise TrainingError("all candidate runs produced non-finite objectives")
+    spec_sel = replace(spec, delta=spec.delta / len(runs))
+    # One certify pass, so one K search, over every survivor's posterior;
+    # min keeps the first of equal certificates.
+    certs = [got["dirichlet_margin"] for got in bounds.certify_all(
+        P, [run.posterior for run in survivors], spec_sel,
+        [("dirichlet_margin",)] * len(survivors), search_cfg)]
+    best = min(range(len(survivors)), key=lambda i: certs[i].value)
+    return TrainResult(survivors[best].posterior, certs[best], kind, tuple(runs))
+
+
+def train_all(
+    P: PredictionMatrix,
+    cfg: TrainConfig,
+    spec: BoundSpec,
+    kinds,
+    search_cfg: SearchConfig | None = None,
+) -> list:
+    """Train every objective kind in ``kinds``, one TrainResult per kind in
+    order: one minibatch-Adam fit per candidate of each kind, and per kind
+    the winner.
+
+    The fits of every kind that shares an objective run in one lockstep
+    (see ``_train_runs``), stochastic_margin's margins and f2's margin-free
+    run together: each minibatch step is one objective call and one Adam
+    step over every run still training, and each run's trajectory is the
+    one it would have alone.  Per run, early stopping and the plateau
+    schedule track the full-sample bound (a value-only evaluation), and the
+    parameters from the best epoch are kept.  Each kind's posterior is
+    selected among its own candidates by the deterministic-margin
+    certificate computed at delta / (#candidates of the kind), so the
+    candidate union is accounted for: one ``certify_all`` pass over the
+    stack of every surviving candidate's posterior, whose one K search
+    covers them all, each certificate that of the candidate alone; the
+    first of equal certificates wins.  The certificate returned is never
+    the minibatch surrogate.  Raises TrainingError if every run of a kind
+    diverged.
+    """
+    for kind in kinds:
+        if kind not in _OBJECTIVES:
+            raise ValueError(f"unknown objective: {kind!r}")
+    objs = [_OBJECTIVES[kind][0] for kind in kinds]
+    candidates = [_OBJECTIVES[kind][1](cfg) for kind in kinds]
+    runs: list = [None] * len(kinds)
+    for obj in dict.fromkeys(objs):
+        # The candidates of every kind on this objective, kind by kind, in one lockstep.
+        share = [i for i, other in enumerate(objs) if other is obj]
+        done = iter(_train_runs(P, cfg, spec, obj, [
+            (gamma, stream) for i in share for stream, gamma in enumerate(candidates[i])]))
+        for i in share:
+            runs[i] = [next(done) for _ in candidates[i]]
+    return [_select(P, spec, kind, kind_runs, search_cfg) for kind, kind_runs in zip(kinds, runs)]
+
+
 def train_posterior(
     P: PredictionMatrix,
     cfg: TrainConfig,
@@ -459,34 +525,5 @@ def train_posterior(
     objective_kind: str = "stochastic_margin",
     search_cfg: SearchConfig | None = None,
 ) -> TrainResult:
-    """Run one minibatch-Adam fit per margin candidate and keep the winner.
-
-    The fits run in lockstep (see ``_train_runs``): each minibatch step is
-    one objective call and one Adam step over every run still training, and
-    each run's trajectory is the one it would have alone.  Per run, early
-    stopping and the plateau schedule track the full-sample bound (a
-    value-only evaluation), and the parameters from the best epoch are kept.  The final posterior is
-    selected by its deterministic-margin certificate computed at
-    delta / (#candidates), so the candidate union is accounted for: one
-    ``certify_all`` pass over the stack of every surviving candidate's
-    posterior, whose one K search covers them all, each certificate that of
-    the candidate alone; the first of equal certificates wins.  The
-    certificate returned is never the minibatch surrogate.
-    """
-    try:
-        obj = _OBJECTIVES[objective_kind]
-    except KeyError:
-        raise ValueError(f"unknown objective: {objective_kind!r}") from None
-    gammas = obj.gammas(cfg)
-    runs = _train_runs(P, cfg, spec, obj, gammas)
-    survivors = [r for r in runs if not r.failed]
-    if not survivors:
-        raise TrainingError("all candidate runs produced non-finite objectives")
-    spec_sel = replace(spec, delta=spec.delta / len(gammas))
-    # One certify pass, so one K search, over every survivor's posterior;
-    # min keeps the first of equal certificates.
-    certs = [got["dirichlet_margin"] for got in bounds.certify_all(
-        P, [run.posterior for run in survivors], spec_sel,
-        [("dirichlet_margin",)] * len(survivors), search_cfg)]
-    best = min(range(len(survivors)), key=lambda i: certs[i].value)
-    return TrainResult(survivors[best].posterior, certs[best], objective_kind, tuple(runs))
+    """``train_all`` on the one kind ``objective_kind``."""
+    return train_all(P, cfg, spec, (objective_kind,), search_cfg)[0]

@@ -88,6 +88,17 @@ class TestDirichletMargin:
         assert "theta_floored" in r.flags
         assert 0.0 <= r.value <= 1.0
 
+    @pytest.mark.parametrize("bound_id", ["dirichlet_margin", "f2"])
+    @pytest.mark.parametrize("low, floored", [(5e-13, True), (2e-12, False)])
+    def test_floor_sits_at_1e_12(self, bound_id, low, floored):
+        """certify floors, and flags, a weight below 1e-12 and no weight
+        above it: 5e-13 carries ``theta_floored`` and 2e-12 does not."""
+        P = random_matrix(seed=3, m=60, d=5, accuracy=0.7)
+        theta = np.array([low, 0.3, 0.3, 0.2, 0.2 - low])
+        r = bounds.certify(P, WeightPosterior(theta, 5.0), BoundSpec(m=60, delta=0.05),
+                           bound_id, SearchConfig(n_gamma=20))
+        assert ("theta_floored" in r.flags) == floored
+
 
 class TestStochasticMargin:
     def test_full_loss_clips(self):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from votecert import bounds, cli, data, oracle
+from votecert import bounds, cli, data, oracle, train
 
 from conftest import (
     export_predictions, random_matrix, results_csv_certificates, write_board_csv,
@@ -398,6 +398,43 @@ class TestExperimentCommand:
             "--out", str(tmp_path / "out"), "--n-gamma", "10",
         ])
         assert rc == 0 and len(searches) == 6
+
+    def test_trial_trains_its_dirichlet_kinds_in_one_lockstep(self, tmp_path, board_csv,
+                                                               monkeypatch):
+        """A trial of stochastic_margin, fo and f2 makes as many
+        ``train.objective`` calls as one of stochastic_margin alone, as f2's
+        run shares every call; each kind's training log, posterior and
+        result rows are those of a trial of that kind alone."""
+        objective, calls = train.objective, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(train, "objective", counting)
+
+        def trial(kinds):
+            out = tmp_path / kinds.replace(",", "_")
+            before = len(calls)
+            assert cli.main([
+                "experiment", "--dataset", board_csv, "--voter-mode", "stumps", "--seeds", "3",
+                "--objectives", kinds, "--max-epochs", "3", "--out", str(out), "--n-gamma", "10",
+            ]) == 0
+            files = {}
+            for name in ("training_log", "posteriors", "results"):
+                with open(out / f"{name}.csv") as fh:
+                    files[name] = list(csv.DictReader(fh))
+            return len(calls) - before, files
+
+        together, files = trial("stochastic_margin,fo,f2")
+        for kind in ("stochastic_margin", "fo", "f2"):
+            count, alone = trial(kind)
+            if kind == "stochastic_margin":
+                assert together == count > 0
+            for name, key in (("training_log", "objective"), ("posteriors", "posterior"),
+                              ("results", "posterior")):
+                mine = [row for row in files[name] if row[key] == kind]
+                assert mine and mine == [row for row in alone[name] if row[key] == kind]
 
     def test_explicit_flag_overrides_manifest_value(self, tmp_path):
         """A manifest value passes the flag's checks only when no explicit

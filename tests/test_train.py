@@ -211,15 +211,17 @@ class TestObjectiveIsTheCertificate:
         u = np.clip(terms.mean(axis=1), 1e-12, 1.0 - 1e-12)
         kl = nk.dirichlet_kl(alpha[None], np.ones(alpha.size))
 
-        def formula(kl, grad=False):
-            if gamma is None:
-                return bounds._f2_formula(u, kl, spec, grad)
-            return bounds._stochastic_formula(u, np.array([K]), np.array([g]), kl, spec, grad)
+        # A NaN margin marks an f2 row.
+        margin = np.array([math.nan if gamma is None else gamma])
 
-        margin = None if gamma is None else np.array([gamma])
+        def formula(kl, grad=False):
+            return bounds._stochastic_formula(u, np.array([K]), margin, kl, spec, grad)
+
         value, grad = (out[0] for out in train.objective(P, omega[None], None, margin, spec))
         value_only = train.objective(P, omega[None], None, margin, spec, grad=False)
         assert value_only[0] == formula(kl)[0][0]
+        if gamma is None:
+            assert value_only[0] == bounds._f2_formula(u, kl, spec)[0][0]
 
         theta = alpha / K
         kl_cert = bounds._dirichlet_kl_of(theta[None])(np.array([K]), 0)
@@ -452,6 +454,65 @@ class TestStackedObjective:
                                       call(omega, rows, margins)[0])
         for r in range(self.RUNS):
             assert call(*one_run(r), grad=False)[0] == call(*one_run(r))[0][0]
+
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_mixed_kinds_equal_their_own_kinds_calls(self, batched, grad):
+        """A stack mixing stochastic-margin rows and f2 rows (NaN margins)
+        is, row by row, each kind's own one-run call: at the row's margin,
+        or at gamma=None for an f2 row."""
+        rng = np.random.default_rng(23)
+        P = random_matrix(seed=24, m=90, d=self.D, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        kinds = (0.02, None, 0.07, None)
+        omega = rng.normal(-1.5, 0.7, (len(kinds), self.D))
+        rows = np.stack([rng.permutation(90)[:40] for _ in kinds]) if batched else None
+        margins = np.array([math.nan if g is None else g for g in kinds])
+        got = train.objective(P, omega, rows, margins, spec, grad=grad)
+        for r, g in enumerate(kinds):
+            one = train.objective(P, omega[r:r + 1], None if rows is None else rows[r:r + 1],
+                                  None if g is None else np.array([g]), spec, grad=grad)
+            for part, one_part in zip(got, one) if grad else ((got, one),):
+                np.testing.assert_array_equal(part[r], one_part[0])
+
+
+class TestTrainAll:
+    @pytest.mark.parametrize("kinds", [("stochastic_margin", "fo", "f2"),
+                                       ("f2", "fo", "stochastic_margin")])
+    def test_kinds_equal_their_own_training(self, kinds, monkeypatch):
+        """Training several kinds at once, stochastic_margin's and f2's runs
+        in one lockstep, gives each kind exactly what training it alone
+        gives: the posterior, the certificate and every run's history,
+        best bound and failed flag.  The runs leave the stack at different
+        epochs."""
+        P = random_matrix(seed=34, m=90, d=6, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        monkeypatch.setattr(train, "_LEARNING_RATE", 0.5)
+        monkeypatch.setattr(train, "_EARLY_STOP_PATIENCE", 4)
+        cfg = TrainConfig(seed=5, gamma_candidates=(0.01, 0.03, 0.3), max_epochs=25,
+                          batch_size=40)
+        together = train.train_all(P, cfg, spec, kinds, FAST_SEARCH)
+        assert [res.objective for res in together] == list(kinds)
+        stops = {len(run.history) for res in together if res.objective != "fo"
+                 for run in res.runs}
+        assert len(stops) > 1
+        for res in together:
+            alone = train.train_posterior(P, cfg, spec, res.objective, FAST_SEARCH)
+            np.testing.assert_array_equal(res.posterior.theta, alone.posterior.theta)
+            assert res.posterior.K == alone.posterior.K
+            assert res.certificate == alone.certificate
+            assert len(res.runs) == len(alone.runs)
+            for run, run_alone in zip(res.runs, alone.runs):
+                assert (run.gamma, run.failed, run.best_bound, run.history) == (
+                    run_alone.gamma, run_alone.failed, run_alone.best_bound, run_alone.history)
+                np.testing.assert_array_equal(run.posterior.theta, run_alone.posterior.theta)
+
+    def test_unknown_kind_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(train, "_train_runs", None)
+        P = random_matrix(seed=13, m=30, d=4)
+        with pytest.raises(ValueError):
+            train.train_all(P, TrainConfig(), BoundSpec(m=30, delta=0.05), ("f2", "nope"))
 
 
 class TestLockstepRuns:
