@@ -573,29 +573,105 @@ class TestLockstepRuns:
         assert len(seen["adam"]) == steps * max(epochs)
         assert seen["value"] == 1 + max(epochs)
 
-    def test_diverged_run_leaves_the_stack(self, monkeypatch):
-        """A run whose minibatch objective turns non-finite fails with the
-        history it had; the other runs train on as if it were not there."""
-        P = random_matrix(seed=33, m=90, d=5, accuracy=0.7)
-        spec = BoundSpec(m=90, delta=0.05)
-        cfg = TrainConfig(seed=2, gamma_candidates=(0.02, 0.05, 0.1), max_epochs=5,
-                          batch_size=40)
-        clean = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
+    CFG = TrainConfig(seed=2, gamma_candidates=(0.02, 0.05, 0.1), max_epochs=5, batch_size=40)
+
+    @staticmethod
+    def _poisoned(monkeypatch, grad, call):
+        """Train CFG's runs with the ``call``-th objective call of the given
+        ``grad`` returning NaN values for the 0.05 margin's run (run 1)."""
         objective, calls = train.objective, []
 
-        def poisoned(P, omega, rows, gamma, spec, grad=True):
-            out = objective(P, omega, rows, gamma, spec, grad)
-            if grad:
+        def poisoned(P, omega, rows, gamma, spec, grad_=True):
+            out = objective(P, omega, rows, gamma, spec, grad_)
+            if grad_ == grad:
                 calls.append(None)
-                if len(calls) == 8:  # the second step of epoch 3
-                    out[0][np.flatnonzero(gamma == 0.05)] = math.nan
+                if len(calls) == call:
+                    (out[0] if grad else out)[np.flatnonzero(gamma == 0.05)] = math.nan
             return out
 
         monkeypatch.setattr(train, "objective", poisoned)
-        hit = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH)
-        assert hit.runs[1].failed and hit.runs[1].posterior is None
-        assert hit.runs[1].history == clean.runs[1].history[:3]
+
+    def _lockstep_case(self):
+        P = random_matrix(seed=33, m=90, d=5, accuracy=0.7)
+        spec = BoundSpec(m=90, delta=0.05)
+        return P, spec, train.train_posterior(P, self.CFG, spec, search_cfg=FAST_SEARCH)
+
+    @staticmethod
+    def _others_unchanged(hit, clean):
         for i in (0, 2):
             assert hit.runs[i].history == clean.runs[i].history
+            assert hit.runs[i].best_bound == clean.runs[i].best_bound
             np.testing.assert_array_equal(hit.runs[i].posterior.theta,
                                           clean.runs[i].posterior.theta)
+
+    def test_diverged_run_leaves_the_stack(self, monkeypatch):
+        """A run whose minibatch objective turns non-finite fails with the
+        history it had; the other runs train on as if it were not there."""
+        P, spec, clean = self._lockstep_case()
+        self._poisoned(monkeypatch, True, 8)  # the second step of epoch 3
+        hit = train.train_posterior(P, self.CFG, spec, search_cfg=FAST_SEARCH)
+        assert hit.runs[1].failed and hit.runs[1].posterior is None
+        assert hit.runs[1].history == clean.runs[1].history[:3]
+        self._others_unchanged(hit, clean)
+
+    def test_run_with_a_non_finite_starting_bound_fails(self, monkeypatch):
+        """A run whose full-sample bound at the starting weights is not
+        finite never trains: it fails with no history and an infinite best
+        bound, and the other runs train as if it were not there."""
+        P, spec, clean = self._lockstep_case()
+        self._poisoned(monkeypatch, False, 1)
+        hit = train.train_posterior(P, self.CFG, spec, search_cfg=FAST_SEARCH)
+        run = hit.runs[1]
+        assert (run.failed, run.posterior, run.history, run.best_bound) == (
+            True, None, (), math.inf)
+        self._others_unchanged(hit, clean)
+
+    def test_run_whose_epoch_end_bound_turns_non_finite_fails(self, monkeypatch):
+        """A run whose full-sample bound at the end of epoch 2 is not finite
+        fails with the history and best bound it had after epoch 1."""
+        P, spec, clean = self._lockstep_case()
+        self._poisoned(monkeypatch, False, 3)
+        hit = train.train_posterior(P, self.CFG, spec, search_cfg=FAST_SEARCH)
+        run, kept = hit.runs[1], clean.runs[1].history[:2]
+        assert run.failed and run.posterior is None
+        assert run.history == kept
+        assert run.best_bound == min(rec.bound for rec in kept)
+        self._others_unchanged(hit, clean)
+
+    def test_run_stops_when_its_rate_falls_below_the_floor(self, monkeypatch):
+        """On a flat bound (a vanishing learning rate) the rate is divided by
+        ten after every two stalled epochs, and the run stops, not failed,
+        at the cut that takes it below ``_MIN_LR``."""
+        P = random_matrix(seed=20, m=30, d=4)
+        monkeypatch.setattr(train, "_LEARNING_RATE", 1e-300)
+        monkeypatch.setattr(train, "_LR_REDUCE_PATIENCE", 2)
+        monkeypatch.setattr(train, "_MIN_LR", 1e-302)
+        monkeypatch.setattr(train, "_EARLY_STOP_PATIENCE", 100)
+        cfg = TrainConfig(seed=0, gamma_candidates=(0.05,), max_epochs=50)
+        res = train.train_posterior(P, cfg, BoundSpec(m=30, delta=0.05), search_cfg=FAST_SEARCH)
+        run = res.runs[0]
+        assert [rec.lr for rec in run.history] == (
+            [1e-300] * 3 + [1e-300 / 10] * 2 + [1e-300 / 10 / 10] * 2)
+        assert not run.failed and run.posterior is not None
+
+    def test_epoch_objective_is_the_mean_of_its_minibatch_values(self, monkeypatch):
+        """Each epoch's logged objective is np.mean of that epoch's minibatch
+        values bit for bit, at more minibatches than numpy's pairwise-sum
+        block of 128."""
+        objective, values = train.objective, []
+
+        def spy(P, omega, rows, gamma, spec, grad=True):
+            out = objective(P, omega, rows, gamma, spec, grad)
+            if grad:
+                values.append(out[0][0])
+            return out
+
+        monkeypatch.setattr(train, "objective", spy)
+        P = random_matrix(seed=35, m=300, d=4, accuracy=0.7)
+        cfg = TrainConfig(seed=3, gamma_candidates=(0.05,), max_epochs=2, batch_size=2)
+        spec = BoundSpec(m=300, delta=0.05)
+        run = train.train_posterior(P, cfg, spec, search_cfg=FAST_SEARCH).runs[0]
+        steps = 300 // 2
+        assert len(values) == 2 * steps
+        for epoch, rec in enumerate(run.history[1:]):
+            assert rec.objective == float(np.mean(values[epoch * steps:(epoch + 1) * steps]))
