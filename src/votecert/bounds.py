@@ -36,8 +36,8 @@ distinct example masses are computed per row the first time a bound reads
 them; each searched bound runs one search over the lanes of every row.
 ``certify`` is ``certify_all`` of one id on a stack of one.
 
-One search serves every searched knob: the Dirichlet bounds (f2 at the
-single margin 0) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
+One search serves every searched knob: the Dirichlet bounds (f2 at a NaN
+margin) optimise K over [K_init, K_init * _K_SPAN] (``_search_K``),
 bgplusplus its replication count T over {1..4 T_bgplus}, each on the log of
 the knob over every lane in lockstep (``_search_log``).  Its value function
 is the formula itself, so the searched and the reported certificate come
@@ -311,11 +311,6 @@ def _stochastic_floor(hi, gamma, spec):
     K, so it is least at the top, K = e^hi."""
     eps_top = np.exp(-4.0 * (np.exp(hi) + 1.0) * gamma * gamma)
     return np.minimum(1.0, -math.expm1(-spec.log_confidence() / spec.m) + eps_top) - _FLOOR_SLACK
-
-
-def _f2_formula(expected_loss, kl, spec):
-    """The f2 formula: the stochastic one at a NaN margin, where K is unread."""
-    return _stochastic_formula(expected_loss, 0.0, math.nan, kl, spec)
 
 
 def _dirichlet_complexity_grad(alpha: np.ndarray, spec: BoundSpec) -> np.ndarray:
@@ -784,18 +779,18 @@ def _beta_losses(K: np.ndarray, gammas: np.ndarray, rows: np.ndarray, masses) ->
 
 
 def _certify_beta(stochastic: bool, post: _Posterior, spec: BoundSpec, rows) -> list:
-    """stochastic_margin over the grid margins, or the f2 baseline at the
-    single margin 0, on (row, margin) lanes in one search; the stochastic
+    """stochastic_margin over the grid margins, or the f2 baseline at one
+    NaN margin per row (``_stochastic_formula``'s f2 lane, on the margin
+    loss at 0, as training's f2 rows), on (row, margin) lanes in one
+    search; the stochastic
     search drops the margins, and the ladder rungs of a margin, that
     ``_stochastic_floor`` rules out, each against its own row's values."""
-    margins = post.gammas if stochastic else np.zeros(1)
+    margins = post.gammas if stochastic else np.full(1, math.nan)
     lane_row, lane_g = np.repeat(rows, margins.size), np.tile(margins, rows.size)
 
     def at(K, g, r):
-        u = _beta_losses(K, g, r, post.masses)
-        kl = post.kl_of(K, r)
-        return (_stochastic_formula(u, K, g, kl, spec) if stochastic
-                else _f2_formula(u, kl, spec))
+        u = _beta_losses(K, np.nan_to_num(g), r, post.masses)
+        return _stochastic_formula(u, K, g, post.kl_of(K, r), spec)
 
     def floor(lanes, hi):
         return _stochastic_floor(hi, lane_g[lanes], spec)

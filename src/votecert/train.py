@@ -335,26 +335,6 @@ class TrainResult:
         return tuple(rec for run in self.runs for rec in run.history)
 
 
-@dataclass
-class _Run:
-    """One candidate run's own state in the lockstep loop."""
-
-    index: int
-    gamma: float | None
-    rng: np.random.Generator
-    lr: float
-    history: list
-    best_bound: float
-    best_params: np.ndarray
-    stall_stop: int = 0
-    stall_lr: int = 0
-
-    def result(self, posterior: WeightPosterior | None) -> RunResult:
-        """The run's outcome; no posterior marks it failed."""
-        return RunResult(self.gamma, posterior, tuple(self.history), self.best_bound,
-                         failed=posterior is None)
-
-
 def _train_runs(
     P: PredictionMatrix,
     cfg: TrainConfig,
@@ -366,97 +346,80 @@ def _train_runs(
     (gamma, stream) candidate in order; the candidates may come from several
     kinds that share the objective.
 
-    The active runs' parameters and Adam moments are stacked (R, d) rows, so
-    each minibatch step is one objective call over R runs x B rows and one
-    Adam step.  Each run keeps its own permutation stream (seed, stream),
-    stream being its index among its kind's candidates, and its own learning
-    rate, stall counters, best parameters and history, and leaves the stack
-    when it stops early, its learning rate falls below ``_MIN_LR`` or it
-    diverges; the rows left behind step exactly as they would alone, and
-    each run exactly as in its own kind's lockstep.
+    Each run's state is kept in arrays indexed by candidate: its best
+    full-sample bound and the parameters it was reached at, its learning
+    rate, its two stall counters (epochs without a better bound, towards the
+    early stop and towards the next rate cut), whether it failed, and its
+    epoch's row order and minibatch values.  Its history and its permutation
+    stream (seed, stream), stream being its index among its kind's
+    candidates, are per-candidate lists.  Row r of the stack trains
+    candidate ``live[r]``: the rows' parameters and Adam moments are one
+    stacked AdamState, so each minibatch step is one objective call over
+    R runs x B rows and one Adam step.  Epoch 0 evaluates the starting
+    bound; each later epoch takes its minibatch steps and then evaluates the
+    bound it ends at.  A run leaves the stack when an evaluation of it is
+    not finite (it fails), when it stops early, or when its learning rate
+    falls below ``_MIN_LR``: one compaction of ``live`` and the Adam state
+    after each evaluation drops it.  The rows left behind step exactly as
+    they would alone, and each run exactly as in its own kind's lockstep.
     """
-    m = P.num_examples
+    m, n = P.num_examples, len(candidates)
     init = obj.init(P.num_voters)
     margins = np.array([math.nan if gamma is None else gamma for gamma, _ in candidates])
-    bound0 = obj.evaluate(P, np.tile(init, (len(candidates), 1)), None, margins, spec, False)
-    results: list = [None] * len(candidates)
-    active = []
-    for idx, ((gamma, stream), bound) in enumerate(zip(candidates, bound0.tolist())):
-        if not math.isfinite(bound):
-            results[idx] = RunResult(gamma, None, (), math.inf, failed=True)
-            continue
-        history = [EpochRecord(gamma, 0, bound, bound, obj.posterior(init).K, _LEARNING_RATE)]
-        active.append(_Run(idx, gamma, np.random.default_rng((cfg.seed, stream)),
-                           _LEARNING_RATE, history, bound, init.copy()))
-    margins = margins[[run.index for run in active]]
-    state = AdamState.init(np.tile(init, (len(active), 1)))
-
-    def keep(rows):
-        """Drop every run whose row is not in ``rows`` from the stack."""
-        nonlocal active, state, margins
-        active = [active[r] for r in rows]
-        state = AdamState(state.params[rows], state.step,
-                          state.exp_avg[rows], state.exp_avg_sq[rows])
-        margins = margins[rows]
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        if not active:
+    rngs = [np.random.default_rng((cfg.seed, stream)) for _, stream in candidates]
+    histories = [[] for _ in candidates]
+    best, best_params = np.full(n, math.inf), np.tile(init, (n, 1))
+    lr, failed = np.full(n, _LEARNING_RATE), np.zeros(n, dtype=bool)
+    stall_stop, stall_lr = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    perms, vals = np.empty((n, m), dtype=int), np.empty((n, -(-m // cfg.batch_size)))
+    live, state = np.arange(n), AdamState.init(best_params)
+    for epoch in range(cfg.max_epochs + 1):
+        # Epoch 0 is its closing evaluation alone, at the starting parameters.
+        starts = range(0, m, cfg.batch_size) if epoch else ()
+        if epoch:
+            perms[live] = [rngs[i].permutation(m) for i in live]
+        for j, start in enumerate([*starts, None]):
+            if start is not None:  # a minibatch step
+                batch = perms[live, start:start + cfg.batch_size]
+                vals[live, j], grads = obj.evaluate(P, state.params, batch, margins[live], spec,
+                                                    True)
+                leave = ~(np.isfinite(vals[live, j]) & np.isfinite(grads).all(axis=1))
+                failed[live] = leave
+            else:  # the full-sample bound the epoch ends at
+                bound = obj.evaluate(P, state.params, None, margins[live], spec, False)
+                leave = ~np.isfinite(bound)
+                failed[live] = leave
+                rows = np.flatnonzero(~leave)
+                runs, bound = live[rows], bound[rows]
+                means = vals[runs].mean(axis=1) if epoch else bound
+                for run, row, value, mean in zip(runs.tolist(), rows, bound.tolist(),
+                                                 means.tolist()):
+                    histories[run].append(EpochRecord(candidates[run][0], epoch, mean, value,
+                                                      obj.posterior(state.params[row]).K,
+                                                      float(lr[run])))
+                better = bound < best[runs]
+                won = runs[better]
+                best[won], best_params[won] = bound[better], state.params[rows[better]]
+                stall_stop[runs] += 1
+                stall_lr[runs] += 1
+                stall_stop[won] = stall_lr[won] = 0
+                cut = runs[stall_lr[runs] >= _LR_REDUCE_PATIENCE]
+                lr[cut] /= _LR_REDUCE_FACTOR
+                stall_lr[cut] = 0
+                leave[rows] = (stall_stop[runs] >= _EARLY_STOP_PATIENCE) | (lr[runs] < _MIN_LR)
+            stay = ~leave
+            live = live[stay]
+            state = AdamState(state.params[stay], state.step,
+                              state.exp_avg[stay], state.exp_avg_sq[stay])
+            if not live.size:
+                break
+            if start is not None:
+                state = adam_step(state, grads[stay], lr[live, None])
+        if not live.size:
             break
-        perms = np.stack([run.rng.permutation(m) for run in active])
-        epoch_vals = [[] for _ in active]
-        for start in range(0, m, cfg.batch_size):
-            vals, grads = obj.evaluate(
-                P, state.params, perms[:, start : start + cfg.batch_size], margins, spec, True
-            )
-            finite = np.isfinite(vals) & np.isfinite(grads).all(axis=1)
-            if not finite.all():
-                for run, ok in zip(active, finite):
-                    if not ok:
-                        results[run.index] = run.result(None)
-                rows = np.flatnonzero(finite)
-                keep(rows)
-                perms, vals, grads = perms[rows], vals[rows], grads[rows]
-                epoch_vals = [epoch_vals[r] for r in rows]
-                if not active:
-                    break
-            for log, val in zip(epoch_vals, vals.tolist()):
-                log.append(val)
-            lrs = np.array([[run.lr] for run in active])
-            state = adam_step(state, grads, lrs)
-        if not active:
-            break
-        bounds_now = obj.evaluate(P, state.params, None, margins, spec, False)
-        stay = []
-        for row, (run, bound, vals) in enumerate(zip(active, bounds_now.tolist(), epoch_vals)):
-            params = state.params[row]
-            if not math.isfinite(bound):
-                results[run.index] = run.result(None)
-                continue
-            run.history.append(EpochRecord(
-                run.gamma, epoch, float(np.mean(vals)), bound, obj.posterior(params).K, run.lr,
-            ))
-            if bound < run.best_bound:
-                run.best_bound = bound
-                run.best_params = params.copy()
-                run.stall_stop = 0
-                run.stall_lr = 0
-            else:
-                run.stall_stop += 1
-                run.stall_lr += 1
-            stopped = False
-            if run.stall_lr >= _LR_REDUCE_PATIENCE:
-                run.lr /= _LR_REDUCE_FACTOR
-                run.stall_lr = 0
-                stopped = run.lr < _MIN_LR
-            if stopped or run.stall_stop >= _EARLY_STOP_PATIENCE:
-                results[run.index] = run.result(obj.posterior(run.best_params))
-            else:
-                stay.append(row)
-        if len(stay) < len(active):
-            keep(stay)
-    for run in active:
-        results[run.index] = run.result(obj.posterior(run.best_params))
-    return results
+    return [RunResult(gamma, None if fail else obj.posterior(params), tuple(history), value, fail)
+            for (gamma, _), history, value, params, fail
+            in zip(candidates, histories, best.tolist(), best_params, failed.tolist())]
 
 
 def _select(P, spec, kind, runs, search_cfg) -> TrainResult:

@@ -187,11 +187,9 @@ def gibbs_loss(P: PredictionMatrix, theta) -> float:
 
 
 def tandem_loss(P: PredictionMatrix, theta) -> float:
-    """theta' M theta with M_ij the fraction of rows where voters i and j both err."""
-    th = np.asarray(theta, dtype=float)
-    errors = (~P.correct_mask).astype(float)
-    second_moment = errors.T @ errors / P.num_examples
-    return float(th @ second_moment @ th)
+    """theta' M theta with M_ij the fraction of rows where voters i and j both
+    err: the row mean of the squared wrong mass, with no d x d matrix."""
+    return float(np.mean(P.wrong_mass(theta) ** 2))
 
 
 def binomial_loss(P: PredictionMatrix, theta, N: int) -> float:

@@ -32,15 +32,14 @@ def export_predictions(P: PredictionMatrix, path) -> None:
             writer.writerow([int(y)] + [int(v) for v in row])
 
 
-def dirichlet_from_loss(formula, loss, theta, K, spec, *gamma):
+def dirichlet_from_loss(formula, loss, theta, K, spec, gamma):
     """The BoundResult of a Dirichlet formula of ``bounds`` (``_margin_formula``
-    and ``_stochastic_formula`` take gamma, ``_f2_formula`` does not) on the
+    or ``_stochastic_formula``, whose NaN margin is an f2 lane) on the
     caller's lanes of loss, K and gamma, theta floored as certify floors it."""
-    loss, K, *gamma = bounds._lanes(loss, K, *gamma)
+    loss, K, gamma = bounds._lanes(loss, K, gamma)
     post = bounds._Posterior(np.asarray(theta)[None])
-    kl = post.kl_of(K, 0)
-    terms = formula(loss, K, *gamma, kl, spec) if gamma else formula(loss, kl, spec)
-    return bounds._result(*terms, gamma[0] if gamma else None, K).with_flags(post.flags[0])
+    terms = formula(loss, K, gamma, post.kl_of(K, 0), spec)
+    return bounds._result(*terms, gamma, K).with_flags(post.flags[0])
 
 
 # The rule a certificate meets against a recorded one: the value and its

@@ -35,7 +35,9 @@ def stochastic_from_loss(expected_loss, theta, K, gamma, spec):
 
 
 def f2_from_loss(expected_loss, theta, K, spec):
-    return dirichlet_from_loss(bounds._f2_formula, expected_loss, theta, K, spec)
+    """The f2 formula: the stochastic one at a NaN margin; f2 reports no margin."""
+    return replace(dirichlet_from_loss(bounds._stochastic_formula, expected_loss, theta, K, spec,
+                                       math.nan), gamma_star=None)
 
 
 def gibbs(P, theta, spec, bound_id):

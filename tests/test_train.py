@@ -220,8 +220,8 @@ class TestObjectiveIsTheCertificate:
         value, grad = (out[0] for out in train.objective(P, omega[None], None, margin, spec))
         value_only = train.objective(P, omega[None], None, margin, spec, grad=False)
         assert value_only[0] == formula(kl)[0][0]
-        if gamma is None:
-            assert value_only[0] == bounds._f2_formula(u, kl, spec)[0][0]
+        if gamma is None:  # an f2 row does not read K
+            assert value_only[0] == bounds._stochastic_formula(u, 0.0, margin, kl, spec)[0][0]
 
         theta = alpha / K
         kl_cert = bounds._dirichlet_kl_of(theta[None])(np.array([K]), 0)
@@ -576,14 +576,14 @@ class TestLockstepRuns:
     CFG = TrainConfig(seed=2, gamma_candidates=(0.02, 0.05, 0.1), max_epochs=5, batch_size=40)
 
     @staticmethod
-    def _poisoned(monkeypatch, grad, call):
-        """Train CFG's runs with the ``call``-th objective call of the given
-        ``grad`` returning NaN values for the 0.05 margin's run (run 1)."""
+    def _poisoned(monkeypatch, on_grad, call):
+        """Make the ``call``-th objective call with ``grad=on_grad`` return a
+        NaN value for the 0.05 margin's run (run 1 of CFG)."""
         objective, calls = train.objective, []
 
-        def poisoned(P, omega, rows, gamma, spec, grad_=True):
-            out = objective(P, omega, rows, gamma, spec, grad_)
-            if grad_ == grad:
+        def poisoned(P, omega, rows, gamma, spec, grad=True):
+            out = objective(P, omega, rows, gamma, spec, grad)
+            if grad == on_grad:
                 calls.append(None)
                 if len(calls) == call:
                     (out[0] if grad else out)[np.flatnonzero(gamma == 0.05)] = math.nan
